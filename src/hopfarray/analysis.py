@@ -4,8 +4,9 @@ Sweeps partition their grid into fixed contiguous blocks; points inside a
 block are solved sequentially with warm starts and blocks are independent,
 so results do not depend on how many workers process them. Per-point solver
 failures are flagged, never fatal, and every returned solution carries a
-residual certificate from the loop-based reference evaluator (a separate
-code path from the Newton iteration).
+residual certificate from the pointwise evaluator in ``hopf`` (the cubic
+term formed at the interior quadrature nodes, a separate code path from the
+tensor contraction in the Newton iteration).
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ class PhaseCurve:
     vibrometry measures and what makes the low-frequency delay come out
     near minus a quarter cycle). When sign_flipped is true the curve has
     additionally been negated globally so the low-frequency delay is
-    negative; both normalizations are surfaced here, never absorbed.
+    negative; both normalizations are surfaced here, never absorbed. sweep
+    is the pure-tone sweep the curves of one call share, with its solver
+    statistics and certificates.
     """
 
     x: tuple[float, float]
@@ -82,6 +85,7 @@ class PhaseCurve:
     group_delay_cycles: np.ndarray
     sign_flipped: bool
     phase_reference: str = "velocity"
+    sweep: SweepResult | None = field(default=None, repr=False)
 
 
 def _run_blocks(grid: np.ndarray, solve_point, n_threads: int | None = None):
@@ -231,6 +235,7 @@ def phase_response(
             group_delay_cycles=np.empty(0),
             sign_flipped=flip,
             phase_reference=phase_reference,
+            sweep=sweep,
         )
         curve.group_delay_cycles = group_delay(curve)
         curves.append(curve)

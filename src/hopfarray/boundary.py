@@ -135,27 +135,6 @@ class BoundarySystem:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def unknown_index(self, kind: str, i: int, m: int) -> int:
-        """Column of coefficient m on circle i; kind is 'psi' or 'phi'."""
-        width = 2 * self.truncation + 1
-        base = 0 if kind == "psi" else self.n_resonators * width
-        if kind not in ("psi", "phi"):
-            raise ValueError(f"kind must be 'psi' or 'phi', got {kind!r}")
-        if abs(m) > self.truncation or not 0 <= i < self.n_resonators:
-            raise IndexError(f"(i={i}, m={m}) outside block structure")
-        return base + i * width + (m + self.truncation)
-
-    def row_index(self, condition: str, j: int, n: int) -> int:
-        """Row of the order-n condition on circle j; condition is
-        'continuity' or 'flux'."""
-        width = 2 * self.truncation + 1
-        base = 0 if condition == "continuity" else self.n_resonators * width
-        if condition not in ("continuity", "flux"):
-            raise ValueError(f"condition must be 'continuity' or 'flux', got {condition!r}")
-        if abs(n) > self.truncation or not 0 <= j < self.n_resonators:
-            raise IndexError(f"(j={j}, n={n}) outside block structure")
-        return base + j * width + (n + self.truncation)
-
     def sigma_min(self) -> float:
         """Smallest singular value of the system matrix."""
         return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])

@@ -298,23 +298,53 @@ def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: boo
         disk_radial=num["disk_radial"],
         disk_angular=num["disk_angular"],
     )
-    key = modal_cache_key(array, params, M, quad)
-    cache_path = out_dir / "cache" / f"modal-{key[:16]}.json"
-    if use_cache and cache_path.exists():
-        return ModalSystem.from_json(cache_path.read_text()), {"key": key, "hit": True, "path": str(cache_path)}
     search = {
         "tolerance": num["resonance_tolerance"],
         "drift_tolerance": num["drift_tolerance"],
     }
     if num["omega_max"] is not None:
         search["omega_max"] = num["omega_max"]
+    key = modal_cache_key(array, params, M, quad, search)
+    cache_path = out_dir / "cache" / f"modal-{key[:16]}.json"
+    cache_info = {"key": key, "hit": False, "path": None, "recovered": None}
+    if use_cache and cache_path.exists():
+        try:
+            system = ModalSystem.from_json(cache_path.read_text())
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            # a truncated or foreign entry is rebuilt and overwritten below
+            cache_info["recovered"] = f"{type(exc).__name__}: {exc}"
+        else:
+            cache_info.update(hit=True, path=str(cache_path))
+            return system, cache_info
     system = build_modal_system(array, params, M=M, quad=quad, search=search)
-    cache_info = {"key": key, "hit": False, "path": None}
     if use_cache:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(system.to_json())
+        _write_atomic(cache_path, system.to_json())
         cache_info["path"] = str(cache_path)
     return system, cache_info
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename,
+    so readers see the old entry or the whole new one, never a part."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")  # one writer per process
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _sweep_stats(sweeps) -> dict:
+    """Newton iterations summed over every solved point, and the largest
+    residual certificate (None when no point was solved)."""
+    return {
+        "newton_iters": sum(s.newton_iters for sw in sweeps for s in sw.solutions if s is not None),
+        "certificate_max": max(
+            (c for sw in sweeps for c in sw.certificates if c is not None), default=None
+        ),
+    }
 
 
 def _resonance_rows(system: ModalSystem):
@@ -396,8 +426,10 @@ def run_experiment(
         grid = np.linspace(lo, hi, exp["num_points"])
         rows = []
         flagged = []
+        sweeps = []
         for F in exp["F_values"]:
             sweep = pure_tone_sweep(system, grid, F, beta, n_threads=threads)
+            sweeps.append(sweep)
             n_flagged += sweep.n_flagged
             for i, om in enumerate(sweep.grid):
                 sol = sweep.solutions[i]
@@ -417,7 +449,8 @@ def run_experiment(
             rows,
         )
         manifest["solver_stats"] = {"n_points": len(grid) * len(exp["F_values"]),
-                                    "n_flagged": n_flagged, "flagged": flagged}
+                                    "n_flagged": n_flagged, "flagged": flagged,
+                                    **_sweep_stats(sweeps)}
 
     elif etype == "phase":
         lo = exp["omega_min"] if exp["omega_min"] is not None else 0.25 * system.omegas[0].real
@@ -447,7 +480,8 @@ def run_experiment(
             "phase_sign_flipped": curves[0].sign_flipped,
             "phase_reference": curves[0].phase_reference,
         }
-        manifest["solver_stats"] = {"n_points": len(grid), "n_flagged": 0, "flagged": []}
+        manifest["solver_stats"] = {"n_points": len(grid), "n_flagged": 0, "flagged": [],
+                                    **_sweep_stats([curves[0].sweep])}
 
     elif etype == "twotone":
         mode_1b = exp["mode_index"] if exp["mode_index"] is not None else exp["Omega1_mode"]
@@ -490,6 +524,7 @@ def run_experiment(
         manifest["solver_stats"] = {
             "n_points": len(grid), "n_flagged": n_flagged, "flagged": flagged,
             "Omega1": float(Omega1), "collision_dropped": dropped,
+            **_sweep_stats([sweep]),
         }
 
     elif etype != "resonances":

@@ -9,22 +9,12 @@ so callers get guaranteed behavior for every integer order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as _sp
 
 # AMOS loses accuracy and eventually overflows for very large arguments;
 # stay far inside that envelope.
 _MAX_ABS_Z = 1.0e8
-
-
-@dataclass(frozen=True)
-class CylinderFunctionResult:
-    """Function value plus a conservative absolute-error estimate."""
-
-    value: complex
-    estimated_abs_error: float
 
 
 def _check_order(order) -> int:
@@ -61,24 +51,6 @@ def hankel1(order: int, z: complex) -> complex:
     if not (np.isfinite(val.real) and np.isfinite(val.imag)):
         raise ValueError(f"hankel1({n}, {z}) did not evaluate to a finite value")
     return val
-
-
-def bessel_j_with_error(order: int, z: complex) -> CylinderFunctionResult:
-    """J_n(z) packaged with an estimated absolute error bound."""
-    val = bessel_j(order, z)
-    return CylinderFunctionResult(value=val, estimated_abs_error=_error_estimate(val, z))
-
-
-def hankel1_with_error(order: int, z: complex) -> CylinderFunctionResult:
-    """H_n^(1)(z) packaged with an estimated absolute error bound."""
-    val = hankel1(order, z)
-    return CylinderFunctionResult(value=val, estimated_abs_error=_error_estimate(val, z))
-
-
-def _error_estimate(value: complex, z: complex) -> float:
-    # AMOS documents ~1 ulp per unit |z| of phase accumulation; 1e-13 relative
-    # with a mild |z| ramp is a safe envelope over the supported range.
-    return abs(value) * 1e-13 * (1.0 + abs(z) / 100.0) + 1e-300
 
 
 def bessel_j_orders(orders: np.ndarray, z: complex | np.ndarray) -> np.ndarray:

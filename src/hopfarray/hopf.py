@@ -21,6 +21,11 @@ All solves run damped Newton on the stacked real/imaginary parts (the
 residuals depend on conj(X), so they are not complex-differentiable) with
 analytic Wirtinger Jacobians from the cubic tensor, plus geometric
 continuation in the forcing amplitude when Newton stalls.
+
+Solutions are certified pointwise: the response is sampled at the interior
+quadrature nodes, its cubic nonlinearity is formed there and projected back
+onto the modes (alternating frequency/time evaluation). That path shares no
+code with the tensor contraction Newton uses, for either forcing.
 """
 
 from __future__ import annotations
@@ -114,33 +119,33 @@ def residual_pure_tone(
     )
 
 
+def _project_pointwise(system: ModalSystem, values: np.ndarray) -> np.ndarray:
+    """Interior integral of a field sampled at the interior quadrature nodes
+    against each conjugated mode: entry n = sum_p w_p conj(u_n(x_p)) values_p."""
+    _, wts, _, U = system.interior_quadrature()
+    return (U.conj() * wts[None, :]) @ values
+
+
 def residual_pure_tone_reference(
     system: ModalSystem, Omega: float, F: float, beta: float, X: np.ndarray
 ) -> np.ndarray:
-    """Loop-based re-evaluation of the pure-tone residual.
+    """Pointwise re-evaluation of the pure-tone residual.
 
-    Deliberately shares no contraction code with the Newton path; used as
-    an independent certificate on returned solutions.
+    Samples a = sum_i X_i u_i at the interior quadrature nodes, integrates
+    |a|^2 a against each conjugated mode and deprojects with the Gram
+    inverse. It never touches the cubic tensor, so it checks how the tensor
+    was built as well as how Newton contracts it; used as an independent
+    certificate on returned solutions.
     """
-    n = system.n
-    T = system.cubic_tensor
-    gain = system.gram_inverse.T @ system.source_vec
-    out = np.zeros(n, dtype=complex)
-    for m in range(n):
-        cubic = 0.0 + 0.0j
-        for nn in range(n):
-            inner = 0.0 + 0.0j
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        inner += X[i] * X[j] * np.conj(X[k]) * T[nn, i, j, k]
-            cubic += system.gram_inverse[nn, m] * inner
-        out[m] = (
-            (system.omegas[m] ** 2 - Omega**2) * X[m]
-            + F * gain[m]
-            + 1j * Omega**3 * beta * cubic
-        )
-    return out
+    _, _, _, U = system.interior_quadrature()
+    a = X @ U
+    cubic = _project_pointwise(system, np.abs(a) ** 2 * a)
+    G = system.gram_inverse.T
+    return (
+        (system.omegas**2 - Omega**2) * X
+        + F * (G @ system.source_vec)
+        + 1j * Omega**3 * beta * (G @ cubic)
+    )
 
 
 def _pure_tone_fun_jac(system: ModalSystem, Omega: float, F: float, beta: float):
@@ -378,12 +383,12 @@ def _cubic_projections_pointwise(system: ModalSystem, freqs: np.ndarray, Xs: np.
     integrates against the conjugated modes; an independent route used to
     cross-check the tensor contraction.
     """
-    _, wts, _, U = system.interior_quadrature()
+    _, _, _, U = system.interior_quadrature()
     S = (freqs[:, None] * Xs) @ U  # (4, P) line-sum fields
     C = cubic_coefficients(S[0], S[1], S[2], S[3])
     out = np.zeros((4, system.n), dtype=complex)
     for ch in range(4):
-        out[ch] = (U.conj() * wts[None, :]) @ C[ch]
+        out[ch] = _project_pointwise(system, C[ch])
     return out
 
 

@@ -7,9 +7,11 @@ rank-4 tensor of cubic interior products
 
     T[n, i, j, k] = integral_D  u_i u_j conj(u_k) conj(u_n) dx,
 
-stored symmetrized in (i, j). A ModalSystem bundles these with the modes
-themselves and is JSON-serializable so parameter sweeps can skip the
-spectral and quadrature work.
+stored symmetrized in (i, j). Every mode is sampled once over the nodes of
+the composite rule; the Gram matrix and the cubic tensor both come from that
+sample. A ModalSystem bundles these with the modes and their interior
+samples, and is JSON-serializable so parameter sweeps can skip the spectral
+and quadrature work.
 """
 
 from __future__ import annotations
@@ -20,15 +22,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .boundary import MultipoleDensity, WaveParams
 from .geometry import Resonator, ResonatorArray
 from .quadrature import QuadratureSpec, default_spec, exterior_rule, interior_rule
 from .spectral import Eigenmode, Resonance, extract_eigenmode, find_resonances
 
 
+# Layout of the JSON cache; bump it whenever to_dict changes.
+CACHE_FORMAT = 2
+
+
 def _mode_values(modes: list[Eigenmode], points: np.ndarray) -> np.ndarray:
     """(N_modes, P) matrix of mode values at the given points."""
     return np.array([m.field(points) for m in modes])
+
+
+def _sample_modes(modes: list[Eigenmode], quad: QuadratureSpec):
+    """Every mode sampled once over the composite rule of the box.
+
+    Returns (values (N, P), weights (P,), interior rule) where the exterior
+    nodes come first and the interior rule (points, weights, disk index)
+    covers the last len(interior weights) columns of values.
+    """
+    if not modes:
+        raise ValueError("need at least one mode")
+    array = modes[0].array
+    ext_pts, ext_wts = exterior_rule(array, quad)
+    rule = interior_rule(array, quad)
+    U = _mode_values(modes, np.vstack([ext_pts, rule[0]]))
+    return U, np.concatenate([ext_wts, rule[1]]), rule
 
 
 def gram_matrix(modes: list[Eigenmode], quad: QuadratureSpec) -> np.ndarray:
@@ -39,14 +62,11 @@ def gram_matrix(modes: list[Eigenmode], quad: QuadratureSpec) -> np.ndarray:
     a non-positive-definite outcome (quadrature too coarse, or dependent
     modes) raises ValueError.
     """
-    if not modes:
-        raise ValueError("need at least one mode")
-    array = modes[0].array
-    ext_pts, ext_wts = exterior_rule(array, quad)
-    int_pts, int_wts, _ = interior_rule(array, quad)
-    pts = np.vstack([ext_pts, int_pts])
-    wts = np.concatenate([ext_wts, int_wts])
-    U = _mode_values(modes, pts)
+    U, wts, _ = _sample_modes(modes, quad)
+    return _gram_from_values(U, wts)
+
+
+def _gram_from_values(U: np.ndarray, wts: np.ndarray) -> np.ndarray:
     gram = (U * wts[None, :]) @ U.conj().T
     gram = 0.5 * (gram + gram.conj().T)
     eigenvalues = np.linalg.eigvalsh(gram)
@@ -100,9 +120,11 @@ class ModalSystem:
     """Everything the projected amplitude equations need.
 
     omegas are the N complex resonances, gram/gram_inverse the mode overlap
-    matrix over Q and its inverse, source_vec the point-mass pairings and
-    cubic_tensor the interior cubic products. The modes themselves are kept
-    so response fields can be evaluated at arbitrary points.
+    matrix over Q and its inverse, source_vec the point-mass pairings,
+    cubic_tensor the interior cubic products and interior_values the
+    (N, P) C-contiguous mode values at the interior quadrature nodes. The
+    modes themselves are kept so response fields can be evaluated at
+    arbitrary points.
     """
 
     array: ResonatorArray
@@ -114,7 +136,8 @@ class ModalSystem:
     gram_inverse: np.ndarray
     source_vec: np.ndarray
     cubic_tensor: np.ndarray
-    _interior_cache: tuple | None = field(default=None, repr=False, compare=False)
+    interior_values: np.ndarray = field(repr=False)
+    _interior_rule: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -135,18 +158,19 @@ class ModalSystem:
         return np.array([m.field(pts, side=side) for m in self.modes])
 
     def interior_quadrature(self):
-        """(points, weights, disk index, mode values) over the disk interiors."""
-        if self._interior_cache is None:
-            pts, wts, idx = interior_rule(self.array, self.quad)
-            U = _mode_values(self.modes, pts)
-            self._interior_cache = (pts, wts, idx, U)
-        return self._interior_cache
+        """(points, weights, disk index, mode values) over the disk interiors.
+
+        The mode values are the stored samples; no field is evaluated.
+        """
+        if self._interior_rule is None:
+            self._interior_rule = interior_rule(self.array, self.quad)
+        return (*self._interior_rule, self.interior_values)
 
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
-            "version": 1,
+            "version": CACHE_FORMAT,
             "array": {
                 "resonators": [[r.center[0], r.center[1], r.radius] for r in self.array.resonators],
                 "source": list(self.array.source),
@@ -187,11 +211,12 @@ class ModalSystem:
             "gram_inverse": _complex_to_list(self.gram_inverse),
             "source_vec": _complex_to_list(self.source_vec),
             "cubic_tensor": _complex_to_list(self.cubic_tensor),
+            "interior_values": _complex_to_list(self.interior_values),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModalSystem":
-        if data.get("version") != 1:
+        if data.get("version") != CACHE_FORMAT:
             raise ValueError(f"unsupported modal cache version {data.get('version')}")
         arr = ResonatorArray(
             resonators=tuple(
@@ -234,6 +259,7 @@ class ModalSystem:
             gram_inverse=_list_to_complex(data["gram_inverse"]),
             source_vec=_list_to_complex(data["source_vec"]),
             cubic_tensor=_list_to_complex(data["cubic_tensor"]),
+            interior_values=np.ascontiguousarray(_list_to_complex(data["interior_values"])),
         )
 
     def to_json(self) -> str:
@@ -256,10 +282,22 @@ def _list_to_complex(d) -> np.ndarray:
 
 
 def modal_cache_key(
-    array: ResonatorArray, params: WaveParams, M: int, quad: QuadratureSpec
+    array: ResonatorArray,
+    params: WaveParams,
+    M: int,
+    quad: QuadratureSpec,
+    search: dict | None = None,
 ) -> str:
-    """Content hash identifying a ModalSystem computation."""
+    """Content hash identifying a ModalSystem computation.
+
+    Covers every input that changes the result: geometry, material,
+    truncation, quadrature and resonance-search settings, plus the cache
+    format and the package version.
+    """
     payload = {
+        "format": CACHE_FORMAT,
+        "version": __version__,
+        "search": dict(search or {}),
         "resonators": [[r.center[0], r.center[1], r.radius] for r in array.resonators],
         "source": list(array.source),
         "params": [params.v, params.v_b, params.delta],
@@ -277,6 +315,16 @@ def modal_cache_key(
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def _projections(modes: list[Eigenmode], quad: QuadratureSpec):
+    """Gram matrix and cubic tensor from one sample of the modes.
+
+    Returns (gram, cubic tensor, C-contiguous interior values, interior rule).
+    """
+    U, wts, rule = _sample_modes(modes, quad)
+    interior = np.ascontiguousarray(U[:, U.shape[1] - len(rule[1]):])
+    return _gram_from_values(U, wts), cubic_tensor_from_values(interior, rule[1]), interior, rule
+
+
 def build_modal_system(
     array: ResonatorArray,
     params: WaveParams,
@@ -291,7 +339,7 @@ def build_modal_system(
     if modes is None:
         resonances = find_resonances(array, params, M=M, search=search)
         modes = [extract_eigenmode(array, params, r) for r in resonances]
-    gram = gram_matrix(modes, quad)
+    gram, tensor, interior, rule = _projections(modes, quad)
     gram_inverse = np.linalg.inv(gram)
     return ModalSystem(
         array=array,
@@ -302,15 +350,15 @@ def build_modal_system(
         gram=gram,
         gram_inverse=gram_inverse,
         source_vec=source_coupling(modes, array.source),
-        cubic_tensor=cubic_tensor(modes, quad),
+        cubic_tensor=tensor,
+        interior_values=interior,
+        _interior_rule=rule,
     )
 
 
 def refinement_report(modes: list[Eigenmode], quad: QuadratureSpec) -> dict[str, float]:
     """Max relative change of each projected quantity under node doubling."""
-    fine = quad.refine(2)
-    g0, g1 = gram_matrix(modes, quad), gram_matrix(modes, fine)
-    t0, t1 = cubic_tensor(modes, quad), cubic_tensor(modes, fine)
+    (g0, t0, *_), (g1, t1, *_) = (_projections(modes, q) for q in (quad, quad.refine(2)))
     return {
         "gram": float(np.max(np.abs(g1 - g0)) / np.max(np.abs(g1))),
         "cubic_tensor": float(np.max(np.abs(t1 - t0)) / np.max(np.abs(t1))),

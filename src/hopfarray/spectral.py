@@ -43,14 +43,6 @@ class Resonance:
     residual: float
     truncation: int
 
-    @property
-    def real_frequency(self) -> float:
-        return float(self.omega.real)
-
-    @property
-    def magnitude(self) -> float:
-        return float(abs(self.omega))
-
 
 @dataclass(frozen=True)
 class Eigenmode:

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 series summations for the cylinder functions, an exact DFT extraction for
-the cubic line coefficients, and a parity-reduced assembly for the
-mirror-symmetric two-resonator system.
+the cubic line coefficients, a loop contraction of the pure-tone residual,
+and a parity-reduced assembly for the mirror-symmetric two-resonator system.
 """
 
 from __future__ import annotations
@@ -85,6 +85,36 @@ def fourier_cubic_coefficients(S10, S01, S21, S12):
     b = a * np.abs(a) ** 2
     spectrum = np.fft.fft(b) / K  # coefficient of e^{+2 pi i h k / K} at bin h
     return tuple(spectrum[h] for h in _LINE_HARMONICS)
+
+
+# ---------------------------------------------------------------------------
+# loop contraction of the pure-tone residual
+# ---------------------------------------------------------------------------
+def residual_pure_tone_loop(system, Omega: float, F: float, beta: float, X) -> np.ndarray:
+    """Pure-tone residual with the cubic tensor contracted by explicit loops.
+
+    O(N^5) scalar arithmetic, sharing no code with the einsum contraction
+    of the solver or with the pointwise certificate.
+    """
+    n = system.n
+    T = system.cubic_tensor
+    gain = system.gram_inverse.T @ system.source_vec
+    out = np.zeros(n, dtype=complex)
+    for m in range(n):
+        cubic = 0.0 + 0.0j
+        for nn in range(n):
+            inner = 0.0 + 0.0j
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        inner += X[i] * X[j] * np.conj(X[k]) * T[nn, i, j, k]
+            cubic += system.gram_inverse[nn, m] * inner
+        out[m] = (
+            (system.omegas[m] ** 2 - Omega**2) * X[m]
+            + F * gain[m]
+            + 1j * Omega**3 * beta * cubic
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

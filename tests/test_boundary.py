@@ -124,16 +124,18 @@ def test_assemble_validates_inputs(params, six_array):
 
 
 def test_block_index_mapping(params, pair_array):
+    # unknowns stack [psi_0, psi_1, phi_0, phi_1], order m in column m + M
     system = assemble_boundary_system(pair_array, params, 0.05, 3)
     width = 7
-    assert system.unknown_index("psi", 0, -3) == 0
-    assert system.unknown_index("psi", 1, 0) == width + 3
-    assert system.unknown_index("phi", 0, 3) == 2 * width + 6
-    assert system.row_index("flux", 1, -3) == 2 * width + width
+    assert system.dimension == 4 * width
+    vec = np.arange(system.dimension, dtype=complex)
+    density = MultipoleDensity.from_vector(vec, 2, 3)
+    assert density.psi[0, -3 + 3] == 0
+    assert density.psi[1, 0 + 3] == width + 3
+    assert density.phi[0, 3 + 3] == 2 * width + 6
+    assert np.array_equal(density.to_vector(), vec)
     with pytest.raises(ValueError):
-        system.unknown_index("rho", 0, 0)
-    with pytest.raises(IndexError):
-        system.unknown_index("psi", 0, 5)
+        MultipoleDensity.from_vector(vec[:-1], 2, 3)
 
 
 def test_evaluate_field_zero_density(params, six_array):

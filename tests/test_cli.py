@@ -127,6 +127,30 @@ def test_cache_round_trip_identical(tmp_path):
     assert (out_nc / "sweep.csv").read_bytes() == first
 
 
+def test_truncated_cache_is_rebuilt(tmp_path):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(_config(experiment={
+        "type": "sweep", "mode_ref": 1, "num_points": 6, "F_values": [1e-5]})))
+    out = tmp_path / "out"
+    args = ["sweep", "--config", str(cfg_path), "--out", str(out), "--threads", "1"]
+    assert main(args) == 0
+    first = (out / "sweep.csv").read_bytes()
+    (entry,) = (out / "cache").iterdir()
+    text = entry.read_text()
+    entry.write_text(text[: len(text) // 2])  # a write cut short
+    assert main(args) == 0
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["cache"]["hit"] is False
+    assert "JSONDecodeError" in manifest["cache"]["recovered"]
+    assert manifest["solver_stats"]["newton_iters"] >= manifest["solver_stats"]["n_points"]
+    assert (out / "sweep.csv").read_bytes() == first
+    assert entry.read_text() == text  # rewritten whole, no temporary left behind
+    assert [p.name for p in (out / "cache").iterdir()] == [entry.name]
+    assert main(args) == 0
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["cache"]["hit"] is True and manifest["cache"]["recovered"] is None
+
+
 def test_twotone_schema(tmp_path):
     cfg = _config(experiment={"type": "twotone", "Omega1_mode": 2, "num_points": 7,
                               "F1": 1e-5, "F2": 1e-5})
@@ -135,9 +159,10 @@ def test_twotone_schema(tmp_path):
     lines = (tmp_path / "twotone.csv").read_text().splitlines()
     assert lines[0] == "Omega2,abs_X10,abs_X01,abs_X21,abs_X12,abs_X01_passive"
     manifest = json.loads((tmp_path / "run.json").read_text())
-    assert manifest["solver_stats"]["collision_dropped"] == [
-        pytest.approx(manifest["solver_stats"]["Omega1"])
-    ]
+    stats = manifest["solver_stats"]
+    assert stats["collision_dropped"] == [pytest.approx(stats["Omega1"])]
+    assert stats["newton_iters"] > 0
+    assert 0 <= stats["certificate_max"] <= 1e-10 * (1 + 2e-5)
 
 
 def test_phase_experiment_and_sign_flags(tmp_path):
@@ -149,6 +174,8 @@ def test_phase_experiment_and_sign_flags(tmp_path):
     manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["sign_flags"]["phase_reference"] == "velocity"
     assert manifest["sign_flags"]["phase_sign_flipped"] in (True, False)
+    assert manifest["solver_stats"]["newton_iters"] >= manifest["solver_stats"]["n_points"]
+    assert 0 <= manifest["solver_stats"]["certificate_max"] <= 1e-10 * (1 + 1e-6)
 
 
 def test_oracle_experiment(tmp_path):

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfarray.cylinder import (
-    bessel_j,
-    bessel_j_orders,
-    bessel_j_with_error,
-    hankel1,
-    hankel1_orders,
-    hankel1_with_error,
-)
+from hopfarray.cylinder import bessel_j, bessel_j_orders, hankel1, hankel1_orders
 from oracles import bessel_j_series, bessel_y0_series, hankel1_0_series
 
 # values frozen from the series oracles (verified below)
@@ -112,16 +105,6 @@ def test_out_of_range_argument_rejected():
 def test_non_integer_order_rejected():
     with pytest.raises(ValueError, match="integer"):
         bessel_j(0.5, 1.0)
-
-
-def test_with_error_wrappers():
-    res = bessel_j_with_error(1, 1.0)
-    assert res.value == pytest.approx(J1_AT_1, rel=1e-10)
-    assert 0 < res.estimated_abs_error < 1e-10
-    assert abs(res.value - J1_AT_1) <= res.estimated_abs_error * 100
-    resh = hankel1_with_error(0, 1.0)
-    assert np.isfinite(resh.estimated_abs_error)
-    assert resh.value == pytest.approx(H0_AT_1, rel=1e-10)
 
 
 def test_vectorized_orders_match_scalars():

@@ -14,7 +14,7 @@ from hopfarray.hopf import (
     solve_pure_tone,
     solve_two_tone,
 )
-from oracles import fourier_cubic_coefficients
+from oracles import fourier_cubic_coefficients, residual_pure_tone_loop
 
 BETA = 5.0e5
 
@@ -67,12 +67,15 @@ def test_pure_tone_residual_certificate(six_system):
     sol = solve_pure_tone(six_system, om, 1e-4, BETA)
     ref = residual_pure_tone_reference(six_system, om, 1e-4, BETA, sol.X)
     assert np.linalg.norm(ref) <= 1e-10 * (1 + 1e-4)
-    # the two evaluation paths agree where the residual is not pure noise
+    # the pointwise certificate, the loop oracle and the solver's contraction
+    # agree where the residual is not pure noise
     rng = np.random.default_rng(8)
     for _ in range(5):
         X = 1e-2 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
         ref = residual_pure_tone_reference(six_system, om, 1e-4, BETA, X)
+        loop = residual_pure_tone_loop(six_system, om, 1e-4, BETA, X)
         fast = residual_pure_tone(six_system, om, 1e-4, BETA, X)
+        assert np.allclose(ref, loop, rtol=1e-12, atol=0.0)
         assert np.allclose(ref, fast, rtol=1e-12, atol=0.0)
 
 

@@ -13,6 +13,8 @@ from hopfarray.modal import (
 from hopfarray.quadrature import QuadratureSpec, default_spec, disk_rule, exterior_rule, interior_rule
 from hopfarray.spectral import Eigenmode
 
+BETA = 5.0e5
+
 
 def _scaled_mode(mode, factor):
     return Eigenmode(
@@ -186,6 +188,8 @@ def test_modal_system_serialization_roundtrip(six_system):
     assert np.array_equal(restored.gram_inverse, six_system.gram_inverse)
     assert np.array_equal(restored.source_vec, six_system.source_vec)
     assert np.array_equal(restored.cubic_tensor, six_system.cubic_tensor)
+    assert np.array_equal(restored.interior_values, six_system.interior_values)
+    assert restored.interior_values.flags.c_contiguous
     for a, b in zip(restored.modes, six_system.modes):
         assert np.array_equal(a.density.psi, b.density.psi)
         assert np.array_equal(a.density.phi, b.density.phi)
@@ -193,16 +197,58 @@ def test_modal_system_serialization_roundtrip(six_system):
     assert restored.to_json() == text
 
 
-def test_modal_cache_key_sensitivity(six_system):
-    key = modal_cache_key(six_system.array, six_system.params, 5, six_system.quad)
-    assert key == modal_cache_key(six_system.array, six_system.params, 5, six_system.quad)
-    assert key != modal_cache_key(six_system.array, six_system.params, 7, six_system.quad)
-    assert key != modal_cache_key(
-        six_system.array, six_system.params, 5, six_system.quad.refine(2)
-    )
+def test_modal_cache_key_sensitivity(six_system, monkeypatch):
+    import hopfarray.modal as modal
+
+    search = {"tolerance": 1e-10, "drift_tolerance": 1e-4}
+
+    def key_of(M=5, quad=six_system.quad, **changes):
+        return modal_cache_key(six_system.array, six_system.params, M, quad, {**search, **changes})
+
+    key = key_of()
+    assert key == key_of()
+    assert key != key_of(M=7)
+    assert key != key_of(quad=six_system.quad.refine(2))
+    assert key != key_of(tolerance=1e-9)
+    assert key != key_of(drift_tolerance=1e-3)
+    assert key != key_of(omega_max=0.1)
+    monkeypatch.setattr(modal, "__version__", "0.0.0")
+    assert key != key_of()
+    monkeypatch.undo()
+    monkeypatch.setattr(modal, "CACHE_FORMAT", 1)
+    assert key != key_of()
 
 
 def test_build_modal_system_reuses_given_modes(pair_modes, pair_system, params):
     rebuilt = build_modal_system(pair_modes[0].array, params, M=5, modes=pair_modes)
     assert np.array_equal(rebuilt.gram, pair_system.gram)
     assert np.array_equal(rebuilt.cubic_tensor, pair_system.cubic_tensor)
+
+
+def test_modes_sampled_once(pair_modes, pair_system, params, monkeypatch):
+    import hopfarray.spectral as spectral
+    from hopfarray.analysis import pure_tone_sweep, two_tone_sweep
+
+    evaluate = spectral.evaluate_field
+    calls = []
+
+    def counting(array, params, omega, density, points, side=None):
+        calls.append((id(density), len(np.atleast_2d(points))))
+        return evaluate(array, params, omega, density, points, side=side)
+
+    monkeypatch.setattr(spectral, "evaluate_field", counting)
+    array = pair_modes[0].array
+    quad = default_spec(array)
+    n_nodes = len(exterior_rule(array, quad)[1]) + len(interior_rule(array, quad)[1])
+    build_modal_system(array, params, M=5, modes=pair_modes)
+    at_nodes = sorted(c for c in calls if c[1] > 1)
+    assert at_nodes == sorted((id(m.density), n_nodes) for m in pair_modes)
+    # the only other evaluation is the source coupling, one point per mode
+    assert sum(p for _, p in calls) == len(pair_modes) * (n_nodes + 1)
+
+    calls.clear()
+    loaded = ModalSystem.from_json(pair_system.to_json())
+    center = loaded.omegas[0].real
+    pure_tone_sweep(loaded, np.linspace(0.9 * center, 1.1 * center, 3), 1e-5, BETA)
+    two_tone_sweep(loaded, center, [0.95 * center, 1.05 * center], 1e-5, 1e-5, BETA, mode_index=0)
+    assert calls == []
