@@ -161,56 +161,47 @@ def _layer_blocks(array: ResonatorArray, k: complex, M: int):
     n_res = array.n
     width = 2 * M + 1
     orders = np.arange(-M, M + 1)
-    K = n_res * width
-    trace = np.zeros((K, K), dtype=complex)
-    dtr_out = np.zeros((K, K), dtype=complex)
-    dtr_in = np.zeros((K, K), dtype=complex)
-
-    centers = array.centers
     radii = array.radii
-
+    z = k * radii[:, None]
+    J = bessel_j_orders(orders, z)  # (N, 2M+1)
+    Jp = bessel_j_prime_orders(orders, z)
+    H = hankel1_orders(orders, z)
+    Hp = hankel1_prime_orders(orders, z)
     # radiating strength of each circle's unit Fourier density
-    strength = np.empty((n_res, width), dtype=complex)
-    for i in range(n_res):
-        strength[i] = -0.5j * np.pi * radii[i] * bessel_j_orders(orders, k * radii[i])
+    strength = -0.5j * np.pi * radii[:, None] * J
 
-    # translation coefficients between all pairs
+    # translation coefficients H_{m-n}(k b_ji) e^{i(m-n) theta_ji} from circle
+    # i to circle j, one Hankel table over the unordered pair distances
+    delta = array.centers[:, None, :] - array.centers[None, :, :]  # c_j - c_i
+    b = np.hypot(delta[..., 0], delta[..., 1])
+    bad = (b <= radii[:, None]) & ~np.eye(n_res, dtype=bool)
+    if bad.any():
+        j, i = np.argwhere(bad)[0]
+        raise ValueError(
+            f"addition theorem invalid: circle {j} not inside the "
+            f"annulus of circle {i} (distance {b[j, i]:.6g} <= radius {radii[j]:.6g})"
+        )
     wide = np.arange(-2 * M, 2 * M + 1)
-    for j in range(n_res):
-        zj = k * radii[j]
-        Jj = bessel_j_orders(orders, zj)
-        Jj_p = bessel_j_prime_orders(orders, zj)
-        Hj = hankel1_orders(orders, zj)
-        Hj_p = hankel1_prime_orders(orders, zj)
-        rows = slice(j * width, (j + 1) * width)
-        for i in range(n_res):
-            cols = slice(i * width, (i + 1) * width)
-            if i == j:
-                self_tr = -0.5j * np.pi * radii[j] * Jj * Hj
-                self_out = -0.5j * np.pi * radii[j] * k * Jj * Hj_p
-                self_in = -0.5j * np.pi * radii[j] * k * Hj * Jj_p
-                trace[rows, cols] = np.diag(self_tr)
-                dtr_out[rows, cols] = np.diag(self_out)
-                dtr_in[rows, cols] = np.diag(self_in)
-            else:
-                dx = centers[j, 0] - centers[i, 0]
-                dy = centers[j, 1] - centers[i, 1]
-                b = np.hypot(dx, dy)
-                if b <= radii[j]:
-                    raise ValueError(
-                        f"addition theorem invalid: circle {j} not inside the "
-                        f"annulus of circle {i} (distance {b:.6g} <= radius {radii[j]:.6g})"
-                    )
-                theta_ij = np.arctan2(dy, dx)
-                h_wide = hankel1_orders(wide, k * b) * np.exp(1j * wide * theta_ij)
-                diff = orders[None, :] - orders[:, None]  # m - n
-                G = h_wide[diff + 2 * M]
-                block = G * strength[i][None, :]
-                trace[rows, cols] = Jj[:, None] * block
-                d = k * Jj_p[:, None] * block
-                dtr_out[rows, cols] = d
-                dtr_in[rows, cols] = d
-    return trace, dtr_out, dtr_in
+    upper = np.triu_indices(n_res, 1)
+    h_pair = hankel1_orders(wide, k * b[upper][:, None])  # b_ij = b_ji
+    h_wide = np.zeros((n_res, n_res, wide.size), dtype=complex)
+    h_wide[upper] = h_pair
+    h_wide[upper[::-1]] = h_pair
+    h_wide *= np.exp(1j * wide * np.arctan2(delta[..., 1], delta[..., 0])[..., None])
+    diff = orders[None, :] - orders[:, None]  # m - n
+    G = np.moveaxis(h_wide[:, :, diff + 2 * M], 1, 2)  # (j, n, i, m)
+    block = G * strength[None, None, :, :]
+
+    trace = J[:, :, None, None] * block
+    dtr_out = k * Jp[:, :, None, None] * block
+    dtr_in = dtr_out.copy()
+    own, order = np.arange(n_res)[:, None], np.arange(width)[None, :]
+    self_layer = -0.5j * np.pi * radii[:, None]
+    trace[own, order, own, order] = self_layer * J * H
+    dtr_out[own, order, own, order] = self_layer * k * J * Hp
+    dtr_in[own, order, own, order] = self_layer * k * H * Jp
+    K = n_res * width
+    return trace.reshape(K, K), dtr_out.reshape(K, K), dtr_in.reshape(K, K)
 
 
 def assemble_boundary_system(
@@ -227,8 +218,10 @@ def assemble_boundary_system(
     if M < 1:
         raise ValueError(f"truncation order M must be >= 1, got {M}")
     k, kb = params.wavenumbers(omega)
-    ext_tr, ext_dtr, _ = _layer_blocks(array, k, M)
-    int_tr, _, int_dtr = _layer_blocks(array, kb, M)
+    ext_tr, ext_dtr, int_dtr = _layer_blocks(array, k, M)
+    int_tr = ext_tr
+    if kb != k:  # v = v_b makes the two layers one
+        int_tr, _, int_dtr = _layer_blocks(array, kb, M)
     top = np.hstack([ext_tr, -int_tr])
     bottom = np.hstack([params.delta * ext_dtr, -int_dtr])
     return BoundarySystem(

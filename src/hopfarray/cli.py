@@ -347,6 +347,17 @@ def _sweep_stats(sweeps) -> dict:
     }
 
 
+def _mode_diagnostics(system: ModalSystem) -> dict:
+    """Per mode: relative resonance drift under M -> M+2 and the gap
+    s[-2]/s[-1] between the two smallest singular values at the resonance."""
+    return {
+        "modes": [
+            {"mode": n + 1, "drift": m.resonance.drift, "sv_gap": m.sv_gap}
+            for n, m in enumerate(system.modes)
+        ]
+    }
+
+
 def _resonance_rows(system: ModalSystem):
     return [
         (n + 1, m.resonance.omega.real, m.resonance.omega.imag, m.resonance.residual)
@@ -404,6 +415,7 @@ def run_experiment(
     t0 = time.time()
     system, cache_info = _obtain_modal_system(config, out, use_cache)
     manifest["cache"] = cache_info
+    manifest["diagnostics"] = _mode_diagnostics(system)
     manifest["wall_times_s"]["modal_system"] = time.time() - t0
     manifest["outputs"]["resonances.csv"] = _write_csv(
         out / "resonances.csv",

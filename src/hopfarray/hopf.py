@@ -33,13 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .modal import ModalSystem
 
 
 class ConvergenceError(RuntimeError):
-    """Newton or time integration failed to reach the requested tolerance."""
+    """Newton failed to reach the requested tolerance, or the single-oscillator
+    oracle has no unique stable steady state."""
 
 
 # Default cubic strength. Only beta x (amplitude scale)^2 is meaningful at
@@ -539,56 +539,52 @@ def solve_two_tone(
 
 
 # ---------------------------------------------------------------------------
-# single-oscillator time-domain oracle
+# single-oscillator steady-state oracle
 # ---------------------------------------------------------------------------
 def single_hopf_steady_state(
     mu: float, omega0: float, Omega: float, F: float
 ) -> HopfOracleResult:
     """Steady response amplitude of dz/dt = (mu + i omega0) z - |z|^2 z + F e^{i Omega t}.
 
-    Integrates the equivalent autonomous rotating-frame system
-    w' = (mu + i (omega0 - Omega)) w - |w|^2 w + F (with |w| = |z|) by an
-    explicit adaptive Runge-Kutta scheme, extending the horizon until the
-    amplitude drifts by less than 1e-6 relative over the last 10% of the
-    run. For mu > 0 with F = 0 the integration starts from a small kick,
-    since z = 0 is then an (unstable) equilibrium of the flow itself.
+    In the rotating frame w = z e^{-i Omega t} (|w| = |z|) the flow is
+    autonomous, w' = (mu + i Delta) w - |w|^2 w + F with Delta = omega0 - Omega,
+    and a phase-locked state has s = |w|^2 on the real positive roots of
+
+        s ((mu - s)^2 + Delta^2) = F^2.
+
+    Each root is polished by Newton and must leave a relative residual below
+    1e-12. The answer is the root that is stable under the 2x2 Jacobian of
+    the flow: trace 2(mu - 2s) < 0 and determinant (mu - 2s)^2 + Delta^2 - s^2 > 0.
+    Unforced, the amplitude is sqrt(max(mu, 0)): the origin or the limit cycle.
+    Raises ConvergenceError when no root is stable (no phase-locked state) or
+    two are (bistable, possible only for mu > 0 and mu^2 > 3 Delta^2).
     """
+    if F == 0.0:
+        return HopfOracleResult(mu, omega0, Omega, F, float(np.sqrt(max(mu, 0.0))))
     detuning = omega0 - Omega
-
-    def rhs(_t, y):
-        w = y[0] + 1j * y[1]
-        dw = (mu + 1j * detuning) * w - (abs(w) ** 2) * w + F
-        return [dw.real, dw.imag]
-
-    if F == 0.0 and mu > 0.0:
-        w0 = 1e-3 * np.sqrt(mu)
-    else:
-        w0 = 0.0
-    y = np.array([w0, 0.0])
-    rate = max(abs(mu), abs(F) ** (2.0 / 3.0), abs(detuning), 1e-6)
-    horizon = 50.0 / rate
-    t_done = 0.0
-    for _ in range(36):
-        n_tail = 64
-        t_eval = np.linspace(t_done + 0.9 * horizon, t_done + horizon, n_tail)
-        sol = solve_ivp(
-            rhs,
-            (t_done, t_done + horizon),
-            y,
-            method="RK45",
-            rtol=1e-10,
-            atol=1e-14,
-            t_eval=t_eval,
-            dense_output=False,
+    cubic = np.array([1.0, -2.0 * mu, mu * mu + detuning * detuning, -F * F])
+    stable = []
+    for root in np.roots(cubic):
+        if root.real <= 0.0 or abs(root.imag) > 1e-6 * abs(root):
+            continue
+        s = root.real
+        for _ in range(3):
+            s -= np.polyval(cubic, s) / np.polyval(np.polyder(cubic), s)
+        residual = abs(np.polyval(cubic, s)) / np.polyval(np.abs(cubic), s)
+        if not residual <= 1e-12:
+            raise ConvergenceError(
+                f"steady-state root s = {s:.6g} has relative residual {residual:.3g}"
+            )
+        if mu - 2.0 * s < 0.0 and (mu - 2.0 * s) ** 2 + detuning**2 - s * s > 0.0:
+            stable.append(s)
+    if not stable:
+        raise ConvergenceError(
+            f"no stable phase-locked state at mu={mu}, detuning={detuning}, F={F}; "
+            "the forced response does not settle to a fixed amplitude"
         )
-        if not sol.success:
-            raise ConvergenceError(f"time integration failed: {sol.message}")
-        amps = np.hypot(sol.y[0], sol.y[1])
-        y = sol.y[:, -1]
-        t_done += horizon
-        mean = amps.mean()
-        drift = (amps.max() - amps.min()) / max(mean, 1e-30)
-        if drift < 1e-6 or (mean < 1e-15 and amps.max() < 1e-15):
-            return HopfOracleResult(mu, omega0, Omega, F, float(mean))
-        horizon *= 2.0
-    raise ConvergenceError("steady state not reached within the horizon cap")
+    if len(stable) > 1:
+        raise ConvergenceError(
+            f"bistable response at mu={mu}, detuning={detuning}, F={F}: stable "
+            f"amplitudes {', '.join(f'{np.sqrt(s):.6g}' for s in stable)}"
+        )
+    return HopfOracleResult(mu, omega0, Omega, F, float(np.sqrt(stable[0])))

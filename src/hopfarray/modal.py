@@ -30,7 +30,7 @@ from .spectral import Eigenmode, Resonance, extract_eigenmode, find_resonances
 
 
 # Layout of the JSON cache; bump it whenever to_dict changes.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def _mode_values(modes: list[Eigenmode], points: np.ndarray) -> np.ndarray:
@@ -196,9 +196,11 @@ class ModalSystem:
                     "omega": [m.resonance.omega.real, m.resonance.omega.imag],
                     "residual": m.resonance.residual,
                     "truncation": m.resonance.truncation,
+                    "drift": m.resonance.drift,
                 }
                 for m in self.modes
             ],
+            "sv_gaps": [m.sv_gap for m in self.modes],
             "normalizations": [[m.normalization.real, m.normalization.imag] for m in self.modes],
             "densities": [
                 {
@@ -231,11 +233,14 @@ class ModalSystem:
             for k in ("ext_order", "panel_size", "ring_radial", "ring_angular", "disk_radial", "disk_angular")
         })
         modes = []
-        for res_d, norm, dens in zip(data["resonances"], data["normalizations"], data["densities"]):
+        for res_d, gap, norm, dens in zip(
+            data["resonances"], data["sv_gaps"], data["normalizations"], data["densities"]
+        ):
             resonance = Resonance(
                 omega=complex(*res_d["omega"]),
                 residual=res_d["residual"],
                 truncation=res_d["truncation"],
+                drift=res_d["drift"],
             )
             density = MultipoleDensity(
                 psi=_list_to_complex(dens["psi"]), phi=_list_to_complex(dens["phi"])
@@ -247,6 +252,7 @@ class ModalSystem:
                     normalization=complex(*norm),
                     array=arr,
                     params=params,
+                    sv_gap=gap,
                 )
             )
         return cls(

@@ -37,11 +37,13 @@ class DegenerateModeError(RuntimeError):
 
 @dataclass(frozen=True)
 class Resonance:
-    """A located resonance: frequency, boundary-system residual, truncation."""
+    """A located resonance: frequency, boundary-system residual, truncation,
+    and the relative drift of the frequency under M -> M+2 refinement."""
 
     omega: complex
     residual: float
     truncation: int
+    drift: float
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class Eigenmode:
     unit L2 norm over the union of disk interiors and the interior mean
     over the largest disk is real and positive. normalization is the
     complex factor that was applied to the raw unit singular vector.
+    sv_gap is the ratio s[-2]/s[-1] of the two smallest singular values of
+    the boundary system at the resonance: how clearly the mode is simple.
     """
 
     resonance: Resonance
@@ -59,6 +63,7 @@ class Eigenmode:
     normalization: complex
     array: ResonatorArray
     params: WaveParams
+    sv_gap: float
 
     def field(self, points, side: str | None = None):
         """Evaluate the mode at one or many points."""
@@ -290,13 +295,14 @@ def find_resonances(
     refined: list[Resonance] = []
     for z in sorted(roots, key=lambda w: w.real):
         z_hi = _muller(probe_hi, z)
-        if abs(z_hi - z) > drift_tol * abs(z):
+        drift = abs(z_hi - z) / abs(z)
+        if drift > drift_tol:
             raise ResonanceSearchError(
-                f"resonance {z:.6g} drifts by {abs(z_hi - z) / abs(z):.3g} "
+                f"resonance {z:.6g} drifts by {drift:.3g} "
                 f"relative under M={M} -> {M + 2} refinement"
             )
         residual = _sigma_min(assemble_boundary_system(array, params, z, M).matrix)
-        refined.append(Resonance(omega=z, residual=residual, truncation=M))
+        refined.append(Resonance(omega=z, residual=residual, truncation=M, drift=drift))
     return refined
 
 
@@ -352,4 +358,5 @@ def extract_eigenmode(
         normalization=normalization,
         array=array,
         params=params,
+        sv_gap=float(s[-2] / s[-1]),
     )

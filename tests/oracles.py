@@ -3,19 +3,17 @@
 Everything here deliberately avoids the code paths it is used to check:
 series summations for the cylinder functions, an exact DFT extraction for
 the cubic line coefficients, a loop contraction of the pure-tone residual,
-and a parity-reduced assembly for the mirror-symmetric two-resonator system.
+a per-pair loop assembly of the boundary system and a parity-reduced one
+for the mirror-symmetric two-resonator system (both take their cylinder
+functions from scipy.special, not from hopfarray.cylinder), and a
+time integration of the single forced Hopf oscillator.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from hopfarray.cylinder import (
-    bessel_j_orders,
-    bessel_j_prime_orders,
-    hankel1_orders,
-    hankel1_prime_orders,
-)
+from scipy import special as sp
+from scipy.integrate import solve_ivp
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +116,54 @@ def residual_pure_tone_loop(system, Omega: float, F: float, beta: float, X) -> n
 
 
 # ---------------------------------------------------------------------------
+# per-pair loop assembly of the boundary system
+# ---------------------------------------------------------------------------
+def layer_blocks_loop(array, k: complex, M: int):
+    """Trace and one-sided normal-derivative matrices of the k-layer,
+    (trace, dtr_out, dtr_in), built circle pair by circle pair with one
+    addition-theorem Hankel call per ordered pair."""
+    n_res = array.n
+    width = 2 * M + 1
+    orders = np.arange(-M, M + 1)
+    K = n_res * width
+    trace = np.zeros((K, K), dtype=complex)
+    dtr_out = np.zeros((K, K), dtype=complex)
+    dtr_in = np.zeros((K, K), dtype=complex)
+    centers = array.centers
+    radii = array.radii
+    strength = [-0.5j * np.pi * radii[i] * sp.jv(orders, k * radii[i]) for i in range(n_res)]
+    wide = np.arange(-2 * M, 2 * M + 1)
+    for j in range(n_res):
+        zj = k * radii[j]
+        Jj, Jj_p = sp.jv(orders, zj), sp.jvp(orders, zj)
+        Hj, Hj_p = sp.hankel1(orders, zj), sp.h1vp(orders, zj)
+        rows = slice(j * width, (j + 1) * width)
+        for i in range(n_res):
+            cols = slice(i * width, (i + 1) * width)
+            if i == j:
+                trace[rows, cols] = np.diag(-0.5j * np.pi * radii[j] * Jj * Hj)
+                dtr_out[rows, cols] = np.diag(-0.5j * np.pi * radii[j] * k * Jj * Hj_p)
+                dtr_in[rows, cols] = np.diag(-0.5j * np.pi * radii[j] * k * Hj * Jj_p)
+                continue
+            dx, dy = centers[j] - centers[i]
+            h_wide = sp.hankel1(wide, k * np.hypot(dx, dy)) * np.exp(1j * wide * np.arctan2(dy, dx))
+            block = h_wide[orders[None, :] - orders[:, None] + 2 * M] * strength[i][None, :]
+            trace[rows, cols] = Jj[:, None] * block
+            dtr_out[rows, cols] = k * Jj_p[:, None] * block
+            dtr_in[rows, cols] = dtr_out[rows, cols]
+    return trace, dtr_out, dtr_in
+
+
+def boundary_matrix_loop(array, params, omega: complex, M: int) -> np.ndarray:
+    """Transmission matrix from two loop-built layers, exterior and interior."""
+    ext_tr, ext_dtr, _ = layer_blocks_loop(array, omega / params.v, M)
+    int_tr, _, int_dtr = layer_blocks_loop(array, omega / params.v_b, M)
+    top = np.hstack([ext_tr, -int_tr])
+    bottom = np.hstack([params.delta * ext_dtr, -int_dtr])
+    return np.vstack([top, bottom])
+
+
+# ---------------------------------------------------------------------------
 # parity-reduced system for two mirrored identical circles
 # ---------------------------------------------------------------------------
 def parity_reduced_matrix(
@@ -139,16 +185,16 @@ def parity_reduced_matrix(
     orders = np.arange(-M, M + 1)
 
     def blocks(kappa):
-        J = bessel_j_orders(orders, kappa * r)
-        Jp = bessel_j_prime_orders(orders, kappa * r)
-        H = hankel1_orders(orders, kappa * r)
-        Hp = hankel1_prime_orders(orders, kappa * r)
+        J = sp.jv(orders, kappa * r)
+        Jp = sp.jvp(orders, kappa * r)
+        H = sp.hankel1(orders, kappa * r)
+        Hp = sp.h1vp(orders, kappa * r)
         strength = -0.5j * np.pi * r * J  # radiating strength per order
         self_tr = np.diag(-0.5j * np.pi * r * J * H)
         self_dtr_out = np.diag(-0.5j * np.pi * r * kappa * J * Hp)
         self_dtr_in = np.diag(-0.5j * np.pi * r * kappa * H * Jp)
         # cross block after the parity substitution: H_{n+mu}(kappa b)
-        Hsum = hankel1_orders(orders[:, None] + orders[None, :], kappa * b)
+        Hsum = sp.hankel1(orders[:, None] + orders[None, :], kappa * b)
         cross_tr = J[:, None] * Hsum * strength[None, :]
         cross_dtr = kappa * Jp[:, None] * Hsum * strength[None, :]
         return self_tr, self_dtr_out, self_dtr_in, cross_tr, cross_dtr
@@ -174,3 +220,45 @@ def parity_resonance(radius, half_distance, params, M, parity, seed: complex) ->
     from hopfarray.spectral import _muller
 
     return _muller(probe, seed)
+
+
+# ---------------------------------------------------------------------------
+# time integration of the single forced Hopf oscillator
+# ---------------------------------------------------------------------------
+def hopf_steady_state_rk(mu: float, omega0: float, Omega: float, F: float) -> float:
+    """Steady amplitude of dz/dt = (mu + i omega0) z - |z|^2 z + F e^{i Omega t}.
+
+    Integrates the rotating-frame system w' = (mu + i (omega0 - Omega)) w
+    - |w|^2 w + F by adaptive Runge-Kutta, doubling the horizon until the
+    amplitude drifts by less than 1e-6 relative over the last 10% of the
+    run. For mu > 0 with F = 0 it starts from a small kick, since w = 0 is
+    then an unstable equilibrium. Slow where the flow relaxes slowly (weak
+    forcing off resonance), so only fast cases belong in the tests.
+    """
+    detuning = omega0 - Omega
+
+    def rhs(_t, y):
+        w = y[0] + 1j * y[1]
+        dw = (mu + 1j * detuning) * w - (abs(w) ** 2) * w + F
+        return [dw.real, dw.imag]
+
+    w0 = 1e-3 * np.sqrt(mu) if F == 0.0 and mu > 0.0 else 0.0
+    y = np.array([w0, 0.0])
+    rate = max(abs(mu), abs(F) ** (2.0 / 3.0), abs(detuning), 1e-6)
+    horizon = 50.0 / rate
+    t_done = 0.0
+    for _ in range(36):
+        t_eval = np.linspace(t_done + 0.9 * horizon, t_done + horizon, 64)
+        sol = solve_ivp(rhs, (t_done, t_done + horizon), y, method="RK45",
+                        rtol=1e-10, atol=1e-14, t_eval=t_eval)
+        if not sol.success:
+            raise RuntimeError(f"time integration failed: {sol.message}")
+        amps = np.hypot(sol.y[0], sol.y[1])
+        y = sol.y[:, -1]
+        t_done += horizon
+        mean = amps.mean()
+        drift = (amps.max() - amps.min()) / max(mean, 1e-30)
+        if drift < 1e-6 or (mean < 1e-15 and amps.max() < 1e-15):
+            return float(mean)
+        horizon *= 2.0
+    raise RuntimeError("steady state not reached within the horizon cap")

@@ -10,6 +10,8 @@ from hopfarray.boundary import (
 )
 from hopfarray.cylinder import bessel_j_orders, hankel1, hankel1_orders
 from hopfarray.geometry import Resonator, ResonatorArray, build_graded_array
+from hopfarray.spectral import _default_search, single_disk_resonance, subwavelength_cutoff
+from oracles import boundary_matrix_loop
 
 
 def test_wave_params_validation():
@@ -79,6 +81,23 @@ def test_assembly_bit_reproducible(params, six_array):
     a1 = assemble_boundary_system(six_array, params, 0.02 - 0.001j, 4).matrix
     a2 = assemble_boundary_system(six_array, params, 0.02 - 0.001j, 4).matrix
     assert np.array_equal(a1, a2)
+
+
+@pytest.mark.parametrize("v_b", [1.0, 1.3])  # one shared layer, then two
+@pytest.mark.parametrize("array_name", ["single_array", "pair_array", "six_array"])
+def test_assembly_matches_loop_oracle(array_name, v_b, request):
+    # the vectorised assembly against the per-pair loop over scipy.special
+    array = request.getfixturevalue(array_name)
+    params = WaveParams(v=1.0, v_b=v_b, delta=1e-3)
+    seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
+    window = _default_search(seeds, subwavelength_cutoff(array, params))
+    rng = np.random.default_rng(array.n)
+    M = 5
+    for _ in range(5):
+        omega = complex(rng.uniform(*window["re"]), rng.uniform(*window["im"]))
+        A = assemble_boundary_system(array, params, omega, M).matrix
+        B = boundary_matrix_loop(array, params, omega, M)
+        assert np.max(np.abs(A - B)) <= 1e-12 * np.max(np.abs(B))
 
 
 def test_mirror_pair_commutes_with_symmetry(params, pair_array):

@@ -92,6 +92,11 @@ def test_resonances_experiment(tmp_path):
     assert manifest["versions"]["hopfarray"]
     assert "resonances.csv" in manifest["outputs"]
     assert manifest["cache"]["hit"] is False
+    modes = manifest["diagnostics"]["modes"]
+    assert [d["mode"] for d in modes] == [1, 2]
+    for d in modes:
+        assert 0 <= d["drift"] <= 1e-4  # the default drift tolerance
+        assert d["sv_gap"] > 1e4  # extract_eigenmode's separation check
 
 
 def test_sweep_schema_and_determinism(tmp_path):
@@ -120,6 +125,8 @@ def test_cache_round_trip_identical(tmp_path):
     run_experiment(parsed, out, n_threads=1)
     manifest2 = json.loads((out / "run.json").read_text())
     assert manifest2["cache"]["hit"] is True
+    assert manifest2["diagnostics"] == manifest1["diagnostics"]
+    assert len(manifest2["diagnostics"]["modes"]) == 2
     assert (out / "sweep.csv").read_bytes() == first
     # bypassing the cache still reproduces the same bytes
     out_nc = tmp_path / "nocache"

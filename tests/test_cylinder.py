@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfarray.cylinder import bessel_j, bessel_j_orders, hankel1, hankel1_orders
+from hopfarray.cylinder import (
+    bessel_j,
+    bessel_j_orders,
+    bessel_j_prime_orders,
+    hankel1,
+    hankel1_orders,
+    hankel1_prime_orders,
+)
 from oracles import bessel_j_series, bessel_y0_series, hankel1_0_series
 
 # values frozen from the series oracles (verified below)
@@ -115,3 +122,52 @@ def test_vectorized_orders_match_scalars():
     for i, n in enumerate(orders):
         assert jv[i] == pytest.approx(bessel_j(int(n), z), rel=1e-14)
         assert hv[i] == pytest.approx(hankel1(int(n), z), rel=1e-14)
+
+
+_ORDERS = np.arange(-30, 31)
+
+
+def _orders_error(zs) -> float:
+    """Worst relative error of the four *_orders functions over |n| <= 30
+    and the points zs (broadcast as orders x points) against scalar AMOS."""
+    zs = np.asarray(zs, dtype=complex)
+    worst = 0.0
+    for vec, prime, scalar in (
+        (bessel_j_orders, bessel_j_prime_orders, bessel_j),
+        (hankel1_orders, hankel1_prime_orders, hankel1),
+    ):
+        ref = np.array([[scalar(int(n), z) for z in zs] for n in range(-31, 32)])
+        ref_prime = 0.5 * (ref[:-2] - ref[2:])
+        for got, want in (
+            (vec(_ORDERS[:, None], zs[None, :]), ref[1:-1]),
+            (prime(_ORDERS[:, None], zs[None, :]), ref_prime),
+        ):
+            worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    return worst
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(-4.0, np.log10(5.0)), st.floats(-0.05, 0.05)),
+        min_size=1,
+        max_size=3,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_orders_match_scalars_in_program_band(points):
+    # 1e-4 <= |z| <= 5 and |Im z| <= 0.05 |z|: the arguments k r and k b of
+    # the boundary system and the field evaluation
+    zs = [10.0**lg * complex(np.sqrt(1.0 - t * t), t) for lg, t in points]
+    assert _orders_error(zs) <= 1e-12
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(-50.0, 50.0), st.floats(-5.0, 5.0)),
+        min_size=1,
+        max_size=3,
+    ).filter(lambda pts: all(1e-4 <= abs(complex(*p)) <= 50.0 for p in pts))
+)
+@settings(max_examples=60, deadline=None)
+def test_orders_match_scalars_on_supported_range(points):
+    assert _orders_error([complex(*p) for p in points]) <= 5e-10

@@ -14,7 +14,7 @@ from hopfarray.hopf import (
     solve_pure_tone,
     solve_two_tone,
 )
-from oracles import fourier_cubic_coefficients, residual_pure_tone_loop
+from oracles import fourier_cubic_coefficients, hopf_steady_state_rk, residual_pure_tone_loop
 
 BETA = 5.0e5
 
@@ -246,3 +246,31 @@ def test_hopf_oracle_detuned_response_smaller():
     on = single_hopf_steady_state(0.0, 1.0, 1.0, 1e-3).steady_amplitude
     off = single_hopf_steady_state(0.0, 1.0, 1.4, 1e-3).steady_amplitude
     assert off < on
+
+
+@pytest.mark.parametrize(
+    "mu, omega0, Omega, F",
+    [
+        (-0.5, 1.0, 1.0, 0.0),
+        (0.25, 1.3, 1.0, 0.0),
+        (1.0, 1.3, 1.0, 0.0),
+        (-0.3, 1.1, 1.0, 0.05),
+        (-0.2, 1.0, 1.3, 0.02),
+        (0.0, 1.0, 1.0, 1e-8),
+        (0.0, 1.0, 1.0, 1e-3),
+        (1.0, 1.0, 1.0, 0.1),
+    ],
+)
+def test_hopf_oracle_matches_time_integration(mu, omega0, Omega, F):
+    # the algebraic steady state against Runge-Kutta, on cases that settle fast
+    oracle = single_hopf_steady_state(mu, omega0, Omega, F).steady_amplitude
+    assert oracle == pytest.approx(hopf_steady_state_rk(mu, omega0, Omega, F), rel=1e-9, abs=1e-14)
+
+
+def test_hopf_oracle_rejects_non_unique_steady_state():
+    # weak forcing off resonance leaves the limit cycle unlocked
+    with pytest.raises(ConvergenceError, match="no stable phase-locked state"):
+        single_hopf_steady_state(1.0, 1.0, 0.9, 0.05)
+    # mu^2/4 < detuning^2 < mu^2/3 with F inside the fold: two stable branches
+    with pytest.raises(ConvergenceError, match="bistable"):
+        single_hopf_steady_state(1.0, 1.0, 0.45, 0.5265)

@@ -23,6 +23,7 @@ def _scaled_mode(mode, factor):
         normalization=mode.normalization * factor,
         array=mode.array,
         params=mode.params,
+        sv_gap=mode.sv_gap,
     )
 
 
@@ -191,6 +192,8 @@ def test_modal_system_serialization_roundtrip(six_system):
     assert np.array_equal(restored.interior_values, six_system.interior_values)
     assert restored.interior_values.flags.c_contiguous
     for a, b in zip(restored.modes, six_system.modes):
+        assert a.resonance == b.resonance
+        assert a.sv_gap == b.sv_gap
         assert np.array_equal(a.density.psi, b.density.psi)
         assert np.array_equal(a.density.phi, b.density.phi)
     # a second serialization is byte-identical

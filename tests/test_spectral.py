@@ -169,7 +169,7 @@ def test_mode_flux_defect_shrinks_with_truncation(pair_array, params, pair_reson
         omega = _muller(probe, base.omega)
         from hopfarray.spectral import Resonance
 
-        res = Resonance(omega=omega, residual=0.0, truncation=M)
+        res = Resonance(omega=omega, residual=0.0, truncation=M, drift=0.0)
         mode = extract_eigenmode(pair_array, params, res)
         _, flux, scale = _pointwise_condition_defects(mode, n_samples=32)
         defects[M] = flux / scale
