@@ -1,17 +1,16 @@
 """Frequency sweeps, phase/group delay curves and two-tone interference scans.
 
 Sweeps partition their grid into fixed contiguous blocks; points inside a
-block are solved sequentially with warm starts and blocks are independent,
-so results do not depend on how many workers process them. Per-point solver
-failures are flagged, never fatal, and every returned solution carries a
-residual certificate from the pointwise evaluator in ``hopf`` (the cubic
-term formed at the interior quadrature nodes, a separate code path from the
-tensor contraction in the Newton iteration).
+block are solved in order, each warm-started from the previous one, and
+every block starts cold, so a point's solution depends only on its block.
+Per-point solver failures are flagged, never fatal, and every returned
+solution carries a residual certificate from the pointwise evaluator in
+``hopf`` (the cubic term formed at the interior quadrature nodes, a separate
+code path from the tensor contraction in the Newton iteration).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,38 +87,25 @@ class PhaseCurve:
     sweep: SweepResult | None = field(default=None, repr=False)
 
 
-def _run_blocks(grid: np.ndarray, solve_point, n_threads: int | None = None):
-    """Solve all grid points in fixed warm-started blocks.
+def _run_blocks(grid: np.ndarray, solve_point):
+    """Solve all grid points in fixed warm-started blocks of _BLOCK points.
 
-    solve_point(omega, warm) -> solution with attribute X (or stacked
-    amplitudes) used to warm-start the next point in the block. The block
-    decomposition is fixed, so any worker count gives identical output.
+    solve_point(omega, warm) -> solution, where warm is the previous
+    solution of the block (None at the start of a block or after a failure).
     """
-    blocks = [range(lo, min(lo + _BLOCK, len(grid))) for lo in range(0, len(grid), _BLOCK)]
-
-    def run_block(idx_range):
-        out = []
-        warm = None
-        for i in idx_range:
-            try:
-                sol = solve_point(float(grid[i]), warm)
-                warm = sol
-                out.append((sol, None))
-            except (ConvergenceError, ValueError) as exc:
-                warm = None
-                out.append((None, f"{type(exc).__name__}: {exc}"))
-        return out
-
-    if n_threads is not None and n_threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            chunks = list(pool.map(run_block, blocks))
-    else:
-        chunks = [run_block(b) for b in blocks]
     solutions, flags = [], []
-    for chunk in chunks:
-        for sol, flag in chunk:
-            solutions.append(sol)
-            flags.append(flag)
+    warm = None
+    for i, omega in enumerate(grid):
+        if i % _BLOCK == 0:
+            warm = None
+        try:
+            warm = solve_point(float(omega), warm)
+            solutions.append(warm)
+            flags.append(None)
+        except (ConvergenceError, ValueError) as exc:
+            warm = None
+            solutions.append(None)
+            flags.append(f"{type(exc).__name__}: {exc}")
     return solutions, flags
 
 
@@ -128,7 +114,6 @@ def pure_tone_sweep(
     grid,
     F: float,
     beta: float,
-    n_threads: int | None = None,
 ) -> SweepResult:
     """Solve the pure-tone system across a frequency grid."""
     grid = np.asarray(grid, dtype=float)
@@ -137,7 +122,7 @@ def pure_tone_sweep(
         start = warm.X if warm is not None else None
         return solve_pure_tone(system, omega, F, beta, start=start)
 
-    solutions, flags = _run_blocks(grid, solve_point, n_threads)
+    solutions, flags = _run_blocks(grid, solve_point)
     certificates = [
         float(np.linalg.norm(residual_pure_tone_reference(system, s.Omega, F, beta, s.X)))
         if s is not None
@@ -160,7 +145,6 @@ def phase_response(
     beta: float,
     x_points,
     phase_reference: str = "velocity",
-    n_threads: int | None = None,
 ) -> list[PhaseCurve]:
     """Amplitude and unwrapped phase of the response at observation points.
 
@@ -180,7 +164,7 @@ def phase_response(
     x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     U = system.mode_fields_at(x_points)  # (N, P)
 
-    sweep = pure_tone_sweep(system, grid, F, beta, n_threads=n_threads)
+    sweep = pure_tone_sweep(system, grid, F, beta)
     bad = [i for i, s in enumerate(sweep.solutions) if s is None]
     if bad:
         raise ConvergenceError(
@@ -274,17 +258,22 @@ def refined_frequency_grid(
 
     Sharp modes swing the response phase by nearly pi over a few linewidths,
     so each resonance gets local spacing of one linewidth (|Im omega_n|)
-    over a 30-linewidth window on top of the uniform base grid.
+    over a window of 30 linewidths either side, clipped to [lo, hi], on top
+    of the uniform base grid. A window holds the points np.arange(a, b,
+    width) gives in exact arithmetic; its point count comes from the window
+    edges counted in linewidths, so an unclipped window always holds 60 and
+    a rounding-level change of a resonance cannot add or drop a point.
     """
     pieces = [np.linspace(lo, hi, base_points)]
     for om in system.omegas:
         width = abs(om.imag)
         if width == 0:
             continue
-        half = 30.0 * width
-        a, b = max(lo, om.real - half), min(hi, om.real + half)
-        if b > a:
-            pieces.append(np.arange(a, b, width))
+        below = min(30.0, (om.real - lo) / width)
+        above = min(30.0, (hi - om.real) / width)
+        if below + above > 0:
+            a = max(lo, om.real - 30.0 * width)
+            pieces.append(a + width * np.arange(np.ceil(below + above)))
     grid = np.unique(np.concatenate(pieces))
     return grid[(grid >= lo) & (grid <= hi)]
 
@@ -298,7 +287,6 @@ def two_tone_sweep(
     beta: float,
     mode_index: int,
     collision_floor: float = 1e-3,
-    n_threads: int | None = None,
 ) -> SweepResult:
     """Two-tone responses of one mode while the second frequency sweeps.
 
@@ -319,7 +307,7 @@ def two_tone_sweep(
     def solve_point(omega2: float, warm):
         return solve_two_tone(system, Omega1, omega2, F1, F2, beta)
 
-    solutions, flags = _run_blocks(grid2, solve_point, n_threads)
+    solutions, flags = _run_blocks(grid2, solve_point)
     certificates = []
     records = []
     for s in solutions:
@@ -330,9 +318,7 @@ def two_tone_sweep(
         Xs = np.array([s.X10, s.X01, s.X21, s.X12])
         cert = float(
             np.linalg.norm(
-                residual_two_tone(
-                    system, s.Omega1, s.Omega2, s.F1, s.F2, beta, Xs, pointwise=True
-                )
+                residual_two_tone(system, s.Omega1, s.Omega2, s.F1, s.F2, beta, Xs)
             )
         )
         certificates.append(cert)

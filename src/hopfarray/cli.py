@@ -48,7 +48,6 @@ _NUMERICS_DEFAULTS = {
     "multipole_order": 5,
     "resonance_tolerance": 1e-10,
     "drift_tolerance": 1e-4,
-    "newton_tolerance": 1e-10,
     "quad_inflate": 0.5,
     "ext_order": 8,
     "panel_size": 2.5,
@@ -189,8 +188,8 @@ def parse_config(text: str) -> ExperimentConfig:
     num.update(given)
     _check(isinstance(num["multipole_order"], int) and num["multipole_order"] >= 1,
            f"numerics.multipole_order: must be an integer >= 1, got {num['multipole_order']!r}")
-    for key in ("resonance_tolerance", "drift_tolerance", "newton_tolerance",
-                "quad_inflate", "panel_size", "collision_floor"):
+    for key in ("resonance_tolerance", "drift_tolerance", "quad_inflate", "panel_size",
+                "collision_floor"):
         _number(num, "numerics", key, lo=0.0)
     for key in ("ext_order", "ring_radial", "ring_angular", "disk_radial", "disk_angular"):
         _check(isinstance(num[key], int) and num[key] >= 2,
@@ -368,7 +367,6 @@ def _resonance_rows(system: ModalSystem):
 def run_experiment(
     config: ExperimentConfig,
     output_dir,
-    n_threads: int = 0,
     use_cache: bool = True,
 ) -> int:
     """Run the configured experiment, writing CSVs and run.json.
@@ -378,7 +376,6 @@ def run_experiment(
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    threads = n_threads if n_threads > 0 else (os.cpu_count() or 1)
     t_start = time.time()
     etype = config.experiment["type"]
     manifest: dict = {
@@ -389,7 +386,6 @@ def run_experiment(
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "threads": threads,
         "experiment_type": etype,
         "outputs": {},
         "solver_stats": {},
@@ -440,7 +436,7 @@ def run_experiment(
         flagged = []
         sweeps = []
         for F in exp["F_values"]:
-            sweep = pure_tone_sweep(system, grid, F, beta, n_threads=threads)
+            sweep = pure_tone_sweep(system, grid, F, beta)
             sweeps.append(sweep)
             n_flagged += sweep.n_flagged
             for i, om in enumerate(sweep.grid):
@@ -474,7 +470,7 @@ def run_experiment(
             obs = default_observation_points(system)
         curves = phase_response(
             system, grid, exp["F"], beta, obs,
-            phase_reference=exp["phase_reference"], n_threads=threads,
+            phase_reference=exp["phase_reference"],
         )
         rows = []
         for c in curves:
@@ -516,7 +512,7 @@ def run_experiment(
         grid = grid_all[keep]
         sweep = two_tone_sweep(
             system, Omega1, grid, exp["F1"], exp["F2"], beta,
-            mode_index=mode_1b - 1, collision_floor=floor, n_threads=threads,
+            mode_index=mode_1b - 1, collision_floor=floor,
         )
         n_flagged = sweep.n_flagged
         rows = []
@@ -562,8 +558,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         if name != "validate":
             p.add_argument("--out", required=True, help="output directory")
-            p.add_argument("--threads", type=int, default=0,
-                           help="worker threads (0 = auto)")
             p.add_argument("--no-cache", action="store_true",
                            help="bypass the modal-system cache")
     return parser
@@ -587,12 +581,7 @@ def main(argv=None) -> int:
         )
         return 1
     try:
-        return run_experiment(
-            config,
-            args.out,
-            n_threads=args.threads,
-            use_cache=not args.no_cache,
-        )
+        return run_experiment(config, args.out, use_cache=not args.no_cache)
     except Exception as exc:  # fatal: resonance search, config cross-checks, IO
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -13,19 +13,24 @@ conjugate factor -i Omega, so |da/dt|^2 da/dt carries +i Omega^3.
 
 Two-tone forcing keeps the four dominant response lines Omega_1, Omega_2,
 2 Omega_1 - Omega_2 and -Omega_1 + 2 Omega_2; matching coefficients of the
-four exponentials in |dp/dt|^2 dp/dt yields four coupled N-vector systems
-whose cubic sources are the closed-form combinations implemented in
-:func:`cubic_coefficients`.
+four exponentials in |dp/dt|^2 dp/dt yields four coupled N-vector systems.
+Their closed-form cubic sources are :func:`cubic_coefficients`.
 
-All solves run damped Newton on the stacked real/imaginary parts (the
-residuals depend on conj(X), so they are not complex-differentiable) with
-analytic Wirtinger Jacobians from the cubic tensor, plus geometric
-continuation in the forcing amplitude when Newton stalls.
+Both forcings are one problem: L response lines, each given by an integer
+frequency vector over the tones (pure tone: (1,); two tone: (1, 0), (0, 1),
+(2, -1), (-1, 2)). Line ch of the cubic term collects S_a S_b conj(S_c)
+whenever v_a + v_b - v_c = v_ch, a table generated from the vectors
+(M. Krack & J. Gross, Harmonic Balance for Nonlinear Vibration Problems,
+Springer 2019). One builder contracts every line with the cubic tensor and
+returns the residual with its Wirtinger Jacobian (the residuals depend on
+conj(X), so they are not complex-differentiable); one driver runs damped
+Newton on the stacked real/imaginary parts, plus geometric continuation in
+the forcing when Newton stalls.
 
 Solutions are certified pointwise: the response is sampled at the interior
 quadrature nodes, its cubic nonlinearity is formed there and projected back
-onto the modes (alternating frequency/time evaluation). That path shares no
-code with the tensor contraction Newton uses, for either forcing.
+onto the modes (alternating frequency/time evaluation). That path uses
+neither the cubic tensor nor the generated line table, for either forcing.
 """
 
 from __future__ import annotations
@@ -105,65 +110,63 @@ def solve_passive(system: ModalSystem, Omega: float, F: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pure tone
+# harmonic balance on L response lines
 # ---------------------------------------------------------------------------
-def residual_pure_tone(
-    system: ModalSystem, Omega: float, F: float, beta: float, X: np.ndarray
-) -> np.ndarray:
-    """Residual of the N coupled pure-tone equations at amplitudes X."""
-    cubic = np.einsum("nijk,i,j,k->n", system.cubic_tensor, X, X, X.conj())
-    return (
-        (system.omegas**2 - Omega**2) * X
-        + F * system.source_gain
-        + 1j * Omega**3 * beta * system.project(cubic)
-    )
+# integer frequency vectors of the response lines over the forcing tones
+_PURE_TONE_LINES = ((1,),)
+_TWO_TONE_LINES = ((1, 0), (0, 1), (2, -1), (-1, 2))
+
+# two-tone lines closer than this, relative to the largest, collide
+_FREQUENCY_FLOOR = 1e-8
 
 
-def _project_pointwise(system: ModalSystem, values: np.ndarray) -> np.ndarray:
-    """Interior integral of a field sampled at the interior quadrature nodes
-    against each conjugated mode: entry n = sum_p w_p conj(u_n(x_p)) values_p."""
-    _, wts, _, U = system.interior_quadrature()
-    return (U.conj() * wts[None, :]) @ values
+def _line_weights(vectors) -> np.ndarray:
+    """(L, L, L, L) table W with W[ch, a, b, c] = 1 when v_a + v_b - v_c = v_ch.
 
-
-def residual_pure_tone_reference(
-    system: ModalSystem, Omega: float, F: float, beta: float, X: np.ndarray
-) -> np.ndarray:
-    """Pointwise re-evaluation of the pure-tone residual.
-
-    Samples a = sum_i X_i u_i at the interior quadrature nodes, integrates
-    |a|^2 a against each conjugated mode and deprojects with the Gram
-    inverse. It never touches the cubic tensor, so it checks how the tensor
-    was built as well as how Newton contracts it; used as an independent
-    certificate on returned solutions.
+    Line ch of |a|^2 a, with a = sum_l S_l e^{i (v_l . Omega) t}, is then
+    sum_{abc} W[ch, a, b, c] S_a S_b conj(S_c); the pair (a, b) is ordered,
+    so a != b counts twice.
     """
-    _, _, _, U = system.interior_quadrature()
-    a = X @ U
-    cubic = _project_pointwise(system, np.abs(a) ** 2 * a)
-    G = system.gram_inverse.T
-    return (
-        (system.omegas**2 - Omega**2) * X
-        + F * (G @ system.source_vec)
-        + 1j * Omega**3 * beta * (G @ cubic)
-    )
+    V = np.asarray(vectors, dtype=int)
+    sums = V[:, None, None] + V[None, :, None] - V[None, None, :]  # (a, b, c, tone)
+    return np.all(sums[None] == V[:, None, None, None], axis=-1).astype(float)
 
 
-def _pure_tone_fun_jac(system: ModalSystem, Omega: float, F: float, beta: float):
+def _line_fun_jac(system: ModalSystem, freqs: np.ndarray, W: np.ndarray, forcing, beta: float):
+    """Residual and Wirtinger Jacobian of the L coupled line systems.
+
+    Line l balances (omega_m^2 - f_l^2) X_l + F_l g + i beta G C_l with
+    C_l = sum_{abc} W[l, a, b, c] T(Y_a, Y_b, conj Y_c), where Y_l = f_l X_l
+    is the line sum of the time derivative and G the deprojection. As T is
+    symmetric in (i, j), dC_l/dY_a = 2 sum_{bc} W[l, a, b, c] T(., Y_b, conj Y_c)
+    and dC_l/d(conj Y_c) = sum_{ab} W[l, a, b, c] T(Y_a, Y_b, .). Every line
+    is contracted by the same few matrix products.
+    """
+    L, n = len(freqs), system.n
     T = system.cubic_tensor
+    T_jk = T.reshape(n * n, n * n)  # rows (n, i), columns (j, k)
+    T_ij = T.transpose(0, 3, 1, 2).reshape(n * n, n * n)  # rows (n, k), columns (i, j)
+    # dY_a/dX_a = f_a, folded into the weights of the differentiated line
+    f_diff = freqs[None, :, None]
+    W_a = (2.0 * W.reshape(L, L, L * L) * f_diff).reshape(L * L, L * L)  # (ch, a), (b, c)
+    W_c = (W.transpose(0, 3, 1, 2).reshape(L, L, L * L) * f_diff).reshape(L * L, L * L)
     G = system.gram_inverse.T
-    lin = system.omegas**2 - Omega**2
-    gain = system.source_gain
-    pref = 1j * Omega**3 * beta
+    lin = system.omegas[None, :] ** 2 - (freqs**2)[:, None]  # (L, N)
+    drive = np.asarray(forcing, dtype=float)[:, None] * system.source_gain
+    pref = 1j * beta
 
-    def fun_jac(X: np.ndarray):
-        Xc = X.conj()
-        cubic = np.einsum("nijk,i,j,k->n", T, X, X, Xc)
-        R = lin * X + F * gain + pref * (G @ cubic)
-        M1 = np.einsum("najk,j,k->na", T, X, Xc)
-        M2 = np.einsum("nija,i,j->na", T, X, X)
-        A = np.diag(lin) + pref * (G @ (2.0 * M1))
-        B = pref * (G @ M2)
-        return R, A, B
+    def fun_jac(Z: np.ndarray):
+        X = Z.reshape(L, n)
+        Y = freqs[:, None] * X
+        YYc = (Y[:, None, :, None] * Y.conj()[None, :, None, :]).reshape(L * L, n * n)
+        YY = (Y[:, None, :, None] * Y[None, :, None, :]).reshape(L * L, n * n)
+        dA = (W_a @ (T_jk @ YYc.T).T).reshape(L, L, n, n)  # dC_ch/dX_a, (n, i)
+        dB = (W_c @ (T_ij @ YY.T).T).reshape(L, L, n, n)  # dC_ch/d(conj X_c), (n, k)
+        C = 0.5 * np.einsum("lani,ai->ln", dA, X)  # C is half its X-derivative times X
+        R = lin * X + drive + pref * (C @ G.T)
+        A = (pref * (G @ dA)).transpose(0, 2, 1, 3).reshape(L * n, L * n)
+        B = (pref * (G @ dB)).transpose(0, 2, 1, 3).reshape(L * n, L * n)
+        return R.ravel(), A + np.diag(lin.ravel()), B
 
     return fun_jac
 
@@ -225,6 +228,105 @@ def _newton_complex(fun_jac, Z0: np.ndarray, tol: float, max_iter: int = 60):
     )
 
 
+def _solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, start=None):
+    """Solve the coupled line systems; returns (X (L, N), Newton iterations, residual).
+
+    Line l rings at vectors[l] . tones and is driven with amplitude
+    forcing[l]. Newton starts from `start`, or from the passive response of
+    the driven lines. When it stalls, every forcing is scaled down by 2^24
+    and continued back up geometrically, each step retried from a list of
+    rescue starts; the branch reported is then the one continuously
+    connected to the passive solution.
+    """
+    V = np.asarray(vectors)
+    freqs = V @ np.asarray(tones, dtype=float)
+    forcing = np.asarray(forcing, dtype=float)
+    L, n = len(V), system.n
+    W = _line_weights(V)
+
+    def attempt(frac: float, X0: np.ndarray):
+        f = forcing * frac
+        fun_jac = _line_fun_jac(system, freqs, W, f, beta)
+        Z, iters, norm = _newton_complex(fun_jac, X0.ravel(), 1e-10 * (1.0 + np.abs(f).sum()))
+        return Z.reshape(L, n), iters, norm
+
+    def passive(frac: float) -> np.ndarray:
+        X = np.zeros((L, n), dtype=complex)
+        for line in np.flatnonzero(forcing):
+            X[line] = solve_passive(system, freqs[line], forcing[line] * frac)
+        return X
+
+    X0 = passive(1.0) if start is None else np.asarray(start, dtype=complex).reshape(L, n)
+    try:
+        return attempt(1.0, X0)
+    except ConvergenceError:
+        if not forcing.any():
+            raise
+
+    # continuation: march the forcing fraction up from the linear regime
+    frac = 2.0**-24
+    X, total_iters, norm = attempt(frac, passive(frac))
+    factor = 2.0
+    steps = 0
+    while frac < 1.0 and steps < 400:
+        frac_next = min(frac * factor, 1.0)
+        # fold crossings leave no nearby solution on the old branch; retry
+        # from the saturated-branch extrapolation and scaled variants
+        rescues = (X, X * (frac_next / frac) ** (1.0 / 3.0), X * 3.0, X * 0.3)
+        for X_start in rescues:
+            try:
+                X_next, iters, norm = attempt(frac_next, X_start)
+            except ConvergenceError:
+                continue
+            total_iters += iters
+            frac, X = frac_next, X_next
+            factor = min(factor * 1.5, 2.0)
+            break
+        else:
+            factor = np.sqrt(factor)
+            if factor < 1.0000001:
+                raise ConvergenceError(
+                    f"continuation stalled at forcing fraction {frac:.3e}; "
+                    f"last residual {norm:.3e}"
+                )
+        steps += 1
+    if frac != 1.0:
+        raise ConvergenceError("continuation did not reach the target forcing")
+    return X, total_iters, norm
+
+
+# ---------------------------------------------------------------------------
+# pure tone
+# ---------------------------------------------------------------------------
+def _project_pointwise(system: ModalSystem, values: np.ndarray) -> np.ndarray:
+    """Interior integral of a field sampled at the interior quadrature nodes
+    against each conjugated mode: entry n = sum_p w_p conj(u_n(x_p)) values_p."""
+    _, wts, _, U = system.interior_quadrature()
+    return (U.conj() * wts[None, :]) @ values
+
+
+def residual_pure_tone_reference(
+    system: ModalSystem, Omega: float, F: float, beta: float, X: np.ndarray
+) -> np.ndarray:
+    """Pointwise re-evaluation of the pure-tone residual.
+
+    Samples a = sum_i X_i u_i at the interior quadrature nodes, integrates
+    |a|^2 a against each conjugated mode and deprojects with the Gram
+    inverse. It never touches the cubic tensor, so it checks how the tensor
+    was built as well as how Newton contracts it; used as an independent
+    certificate on returned solutions.
+    """
+    _, _, _, U = system.interior_quadrature()
+    a = X @ U
+    cubic = _project_pointwise(system, np.abs(a) ** 2 * a)
+    G = system.gram_inverse.T
+    return (
+        (system.omegas**2 - Omega**2) * X
+        + F * (G @ system.source_vec)
+        + 1j * Omega**3 * beta * (G @ cubic)
+    )
+
+
 def solve_pure_tone(
     system: ModalSystem,
     Omega: float,
@@ -232,7 +334,7 @@ def solve_pure_tone(
     beta: float,
     start: np.ndarray | None = None,
 ) -> PureToneSolution:
-    """Solve the coupled pure-tone system by damped Newton.
+    """Solve the coupled pure-tone system (one line at Omega) by damped Newton.
 
     Starts from the passive solution (or the given warm start) and falls
     back to geometric continuation in F from the linear regime when Newton
@@ -241,62 +343,8 @@ def solve_pure_tone(
     """
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
-    total_iters = 0
-
-    def attempt(f_val: float, X0: np.ndarray):
-        fun_jac = _pure_tone_fun_jac(system, Omega, f_val, beta)
-        return _newton_complex(fun_jac, X0, 1e-10 * (1.0 + abs(f_val)))
-
-    def attempt_with_rescues(f_val: float, X0: np.ndarray, f_from: float | None):
-        # fold crossings leave no nearby solution on the old branch; retry
-        # from the saturated-branch extrapolation and scaled variants
-        starts = [X0]
-        if f_from is not None and f_from > 0:
-            starts.append(X0 * (f_val / f_from) ** (1.0 / 3.0))
-        starts.extend([X0 * 3.0, X0 * 10.0, X0 * 0.3])
-        last_exc: ConvergenceError | None = None
-        for Xs in starts:
-            try:
-                return attempt(f_val, Xs)
-            except ConvergenceError as exc:
-                last_exc = exc
-        raise last_exc
-
-    X0 = solve_passive(system, Omega, F) if start is None else np.asarray(start, dtype=complex)
-    try:
-        X, iters, norm = attempt(F, X0)
-        return PureToneSolution(Omega, F, beta, X, iters, norm)
-    except ConvergenceError:
-        if F == 0.0:
-            raise
-
-    # continuation: march the forcing up from the linear regime
-    n_steps = 24
-    f_lo = F / 2.0**n_steps
-    X_cur = solve_passive(system, Omega, f_lo)
-    f_cur = f_lo
-    X_cur, iters, norm = attempt(f_cur, X_cur)
-    total_iters += iters
-    steps = 0
-    factor = 2.0
-    while f_cur < F and steps < 400:
-        f_next = min(f_cur * factor, F)
-        try:
-            X_next, iters, norm = attempt_with_rescues(f_next, X_cur, f_cur)
-            total_iters += iters
-            f_cur, X_cur = f_next, X_next
-            factor = min(factor * 1.5, 2.0)
-        except ConvergenceError:
-            factor = np.sqrt(factor)
-            if factor < 1.0000001:
-                raise ConvergenceError(
-                    f"continuation stalled at F = {f_cur:.3e} < {F:.3e}; "
-                    f"last residual {norm:.3e}"
-                )
-        steps += 1
-    if f_cur != F:
-        raise ConvergenceError(f"continuation did not reach F = {F:.3e}")
-    return PureToneSolution(Omega, F, beta, X_cur, total_iters, norm)
+    X, iters, norm = _solve_lines(system, _PURE_TONE_LINES, (Omega,), (F,), beta, start)
+    return PureToneSolution(Omega, F, beta, X[0], iters, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -344,52 +392,10 @@ def cubic_coefficients(S10, S01, S21, S12):
     return C10, C01, C21, C12
 
 
-# monomial expansion of the four coefficients: (weight, a, b, c) encodes
-# weight * S_a S_b conj(S_c); channel order (10, 01, 21, 12)
-_MONOMIALS = (
-    ((1.0, 0, 0, 0), (2.0, 0, 1, 1), (2.0, 0, 2, 2), (2.0, 0, 3, 3),
-     (1.0, 1, 1, 3), (2.0, 1, 2, 0), (2.0, 2, 3, 1)),
-    ((1.0, 1, 1, 1), (2.0, 1, 0, 0), (2.0, 1, 2, 2), (2.0, 1, 3, 3),
-     (1.0, 0, 0, 2), (2.0, 0, 3, 1), (2.0, 2, 3, 0)),
-    ((1.0, 2, 2, 2), (2.0, 2, 0, 0), (2.0, 2, 1, 1), (2.0, 2, 3, 3),
-     (1.0, 0, 0, 1), (2.0, 0, 1, 3)),
-    ((1.0, 3, 3, 3), (2.0, 3, 0, 0), (2.0, 3, 1, 1), (2.0, 3, 2, 2),
-     (1.0, 1, 1, 0), (2.0, 0, 1, 2)),
-)
-
-
 def _two_tone_frequencies(Omega1: float, Omega2: float) -> np.ndarray:
     return np.array(
         [Omega1, Omega2, 2.0 * Omega1 - Omega2, -Omega1 + 2.0 * Omega2], dtype=float
     )
-
-
-def _cubic_projections_tensor(system: ModalSystem, freqs: np.ndarray, Xs: np.ndarray):
-    """(4, N) interior projections of the four line coefficients, via the
-    cubic tensor contracted over the frequency-scaled amplitude vectors."""
-    T = system.cubic_tensor
-    Y = freqs[:, None] * Xs  # line sums carry their own frequency factor
-    out = np.zeros((4, system.n), dtype=complex)
-    for ch in range(4):
-        for w, a, b, c in _MONOMIALS[ch]:
-            out[ch] += w * np.einsum("nijk,i,j,k->n", T, Y[a], Y[b], Y[c].conj())
-    return out
-
-
-def _cubic_projections_pointwise(system: ModalSystem, freqs: np.ndarray, Xs: np.ndarray):
-    """Same projections evaluated through the sampled line-sum fields.
-
-    Applies cubic_coefficients at the interior quadrature nodes and
-    integrates against the conjugated modes; an independent route used to
-    cross-check the tensor contraction.
-    """
-    _, _, _, U = system.interior_quadrature()
-    S = (freqs[:, None] * Xs) @ U  # (4, P) line-sum fields
-    C = cubic_coefficients(S[0], S[1], S[2], S[3])
-    out = np.zeros((4, system.n), dtype=complex)
-    for ch in range(4):
-        out[ch] = _project_pointwise(system, C[ch])
-    return out
 
 
 def residual_two_tone(
@@ -400,59 +406,25 @@ def residual_two_tone(
     F2: float,
     beta: float,
     Xs: np.ndarray,
-    pointwise: bool = False,
 ) -> np.ndarray:
-    """(4, N) residual of the four coupled line systems at amplitudes Xs."""
+    """(4, N) residual of the four coupled line systems at amplitudes Xs.
+
+    The cubic terms are formed pointwise: the four line-sum fields are
+    sampled at the interior quadrature nodes, combined by
+    cubic_coefficients and integrated against the conjugated modes. Neither
+    the cubic tensor nor the solver's line table is used, so this is an
+    independent certificate on returned solutions.
+    """
     freqs = _two_tone_frequencies(Omega1, Omega2)
+    _, _, _, U = system.interior_quadrature()
+    S = (freqs[:, None] * Xs) @ U  # (4, P) line-sum fields
+    proj = _project_pointwise(system, np.array(cubic_coefficients(*S)).T).T
     forcing = np.array([F1, F2, 0.0, 0.0])
-    proj = (
-        _cubic_projections_pointwise(system, freqs, Xs)
-        if pointwise
-        else _cubic_projections_tensor(system, freqs, Xs)
+    return (
+        (system.omegas[None, :] ** 2 - (freqs**2)[:, None]) * Xs
+        + forcing[:, None] * system.source_gain
+        + 1j * beta * (proj @ system.gram_inverse)
     )
-    R = np.zeros((4, system.n), dtype=complex)
-    for ch in range(4):
-        R[ch] = (
-            (system.omegas**2 - freqs[ch] ** 2) * Xs[ch]
-            + forcing[ch] * system.source_gain
-            + 1j * beta * system.project(proj[ch])
-        )
-    return R
-
-
-def _two_tone_fun_jac(system: ModalSystem, Omega1, Omega2, F1, F2, beta):
-    T = system.cubic_tensor
-    G = system.gram_inverse.T
-    n = system.n
-    freqs = _two_tone_frequencies(Omega1, Omega2)
-    forcing = np.array([F1, F2, 0.0, 0.0])
-    lin = system.omegas[None, :] ** 2 - (freqs**2)[:, None]  # (4, N)
-    gain = system.source_gain
-
-    def fun_jac(Z: np.ndarray):
-        Xs = Z.reshape(4, n)
-        Y = freqs[:, None] * Xs
-        Yc = Y.conj()
-        R = np.zeros((4, n), dtype=complex)
-        A = np.zeros((4 * n, 4 * n), dtype=complex)
-        B = np.zeros((4 * n, 4 * n), dtype=complex)
-        for ch in range(4):
-            proj = np.zeros(n, dtype=complex)
-            for w, a, b, c in _MONOMIALS[ch]:
-                proj += w * np.einsum("nijk,i,j,k->n", T, Y[a], Y[b], Yc[c])
-                # Wirtinger blocks: d/dX[a'], d/dconj(X[c'])
-                rows = slice(ch * n, (ch + 1) * n)
-                da = w * freqs[a] * np.einsum("najk,j,k->na", T, Y[b], Yc[c])
-                A[rows, a * n:(a + 1) * n] += 1j * beta * (G @ da)
-                db = w * freqs[b] * np.einsum("najk,j,k->na", T, Y[a], Yc[c])
-                A[rows, b * n:(b + 1) * n] += 1j * beta * (G @ db)
-                dc = w * freqs[c] * np.einsum("nija,i,j->na", T, Y[a], Y[b])
-                B[rows, c * n:(c + 1) * n] += 1j * beta * (G @ dc)
-            R[ch] = lin[ch] * Xs[ch] + forcing[ch] * gain + 1j * beta * (G @ proj)
-        A += np.diag(lin.ravel())
-        return R.ravel(), A, B
-
-    return fun_jac
 
 
 def solve_two_tone(
@@ -462,7 +434,6 @@ def solve_two_tone(
     F1: float,
     F2: float,
     beta: float,
-    frequency_floor: float = 1e-8,
 ) -> TwoToneSolution:
     """Solve the four coupled line systems for two-tone forcing.
 
@@ -475,67 +446,15 @@ def solve_two_tone(
     scale = np.max(np.abs(freqs))
     for a in range(4):
         for b in range(a + 1, 4):
-            if abs(freqs[a] - freqs[b]) <= frequency_floor * scale:
+            if abs(freqs[a] - freqs[b]) <= _FREQUENCY_FLOOR * scale:
                 raise ValueError(
                     f"line frequencies {freqs[a]:.6g} and {freqs[b]:.6g} collide; "
-                    f"|Omega1 - Omega2| must exceed the configured floor"
+                    f"|Omega1 - Omega2| must exceed the frequency floor"
                 )
-    n = system.n
-
-    def start_for(f1: float, f2: float) -> np.ndarray:
-        Xs = np.zeros((4, n), dtype=complex)
-        Xs[0] = solve_passive(system, Omega1, f1)
-        Xs[1] = solve_passive(system, Omega2, f2)
-        return Xs
-
-    def attempt(f1: float, f2: float, Z0: np.ndarray):
-        tol = 1e-10 * (1.0 + abs(f1) + abs(f2))
-        fun_jac = _two_tone_fun_jac(system, Omega1, Omega2, f1, f2, beta)
-        return _newton_complex(fun_jac, Z0, tol)
-
-    total_iters = 0
-    try:
-        Z, iters, norm = attempt(F1, F2, start_for(F1, F2).ravel())
-        Xs = Z.reshape(4, n)
-        return TwoToneSolution(Omega1, Omega2, F1, F2, *Xs, iters, norm)
-    except ConvergenceError:
-        if F1 == 0.0 and F2 == 0.0:
-            raise
-
-    n_steps = 24
-    shrink = 2.0**n_steps
-    f1_cur, f2_cur = F1 / shrink, F2 / shrink
-    Z_cur, iters, norm = attempt(f1_cur, f2_cur, start_for(f1_cur, f2_cur).ravel())
-    total_iters += iters
-    frac = 1.0 / shrink
-    factor = 2.0
-    steps = 0
-    while frac < 1.0 and steps < 400:
-        frac_next = min(frac * factor, 1.0)
-        starts = [Z_cur, Z_cur * (frac_next / frac) ** (1.0 / 3.0), Z_cur * 3.0, Z_cur * 0.3]
-        converged = False
-        for Z0 in starts:
-            try:
-                Z_next, iters, norm = attempt(F1 * frac_next, F2 * frac_next, Z0)
-                total_iters += iters
-                frac, Z_cur = frac_next, Z_next
-                factor = min(factor * 1.5, 2.0)
-                converged = True
-                break
-            except ConvergenceError:
-                continue
-        if not converged:
-            factor = np.sqrt(factor)
-            if factor < 1.0000001:
-                raise ConvergenceError(
-                    f"two-tone continuation stalled at fraction {frac:.3e}; "
-                    f"last residual {norm:.3e}"
-                )
-        steps += 1
-    if frac != 1.0:
-        raise ConvergenceError("two-tone continuation did not reach the target forcing")
-    Xs = Z_cur.reshape(4, n)
-    return TwoToneSolution(Omega1, Omega2, F1, F2, *Xs, total_iters, norm)
+    X, iters, norm = _solve_lines(
+        system, _TWO_TONE_LINES, (Omega1, Omega2), (F1, F2, 0.0, 0.0), beta
+    )
+    return TwoToneSolution(Omega1, Omega2, F1, F2, *X, iters, norm)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,7 @@ def find_resonances(
     max_step = 0.25 * (window["re"][1] - window["re"][0])
 
     roots: list[complex] = []
+    sigma: dict[complex, float] = {}  # sigma_min of each accepted root at order M
 
     def deflated(omega: complex) -> complex:
         val = probe(omega)
@@ -267,6 +268,7 @@ def find_resonances(
         res = _sigma_min(assemble_boundary_system(array, params, z, M).matrix)
         if res <= tolerance:
             roots.append(z)
+            sigma[z] = res
 
     for seed in disk_seeds + scan_seeds:
         try_seed(seed)
@@ -301,8 +303,7 @@ def find_resonances(
                 f"resonance {z:.6g} drifts by {drift:.3g} "
                 f"relative under M={M} -> {M + 2} refinement"
             )
-        residual = _sigma_min(assemble_boundary_system(array, params, z, M).matrix)
-        refined.append(Resonance(omega=z, residual=residual, truncation=M, drift=drift))
+        refined.append(Resonance(omega=z, residual=sigma[z], truncation=M, drift=drift))
     return refined
 
 

@@ -31,7 +31,7 @@ def test_parse_minimal_config_applies_defaults():
     parsed = parse_config(json.dumps(cfg))
     assert parsed.numerics["multipole_order"] == 5
     assert parsed.numerics["resonance_tolerance"] == 1e-10
-    assert parsed.numerics["newton_tolerance"] == 1e-10
+    assert "newton_tolerance" not in parsed.numerics
     assert parsed.beta == 5.0e5
 
 
@@ -45,6 +45,10 @@ def test_parse_rejects_unknown_key():
     cfg = _config()
     cfg["material"]["betaa"] = 1.0
     with pytest.raises(ConfigError, match="betaa"):
+        parse_config(json.dumps(cfg))
+    # the Newton tolerance is fixed at 1e-10 (1 + sum |F|); no key sets it
+    cfg = _config(numerics={"newton_tolerance": 1e-10})
+    with pytest.raises(ConfigError, match="newton_tolerance"):
         parse_config(json.dumps(cfg))
 
 
@@ -105,8 +109,8 @@ def test_sweep_schema_and_determinism(tmp_path):
     parsed = parse_config(json.dumps(cfg))
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    assert run_experiment(parsed, out1, n_threads=1) == 0
-    assert run_experiment(parsed, out2, n_threads=3) == 0
+    assert run_experiment(parsed, out1) == 0
+    assert run_experiment(parsed, out2) == 0
     head = (out1 / "sweep.csv").read_text().splitlines()[0]
     assert head == "Omega,F,mode,abs_X_over_F,re_X,im_X,residual,flag"
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
@@ -118,11 +122,11 @@ def test_cache_round_trip_identical(tmp_path):
                               "F_values": [1e-5]})
     parsed = parse_config(json.dumps(cfg))
     out = tmp_path / "warm"
-    run_experiment(parsed, out, n_threads=1)
+    run_experiment(parsed, out)
     first = (out / "sweep.csv").read_bytes()
     manifest1 = json.loads((out / "run.json").read_text())
     assert manifest1["cache"]["hit"] is False
-    run_experiment(parsed, out, n_threads=1)
+    run_experiment(parsed, out)
     manifest2 = json.loads((out / "run.json").read_text())
     assert manifest2["cache"]["hit"] is True
     assert manifest2["diagnostics"] == manifest1["diagnostics"]
@@ -130,7 +134,7 @@ def test_cache_round_trip_identical(tmp_path):
     assert (out / "sweep.csv").read_bytes() == first
     # bypassing the cache still reproduces the same bytes
     out_nc = tmp_path / "nocache"
-    run_experiment(parsed, out_nc, n_threads=1, use_cache=False)
+    run_experiment(parsed, out_nc, use_cache=False)
     assert (out_nc / "sweep.csv").read_bytes() == first
 
 
@@ -139,7 +143,7 @@ def test_truncated_cache_is_rebuilt(tmp_path):
     cfg_path.write_text(json.dumps(_config(experiment={
         "type": "sweep", "mode_ref": 1, "num_points": 6, "F_values": [1e-5]})))
     out = tmp_path / "out"
-    args = ["sweep", "--config", str(cfg_path), "--out", str(out), "--threads", "1"]
+    args = ["sweep", "--config", str(cfg_path), "--out", str(out)]
     assert main(args) == 0
     first = (out / "sweep.csv").read_bytes()
     (entry,) = (out / "cache").iterdir()
@@ -204,7 +208,7 @@ def test_flagged_points_exit_code(tmp_path, monkeypatch):
     cfg = _config(experiment={"type": "sweep", "mode_ref": 1, "num_points": 6,
                               "F_values": [1e-5]})
     parsed = parse_config(json.dumps(cfg))
-    run_experiment(parsed, tmp_path / "probe", n_threads=1)
+    run_experiment(parsed, tmp_path / "probe")
     grid_omega = float(
         (tmp_path / "probe" / "sweep.csv").read_text().splitlines()[1].split(",")[0]
     )
@@ -215,7 +219,7 @@ def test_flagged_points_exit_code(tmp_path, monkeypatch):
         return real_solver(system, omega, F, beta, start=start)
 
     monkeypatch.setattr(analysis, "solve_pure_tone", failing)
-    status = run_experiment(parsed, tmp_path / "flagged", n_threads=1)
+    status = run_experiment(parsed, tmp_path / "flagged")
     assert status == 2
     manifest = json.loads((tmp_path / "flagged" / "run.json").read_text())
     assert manifest["solver_stats"]["n_flagged"] == 1

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfarray.hopf import (
+    _PURE_TONE_LINES,
+    _TWO_TONE_LINES,
     ConvergenceError,
+    _line_fun_jac,
+    _line_weights,
     cubic_coefficients,
-    residual_pure_tone,
     residual_pure_tone_reference,
     residual_two_tone,
     single_hopf_steady_state,
@@ -17,6 +20,12 @@ from hopfarray.hopf import (
 from oracles import fourier_cubic_coefficients, hopf_steady_state_rk, residual_pure_tone_loop
 
 BETA = 5.0e5
+
+
+def _line_system(system, vectors, tones, forcing):
+    """The solver's residual/Jacobian builder for the given lines."""
+    freqs = np.asarray(vectors) @ np.asarray(tones, dtype=float)
+    return _line_fun_jac(system, freqs, _line_weights(vectors), forcing, BETA)
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +76,15 @@ def test_pure_tone_residual_certificate(six_system):
     sol = solve_pure_tone(six_system, om, 1e-4, BETA)
     ref = residual_pure_tone_reference(six_system, om, 1e-4, BETA, sol.X)
     assert np.linalg.norm(ref) <= 1e-10 * (1 + 1e-4)
-    # the pointwise certificate, the loop oracle and the solver's contraction
+    # the pointwise certificate, the loop oracle and the solver's residual
     # agree where the residual is not pure noise
+    fun_jac = _line_system(six_system, _PURE_TONE_LINES, (om,), (1e-4,))
     rng = np.random.default_rng(8)
     for _ in range(5):
         X = 1e-2 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
         ref = residual_pure_tone_reference(six_system, om, 1e-4, BETA, X)
         loop = residual_pure_tone_loop(six_system, om, 1e-4, BETA, X)
-        fast = residual_pure_tone(six_system, om, 1e-4, BETA, X)
+        fast = fun_jac(X)[0]
         assert np.allclose(ref, loop, rtol=1e-12, atol=0.0)
         assert np.allclose(ref, fast, rtol=1e-12, atol=0.0)
 
@@ -153,6 +163,48 @@ def test_cubic_coefficients_vectorized():
             assert C[ch][p] == pytest.approx(single[ch], rel=1e-14)
 
 
+def test_line_table_matches_closed_form():
+    # the generated table contracted with scalar line sums (N = 1, T = 1)
+    # is the closed-form line algebra, and |S|^2 S on a lone line
+    W = _line_weights(_TWO_TONE_LINES)
+    assert W.shape == (4, 4, 4, 4)
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        S = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        got = np.einsum("labc,a,b,c->l", W, S, S, S.conj())
+        assert np.allclose(got, cubic_coefficients(*S), rtol=1e-13, atol=0.0)
+    W1 = _line_weights(_PURE_TONE_LINES)
+    assert W1.shape == (1, 1, 1, 1)
+    S = complex(rng.standard_normal(), rng.standard_normal())
+    assert np.einsum("labc,a,b,c->l", W1, [S], [S], [np.conj(S)])[0] == pytest.approx(
+        abs(S) ** 2 * S, rel=1e-15
+    )
+
+
+@pytest.mark.parametrize(
+    "vectors, tone_factors, forcing",
+    [
+        (_PURE_TONE_LINES, (1.0,), (1e-4,)),
+        (_TWO_TONE_LINES, (1.0, 1.03), (1e-5, 2e-5, 0.0, 0.0)),
+    ],
+)
+def test_line_jacobian_matches_finite_differences(six_system, vectors, tone_factors, forcing):
+    # dR = A dZ + B conj(dZ) for every direction, checked by central
+    # differences along random real and imaginary steps
+    tones = [f * abs(six_system.omegas[3]) for f in tone_factors]
+    fun_jac = _line_system(six_system, vectors, tones, forcing)
+    rng = np.random.default_rng(23)
+    size = len(vectors) * six_system.n
+    Z = 1e-2 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    _, A, B = fun_jac(Z)
+    for _ in range(4):
+        for dZ in (rng.standard_normal(size), 1j * rng.standard_normal(size)):
+            h = 1e-6 * np.linalg.norm(Z) / np.linalg.norm(dZ)
+            fd = (fun_jac(Z + h * dZ)[0] - fun_jac(Z - h * dZ)[0]) / (2.0 * h)
+            lin = A @ dZ + B @ dZ.conj()
+            assert np.linalg.norm(fd - lin) <= 1e-7 * np.linalg.norm(lin)
+
+
 # ---------------------------------------------------------------------------
 # two-tone
 # ---------------------------------------------------------------------------
@@ -184,12 +236,20 @@ def test_two_tone_residual_paths_agree(six_system):
     om4 = abs(six_system.omegas[3])
     tt = solve_two_tone(six_system, om4, 1.03 * om4, 1e-5, 1e-5, BETA)
     Xs = np.array([tt.X10, tt.X01, tt.X21, tt.X12])
-    r_tensor = residual_two_tone(six_system, tt.Omega1, tt.Omega2, 1e-5, 1e-5, BETA, Xs)
-    r_point = residual_two_tone(
-        six_system, tt.Omega1, tt.Omega2, 1e-5, 1e-5, BETA, Xs, pointwise=True
+    fun_jac = _line_system(
+        six_system, _TWO_TONE_LINES, (tt.Omega1, tt.Omega2), (1e-5, 1e-5, 0.0, 0.0)
     )
-    assert np.linalg.norm(r_tensor) <= 1e-10 * (1 + 2e-5)
-    assert np.max(np.abs(r_tensor - r_point)) <= 1e-10
+    r_solver = fun_jac(Xs.ravel())[0].reshape(4, -1)
+    r_point = residual_two_tone(six_system, tt.Omega1, tt.Omega2, 1e-5, 1e-5, BETA, Xs)
+    assert np.linalg.norm(r_solver) <= 1e-10 * (1 + 2e-5)
+    assert np.max(np.abs(r_solver - r_point)) <= 1e-10
+    # away from the solution both paths see the same cubic terms
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        Z = 1e-2 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
+        got = fun_jac(Z.ravel())[0].reshape(4, -1)
+        want = residual_two_tone(six_system, tt.Omega1, tt.Omega2, 1e-5, 1e-5, BETA, Z)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     assert tt.frequencies == pytest.approx(
         (om4, 1.03 * om4, 0.97 * om4, 1.06 * om4), rel=1e-12
     )
