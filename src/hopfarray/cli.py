@@ -346,14 +346,16 @@ def _sweep_stats(sweeps) -> dict:
     }
 
 
-def _mode_diagnostics(system: ModalSystem) -> dict:
+def _diagnostics(system: ModalSystem) -> dict:
     """Per mode: relative resonance drift under M -> M+2 and the gap
-    s[-2]/s[-1] between the two smallest singular values at the resonance."""
+    s[-2]/s[-1] between the two smallest singular values at the resonance;
+    and the resonance-search record (sub-contours, assemblies)."""
     return {
         "modes": [
             {"mode": n + 1, "drift": m.resonance.drift, "sv_gap": m.sv_gap}
             for n, m in enumerate(system.modes)
-        ]
+        ],
+        "search": system.search,
     }
 
 
@@ -411,7 +413,7 @@ def run_experiment(
     t0 = time.time()
     system, cache_info = _obtain_modal_system(config, out, use_cache)
     manifest["cache"] = cache_info
-    manifest["diagnostics"] = _mode_diagnostics(system)
+    manifest["diagnostics"] = _diagnostics(system)
     manifest["wall_times_s"]["modal_system"] = time.time() - t0
     manifest["outputs"]["resonances.csv"] = _write_csv(
         out / "resonances.csv",

@@ -30,7 +30,7 @@ from .spectral import Eigenmode, Resonance, extract_eigenmode, find_resonances
 
 
 # Layout of the JSON cache; bump it whenever to_dict changes.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 def _mode_values(modes: list[Eigenmode], points: np.ndarray) -> np.ndarray:
@@ -124,7 +124,8 @@ class ModalSystem:
     cubic_tensor the interior cubic products and interior_values the
     (N, P) C-contiguous mode values at the interior quadrature nodes. The
     modes themselves are kept so response fields can be evaluated at
-    arbitrary points.
+    arbitrary points; search is the resonance-search record of
+    find_resonances (None when the modes were given).
     """
 
     array: ResonatorArray
@@ -137,6 +138,7 @@ class ModalSystem:
     source_vec: np.ndarray
     cubic_tensor: np.ndarray
     interior_values: np.ndarray = field(repr=False)
+    search: dict | None = field(default=None, repr=False)
     _interior_rule: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -214,6 +216,7 @@ class ModalSystem:
             "source_vec": _complex_to_list(self.source_vec),
             "cubic_tensor": _complex_to_list(self.cubic_tensor),
             "interior_values": _complex_to_list(self.interior_values),
+            "search": self.search,
         }
 
     @classmethod
@@ -266,6 +269,7 @@ class ModalSystem:
             source_vec=_list_to_complex(data["source_vec"]),
             cubic_tensor=_list_to_complex(data["cubic_tensor"]),
             interior_values=np.ascontiguousarray(_list_to_complex(data["interior_values"])),
+            search=data["search"],
         )
 
     def to_json(self) -> str:
@@ -342,8 +346,10 @@ def build_modal_system(
     """Full pipeline: resonances -> eigenmodes -> projection quantities."""
     if quad is None:
         quad = default_spec(array)
+    record = None
     if modes is None:
         resonances = find_resonances(array, params, M=M, search=search)
+        record = resonances.search
         modes = [extract_eigenmode(array, params, r) for r in resonances]
     gram, tensor, interior, rule = _projections(modes, quad)
     gram_inverse = np.linalg.inv(gram)
@@ -358,6 +364,7 @@ def build_modal_system(
         source_vec=source_coupling(modes, array.source),
         cubic_tensor=tensor,
         interior_values=interior,
+        search=record,
         _interior_rule=rule,
     )
 

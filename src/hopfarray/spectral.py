@@ -1,12 +1,10 @@
 """Complex resonances and eigenmodes of the coupled resonator array.
 
 The N subwavelength resonances are the complex frequencies where the
-assembled boundary system becomes singular. They are located by seeding
-from the isolated-disk monopole resonances plus the local minima of a
-coarse smallest-singular-value scan, then refined with Muller iteration on
-the reciprocal of a resolvent probe (which has simple zeros exactly at the
-resonances and stays analytic nearby). Found roots deflate the probe so
-clustered, hybridized resonances are resolved one by one.
+boundary system A(omega) is singular. find_resonances locates them with
+Beyn's contour-integral method (W.-J. Beyn, Linear Algebra Appl. 436, 2012)
+on rectangles right of omega = 0 (the branch point of H_0), and counts them
+independently by the winding number of det A, from the same LU factors.
 """
 
 from __future__ import annotations
@@ -77,13 +75,8 @@ def _muller(
     z0: complex,
     tol: float = 1e-13,
     max_iter: int = 60,
-    max_step: float | None = None,
 ) -> complex:
-    """Muller iteration for a simple zero of an analytic function.
-
-    max_step caps the length of each update so the iteration cannot leave
-    the region of interest in one jump.
-    """
+    """Muller iteration for a simple zero of an analytic function."""
     h = 1e-3 * max(abs(z0), 1e-12)
     xs = [z0 + h, z0 - 0.5j * h, z0]
     fs = [f(x) for x in xs]
@@ -103,8 +96,6 @@ def _muller(
         if den == 0:
             break
         step = -(x2 - x1) * (2 * c / den)
-        if max_step is not None and abs(step) > max_step:
-            step *= max_step / abs(step)
         x = x2 + step
         fx = f(x)
         xs = [x1, x2, x]
@@ -144,10 +135,6 @@ def single_disk_resonance(radius: float, params: WaveParams) -> complex:
     return _muller(det, params.v_b * kb)
 
 
-def _sigma_min(matrix: np.ndarray) -> float:
-    return float(np.linalg.svd(matrix, compute_uv=False)[-1])
-
-
 class _ResolventProbe:
     """1 / (w^H A(omega)^{-1} q) with fixed random probe vectors.
 
@@ -159,6 +146,7 @@ class _ResolventProbe:
         self.array = array
         self.params = params
         self.M = M
+        self.calls = 0  # boundary systems assembled
         dim = 2 * array.n * (2 * M + 1)
         rng = np.random.default_rng(7)
         q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -166,9 +154,12 @@ class _ResolventProbe:
         self.q = q / np.linalg.norm(q)
         self.w = w / np.linalg.norm(w)
 
+    def system(self, omega: complex):
+        self.calls += 1
+        return assemble_boundary_system(self.array, self.params, omega, self.M)
+
     def __call__(self, omega: complex) -> complex:
-        A = assemble_boundary_system(self.array, self.params, omega, self.M).matrix
-        x = lu_solve(lu_factor(A), self.q)
+        x = lu_solve(lu_factor(self.system(omega).matrix), self.q)
         return 1.0 / np.vdot(self.w, x)
 
 
@@ -189,122 +180,130 @@ def subwavelength_cutoff(array: ResonatorArray, params: WaveParams, ratio: float
     return 2.0 * np.pi * params.v / (ratio * d_max)
 
 
+class Resonances(list):
+    """Located resonances; search lists each certified sub-contour (box, nodes,
+    winding number of det A, resonances accepted, Beyn rank) and the total
+    search_assemblies."""
+    search: dict
+
+
+_NODES = (16, 128)  # Gauss-Legendre nodes per edge: fewest and most
+_MAX_CONTOURS = 16  # sub-contours per search, so a search ends in bounded time
+_RANK_TOL = 1e-10  # singular-value cut of moment 0, relative to its bound
+_BEYN_RESIDUAL = 1e-6  # largest |A(z) v| / (|A(z)|_F |v|) of a Beyn pair
+
+
+def _inside(box, z: complex) -> bool:
+    return bool(box[0] < z.real < box[1] and box[2] < z.imag < box[3])
+
+
+def _beyn(system, box, n: int, V: np.ndarray):
+    """Winding number of det A around box (n Gauss-Legendre nodes per edge),
+    its largest step, the Beyn rank, and the eigenvalues inside box and of
+    those the ones whose eigenpairs pass the residual test."""
+    corners = np.array([complex(box[i], box[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))])
+    sides = np.roll(corners, -1) - corners
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes = (corners[:, None] + np.outer(sides, 0.5 * (x + 1))).ravel()
+    weights = np.outer(sides, 0.5 * w).ravel() / (2j * np.pi)
+    moments = np.zeros((2, *V.shape), dtype=complex)  # of omega^p A^{-1} V, p = 0, 1
+    bound, phase = 0.0, np.empty(len(nodes), dtype=complex)
+    for j, (z, wz) in enumerate(zip(nodes, weights)):
+        lu, piv = lu_factor(system(z).matrix)
+        X = lu_solve((lu, piv), V)
+        moments += np.multiply.outer([wz, wz * z], X)
+        bound += abs(wz) * np.sqrt(np.vdot(X, X).real)  # |moment 0| without cancellation
+        phase[j] = (-1.0) ** np.sum(piv != np.arange(len(piv))) * np.prod(np.sign(np.diag(lu)))
+    steps = np.angle(np.roll(phase, -1) / phase)
+    U, s, Wh = np.linalg.svd(moments[0], full_matrices=False)
+    r = int(np.count_nonzero(s > _RANK_TOL * bound))
+    eigs, Y = np.linalg.eig(U[:, :r].conj().T @ moments[1] @ Wh[:r].conj().T / s[:r])
+    inner = [(z, v, system(z).matrix) for z, v in zip(eigs, (U[:, :r] @ Y).T) if _inside(box, z)]
+    norm = np.linalg.norm
+    passed = [z for z, v, A in inner if norm(A @ v) <= _BEYN_RESIDUAL * norm(A) * norm(v)]
+    return round(steps.sum() / (2 * np.pi)), np.abs(steps).max(), r, [z for z, *_ in inner], passed
+
+
+def _split(box, points):
+    """Halve box across its longer side at the cut in its middle half that
+    lies farthest from the points, so no resonance sits on the new edge."""
+    k = 0 if box[1] - box[0] >= box[3] - box[2] else 2
+    lo, hi = box[k:k + 2]
+    cuts = np.linspace(0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi, 65)
+    coords = np.array([lo, hi] + [(z.real, z.imag)[k // 2] for z in points])
+    c = float(cuts[np.argmax(np.abs(cuts[:, None] - coords).min(axis=1))])
+    return [box[:k] + (lo, c) + box[k + 2:], box[:k] + (c, hi) + box[k + 2:]]
+
+
 def find_resonances(
     array: ResonatorArray,
     params: WaveParams,
     M: int = 5,
     search: dict | None = None,
-) -> list[Resonance]:
+) -> Resonances:
     """Locate the N subwavelength resonances of the coupled array.
 
     Returns exactly N resonances sorted by ascending real part, each with
     smallest singular value <= tolerance and frequency drift < 1e-4
-    relative under M -> M+2 refinement. Raises ResonanceSearchError when
-    the window produces a different count or refinement does not settle.
+    relative under M -> M+2 refinement. Raises ResonanceSearchError when a
+    sub-contour cannot be certified (naming it and both counts), the window
+    holds another count, or refinement does not settle.
     """
     search = dict(search or {})
     omega_max = search.pop("omega_max", None) or subwavelength_cutoff(array, params)
-    grid = search.pop("grid", None)
     tolerance = search.pop("tolerance", 1e-9)
     drift_tol = search.pop("drift_tolerance", 1e-4)
     if search:
         raise ValueError(f"unknown search keys: {sorted(search)}")
-    if grid is None:
-        grid = (24 + 8 * array.n, 9)
-    if isinstance(grid, int):
-        grid = (grid, max(5, grid // 3))
 
     n_res = array.n
     disk_seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
     if any(abs(s) > omega_max for s in disk_seeds):
-        raise ResonanceSearchError(
-            "isolated-disk seeds exceed the subwavelength window; "
-            "lower delta or raise omega_max"
-        )
+        raise ResonanceSearchError("isolated-disk seeds exceed the subwavelength window; "
+                                   "lower delta or raise omega_max")
     window = _default_search(disk_seeds, omega_max)
-
-    # coarse scan: local minima of sigma_min seed the refinement
-    re_grid = np.linspace(*window["re"], grid[0])
-    im_grid = np.linspace(*window["im"], grid[1])
-    sig = np.empty((grid[0], grid[1]))
-    for a, re in enumerate(re_grid):
-        for b, im in enumerate(im_grid):
-            sig[a, b] = _sigma_min(
-                assemble_boundary_system(array, params, complex(re, im), M).matrix
-            )
-    scan_seeds = []
-    for a in range(grid[0]):
-        for b in range(grid[1]):
-            lo_a, hi_a = max(a - 1, 0), min(a + 2, grid[0])
-            lo_b, hi_b = max(b - 1, 0), min(b + 2, grid[1])
-            if sig[a, b] == sig[lo_a:hi_a, lo_b:hi_b].min():
-                scan_seeds.append((sig[a, b], complex(re_grid[a], im_grid[b])))
-    scan_seeds = [z for _, z in sorted(scan_seeds, key=lambda t: t[0])][: 3 * n_res]
-
-    probe = _ResolventProbe(array, params, M)
-    max_step = 0.25 * (window["re"][1] - window["re"][0])
-
-    roots: list[complex] = []
-    sigma: dict[complex, float] = {}  # sigma_min of each accepted root at order M
-
-    def deflated(omega: complex) -> complex:
-        val = probe(omega)
-        for r in roots:
-            val /= omega - r
-        return val
-
-    def try_seed(seed: complex) -> None:
-        near_known = any(abs(seed - r) <= 1e-6 * abs(r) for r in roots)
-        if near_known:
-            return
-        z = _muller(deflated, seed, max_step=max_step)
-        if not np.isfinite(z.real) or not np.isfinite(z.imag):
-            return
-        if not (0 < z.real <= omega_max and abs(z) <= omega_max):
-            return
-        for r in roots:
-            if abs(z - r) <= 1e-8 * abs(r):
-                return  # duplicate
-        res = _sigma_min(assemble_boundary_system(array, params, z, M).matrix)
-        if res <= tolerance:
-            roots.append(z)
-            sigma[z] = res
-
-    for seed in disk_seeds + scan_seeds:
-        try_seed(seed)
-    if len(roots) < n_res:
-        for seed in disk_seeds:
-            for fac in (1.0 + 0.05j, 1.0 - 0.05j, 0.9, 1.1, 1.3, 1.6):
-                try_seed(seed * fac)
-    if len(roots) < n_res:
-        # close pairs hide next to already-found roots; deflation steers
-        # perturbed restarts onto the hidden neighbour
-        for eps in (0.003, 0.01, 0.03, 0.1):
-            for root in list(roots):
-                for fac in (1 + eps, 1 - eps, 1 + 1j * eps, 1 - 1j * eps):
-                    try_seed(root * fac)
-                if len(roots) >= n_res:
-                    break
-
-    if len(roots) != n_res:
+    probe, probe_hi = _ResolventProbe(array, params, M), _ResolventProbe(array, params, M + 2)
+    V = np.random.default_rng(0).standard_normal((probe.q.size, n_res + 4, 2)) @ np.array([1, 1j])
+    # nodes per edge: a power of two, about five per resonance on the long edges
+    n = min(_NODES[1], max(_NODES[0], 1 << (5 * n_res - 1).bit_length()))
+    pending, contours, found = [(window["re"] + window["im"], n)], [], Resonances()
+    while pending:
+        box, n = pending.pop()
+        winding, step, rank, inner, passed = _beyn(probe.system, box, n, V)
+        resolved = step <= 0.5 * np.pi
+        roots: dict[complex, float] = {}  # polished, inside, distinct -> sigma_min
+        for z in passed if resolved and len(passed) == winding else []:
+            z = _muller(probe, z)
+            if _inside(box, z) and all(abs(z - r) > 1e-8 * abs(r) for r in roots):
+                roots[z] = probe.system(z).sigma_min()
+        if resolved and winding == len(roots) and all(v <= tolerance for v in roots.values()):
+            for z, sigma in roots.items():  # stability under truncation refinement
+                z_hi = _muller(probe_hi, z)
+                drift = abs(z_hi - z) / abs(z)
+                if drift > drift_tol:
+                    raise ResonanceSearchError(f"resonance {z:.6g} drifts by {drift:.3g} "
+                                               f"relative under M={M} -> {M + 2} refinement")
+                found.append(Resonance(omega=z, residual=sigma, truncation=M, drift=drift))
+            contours.append({"box": [float(v) for v in box], "nodes": 4 * n, "winding": winding,
+                             "accepted": winding, "rank": rank})
+        elif n < _NODES[1]:
+            pending.append((box, 2 * n))
+        elif len(contours) + len(pending) + 2 <= _MAX_CONTOURS:
+            pending += [(half, _NODES[0]) for half in _split(box, inner)]
+        else:
+            raise ResonanceSearchError(
+                "sub-contour Re [{:.6g}, {:.6g}] x Im [{:.6g}, {:.6g}]".format(*box)
+                + f" ({4 * n} nodes, largest arg step {step:.2f}, Beyn rank {rank}, {len(passed)}"
+                f" pass the residual test): winding number {winding}, but {len(roots)} accepted")
+    if len(found) != n_res:
         raise ResonanceSearchError(
-            f"found {len(roots)} resonances, expected {n_res}; the search "
+            f"found {len(found)} resonances, expected {n_res}; the search "
             f"window (omega_max={omega_max:.4g}) is likely misconfigured"
         )
-
-    # stability under truncation refinement
-    probe_hi = _ResolventProbe(array, params, M + 2)
-    refined: list[Resonance] = []
-    for z in sorted(roots, key=lambda w: w.real):
-        z_hi = _muller(probe_hi, z)
-        drift = abs(z_hi - z) / abs(z)
-        if drift > drift_tol:
-            raise ResonanceSearchError(
-                f"resonance {z:.6g} drifts by {drift:.3g} "
-                f"relative under M={M} -> {M + 2} refinement"
-            )
-        refined.append(Resonance(omega=z, residual=sigma[z], truncation=M, drift=drift))
-    return refined
+    found.sort(key=lambda res: res.omega.real)
+    found.search = {"contours": sorted(contours, key=lambda c: c["box"]),
+                    "search_assemblies": probe.calls + probe_hi.calls}
+    return found
 
 
 def extract_eigenmode(

@@ -5,8 +5,10 @@ series summations for the cylinder functions, an exact DFT extraction for
 the cubic line coefficients, a loop contraction of the pure-tone residual,
 a per-pair loop assembly of the boundary system and a parity-reduced one
 for the mirror-symmetric two-resonator system (both take their cylinder
-functions from scipy.special, not from hopfarray.cylinder), and a
-time integration of the single forced Hopf oscillator.
+functions from scipy.special, not from hopfarray.cylinder), an
+argument-principle count of the resonances in a rectangle from the
+loop-built determinant, and a time integration of the single forced Hopf
+oscillator.
 """
 
 from __future__ import annotations
@@ -161,6 +163,39 @@ def boundary_matrix_loop(array, params, omega: complex, M: int) -> np.ndarray:
     top = np.hstack([ext_tr, -int_tr])
     bottom = np.hstack([params.delta * ext_dtr, -int_dtr])
     return np.vstack([top, bottom])
+
+
+def argument_principle_count(array, params, M: int, box, n: int = 64, max_n: int = 4096) -> int:
+    """Zeros of det A(omega) inside box = (re_lo, re_hi, im_lo, im_hi).
+
+    The phase of det A comes from np.linalg.slogdet of the loop-built
+    matrix at n points equally spaced along the boundary. n is doubled,
+    keeping the old points, until the winding number agrees with the one
+    at n/2 and no phase step between neighbours exceeds pi/4.
+    """
+    a, b, lo, hi = box
+    corners = np.array([complex(a, lo), complex(b, lo), complex(b, hi), complex(a, hi)])
+    lengths = np.abs(np.roll(corners, -1) - corners)
+    ends = np.concatenate([[0.0], np.cumsum(lengths)])
+    phases: dict[int, complex] = {}  # keyed by position on the finest grid
+
+    def phase(k: int) -> complex:
+        if k not in phases:
+            s = k * ends[-1] / max_n
+            e = min(int(np.searchsorted(ends, s, side="right")) - 1, 3)
+            z = corners[e] + (corners[(e + 1) % 4] - corners[e]) * (s - ends[e]) / lengths[e]
+            phases[k] = np.linalg.slogdet(boundary_matrix_loop(array, params, z, M))[0]
+        return phases[k]
+
+    previous = None
+    while n <= max_n:
+        ph = np.array([phase(j * (max_n // n)) for j in range(n)])
+        steps = np.angle(np.roll(ph, -1) / ph)
+        count = int(round(steps.sum() / (2 * np.pi)))
+        if count == previous and np.abs(steps).max() <= 0.25 * np.pi:
+            return count
+        previous, n = count, 2 * n
+    raise RuntimeError(f"argument-principle count did not settle by {max_n} points")
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,19 @@ def test_resonances_experiment(tmp_path):
     for d in modes:
         assert 0 <= d["drift"] <= 1e-4  # the default drift tolerance
         assert d["sv_gap"] > 1e4  # extract_eigenmode's separation check
+    _check_search_record(manifest["diagnostics"]["search"], 2)
+
+
+def _check_search_record(search, n):
+    """Each certified sub-contour's winding number equals its accepted
+    count, they add up to n, and the assembly total covers the nodes."""
+    contours = search["contours"]
+    assert contours
+    for c in contours:
+        assert len(c["box"]) == 4 and c["box"][0] < c["box"][1] and c["box"][2] < c["box"][3]
+        assert c["winding"] == c["accepted"] <= c["rank"]
+    assert sum(c["accepted"] for c in contours) == n
+    assert search["search_assemblies"] >= sum(c["nodes"] for c in contours)
 
 
 def test_sweep_schema_and_determinism(tmp_path):
@@ -131,6 +144,8 @@ def test_cache_round_trip_identical(tmp_path):
     assert manifest2["cache"]["hit"] is True
     assert manifest2["diagnostics"] == manifest1["diagnostics"]
     assert len(manifest2["diagnostics"]["modes"]) == 2
+    for manifest in (manifest1, manifest2):  # cold build, then cache hit
+        _check_search_record(manifest["diagnostics"]["search"], 2)
     assert (out / "sweep.csv").read_bytes() == first
     # bypassing the cache still reproduces the same bytes
     out_nc = tmp_path / "nocache"

@@ -1,17 +1,47 @@
 import numpy as np
 import pytest
 
+from hopfarray import spectral
 from hopfarray.boundary import WaveParams, assemble_boundary_system, evaluate_field
 from hopfarray.geometry import build_graded_array
 from hopfarray.quadrature import disk_rule
 from hopfarray.spectral import (
     ResonanceSearchError,
+    _default_search,
     extract_eigenmode,
     find_resonances,
     single_disk_resonance,
     subwavelength_cutoff,
 )
-from oracles import parity_resonance
+from oracles import argument_principle_count, parity_resonance
+
+# resonances.csv of the default array as the sigma_min-scan search wrote it
+# (re_omega, im_omega); the contour search must reproduce it to 1e-10
+_PINNED_SIX = [
+    (0.00794938121534151, -0.0020000598607258263),
+    (0.02313279193737228, -0.00013271249286715342),
+    (0.035577140541579164, -0.00022728188576104957),
+    (0.04607494362162062, -5.7617493277241706e-05),
+    (0.054113188516433125, -4.759175103395384e-05),
+    (0.06124158959927345, -2.67293918080304e-05),
+]
+
+
+def _window_box(array, params):
+    seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
+    window = _default_search(seeds, subwavelength_cutoff(array, params))
+    return window["re"] + window["im"]
+
+
+def _assert_certified(res, n):
+    """Every sub-contour's winding number is its accepted count, the counts
+    add up to n, and no two resonances coincide."""
+    contours = res.search["contours"]
+    assert all(c["winding"] == c["accepted"] for c in contours)
+    assert sum(c["accepted"] for c in contours) == len(res) == n
+    omegas = [r.omega for r in res]
+    for i, a in enumerate(omegas):
+        assert all(abs(a - b) > 1e-8 * abs(a) for b in omegas[i + 1:])
 
 
 def test_single_disk_seed_matches_full_search(single_array, params, single_resonances):
@@ -206,3 +236,75 @@ def test_search_window_misconfiguration_raises(single_array, params):
 def test_search_rejects_unknown_keys(single_array, params):
     with pytest.raises(ValueError, match="unknown search keys"):
         find_resonances(single_array, params, M=3, search={"bogus": 1})
+    with pytest.raises(ValueError, match="unknown search keys"):
+        find_resonances(single_array, params, M=3, search={"grid": (30, 9)})
+
+
+@pytest.mark.parametrize("name, M", [("single", 4), ("pair", 5), ("six", 5)])
+def test_count_matches_argument_principle_oracle(name, M, params, request):
+    array = request.getfixturevalue(f"{name}_array")
+    res = request.getfixturevalue(f"{name}_resonances")
+    _assert_certified(res, array.n)
+    assert argument_principle_count(array, params, M, _window_box(array, params)) == len(res)
+
+
+def test_six_resonances_match_pinned_values(six_resonances):
+    for res, (re, im) in zip(six_resonances, _PINNED_SIX, strict=True):
+        assert abs(res.omega - complex(re, im)) <= 1e-10 * abs(complex(re, im))
+
+
+def test_paper_scale_twelve_resonators(params):
+    array = build_graded_array(12, 1.0, 1.05, 0.5, -5.0)
+    res = find_resonances(array, params, M=5)
+    assert len(res) == 12
+    assert all(r.residual <= 1e-9 and r.drift < 1e-4 for r in res)
+    _assert_certified(res, 12)
+    assert argument_principle_count(array, params, 5, _window_box(array, params)) == 12
+
+
+@pytest.mark.parametrize("rank_tol", [1e-14, 1e-16])
+def test_single_disk_spurious_eigenvalues_not_counted(
+    single_array, params, single_resonances, monkeypatch, rank_tol
+):
+    # a lower rank cut lets spurious eigenvalues through (at 1e-16 they fill
+    # the probe block and force splits); the residual test, polish and
+    # de-duplication still leave exactly the one root
+    monkeypatch.setattr(spectral, "_RANK_TOL", rank_tol)
+    res = find_resonances(single_array, params, M=4)
+    assert max(c["rank"] for c in res.search["contours"]) > 1
+    _assert_certified(res, 1)
+    assert res[0].omega == pytest.approx(single_resonances[0].omega, rel=1e-10)
+
+
+def test_resonance_near_subcontour_edge_counted_once(six_array, params, six_resonances):
+    # omega_max puts the window's right edge 0.3% above the narrowest mode
+    # (Im omega ~ -2.7e-5), so the sub-contour that holds it must resolve it
+    # next to its edge: it is split and still counts the mode exactly once
+    top = six_resonances[-1].omega
+    res = find_resonances(six_array, params, M=5, search={"omega_max": 1.003 * abs(top)})
+    assert 0 < max(c["box"][1] for c in res.search["contours"]) - top.real < 4e-3 * top.real
+    assert len(res.search["contours"]) > 1
+    _assert_certified(res, 6)
+    for got, want in zip(res, six_resonances):
+        assert got.omega == pytest.approx(want.omega, rel=1e-10)
+
+
+def test_polish_landing_twice_on_one_root_is_not_certified(pair_array, params, monkeypatch):
+    # both Beyn eigenvalues pass, but every polish lands next to the lower
+    # root: counted once, the sub-contour falls one short of its winding
+    # number instead of reporting the lower root twice
+    lower = min((r.omega for r in find_resonances(pair_array, params, M=5)), key=lambda z: z.real)
+    polished = iter(lower * (1 + 1e-12 * k) for k in range(100))
+    monkeypatch.setattr(spectral, "_muller", lambda f, z0: next(polished))
+    monkeypatch.setattr(spectral, "_NODES", (32, 32))
+    monkeypatch.setattr(spectral, "_MAX_CONTOURS", 1)
+    with pytest.raises(ResonanceSearchError, match="2 pass the residual test.*number 2, but 1 "):
+        find_resonances(pair_array, params, M=5)
+
+
+def test_uncertified_subcontour_names_both_counts(single_array, params, monkeypatch):
+    monkeypatch.setattr(spectral, "_BEYN_RESIDUAL", 0.0)  # no eigenpair passes
+    monkeypatch.setattr(spectral, "_NODES", (16, 16))
+    monkeypatch.setattr(spectral, "_MAX_CONTOURS", 1)
+    with pytest.raises(ResonanceSearchError, match=r"sub-contour Re \[.*winding number 1, but 0 "):
+        find_resonances(single_array, params, M=3)
