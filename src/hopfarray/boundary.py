@@ -222,11 +222,15 @@ def assemble_boundary_system(
     int_tr = ext_tr
     if kb != k:  # v = v_b makes the two layers one
         int_tr, _, int_dtr = _layer_blocks(array, kb, M)
-    top = np.hstack([ext_tr, -int_tr])
-    bottom = np.hstack([params.delta * ext_dtr, -int_dtr])
+    K = len(ext_tr)
+    matrix = np.empty((2 * K, 2 * K), dtype=complex)
+    np.copyto(matrix[:K, :K], ext_tr)
+    np.negative(int_tr, out=matrix[:K, K:])
+    np.multiply(params.delta, ext_dtr, out=matrix[K:, :K])
+    np.negative(int_dtr, out=matrix[K:, K:])
     return BoundarySystem(
         omega=complex(omega),
-        matrix=np.vstack([top, bottom]),
+        matrix=matrix,
         truncation=M,
         n_resonators=array.n,
     )
@@ -259,74 +263,71 @@ def _classify_points(array: ResonatorArray, points: np.ndarray, side: str | None
     return region, dist, diff
 
 
-def evaluate_field(
-    array: ResonatorArray,
-    params: WaveParams,
-    omega: complex,
-    density: MultipoleDensity,
-    points,
-    side: str | None = None,
-) -> np.ndarray | complex:
-    """Evaluate the represented field at one or many points.
+def evaluate_field(array: ResonatorArray, params: WaveParams, omega: complex, density: MultipoleDensity,
+                   points, side: str | None = None) -> np.ndarray | complex:
+    """Evaluate the represented field at one or many points: the
+    one-density case of sample_fields."""
+    values = sample_fields(array, params, [omega], [density], points, side=side)[0]
+    return complex(values[0]) if np.asarray(points).ndim == 1 else values
+
+
+# mode x node entries per chunk: bounds the (M+1, modes, nodes) tables
+_CHUNK = 1 << 13
+
+
+def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: list[MultipoleDensity],
+                  points, side: str | None = None) -> np.ndarray:
+    """(F, P) values of F represented fields, each at its own frequency.
 
     Outside every circle the exterior density radiates at omega/v; inside a
     circle the interior densities of all circles radiate at omega/v_b (the
     host circle through its regular expansion, the others through their
-    outgoing expansions). Points within 1e-12 of a boundary need the side
-    selector.
+    outgoing expansions). Per circle and node chunk, distances, angles and
+    e^{im theta} serve all fields; the Hankel/Bessel table runs over (field x
+    node) and is contracted with the densities order by order. Points within
+    1e-12 of a boundary need the side selector.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    scalar_input = np.asarray(points).ndim == 1
     if pts.shape[1] != 2:
         raise ValueError(f"points must be 2-vectors, got shape {pts.shape}")
-    M = density.truncation
-    if density.n_resonators != array.n:
+    if any(d.n_resonators != array.n for d in densities):
         raise ValueError("density resonator count does not match array")
-    k, kb = params.wavenumbers(omega)
+    psi = np.stack([d.psi for d in densities])  # (F, N, 2M+1)
+    phi = np.stack([d.phi for d in densities])
+    M = densities[0].truncation
+    k, kb = params.wavenumbers(np.asarray(omegas, dtype=complex)[:, None])  # (F, 1)
     orders = np.arange(-M, M + 1)
-    centers = array.centers
-    radii = array.radii
+    # coefficients of the outgoing (J strength) and regular (H strength) waves
+    radii = array.radii[None, :, None]
+    strength = -0.5j * np.pi * radii
+    ext_out = psi * (strength * bessel_j_orders(orders, k[:, :, None] * radii))
+    int_out = phi * (strength * bessel_j_orders(orders, kb[:, :, None] * radii))
+    int_reg = phi * (strength * hankel1_orders(orders, kb[:, :, None] * radii))
 
-    region, dist, diff = _classify_points(array, pts, side)
-    values = np.zeros(len(pts), dtype=complex)
-
-    ext_idx = np.nonzero(region < 0)[0]
-    if ext_idx.size:
+    values = np.zeros((len(psi), len(pts)), dtype=complex)
+    step = max(1, _CHUNK // len(psi))
+    for start in range(0, len(pts), step):
+        chunk = slice(start, start + step)
+        region, dist, diff = _classify_points(array, pts[chunk], side)
         for i in range(array.n):
-            coeff = density.psi[i] * (
-                -0.5j * np.pi * radii[i] * bessel_j_orders(orders, k * radii[i])
-            )
-            if not coeff.any():
-                continue
-            z = k * dist[ext_idx, i]
-            theta = np.arctan2(diff[ext_idx, i, 1], diff[ext_idx, i, 0])
-            basis = hankel1_orders(orders[:, None], z[None, :]) * np.exp(
-                1j * orders[:, None] * theta[None, :]
-            )
-            values[ext_idx] += coeff @ basis
-
-    for j in range(array.n):
-        idx = np.nonzero(region == j)[0]
-        if not idx.size:
-            continue
-        for i in range(array.n):
-            if not density.phi[i].any():
-                continue
-            z = kb * dist[idx, i]
-            theta = np.arctan2(diff[idx, i, 1], diff[idx, i, 0])
-            phase = np.exp(1j * orders[:, None] * theta[None, :])
-            if i == j:
-                coeff = density.phi[j] * (
-                    -0.5j * np.pi * radii[j] * hankel1_orders(orders, kb * radii[j])
-                )
-                basis = bessel_j_orders(orders[:, None], z[None, :]) * phase
-            else:
-                coeff = density.phi[i] * (
-                    -0.5j * np.pi * radii[i] * bessel_j_orders(orders, kb * radii[i])
-                )
-                basis = hankel1_orders(orders[:, None], z[None, :]) * phase
-            values[idx] += coeff @ basis
-
-    if scalar_input:
-        return complex(values[0])
+            rho = dist[:, i]
+            turn = (diff[:, i, 0] + 1j * diff[:, i, 1]) / np.where(rho > 0, rho, 1.0)
+            for idx, kk, coeff, table in (
+                (region < 0, k, ext_out[:, i], hankel1_orders),
+                ((region >= 0) & (region != i), kb, int_out[:, i], hankel1_orders),
+                (region == i, kb, int_reg[:, i], bessel_j_orders),
+            ):
+                idx = np.nonzero(idx)[0]
+                if not idx.size or not coeff.any():
+                    continue
+                tab = table(np.arange(M + 1)[:, None, None], kk * rho[idx])  # (M+1, F, P)
+                acc = coeff[:, M, None] * tab[0]
+                e_theta = turn[idx]
+                power = np.ones_like(e_theta)
+                for m in range(1, M + 1):
+                    power = power * e_theta  # e^{i m theta}
+                    acc += tab[m] * (
+                        coeff[:, M + m, None] * power + (-1) ** m * coeff[:, M - m, None] * power.conj()
+                    )
+                values[:, start + idx] += acc
     return values

@@ -7,9 +7,10 @@ rank-4 tensor of cubic interior products
 
     T[n, i, j, k] = integral_D  u_i u_j conj(u_k) conj(u_n) dx,
 
-stored symmetrized in (i, j). Every mode is sampled once over the nodes of
-the composite rule; the Gram matrix and the cubic tensor both come from that
-sample. A ModalSystem bundles these with the modes and their interior
+stored symmetrized in (i, j). A build samples every mode once, in one call,
+over the composite rule's nodes and the source; the normalization (on a cold
+build), the Gram matrix, the cubic tensor and the source vector all come from
+that sample. A ModalSystem bundles these with the modes and their interior
 samples, and is JSON-serializable so parameter sweeps can skip the spectral
 and quadrature work.
 """
@@ -23,35 +24,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .boundary import MultipoleDensity, WaveParams
+from .boundary import MultipoleDensity, WaveParams, sample_fields
 from .geometry import Resonator, ResonatorArray
 from .quadrature import QuadratureSpec, default_spec, exterior_rule, interior_rule
-from .spectral import Eigenmode, Resonance, extract_eigenmode, find_resonances
+from .spectral import Eigenmode, Resonance, find_resonances, sample_eigenmodes
+from .spectral import extract_eigenmode  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 
 
 # Layout of the JSON cache; bump it whenever to_dict changes.
 CACHE_FORMAT = 4
 
 
-def _mode_values(modes: list[Eigenmode], points: np.ndarray) -> np.ndarray:
-    """(N_modes, P) matrix of mode values at the given points."""
-    return np.array([m.field(points) for m in modes])
-
-
-def _sample_modes(modes: list[Eigenmode], quad: QuadratureSpec):
-    """Every mode sampled once over the composite rule of the box.
-
-    Returns (values (N, P), weights (P,), interior rule) where the exterior
-    nodes come first and the interior rule (points, weights, disk index)
-    covers the last len(interior weights) columns of values.
-    """
+def _mode_values(modes: list[Eigenmode], points, side: str | None = None) -> np.ndarray:
+    """(N_modes, P) matrix of mode values at the given points, in one call."""
     if not modes:
         raise ValueError("need at least one mode")
-    array = modes[0].array
+    return sample_fields(modes[0].array, modes[0].params, [m.resonance.omega for m in modes],
+                         [m.density for m in modes], points, side=side)
+
+
+def _nodes(array: ResonatorArray, quad: QuadratureSpec):
+    """Composite-rule nodes and weights (exterior first) and the interior rule that ends them."""
     ext_pts, ext_wts = exterior_rule(array, quad)
     rule = interior_rule(array, quad)
-    U = _mode_values(modes, np.vstack([ext_pts, rule[0]]))
-    return U, np.concatenate([ext_wts, rule[1]]), rule
+    return np.vstack([ext_pts, rule[0]]), np.concatenate([ext_wts, rule[1]]), rule
 
 
 def gram_matrix(modes: list[Eigenmode], quad: QuadratureSpec) -> np.ndarray:
@@ -62,8 +58,10 @@ def gram_matrix(modes: list[Eigenmode], quad: QuadratureSpec) -> np.ndarray:
     a non-positive-definite outcome (quadrature too coarse, or dependent
     modes) raises ValueError.
     """
-    U, wts, _ = _sample_modes(modes, quad)
-    return _gram_from_values(U, wts)
+    if not modes:
+        raise ValueError("need at least one mode")
+    pts, wts, _ = _nodes(modes[0].array, quad)
+    return _gram_from_values(_mode_values(modes, pts), wts)
 
 
 def _gram_from_values(U: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -91,18 +89,15 @@ def source_coupling(modes: list[Eigenmode], source) -> np.ndarray:
         d = np.hypot(source[0] - r.center[0], source[1] - r.center[1])
         if abs(d - r.radius) <= 1e-12 * max(r.radius, 1.0):
             raise ValueError(f"source {tuple(source)} lies on the boundary of resonator {idx}")
-    point = np.asarray(source, dtype=float)
-    return np.array([complex(m.field(point)).conjugate() for m in modes])
+    return _mode_values(modes, np.asarray(source, dtype=float))[:, 0].conj()
 
 
 def cubic_tensor(modes: list[Eigenmode], quad: QuadratureSpec) -> np.ndarray:
     """Rank-4 tensor of interior cubic products, symmetrized in (i, j)."""
     if not modes:
         raise ValueError("need at least one mode")
-    array = modes[0].array
-    pts, wts, _ = interior_rule(array, quad)
-    U = _mode_values(modes, pts)
-    return cubic_tensor_from_values(U, wts)
+    pts, wts, _ = interior_rule(modes[0].array, quad)
+    return cubic_tensor_from_values(_mode_values(modes, pts), wts)
 
 
 def cubic_tensor_from_values(U: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -156,8 +151,7 @@ class ModalSystem:
 
     def mode_fields_at(self, points, side: str | None = None) -> np.ndarray:
         """(N, P) matrix of mode values at the given points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([m.field(pts, side=side) for m in self.modes])
+        return _mode_values(self.modes, np.atleast_2d(np.asarray(points, dtype=float)), side=side)
 
     def interior_quadrature(self):
         """(points, weights, disk index, mode values) over the disk interiors.
@@ -325,16 +319,6 @@ def modal_cache_key(
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _projections(modes: list[Eigenmode], quad: QuadratureSpec):
-    """Gram matrix and cubic tensor from one sample of the modes.
-
-    Returns (gram, cubic tensor, C-contiguous interior values, interior rule).
-    """
-    U, wts, rule = _sample_modes(modes, quad)
-    interior = np.ascontiguousarray(U[:, U.shape[1] - len(rule[1]):])
-    return _gram_from_values(U, wts), cubic_tensor_from_values(interior, rule[1]), interior, rule
-
-
 def build_modal_system(
     array: ResonatorArray,
     params: WaveParams,
@@ -346,13 +330,18 @@ def build_modal_system(
     """Full pipeline: resonances -> eigenmodes -> projection quantities."""
     if quad is None:
         quad = default_spec(array)
+    nodes, wts, rule = _nodes(array, quad)
+    points = np.vstack([nodes, np.asarray(array.source, dtype=float)[None, :]])
     record = None
     if modes is None:
         resonances = find_resonances(array, params, M=M, search=search)
         record = resonances.search
-        modes = [extract_eigenmode(array, params, r) for r in resonances]
-    gram, tensor, interior, rule = _projections(modes, quad)
-    gram_inverse = np.linalg.inv(gram)
+        modes, U = sample_eigenmodes(array, params, resonances, rule, points, len(wts) - len(rule[1]))
+    else:
+        U = _mode_values(modes, points)
+    gram, source_vec = _gram_from_values(U[:, :-1], wts), U[:, -1].conj()
+    interior = np.ascontiguousarray(U[:, -1 - len(rule[1]):-1])
+    del U  # freed before the cubic tensor, whose (N^2, P) factors set the peak memory
     return ModalSystem(
         array=array,
         params=params,
@@ -360,9 +349,9 @@ def build_modal_system(
         modes=modes,
         omegas=np.array([m.resonance.omega for m in modes]),
         gram=gram,
-        gram_inverse=gram_inverse,
-        source_vec=source_coupling(modes, array.source),
-        cubic_tensor=tensor,
+        gram_inverse=np.linalg.inv(gram),
+        source_vec=source_vec,
+        cubic_tensor=cubic_tensor_from_values(interior, rule[1]),
         interior_values=interior,
         search=record,
         _interior_rule=rule,
@@ -371,7 +360,12 @@ def build_modal_system(
 
 def refinement_report(modes: list[Eigenmode], quad: QuadratureSpec) -> dict[str, float]:
     """Max relative change of each projected quantity under node doubling."""
-    (g0, t0, *_), (g1, t1, *_) = (_projections(modes, q) for q in (quad, quad.refine(2)))
+    reports = []
+    for q in (quad, quad.refine(2)):
+        pts, wts, rule = _nodes(modes[0].array, q)
+        U = _mode_values(modes, pts)
+        reports.append((_gram_from_values(U, wts), cubic_tensor_from_values(U[:, -len(rule[1]):], rule[1])))
+    (g0, t0), (g1, t1) = reports
     return {
         "gram": float(np.max(np.abs(g1 - g0)) / np.max(np.abs(g1))),
         "cubic_tensor": float(np.max(np.abs(t1 - t0)) / np.max(np.abs(t1))),

@@ -89,8 +89,9 @@ def default_spec(array: ResonatorArray, inflate: float = 0.5, **kwargs) -> Quadr
     return QuadratureSpec(box=(x0 - pad, x1 + pad, y0 - pad, y1 + pad), **kwargs)
 
 
-def _gauss(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
+def _gauss(n: int | tuple, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [a, b] of n points, or of leggauss's (x, w) pair."""
+    x, w = n if isinstance(n, tuple) else np.polynomial.legendre.leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -144,12 +145,13 @@ def rectangle_rule(x0: float, x1: float, y0: float, y1: float, order: int, panel
     ny = max(1, int(np.ceil((y1 - y0) / panel_size)))
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
+    base = np.polynomial.legendre.leggauss(order)
+    rows = [_gauss(base, ys[j], ys[j + 1]) for j in range(ny)]
     pts_all = []
     wts_all = []
     for i in range(nx):
-        gx, wx = _gauss(order, xs[i], xs[i + 1])
-        for j in range(ny):
-            gy, wy = _gauss(order, ys[j], ys[j + 1])
+        gx, wx = _gauss(base, xs[i], xs[i + 1])
+        for gy, wy in rows:
             X, Y = np.meshgrid(gx, gy, indexing="ij")
             pts_all.append(np.column_stack([X.ravel(), Y.ravel()]))
             wts_all.append(np.outer(wx, wy).ravel())

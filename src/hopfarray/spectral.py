@@ -19,10 +19,12 @@ from .boundary import (
     WaveParams,
     assemble_boundary_system,
     evaluate_field,
+    sample_fields,
 )
 from .cylinder import bessel_j, hankel1
 from .geometry import ResonatorArray
-from .quadrature import disk_rule
+from .quadrature import default_spec, interior_rule
+from .quadrature import disk_rule  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 
 
 class ResonanceSearchError(RuntimeError):
@@ -306,21 +308,10 @@ def find_resonances(
     return found
 
 
-def extract_eigenmode(
-    array: ResonatorArray,
-    params: WaveParams,
-    resonance: Resonance,
-    n_radial: int = 24,
-    n_angular: int = 64,
-) -> Eigenmode:
-    """Nullspace density at a resonance, normalized over the disk interiors.
-
-    The density is the right singular vector of the boundary system for its
-    smallest singular value, scaled so the interior L2 norm is one and the
-    interior mean over the largest disk is real and positive. Raises
-    DegenerateModeError when the two smallest singular values are not
-    clearly separated.
-    """
+def _null_density(array: ResonatorArray, params: WaveParams, resonance: Resonance):
+    """Raw unit null density at a resonance (the right singular vector of the
+    boundary system's smallest singular value) and the gap s[-2]/s[-1].
+    Raises DegenerateModeError when the two are not clearly separated."""
     system = assemble_boundary_system(array, params, resonance.omega, resonance.truncation)
     _, s, vh = np.linalg.svd(system.matrix)
     if s[-2] <= 1e4 * s[-1]:
@@ -328,35 +319,46 @@ def extract_eigenmode(
             f"smallest singular values {s[-1]:.3g}, {s[-2]:.3g} are not separated; "
             "resolve the degeneracy with a symmetry-restricted subsystem"
         )
-    raw = MultipoleDensity.from_vector(
-        vh[-1].conj(), array.n, resonance.truncation
-    )
+    raw = MultipoleDensity.from_vector(vh[-1].conj(), array.n, resonance.truncation)
+    return raw, float(s[-2] / s[-1])
 
-    # interior L2 normalization
-    norm_sq = 0.0
-    disk_means: list[complex] = []
-    for r in array.resonators:
-        pts, wts = disk_rule(r.center, r.radius, n_radial, n_angular)
-        vals = evaluate_field(array, params, resonance.omega, raw, pts)
-        norm_sq += float(np.sum(wts * np.abs(vals) ** 2))
-        disk_means.append(complex(np.sum(wts * vals) / np.sum(wts)))
-    if norm_sq <= 0:
+
+def sample_eigenmodes(
+    array: ResonatorArray, params: WaveParams, resonances: list[Resonance], rule, points, first: int
+) -> tuple[list[Eigenmode], np.ndarray]:
+    """Normalized eigenmodes at the resonances, sampled once.
+
+    The raw null densities are evaluated in one sample_fields call over
+    points, whose columns first, first + 1, ... are the nodes of the
+    interior rule (points, weights, disk index). Each mode is scaled to unit
+    L2 norm over the rule and a real, positive interior mean over the
+    largest disk (over the disk of largest |mean| when that mean vanishes).
+    Returns the modes and their (N_modes, P) sample, scaled alike.
+    """
+    raws, gaps = zip(*(_null_density(array, params, r) for r in resonances))
+    values = sample_fields(array, params, [r.omega for r in resonances], raws, points)
+    _, wts, disk = rule
+    interior = values[:, first:first + len(wts)]
+    norm_sq = np.abs(interior) ** 2 @ wts
+    if norm_sq.min() <= 0:
         raise DegenerateModeError("nullspace vector has zero interior norm")
-    scale = 1.0 / np.sqrt(norm_sq)
+    on_disk = (disk[None, :] == np.arange(array.n)[:, None]) * wts  # (N, P)
+    means = (interior @ on_disk.T) / on_disk.sum(axis=1)  # (N_modes, N)
+    mean = means[:, array.largest_index()]
+    fallback = means[np.arange(len(means)), np.abs(means).argmax(axis=1)]
+    mean = np.where(np.abs(mean) < 1e-10 * np.sqrt(norm_sq), fallback, mean)
+    normalization = (1.0 / np.sqrt(norm_sq)) / (mean / np.abs(mean))
+    values *= normalization[:, None]
+    return [
+        Eigenmode(resonance=r, density=raw.scaled(c), normalization=complex(c),
+                  array=array, params=params, sv_gap=gap)
+        for r, raw, gap, c in zip(resonances, raws, gaps, normalization)
+    ], values
 
-    anchor = array.largest_index()
-    mean = disk_means[anchor]
-    if abs(mean) < 1e-10 * np.sqrt(norm_sq):
-        anchor = int(np.argmax(np.abs(disk_means)))
-        mean = disk_means[anchor]
-    phase = mean / abs(mean)
-    normalization = complex(scale / phase)
 
-    return Eigenmode(
-        resonance=resonance,
-        density=raw.scaled(normalization),
-        normalization=normalization,
-        array=array,
-        params=params,
-        sv_gap=float(s[-2] / s[-1]),
-    )
+def extract_eigenmode(array: ResonatorArray, params: WaveParams, resonance: Resonance) -> Eigenmode:
+    """Nullspace density at a resonance, normalized over the disk interiors:
+    the one-resonance case of sample_eigenmodes over the interior rule of
+    the default quadrature."""
+    rule = interior_rule(array, default_spec(array))
+    return sample_eigenmodes(array, params, [resonance], rule, rule[0], 0)[0][0]

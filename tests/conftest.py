@@ -55,6 +55,17 @@ def pair_modes(pair_array, params, pair_resonances):
 
 
 @pytest.fixture(scope="session")
+def twelve_array():
+    return build_graded_array(12, 1.0, 1.05, 0.5, -5.0)
+
+
+@pytest.fixture(scope="session")
+def twelve_resonances(twelve_array, params):
+    # paper scale: the search runs once for the spectral and modal tests
+    return find_resonances(twelve_array, params, M=5)
+
+
+@pytest.fixture(scope="session")
 def six_resonances(six_array, params):
     return find_resonances(six_array, params, M=5)
 

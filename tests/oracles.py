@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it is used to check:
 series summations for the cylinder functions, an exact DFT extraction for
 the cubic line coefficients, a loop contraction of the pure-tone residual,
 a per-pair loop assembly of the boundary system and a parity-reduced one
-for the mirror-symmetric two-resonator system (both take their cylinder
+for the mirror-symmetric two-resonator system, a point-by-point sum of the
+layer potentials that represent a field (all three take their cylinder
 functions from scipy.special, not from hopfarray.cylinder), an
 argument-principle count of the resonances in a rectangle from the
 loop-built determinant, and a time integration of the single forced Hopf
@@ -163,6 +164,40 @@ def boundary_matrix_loop(array, params, omega: complex, M: int) -> np.ndarray:
     top = np.hstack([ext_tr, -int_tr])
     bottom = np.hstack([params.delta * ext_dtr, -int_dtr])
     return np.vstack([top, bottom])
+
+
+def field_loop(array, params, omega: complex, density, point, side=None) -> complex:
+    """Field of one density at one point, summed term by term from the
+    layer-potential formulas of the boundary module docstring: outside
+    every circle the exterior layers at omega/v; inside circle j the
+    interior layers at omega/v_b, circle j's through J_m(k rho) with
+    strength H_m(k R_j), the others through H_m(k rho) with strength
+    J_m(k R_i). A point within 1e-12 of a circle takes the given side."""
+    M = (density.psi.shape[1] - 1) // 2
+    x, y = point
+    host = None
+    for j, (center, radius) in enumerate(zip(array.centers, array.radii)):
+        rho = np.hypot(x - center[0], y - center[1])
+        if abs(rho - radius) <= 1e-12 * max(radius, 1.0):
+            if side is None:
+                raise ValueError("point on a boundary needs a side")
+            if side == "interior":
+                host = j
+        elif rho < radius:
+            host = j
+    k = omega / (params.v if host is None else params.v_b)
+    coeffs = density.psi if host is None else density.phi
+    total = 0j
+    for i, (center, radius) in enumerate(zip(array.centers, array.radii)):
+        rho = np.hypot(x - center[0], y - center[1])
+        theta = np.arctan2(y - center[1], x - center[0])
+        for m in range(-M, M + 1):
+            if i == host:
+                term = sp.hankel1(m, k * radius) * sp.jv(m, k * rho)
+            else:
+                term = sp.jv(m, k * radius) * sp.hankel1(m, k * rho)
+            total += coeffs[i, m + M] * (-0.5j * np.pi * radius) * term * np.exp(1j * m * theta)
+    return complex(total)
 
 
 def argument_principle_count(array, params, M: int, box, n: int = 64, max_n: int = 4096) -> int:

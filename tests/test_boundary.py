@@ -7,11 +7,12 @@ from hopfarray.boundary import (
     assemble_boundary_system,
     evaluate_field,
     fundamental_solution,
+    sample_fields,
 )
 from hopfarray.cylinder import bessel_j_orders, hankel1, hankel1_orders
 from hopfarray.geometry import Resonator, ResonatorArray, build_graded_array
 from hopfarray.spectral import _default_search, single_disk_resonance, subwavelength_cutoff
-from oracles import boundary_matrix_loop
+from oracles import boundary_matrix_loop, field_loop
 
 
 def test_wave_params_validation():
@@ -215,6 +216,39 @@ def test_evaluate_field_satisfies_helmholtz(params, pair_array):
         ) / h**2
         residual = lap + kk**2 * field(pt)
         assert abs(residual) <= 1e-5 * max(abs(field(pt)), 1e-12)
+
+
+@pytest.mark.parametrize("v_b", [1.0, 1.3])  # one wavenumber per field, then two
+@pytest.mark.parametrize("array_name", ["single_array", "pair_array", "six_array"])
+def test_sample_fields_matches_field_oracle(array_name, v_b, request):
+    # three densities at three distinct frequencies in one call, against the
+    # point-by-point layer-potential sum over scipy.special, at exterior,
+    # interior and on-boundary points with either side
+    array = request.getfixturevalue(array_name)
+    params = WaveParams(v=1.0, v_b=v_b, delta=1e-3)
+    seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
+    window = _default_search(seeds, subwavelength_cutoff(array, params))
+    rng = np.random.default_rng(20 + array.n)
+    M = 4
+    omegas = [complex(rng.uniform(*window["re"]), rng.uniform(*window["im"])) for _ in range(3)]
+    shape = (array.n, 2 * M + 1)
+    densities = [
+        MultipoleDensity(
+            psi=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            phi=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        )
+        for _ in omegas
+    ]
+    points = [array.source, (0.0, 2.5)]
+    for center, radius in zip(array.centers, array.radii):
+        for scale in (0.0, 0.35, 0.9, 1.0, 1.2):
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            points.append(center + scale * radius * np.array([np.cos(angle), np.sin(angle)]))
+    for side in ("exterior", "interior"):
+        got = sample_fields(array, params, omegas, densities, points, side=side)
+        for values, omega, density in zip(got, omegas, densities, strict=True):
+            want = np.array([field_loop(array, params, omega, density, p, side) for p in points])
+            assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want))
 
 
 def test_boundary_point_needs_side(params, single_array):

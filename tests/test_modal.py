@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,26 +230,37 @@ def test_build_modal_system_reuses_given_modes(pair_modes, pair_system, params):
     assert np.array_equal(rebuilt.cubic_tensor, pair_system.cubic_tensor)
 
 
-def test_modes_sampled_once(pair_modes, pair_system, params, monkeypatch):
+def test_modes_sampled_once(pair_array, pair_resonances, pair_modes, pair_system, params, monkeypatch):
+    import hopfarray.boundary as boundary
+    import hopfarray.modal as modal
     import hopfarray.spectral as spectral
     from hopfarray.analysis import pure_tone_sweep, two_tone_sweep
+    from hopfarray.spectral import extract_eigenmode
 
-    evaluate = spectral.evaluate_field
+    sample = boundary.sample_fields
     calls = []
 
-    def counting(array, params, omega, density, points, side=None):
-        calls.append((id(density), len(np.atleast_2d(points))))
-        return evaluate(array, params, omega, density, points, side=side)
+    def counting(array, params, omegas, densities, points, side=None):
+        calls.append((len(densities), len(np.atleast_2d(points))))
+        return sample(array, params, omegas, densities, points, side=side)
 
-    monkeypatch.setattr(spectral, "evaluate_field", counting)
-    array = pair_modes[0].array
-    quad = default_spec(array)
-    n_nodes = len(exterior_rule(array, quad)[1]) + len(interior_rule(array, quad)[1])
-    build_modal_system(array, params, M=5, modes=pair_modes)
-    at_nodes = sorted(c for c in calls if c[1] > 1)
-    assert at_nodes == sorted((id(m.density), n_nodes) for m in pair_modes)
-    # the only other evaluation is the source coupling, one point per mode
-    assert sum(p for _, p in calls) == len(pair_modes) * (n_nodes + 1)
+    for module in (boundary, spectral, modal):
+        monkeypatch.setattr(module, "sample_fields", counting)
+    quad = default_spec(pair_array)
+    n_interior = len(interior_rule(pair_array, quad)[1])
+    n_nodes = len(exterior_rule(pair_array, quad)[1]) + n_interior
+    # a cold build samples every mode once, over all nodes plus the source:
+    # the normalization, the projections and the source vector share it,
+    # and extracting the null densities samples nothing
+    cold = build_modal_system(pair_array, params, M=5)
+    assert calls == [(2, n_nodes + 1)]
+    assert np.allclose(cold.gram, pair_system.gram, rtol=1e-12, atol=0)
+    calls.clear()
+    build_modal_system(pair_array, params, M=5, modes=pair_modes)
+    assert calls == [(2, n_nodes + 1)]
+    calls.clear()
+    extract_eigenmode(pair_array, params, pair_resonances[0])
+    assert calls == [(1, n_interior)]
 
     calls.clear()
     loaded = ModalSystem.from_json(pair_system.to_json())
@@ -255,3 +268,34 @@ def test_modes_sampled_once(pair_modes, pair_system, params, monkeypatch):
     pure_tone_sweep(loaded, np.linspace(0.9 * center, 1.1 * center, 3), 1e-5, BETA)
     two_tone_sweep(loaded, center, [0.95 * center, 1.05 * center], 1e-5, 1e-5, BETA, mode_index=0)
     assert calls == []
+
+
+def _assert_normalized_under_own_rule(system, tol):
+    """Unit L2 norm over the build's interior rule, and a real, positive
+    interior mean over the largest disk, from the stored samples."""
+    _, wts, disk, values = system.interior_quadrature()
+    assert np.max(np.abs(np.abs(values) ** 2 @ wts - 1.0)) <= tol
+    anchor = disk == system.array.largest_index()
+    means = values[:, anchor] @ wts[anchor]
+    assert np.all(np.abs(means.imag) <= tol * np.abs(means)) and np.all(means.real > 0)
+
+
+def test_modes_normalized_under_own_rule(six_system, pair_system):
+    for system in (six_system, pair_system):
+        _assert_normalized_under_own_rule(system, 1e-13)
+
+
+def test_paper_scale_cold_build(twelve_array, twelve_resonances, params, monkeypatch):
+    import hopfarray.modal as modal
+
+    # the shared search result stands in for the search; everything after it
+    # runs as in a cold build
+    monkeypatch.setattr(modal, "find_resonances", lambda *args, **kwargs: twelve_resonances)
+    system = build_modal_system(twelve_array, params, M=5)
+    assert system.n == 12
+    g = system.gram
+    assert np.array_equal(g, g.conj().T) and np.linalg.eigvalsh(g).min() > 0
+    _assert_normalized_under_own_rule(system, 1e-13)
+    pts, wts, _ = interior_rule(twelve_array, replace(system.quad, disk_radial=30, disk_angular=72))
+    norms = np.abs(system.mode_fields_at(pts)) ** 2 @ wts
+    assert np.max(np.abs(norms - 1.0)) <= 1e-8

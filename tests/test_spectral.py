@@ -253,9 +253,8 @@ def test_six_resonances_match_pinned_values(six_resonances):
         assert abs(res.omega - complex(re, im)) <= 1e-10 * abs(complex(re, im))
 
 
-def test_paper_scale_twelve_resonators(params):
-    array = build_graded_array(12, 1.0, 1.05, 0.5, -5.0)
-    res = find_resonances(array, params, M=5)
+def test_paper_scale_twelve_resonators(params, twelve_array, twelve_resonances):
+    array, res = twelve_array, twelve_resonances
     assert len(res) == 12
     assert all(r.residual <= 1e-9 and r.drift < 1e-4 for r in res)
     _assert_certified(res, 12)
