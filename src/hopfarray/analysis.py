@@ -1,16 +1,19 @@
 """Frequency sweeps, phase/group delay curves and two-tone interference scans.
 
-Sweeps partition their grid into fixed contiguous blocks; points inside a
-block are solved in order, each warm-started from the previous one, and
-every block starts cold, so a point's solution depends only on its block.
-Per-point solver failures are flagged, never fatal, and every returned
-solution carries a residual certificate from the pointwise evaluator in
-``hopf`` (the cubic term formed at the interior quadrature nodes, a separate
-code path from the tensor contraction in the Newton iteration).
+Pure-tone sweeps partition their grid into fixed contiguous blocks; points
+inside a block are warm-started from the previous one, and every block
+starts cold, so a point's solution depends only on its block. Step j solves
+point j of every block as one stack of lanes in ``hopf``; the two-tone scan
+is one cold-started stack. Per-point solver failures are flagged, never
+fatal, and every returned solution carries a residual certificate from the
+pointwise evaluator in ``hopf`` (the cubic term formed at the interior
+quadrature nodes, a separate code path from the tensor contraction in the
+Newton iteration).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +23,10 @@ from .hopf import (
     residual_pure_tone_reference,
     residual_two_tone,
     solve_passive,
-    solve_pure_tone,
-    solve_two_tone,
+    solve_pure_tone_lanes,
+    solve_two_tone_lanes,
 )
+from .hopf import solve_pure_tone, solve_two_tone  # noqa: F401  kept for perfbench/tracing.py, which patches them here
 from .modal import ModalSystem
 
 _BLOCK = 16
@@ -87,26 +91,18 @@ class PhaseCurve:
     sweep: SweepResult | None = field(default=None, repr=False)
 
 
-def _run_blocks(grid: np.ndarray, solve_point):
-    """Solve all grid points in fixed warm-started blocks of _BLOCK points.
-
-    solve_point(omega, warm) -> solution, where warm is the previous
-    solution of the block (None at the start of a block or after a failure).
-    """
-    solutions, flags = [], []
-    warm = None
-    for i, omega in enumerate(grid):
-        if i % _BLOCK == 0:
-            warm = None
-        try:
-            warm = solve_point(float(omega), warm)
-            solutions.append(warm)
-            flags.append(None)
-        except (ConvergenceError, ValueError) as exc:
-            warm = None
-            solutions.append(None)
-            flags.append(f"{type(exc).__name__}: {exc}")
-    return solutions, flags
+def _collect(outcomes, certify):
+    """Solutions, flags and certificates from per-point outcomes (a solution or
+    an exception); certify takes at most _BLOCK solutions, to bound memory."""
+    solutions = [None if isinstance(o, Exception) else o for o in outcomes]
+    flags = [f"{type(o).__name__}: {o}" if isinstance(o, Exception) else None for o in outcomes]
+    solved = [i for i, s in enumerate(solutions) if s is not None]
+    certificates = [None] * len(outcomes)
+    for c in range(0, len(solved), _BLOCK):
+        chunk = solved[c:c + _BLOCK]
+        for i, cert in zip(chunk, certify([solutions[i] for i in chunk])):
+            certificates[i] = float(cert)
+    return solutions, flags, certificates
 
 
 def pure_tone_sweep(
@@ -115,26 +111,30 @@ def pure_tone_sweep(
     F: float,
     beta: float,
 ) -> SweepResult:
-    """Solve the pure-tone system across a frequency grid."""
+    """Solve the pure-tone system across a frequency grid; metadata carries
+    the solver counts residual_evaluations and continuation_points."""
     grid = np.asarray(grid, dtype=float)
+    outcomes, counts = [None] * len(grid), Counter()
+    for j in range(min(_BLOCK, len(grid))):  # point j of every block, as one stack
+        idx = np.arange(j, len(grid), _BLOCK)
+        starts = [None if j == 0 or isinstance(outcomes[i - 1], Exception) else outcomes[i - 1].X
+                  for i in idx]
+        step, step_counts = solve_pure_tone_lanes(system, grid[idx], F, beta, starts)
+        counts.update(step_counts)
+        for i, out in zip(idx, step):
+            outcomes[i] = out
 
-    def solve_point(omega: float, warm):
-        start = warm.X if warm is not None else None
-        return solve_pure_tone(system, omega, F, beta, start=start)
+    def certify(sols):
+        Omegas, X = np.array([s.Omega for s in sols]), np.array([s.X for s in sols])
+        return np.linalg.norm(residual_pure_tone_reference(system, Omegas, F, beta, X), axis=1)
 
-    solutions, flags = _run_blocks(grid, solve_point)
-    certificates = [
-        float(np.linalg.norm(residual_pure_tone_reference(system, s.Omega, F, beta, s.X)))
-        if s is not None
-        else None
-        for s in solutions
-    ]
+    solutions, flags, certificates = _collect(outcomes, certify)
     return SweepResult(
         grid=grid,
         solutions=solutions,
         flags=flags,
         certificates=certificates,
-        metadata={"F": F, "beta": beta, "kind": "pure_tone"},
+        metadata={"F": F, "beta": beta, "kind": "pure_tone", **counts},
     )
 
 
@@ -304,35 +304,24 @@ def two_tone_sweep(
             f"around Omega1 = {Omega1:.6g} (half-width {collision_floor * abs(Omega1):.3g})"
         )
 
-    def solve_point(omega2: float, warm):
-        return solve_two_tone(system, Omega1, omega2, F1, F2, beta)
+    def certify(sols):
+        Omega2s = np.array([s.Omega2 for s in sols])
+        Xs = np.array([[s.X10, s.X01, s.X21, s.X12] for s in sols])
+        residuals = residual_two_tone(system, Omega1, Omega2s, F1, F2, beta, Xs)
+        return np.linalg.norm(residuals, axis=(1, 2))
 
-    solutions, flags = _run_blocks(grid2, solve_point)
-    certificates = []
-    records = []
-    for s in solutions:
-        if s is None:
-            certificates.append(None)
-            records.append(None)
-            continue
-        Xs = np.array([s.X10, s.X01, s.X21, s.X12])
-        cert = float(
-            np.linalg.norm(
-                residual_two_tone(system, s.Omega1, s.Omega2, s.F1, s.F2, beta, Xs)
-            )
-        )
-        certificates.append(cert)
-        records.append(
-            {
-                "abs_X10": float(abs(s.X10[mode_index])),
-                "abs_X01": float(abs(s.X01[mode_index])),
-                "abs_X21": float(abs(s.X21[mode_index])),
-                "abs_X12": float(abs(s.X12[mode_index])),
-                "abs_X01_passive": float(
-                    abs(solve_passive(system, s.Omega2, F2)[mode_index])
-                ),
-            }
-        )
+    outcomes, counts = solve_two_tone_lanes(system, Omega1, grid2, F1, F2, beta)
+    solutions, flags, certificates = _collect(outcomes, certify)
+    records = [
+        None if s is None else {
+            "abs_X10": float(abs(s.X10[mode_index])),
+            "abs_X01": float(abs(s.X01[mode_index])),
+            "abs_X21": float(abs(s.X21[mode_index])),
+            "abs_X12": float(abs(s.X12[mode_index])),
+            "abs_X01_passive": float(abs(solve_passive(system, s.Omega2, F2)[mode_index])),
+        }
+        for s in solutions
+    ]
     return SweepResult(
         grid=grid2,
         solutions=solutions,
@@ -346,5 +335,6 @@ def two_tone_sweep(
             "mode_index": mode_index,
             "kind": "two_tone",
             "records": records,
+            **counts,
         },
     )

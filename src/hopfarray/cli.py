@@ -336,10 +336,12 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _sweep_stats(sweeps) -> dict:
-    """Newton iterations summed over every solved point, and the largest
-    residual certificate (None when no point was solved)."""
+    """Newton iterations, residual evaluations and continuation points summed
+    over the sweeps, and the largest certificate (None when none was solved)."""
     return {
         "newton_iters": sum(s.newton_iters for sw in sweeps for s in sw.solutions if s is not None),
+        "residual_evaluations": sum(sw.metadata["residual_evaluations"] for sw in sweeps),
+        "continuation_points": sum(sw.metadata["continuation_points"] for sw in sweeps),
         "certificate_max": max(
             (c for sw in sweeps for c in sw.certificates if c is not None), default=None
         ),

@@ -1,6 +1,7 @@
 """Integer-order cylinder functions J_n and H_n^(1) for complex arguments.
 
-The scalar functions delegate to the AMOS routines behind scipy.special.
+The scalar functions delegate to the AMOS routines behind scipy.special,
+imported on first use because a run on a cached modal system needs none.
 The vectorized *_orders functions build one table per call over the
 distinct |n| and over the argument's own shape, then pick entries: J from
 AMOS at every order, H from AMOS H_0 and H_1 and the forward recurrence
@@ -21,7 +22,6 @@ Im z < -1 and n near 30.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
 # AMOS loses accuracy and eventually overflows for very large arguments;
 # stay far inside that envelope.
@@ -36,6 +36,7 @@ def _check_order(order) -> int:
 
 def bessel_j(order: int, z: complex) -> complex:
     """Bessel function of the first kind J_n(z), integer n, complex z."""
+    from scipy import special as _sp
     n = _check_order(order)
     z = complex(z)
     if abs(z) > _MAX_ABS_Z:
@@ -50,6 +51,7 @@ def bessel_j(order: int, z: complex) -> complex:
 
 def hankel1(order: int, z: complex) -> complex:
     """Hankel function of the first kind H_n^(1)(z) = J_n(z) + i Y_n(z), z != 0."""
+    from scipy import special as _sp
     n = _check_order(order)
     z = complex(z)
     if z == 0:
@@ -67,6 +69,7 @@ def hankel1(order: int, z: complex) -> complex:
 def _j_table(nmax: int, z: np.ndarray) -> np.ndarray:
     """J_0..J_nmax over the shape of z: AMOS at every order. Forward
     recurrence is unstable for J when |z| is well below the order."""
+    from scipy import special as _sp
     n = np.arange(nmax + 1).reshape((-1,) + (1,) * z.ndim)
     return np.asarray(_sp.jv(n, z), dtype=complex)
 
@@ -74,6 +77,7 @@ def _j_table(nmax: int, z: np.ndarray) -> np.ndarray:
 def _h_table(nmax: int, z: np.ndarray) -> np.ndarray:
     """H_0..H_nmax over the shape of z: AMOS H_0 and H_1, then the forward
     recurrence H_{n+1} = (2n/z) H_n - H_{n-1} (A&S 9.1.27), stable for H."""
+    from scipy import special as _sp
     table = [_sp.hankel1(0, z), _sp.hankel1(1, z)]
     for n in range(1, nmax):
         table.append((2 * n / z) * table[n] - table[n - 1])

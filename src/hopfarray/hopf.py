@@ -25,7 +25,10 @@ Springer 2019). One builder contracts every line with the cubic tensor and
 returns the residual with its Wirtinger Jacobian (the residuals depend on
 conj(X), so they are not complex-differentiable); one driver runs damped
 Newton on the stacked real/imaginary parts, plus geometric continuation in
-the forcing when Newton stalls.
+the forcing when Newton stalls. It solves a stack of independent lanes
+(points) in lockstep, one matrix per lane in every product and solve, so a
+lane's result does not depend on its stack; past its target residual a lane
+polishes with full Newton steps only, down to the float floor.
 
 Solutions are certified pointwise: the response is sampled at the interior
 quadrature nodes, its cubic nonlinearity is formed there and projected back
@@ -133,180 +136,223 @@ def _line_weights(vectors) -> np.ndarray:
 
 
 def _line_fun_jac(system: ModalSystem, freqs: np.ndarray, W: np.ndarray, forcing, beta: float):
-    """Residual and Wirtinger Jacobian of the L coupled line systems.
+    """Residual and Wirtinger Jacobian of the L coupled line systems of lane
+    k, which rings line l at freqs[k, l], driven by forcing[k, l].
 
     Line l balances (omega_m^2 - f_l^2) X_l + F_l g + i beta G C_l with
     C_l = sum_{abc} W[l, a, b, c] T(Y_a, Y_b, conj Y_c), where Y_l = f_l X_l
     is the line sum of the time derivative and G the deprojection. As T is
     symmetric in (i, j), dC_l/dY_a = 2 sum_{bc} W[l, a, b, c] T(., Y_b, conj Y_c)
     and dC_l/d(conj Y_c) = sum_{ab} W[l, a, b, c] T(Y_a, Y_b, .). Every line
-    is contracted by the same few matrix products.
+    is contracted by the same few matrix products, one matrix per lane.
+    fun_jac(Z, lanes) evaluates `lanes` (default all) at Z (lanes, L N).
     """
-    L, n = len(freqs), system.n
+    (K, L), n = freqs.shape, system.n
     T = system.cubic_tensor
     T_jk = T.reshape(n * n, n * n)  # rows (n, i), columns (j, k)
     T_ij = T.transpose(0, 3, 1, 2).reshape(n * n, n * n)  # rows (n, k), columns (i, j)
     # dY_a/dX_a = f_a, folded into the weights of the differentiated line
-    f_diff = freqs[None, :, None]
-    W_a = (2.0 * W.reshape(L, L, L * L) * f_diff).reshape(L * L, L * L)  # (ch, a), (b, c)
-    W_c = (W.transpose(0, 3, 1, 2).reshape(L, L, L * L) * f_diff).reshape(L * L, L * L)
+    f_diff = freqs[:, None, :, None]
+    W_a = (2.0 * W.reshape(L, L, L * L) * f_diff).reshape(K, L * L, L * L)  # (ch, a), (b, c)
+    W_c = (W.transpose(0, 3, 1, 2).reshape(L, L, L * L) * f_diff).reshape(K, L * L, L * L)
     G = system.gram_inverse.T
-    lin = system.omegas[None, :] ** 2 - (freqs**2)[:, None]  # (L, N)
-    drive = np.asarray(forcing, dtype=float)[:, None] * system.source_gain
+    lin = system.omegas**2 - freqs[..., None] ** 2  # (K, L, N)
+    drive = np.asarray(forcing, dtype=float)[..., None] * system.source_gain
     pref = 1j * beta
+    diag = np.arange(L * n)
 
-    def fun_jac(Z: np.ndarray):
-        X = Z.reshape(L, n)
-        Y = freqs[:, None] * X
-        YYc = (Y[:, None, :, None] * Y.conj()[None, :, None, :]).reshape(L * L, n * n)
-        YY = (Y[:, None, :, None] * Y[None, :, None, :]).reshape(L * L, n * n)
-        dA = (W_a @ (T_jk @ YYc.T).T).reshape(L, L, n, n)  # dC_ch/dX_a, (n, i)
-        dB = (W_c @ (T_ij @ YY.T).T).reshape(L, L, n, n)  # dC_ch/d(conj X_c), (n, k)
-        C = 0.5 * np.einsum("lani,ai->ln", dA, X)  # C is half its X-derivative times X
-        R = lin * X + drive + pref * (C @ G.T)
-        A = (pref * (G @ dA)).transpose(0, 2, 1, 3).reshape(L * n, L * n)
-        B = (pref * (G @ dB)).transpose(0, 2, 1, 3).reshape(L * n, L * n)
-        return R.ravel(), A + np.diag(lin.ravel()), B
+    def fun_jac(Z: np.ndarray, lanes=slice(None)):
+        k = len(Z)
+        X = Z.reshape(k, L, n)
+        Y = freqs[lanes, :, None] * X
+        YYc = (Y[:, :, None, :, None] * Y.conj()[:, None, :, None, :]).reshape(k, L * L, n * n)
+        YY = (Y[:, :, None, :, None] * Y[:, None, :, None, :]).reshape(k, L * L, n * n)
+        dA = (W_a[lanes] @ (T_jk @ YYc.mT).mT).reshape(k, L, L, n, n)  # dC_ch/dX_a, (n, i)
+        dB = (W_c[lanes] @ (T_ij @ YY.mT).mT).reshape(k, L, L, n, n)  # dC_ch/d(conj X_c)
+        C = 0.5 * np.einsum("klani,kai->kln", dA, X)  # C is half its X-derivative times X
+        R = lin[lanes] * X + drive[lanes] + pref * (C @ G.T)
+        A = (pref * (G @ dA)).transpose(0, 1, 3, 2, 4).reshape(k, L * n, L * n)
+        B = (pref * (G @ dB)).transpose(0, 1, 3, 2, 4).reshape(k, L * n, L * n)
+        A[:, diag, diag] += lin[lanes].reshape(k, L * n)
+        return R.reshape(k, L * n), A, B
 
     return fun_jac
 
 
-def _newton_complex(fun_jac, Z0: np.ndarray, tol: float, max_iter: int = 60):
-    """Damped Newton on stacked (Re, Im) with Wirtinger-assembled Jacobian.
+def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray, max_iter: int = 60):
+    """Damped Newton on stacked (Re, Im) with Wirtinger-assembled Jacobians
+    for a stack of lanes in lockstep, lane k from Z0[k] to tolerance tol[k].
 
     Converges well past the contractual tolerance (to 1e-8 x the initial
-    residual, or the float floor) so the returned iterate is pinned to the
-    root independently of the starting point; stalling below tol counts as
-    success.
+    residual, or tol), then polishes up to three times, so the returned
+    iterate is pinned to the root independently of the starting point.
+    Above that target a step is halved up to 30 times; a polish step tries
+    only the full step, and a lane it does not improve is at the float floor
+    and returns, within contract. Returns Z, iterations, residuals,
+    evaluations and per lane None or its ConvergenceError.
     """
-    Z = Z0.astype(complex).copy()
+    Z = np.array(Z0, dtype=complex)
+    K, m = Z.shape
     R, A, B = fun_jac(Z)
-    norm = np.linalg.norm(R)
-    target = min(tol, 1e-8 * norm) if norm > 0 else tol
-    scale0 = max(np.linalg.norm(Z0), 1.0)
-    polish_left = 3
+    norm = np.linalg.norm(R, axis=1)
+    target = np.where(norm > 0, np.minimum(tol, 1e-8 * norm), tol)
+    diverged = 1e9 * np.maximum(np.linalg.norm(Z, axis=1), 1.0) + 1e9
+    polish, iters, errors, evaluations = np.full(K, 3), np.full(K, max_iter), [None] * K, K
+    dZ, live = np.zeros_like(Z), np.arange(K)
     for it in range(max_iter):
-        if norm <= target:
-            if polish_left == 0:
-                return Z, it, norm
-            polish_left -= 1  # keep contracting toward the float floor
-        J = np.block(
-            [
-                [np.real(A + B), -np.imag(A - B)],
-                [np.imag(A + B), np.real(A - B)],
-            ]
-        )
-        rhs = np.concatenate([R.real, R.imag])
+        done = (norm[live] <= target[live]) & (polish[live] == 0)
+        iters[live[done]] = it
+        live = live[~done]
+        if not len(live):
+            break
+        polish[live[norm[live] <= target[live]]] -= 1  # keep contracting toward the float floor
+        S, D = A[live] + B[live], A[live] - B[live]
+        J = np.block([[S.real, -D.imag], [S.imag, D.real]])
+        rhs = -np.concatenate([R[live].real, R[live].imag], axis=1)[..., None]
         try:
-            step = np.linalg.solve(J, -rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Newton system: {exc}") from exc
-        dZ = step[: len(Z)] + 1j * step[len(Z):]
-        t = 1.0
+            step = np.linalg.solve(J, rhs)[..., 0]
+        except np.linalg.LinAlgError:  # raised for the whole stack: solve lane by lane
+            step = np.zeros(rhs.shape[:2])
+            for i, k in enumerate(live):
+                try:
+                    step[i] = np.linalg.solve(J[i], rhs[i])[:, 0]
+                except np.linalg.LinAlgError as exc:
+                    errors[k] = ConvergenceError(f"singular Newton system: {exc}")
+        dZ[live] = step[:, :m] + 1j * step[:, m:]
+        live = np.array([k for k in live if errors[k] is None], dtype=int)
+        t, pending, stopped = 1.0, live, []
         for _ in range(30):
-            Zt = Z + t * dZ
-            Rt, At, Bt = fun_jac(Zt)
-            nt = np.linalg.norm(Rt)
-            if nt <= (1.0 - 1e-4 * t) * norm:
-                Z, R, A, B, norm = Zt, Rt, At, Bt, nt
+            Zt = Z[pending] + t * dZ[pending]
+            Rt, At, Bt = fun_jac(Zt, pending)
+            evaluations += len(pending)
+            nt = np.linalg.norm(Rt, axis=1)
+            ok = nt <= (1.0 - 1e-4 * t) * norm[pending]
+            acc = pending[ok]
+            Z[acc], R[acc], A[acc], B[acc], norm[acc] = Zt[ok], Rt[ok], At[ok], Bt[ok], nt[ok]
+            pending = pending[~ok]
+            floor = norm[pending] <= target[pending]  # a polish step tries the full step only
+            stopped.append(pending[floor])
+            pending = pending[~floor]
+            if not len(pending):
                 break
             t *= 0.5
-        else:
-            if norm <= tol:
-                return Z, it + 1, norm  # at the float floor but within contract
-            raise ConvergenceError(
-                f"line search stalled at residual {norm:.3e} (tolerance {tol:.1e})"
-            )
-        if np.linalg.norm(Z) > 1e9 * scale0 + 1e9:
-            raise ConvergenceError(
-                "iterates diverged to large amplitude (possible unstable branch)"
-            )
-    if norm <= tol:
-        return Z, max_iter, norm
-    raise ConvergenceError(
-        f"Newton did not converge in {max_iter} iterations; last residual {norm:.3e}"
-    )
+        stopped = np.concatenate([pending, *stopped])
+        iters[stopped] = it + 1
+        for k in stopped[~(norm[stopped] <= tol[stopped])]:  # NaN fails too
+            errors[k] = ConvergenceError(f"line search stalled at residual {norm[k]:.3e} "
+                                         f"(tolerance {tol[k]:.1e})")
+        live = np.setdiff1d(live, stopped)
+        for k in live[np.linalg.norm(Z[live], axis=1) > diverged[live]]:
+            errors[k] = ConvergenceError("iterates diverged to large amplitude (possible unstable branch)")
+        live = np.array([k for k in live if errors[k] is None], dtype=int)
+    for k in live[~(norm[live] <= tol[live])]:
+        errors[k] = ConvergenceError(f"Newton did not converge in {max_iter} iterations; "
+                                     f"last residual {norm[k]:.3e}")
+    return Z, iters, norm, evaluations, errors
 
 
-def _solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, start=None):
-    """Solve the coupled line systems; returns (X (L, N), Newton iterations, residual).
+def _solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, starts):
+    """Solve a stack of independent line systems (lanes) in lockstep.
 
-    Line l rings at vectors[l] . tones and is driven with amplitude
-    forcing[l]. Newton starts from `start`, or from the passive response of
-    the driven lines. When it stalls, every forcing is scaled down by 2^24
-    and continued back up geometrically, each step retried from a list of
-    rescue starts; the branch reported is then the one continuously
-    connected to the passive solution.
+    Lane k rings line l at vectors[l] . tones[k], driven with amplitude
+    forcing[k, l], from starts[k] or, when that is None, from the passive
+    response of its driven lines. A lane that stalls is continued alone:
+    every forcing is scaled down by 2^24 and continued back up
+    geometrically, each step retried from a list of rescue starts; the
+    branch reported is then the one continuously connected to the passive
+    solution. Returns per lane (X (L, N), Newton iterations, residual) or
+    the ConvergenceError or ValueError it failed with, and the solver counts.
     """
     V = np.asarray(vectors)
-    freqs = V @ np.asarray(tones, dtype=float)
+    freqs = np.asarray(tones, dtype=float) @ V.T
     forcing = np.asarray(forcing, dtype=float)
-    L, n = len(V), system.n
+    (K, L), n = forcing.shape, system.n
     W = _line_weights(V)
+    counts = {"residual_evaluations": 0, "continuation_points": 0}
 
-    def attempt(frac: float, X0: np.ndarray):
-        f = forcing * frac
-        fun_jac = _line_fun_jac(system, freqs, W, f, beta)
-        Z, iters, norm = _newton_complex(fun_jac, X0.ravel(), 1e-10 * (1.0 + np.abs(f).sum()))
-        return Z.reshape(L, n), iters, norm
+    def attempt(lanes, frac: float, X0: np.ndarray) -> list:
+        f = forcing[lanes] * frac
+        fun_jac = _line_fun_jac(system, freqs[lanes], W, f, beta)
+        tol = 1e-10 * (1.0 + np.abs(f).sum(axis=1))
+        Z, iters, norm, evals, errors = _newton_complex(fun_jac, X0.reshape(len(lanes), L * n), tol)
+        counts["residual_evaluations"] += evals
+        return [(X, int(i), float(r)) if e is None else e
+                for X, i, r, e in zip(Z.reshape(-1, L, n), iters, norm, errors)]
 
-    def passive(frac: float) -> np.ndarray:
+    def passive(k: int, frac: float) -> np.ndarray:
         X = np.zeros((L, n), dtype=complex)
-        for line in np.flatnonzero(forcing):
-            X[line] = solve_passive(system, freqs[line], forcing[line] * frac)
+        for line in np.flatnonzero(forcing[k]):
+            X[line] = solve_passive(system, freqs[k, line], forcing[k, line] * frac)
         return X
 
-    X0 = passive(1.0) if start is None else np.asarray(start, dtype=complex).reshape(L, n)
-    try:
-        return attempt(1.0, X0)
-    except ConvergenceError:
-        if not forcing.any():
-            raise
+    def continuation(k: int):
+        frac = 2.0**-24
+        (first,) = attempt([k], frac, passive(k, frac))
+        if isinstance(first, Exception):
+            raise first
+        X, total_iters, norm = first
+        factor, steps = 2.0, 0
+        while frac < 1.0 and steps < 400:
+            frac_next = min(frac * factor, 1.0)
+            # fold crossings leave no nearby solution on the old branch; retry
+            # from the saturated-branch extrapolation and scaled variants
+            rescues = (X, X * (frac_next / frac) ** (1.0 / 3.0), X * 3.0, X * 0.3)
+            for X_start in rescues:
+                (out,) = attempt([k], frac_next, X_start)
+                if isinstance(out, Exception):
+                    continue
+                X, iters, norm = out
+                total_iters += iters
+                frac = frac_next
+                factor = min(factor * 1.5, 2.0)
+                break
+            else:
+                factor = np.sqrt(factor)
+                if factor < 1.0000001:
+                    raise ConvergenceError(f"continuation stalled at forcing fraction "
+                                           f"{frac:.3e}; last residual {norm:.3e}")
+            steps += 1
+        if frac != 1.0:
+            raise ConvergenceError("continuation did not reach the target forcing")
+        return X, total_iters, norm
 
-    # continuation: march the forcing fraction up from the linear regime
-    frac = 2.0**-24
-    X, total_iters, norm = attempt(frac, passive(frac))
-    factor = 2.0
-    steps = 0
-    while frac < 1.0 and steps < 400:
-        frac_next = min(frac * factor, 1.0)
-        # fold crossings leave no nearby solution on the old branch; retry
-        # from the saturated-branch extrapolation and scaled variants
-        rescues = (X, X * (frac_next / frac) ** (1.0 / 3.0), X * 3.0, X * 0.3)
-        for X_start in rescues:
+    outcomes: list = [None] * K
+    X0 = np.zeros((K, L, n), dtype=complex)
+    for k in range(K):
+        try:
+            if not np.isfinite(beta):
+                raise ValueError("beta must be finite")
+            for a, b in zip(*np.triu_indices(L, 1)):  # lines must stay distinct
+                if abs(freqs[k, a] - freqs[k, b]) <= _FREQUENCY_FLOOR * np.max(np.abs(freqs[k])):
+                    raise ValueError(f"line frequencies {freqs[k, a]:.6g} and {freqs[k, b]:.6g} "
+                                     "collide; |Omega1 - Omega2| must exceed the frequency floor")
+            X0[k] = passive(k, 1.0) if starts[k] is None else np.reshape(starts[k], (L, n))
+        except ValueError as exc:
+            outcomes[k] = exc
+    lanes = [k for k in range(K) if outcomes[k] is None]
+    for k, out in zip(lanes, attempt(lanes, 1.0, X0[lanes])):
+        if isinstance(out, ConvergenceError) and forcing[k].any():
+            counts["continuation_points"] += 1
             try:
-                X_next, iters, norm = attempt(frac_next, X_start)
-            except ConvergenceError:
-                continue
-            total_iters += iters
-            frac, X = frac_next, X_next
-            factor = min(factor * 1.5, 2.0)
-            break
-        else:
-            factor = np.sqrt(factor)
-            if factor < 1.0000001:
-                raise ConvergenceError(
-                    f"continuation stalled at forcing fraction {frac:.3e}; "
-                    f"last residual {norm:.3e}"
-                )
-        steps += 1
-    if frac != 1.0:
-        raise ConvergenceError("continuation did not reach the target forcing")
-    return X, total_iters, norm
+                out = continuation(k)
+            except (ConvergenceError, ValueError) as exc:
+                out = exc
+        outcomes[k] = out
+    return outcomes, counts
 
 
 # ---------------------------------------------------------------------------
 # pure tone
 # ---------------------------------------------------------------------------
 def _project_pointwise(system: ModalSystem, values: np.ndarray) -> np.ndarray:
-    """Interior integral of a field sampled at the interior quadrature nodes
-    against each conjugated mode: entry n = sum_p w_p conj(u_n(x_p)) values_p."""
+    """Interior integral of fields sampled at the interior quadrature nodes
+    (last axis) against each conjugated mode: sum_p w_p conj(u_n(x_p)) values[..., p]."""
     _, wts, _, U = system.interior_quadrature()
-    return (U.conj() * wts[None, :]) @ values
+    return values @ (U.conj() * wts[None, :]).T
 
 
 def residual_pure_tone_reference(
-    system: ModalSystem, Omega: float, F: float, beta: float, X: np.ndarray
+    system: ModalSystem, Omega, F: float, beta: float, X: np.ndarray
 ) -> np.ndarray:
     """Pointwise re-evaluation of the pure-tone residual.
 
@@ -314,17 +360,30 @@ def residual_pure_tone_reference(
     |a|^2 a against each conjugated mode and deprojects with the Gram
     inverse. It never touches the cubic tensor, so it checks how the tensor
     was built as well as how Newton contracts it; used as an independent
-    certificate on returned solutions.
+    certificate on returned solutions. X may stack points, one Omega each.
     """
     _, _, _, U = system.interior_quadrature()
+    Omega = np.asarray(Omega, dtype=float)[..., None]
     a = X @ U
     cubic = _project_pointwise(system, np.abs(a) ** 2 * a)
     G = system.gram_inverse.T
     return (
         (system.omegas**2 - Omega**2) * X
         + F * (G @ system.source_vec)
-        + 1j * Omega**3 * beta * (G @ cubic)
+        + 1j * Omega**3 * beta * (cubic @ G.T)
     )
+
+
+def solve_pure_tone_lanes(system: ModalSystem, Omegas, F: float, beta: float, starts):
+    """Solve the pure-tone system at each frequency of Omegas as one stack of
+    lanes, lane k warm-started from starts[k] (None: the passive solution).
+    Returns per lane the PureToneSolution or the exception it failed with,
+    and the counts of residual evaluations and continuation points."""
+    Omegas = np.asarray(Omegas, dtype=float)
+    forcing = np.full((len(Omegas), 1), F)
+    solved, counts = _solve_lines(system, _PURE_TONE_LINES, Omegas[:, None], forcing, beta, starts)
+    return [s if isinstance(s, Exception) else PureToneSolution(float(Om), F, beta, s[0][0], *s[1:])
+            for Om, s in zip(Omegas, solved)], counts
 
 
 def solve_pure_tone(
@@ -339,12 +398,12 @@ def solve_pure_tone(
     Starts from the passive solution (or the given warm start) and falls
     back to geometric continuation in F from the linear regime when Newton
     stalls. The reported branch is the one continuously connected to the
-    passive solution.
+    passive solution. The one-lane case of solve_pure_tone_lanes.
     """
-    if not np.isfinite(beta):
-        raise ValueError("beta must be finite")
-    X, iters, norm = _solve_lines(system, _PURE_TONE_LINES, (Omega,), (F,), beta, start)
-    return PureToneSolution(Omega, F, beta, X[0], iters, norm)
+    (outcome,), _ = solve_pure_tone_lanes(system, [Omega], F, beta, [start])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +451,15 @@ def cubic_coefficients(S10, S01, S21, S12):
     return C10, C01, C21, C12
 
 
-def _two_tone_frequencies(Omega1: float, Omega2: float) -> np.ndarray:
-    return np.array(
-        [Omega1, Omega2, 2.0 * Omega1 - Omega2, -Omega1 + 2.0 * Omega2], dtype=float
-    )
+def _two_tone_frequencies(Omega1, Omega2) -> np.ndarray:
+    Omega1, Omega2 = np.broadcast_arrays(float(Omega1), np.asarray(Omega2, dtype=float))
+    return np.stack([Omega1, Omega2, 2.0 * Omega1 - Omega2, -Omega1 + 2.0 * Omega2], axis=-1)
 
 
 def residual_two_tone(
     system: ModalSystem,
     Omega1: float,
-    Omega2: float,
+    Omega2,
     F1: float,
     F2: float,
     beta: float,
@@ -413,18 +471,31 @@ def residual_two_tone(
     sampled at the interior quadrature nodes, combined by
     cubic_coefficients and integrated against the conjugated modes. Neither
     the cubic tensor nor the solver's line table is used, so this is an
-    independent certificate on returned solutions.
+    independent certificate on returned solutions. Xs may stack points.
     """
     freqs = _two_tone_frequencies(Omega1, Omega2)
     _, _, _, U = system.interior_quadrature()
-    S = (freqs[:, None] * Xs) @ U  # (4, P) line-sum fields
-    proj = _project_pointwise(system, np.array(cubic_coefficients(*S)).T).T
+    S = (freqs[..., None] * Xs) @ U  # (..., 4, P) line-sum fields
+    cubic = np.stack(cubic_coefficients(*np.moveaxis(S, -2, 0)), axis=-2)
+    proj = _project_pointwise(system, cubic)
     forcing = np.array([F1, F2, 0.0, 0.0])
     return (
-        (system.omegas[None, :] ** 2 - (freqs**2)[:, None]) * Xs
+        (system.omegas**2 - freqs[..., None] ** 2) * Xs
         + forcing[:, None] * system.source_gain
         + 1j * beta * (proj @ system.gram_inverse)
     )
+
+
+def solve_two_tone_lanes(system: ModalSystem, Omega1: float, Omega2s, F1: float, F2: float, beta: float):
+    """Solve the two-tone system at each second tone of Omega2s as one stack
+    of cold-started lanes; returns per lane the TwoToneSolution or the
+    exception it failed with, and the solver counts."""
+    Omega2s = np.asarray(Omega2s, dtype=float)
+    tones = np.stack([np.full_like(Omega2s, Omega1), Omega2s], axis=1)
+    forcing = np.tile([F1, F2, 0.0, 0.0], (len(Omega2s), 1))
+    solved, counts = _solve_lines(system, _TWO_TONE_LINES, tones, forcing, beta, [None] * len(tones))
+    return [s if isinstance(s, Exception) else TwoToneSolution(Omega1, float(Om2), F1, F2, *s[0], *s[1:])
+            for Om2, s in zip(Omega2s, solved)], counts
 
 
 def solve_two_tone(
@@ -440,21 +511,13 @@ def solve_two_tone(
     Initialized from single-tone passive solutions with zero combination
     lines; if Newton stalls, both forcing amplitudes are continued up
     geometrically from the linear regime. Rejects configurations where the
-    four line frequencies are not clearly distinct.
+    four line frequencies are not clearly distinct. The one-lane case of
+    solve_two_tone_lanes.
     """
-    freqs = _two_tone_frequencies(Omega1, Omega2)
-    scale = np.max(np.abs(freqs))
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if abs(freqs[a] - freqs[b]) <= _FREQUENCY_FLOOR * scale:
-                raise ValueError(
-                    f"line frequencies {freqs[a]:.6g} and {freqs[b]:.6g} collide; "
-                    f"|Omega1 - Omega2| must exceed the frequency floor"
-                )
-    X, iters, norm = _solve_lines(
-        system, _TWO_TONE_LINES, (Omega1, Omega2), (F1, F2, 0.0, 0.0), beta
-    )
-    return TwoToneSolution(Omega1, Omega2, F1, F2, *X, iters, norm)
+    (outcome,), _ = solve_two_tone_lanes(system, Omega1, [Omega2], F1, F2, beta)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .boundary import (
     MultipoleDensity,
@@ -161,6 +160,7 @@ class _ResolventProbe:
         return assemble_boundary_system(self.array, self.params, omega, self.M)
 
     def __call__(self, omega: complex) -> complex:
+        from scipy.linalg import lu_factor, lu_solve  # on first use: a cache hit needs neither
         x = lu_solve(lu_factor(self.system(omega).matrix), self.q)
         return 1.0 / np.vdot(self.w, x)
 
@@ -203,6 +203,7 @@ def _beyn(system, box, n: int, V: np.ndarray):
     """Winding number of det A around box (n Gauss-Legendre nodes per edge),
     its largest step, the Beyn rank, and the eigenvalues inside box and of
     those the ones whose eigenpairs pass the residual test."""
+    from scipy.linalg import lu_factor, lu_solve  # on first use: a cache hit needs neither
     corners = np.array([complex(box[i], box[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))])
     sides = np.roll(corners, -1) - corners
     x, w = np.polynomial.legendre.leggauss(n)

@@ -14,7 +14,8 @@ from hopfarray.analysis import (
     refined_frequency_grid,
     two_tone_sweep,
 )
-from hopfarray.hopf import solve_passive, solve_pure_tone
+import hopfarray.hopf as hopf
+from hopfarray.hopf import solve_passive, solve_pure_tone, solve_two_tone
 from hopfarray.modal import build_modal_system
 
 BETA = 5.0e5
@@ -57,6 +58,53 @@ def test_warm_start_equals_cold_start(six_system):
     for om, sol in zip(grid, warm.solutions):
         cold = solve_pure_tone(six_system, float(om), 1e-4, BETA)
         assert np.max(np.abs(sol.X - cold.X)) <= 1e-9
+
+
+def test_lockstep_lanes_match_blocks_solved_alone(six_system):
+    # step j of the sweep solves point j of all three blocks as one stack;
+    # each block solved alone as a one-block grid gives the same bits
+    grid = np.linspace(0.02, 0.025, 40)
+    sweep = pure_tone_sweep(six_system, grid, 1e-4, BETA)
+    assert sweep.n_flagged == 0
+    for b in range(0, len(grid), 16):
+        alone = pure_tone_sweep(six_system, grid[b:b + 16], 1e-4, BETA)
+        for s, a in zip(sweep.solutions[b:b + 16], alone.solutions):
+            assert np.array_equal(s.X, a.X)
+            assert s.newton_iters == a.newton_iters
+
+
+@pytest.mark.parametrize("poison, message", [
+    ("residual", "line search stalled at residual nan"),
+    ("jacobian", "singular Newton system"),  # the stacked solve raises for every lane
+])
+def test_failed_lane_leaves_other_lanes_unchanged(six_system, monkeypatch, poison, message):
+    grid = np.linspace(0.02, 0.025, 40)
+    clean = pure_tone_sweep(six_system, grid, 1e-4, BETA)
+    bad = grid[18]  # point 2 of the second block
+    real = hopf._line_fun_jac
+
+    def poisoned(system, freqs, W, forcing, beta):
+        fun_jac = real(system, freqs, W, forcing, beta)
+        hit = freqs[:, 0] == bad
+
+        def wrapped(Z, lanes=slice(None)):
+            R, A, B = fun_jac(Z, lanes)
+            if poison == "residual":
+                R[hit[lanes]] = np.nan
+            else:
+                A[hit[lanes]] = B[hit[lanes]] = 0.0
+            return R, A, B
+
+        return wrapped
+
+    monkeypatch.setattr(hopf, "_line_fun_jac", poisoned)
+    sweep = pure_tone_sweep(six_system, grid, 1e-4, BETA)
+    assert [i for i, f in enumerate(sweep.flags) if f] == [18]
+    assert message in sweep.flags[18]
+    for i in [*range(18), *range(32, 40)]:  # other blocks, and this one before the failure
+        assert np.array_equal(sweep.solutions[i].X, clean.solutions[i].X)
+    # the next point of the failed lane's block starts cold
+    assert np.array_equal(sweep.solutions[19].X, solve_pure_tone(six_system, grid[19], 1e-4, BETA).X)
 
 
 def test_single_mode_phase_swings_half_cycle(single_array, params, single_mode):
@@ -176,6 +224,17 @@ def test_two_tone_sweep_records(six_system):
         assert r["abs_X12"] < max(r["abs_X10"], r["abs_X01"])
     # certificates from the pointwise (independent) residual path
     assert all(c <= 1e-10 * (1 + 2e-5) for c in sweep.certificates)
+
+
+def test_two_tone_stack_matches_points_solved_alone(six_system):
+    om1 = abs(six_system.omegas[3])
+    grid = np.linspace(0.96 * om1, 1.04 * om1, 9)
+    grid = grid[np.abs(grid - om1) > 1e-3 * om1]
+    sweep = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA, mode_index=3)
+    for om2, s in zip(grid, sweep.solutions):
+        alone = solve_two_tone(six_system, om1, om2, 1e-5, 1e-5, BETA)
+        for line in ("X10", "X01", "X21", "X12"):
+            assert np.array_equal(getattr(s, line), getattr(alone, line))
 
 
 def test_two_tone_sweep_rejects_collision_points(six_system):

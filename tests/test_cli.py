@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hopfarray
 from hopfarray.cli import ConfigError, main, parse_config, run_experiment
 
 BASE = {
@@ -219,7 +223,7 @@ def test_flagged_points_exit_code(tmp_path, monkeypatch):
     import hopfarray.analysis as analysis
     from hopfarray.hopf import ConvergenceError
 
-    real_solver = analysis.solve_pure_tone
+    real_solver = analysis.solve_pure_tone_lanes
     cfg = _config(experiment={"type": "sweep", "mode_ref": 1, "num_points": 6,
                               "F_values": [1e-5]})
     parsed = parse_config(json.dumps(cfg))
@@ -228,12 +232,14 @@ def test_flagged_points_exit_code(tmp_path, monkeypatch):
         (tmp_path / "probe" / "sweep.csv").read_text().splitlines()[1].split(",")[0]
     )
 
-    def failing(system, omega, F, beta, start=None):
-        if abs(omega - grid_omega) < 1e-15:
-            raise ConvergenceError("forced failure for the flag-path test")
-        return real_solver(system, omega, F, beta, start=start)
+    def failing(system, Omegas, F, beta, starts=None):
+        # the lane at grid_omega fails; the sweep flags what the driver returns
+        outcomes, counts = real_solver(system, Omegas, F, beta, starts)
+        forced = ConvergenceError("forced failure for the flag-path test")
+        return [forced if abs(om - grid_omega) < 1e-15 else out
+                for om, out in zip(Omegas, outcomes)], counts
 
-    monkeypatch.setattr(analysis, "solve_pure_tone", failing)
+    monkeypatch.setattr(analysis, "solve_pure_tone_lanes", failing)
     status = run_experiment(parsed, tmp_path / "flagged")
     assert status == 2
     manifest = json.loads((tmp_path / "flagged" / "run.json").read_text())
@@ -242,6 +248,57 @@ def test_flagged_points_exit_code(tmp_path, monkeypatch):
     rows = (tmp_path / "flagged" / "sweep.csv").read_text().splitlines()[1:]
     flagged_rows = [r for r in rows if r.endswith("test")]
     assert len(flagged_rows) == 2  # one per mode at the failed point
+
+
+# the README's default 6-disk array with the default sweep
+DEFAULT_SWEEP = {
+    "geometry": {"n": 6, "first_radius": 1.0, "s": 1.05, "gap_ratio": 0.5, "source_x": -5.0},
+    "material": {"v": 1.0, "v_b": 1.0, "delta": 1e-3, "beta": 5e5},
+    "experiment": {"type": "sweep"},
+}
+
+
+@pytest.fixture(scope="module")
+def default_sweep(tmp_path_factory):
+    """A default-array sweep run once through main: (config path, output
+    directory with its cache, manifest)."""
+    root = tmp_path_factory.mktemp("default_sweep")
+    cfg_path = root / "sweep.json"
+    cfg_path.write_text(json.dumps(DEFAULT_SWEEP))
+    out = root / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return cfg_path, out, json.loads((out / "run.json").read_text())
+
+
+def test_sweep_counts_residual_evaluations(default_sweep):
+    # a polish step at the float floor tries only the full Newton step, so
+    # a converged point costs about one evaluation per iteration
+    stats = default_sweep[2]["solver_stats"]
+    assert stats["n_points"] == 360 and stats["n_flagged"] == 0
+    assert stats["continuation_points"] == 0
+    assert stats["newton_iters"] <= stats["residual_evaluations"]
+    assert stats["residual_evaluations"] <= 2 * (stats["newton_iters"] + stats["n_points"])
+
+
+def test_cache_hit_sweep_skips_scipy_special_and_linalg(default_sweep, tmp_path):
+    cfg_path, out, manifest = default_sweep
+    hit = tmp_path / "hit"
+    hit.mkdir()
+    (hit / "cache").symlink_to(out / "cache")
+    code = (
+        "import sys; from hopfarray.cli import main; status = main(sys.argv[1:]); "
+        "print(status, [m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hopfarray.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "sweep", "--config", str(cfg_path), "--out", str(hit)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.split("\n")[-2] == "0 []"
+    rerun = json.loads((hit / "run.json").read_text())
+    assert rerun["cache"]["hit"] is True
+    assert rerun["solver_stats"] == manifest["solver_stats"]  # the counts repeat exactly
+    assert (hit / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
 
 def test_main_validate_and_mismatch(tmp_path, capsys):

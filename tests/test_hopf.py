@@ -23,9 +23,11 @@ BETA = 5.0e5
 
 
 def _line_system(system, vectors, tones, forcing):
-    """The solver's residual/Jacobian builder for the given lines."""
+    """The solver's residual/Jacobian builder for the given lines, as a
+    one-lane stack: Z (L N,) -> R (L N,), A, B (L N, L N)."""
     freqs = np.asarray(vectors) @ np.asarray(tones, dtype=float)
-    return _line_fun_jac(system, freqs, _line_weights(vectors), forcing, BETA)
+    fun_jac = _line_fun_jac(system, freqs[None], _line_weights(vectors), [forcing], BETA)
+    return lambda Z: tuple(part[0] for part in fun_jac(np.asarray(Z)[None]))
 
 
 # ---------------------------------------------------------------------------
