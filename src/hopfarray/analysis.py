@@ -4,7 +4,7 @@ Pure-tone sweeps partition their grid into fixed contiguous blocks; points
 inside a block are warm-started from the previous one, and every block
 starts cold, so a point's solution depends only on its block. Step j solves
 point j of every block as one stack of lanes in ``hopf``; the two-tone scan
-is one cold-started stack. Per-point solver failures are flagged, never
+is cold-started stacks. Per-point solver failures are flagged, never
 fatal, and every returned solution carries a residual certificate from the
 pointwise evaluator in ``hopf`` (the cubic term formed at the interior
 quadrature nodes, a separate code path from the tensor contraction in the

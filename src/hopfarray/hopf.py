@@ -121,6 +121,7 @@ _TWO_TONE_LINES = ((1, 0), (0, 1), (2, -1), (-1, 2))
 
 # two-tone lines closer than this, relative to the largest, collide
 _FREQUENCY_FLOOR = 1e-8
+_STACK_ENTRIES = 2**16  # lanes x (L N)^2 per Newton stack: about 300 bytes each, 20 MB
 
 
 def _line_weights(vectors) -> np.ndarray:
@@ -144,7 +145,8 @@ def _line_fun_jac(system: ModalSystem, freqs: np.ndarray, W: np.ndarray, forcing
     is the line sum of the time derivative and G the deprojection. As T is
     symmetric in (i, j), dC_l/dY_a = 2 sum_{bc} W[l, a, b, c] T(., Y_b, conj Y_c)
     and dC_l/d(conj Y_c) = sum_{ab} W[l, a, b, c] T(Y_a, Y_b, .). Every line
-    is contracted by the same few matrix products, one matrix per lane.
+    is contracted by the same few matrix products, one matrix per lane
+    (swapaxes, as .mT needs numpy 2).
     fun_jac(Z, lanes) evaluates `lanes` (default all) at Z (lanes, L N).
     """
     (K, L), n = freqs.shape, system.n
@@ -165,10 +167,10 @@ def _line_fun_jac(system: ModalSystem, freqs: np.ndarray, W: np.ndarray, forcing
         k = len(Z)
         X = Z.reshape(k, L, n)
         Y = freqs[lanes, :, None] * X
-        YYc = (Y[:, :, None, :, None] * Y.conj()[:, None, :, None, :]).reshape(k, L * L, n * n)
-        YY = (Y[:, :, None, :, None] * Y[:, None, :, None, :]).reshape(k, L * L, n * n)
-        dA = (W_a[lanes] @ (T_jk @ YYc.mT).mT).reshape(k, L, L, n, n)  # dC_ch/dX_a, (n, i)
-        dB = (W_c[lanes] @ (T_ij @ YY.mT).mT).reshape(k, L, L, n, n)  # dC_ch/d(conj X_c)
+        YYc = (Y[:, :, None, :, None] * Y.conj()[:, None, :, None, :]).reshape(k, L * L, n * n).swapaxes(1, 2)
+        YY = (Y[:, :, None, :, None] * Y[:, None, :, None, :]).reshape(k, L * L, n * n).swapaxes(1, 2)
+        dA = (W_a[lanes] @ (T_jk @ YYc).swapaxes(1, 2)).reshape(k, L, L, n, n)  # dC_ch/dX_a, (n, i)
+        dB = (W_c[lanes] @ (T_ij @ YY).swapaxes(1, 2)).reshape(k, L, L, n, n)  # dC_ch/d(conj X_c)
         C = 0.5 * np.einsum("klani,kai->kln", dA, X)  # C is half its X-derivative times X
         R = lin[lanes] * X + drive[lanes] + pref * (C @ G.T)
         A = (pref * (G @ dA)).transpose(0, 1, 3, 2, 4).reshape(k, L * n, L * n)
@@ -252,7 +254,7 @@ def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray, max_iter: int = 60
 
 
 def _solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, starts):
-    """Solve a stack of independent line systems (lanes) in lockstep.
+    """Solve line systems (lanes) in lockstep, _STACK_ENTRIES / (L N)^2 at a time.
 
     Lane k rings line l at vectors[l] . tones[k], driven with amplitude
     forcing[k, l], from starts[k] or, when that is None, from the passive
@@ -330,14 +332,16 @@ def _solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, star
         except ValueError as exc:
             outcomes[k] = exc
     lanes = [k for k in range(K) if outcomes[k] is None]
-    for k, out in zip(lanes, attempt(lanes, 1.0, X0[lanes])):
-        if isinstance(out, ConvergenceError) and forcing[k].any():
-            counts["continuation_points"] += 1
-            try:
-                out = continuation(k)
-            except (ConvergenceError, ValueError) as exc:
-                out = exc
-        outcomes[k] = out
+    size = max(1, _STACK_ENTRIES // (L * n) ** 2)
+    for chunk in (lanes[c:c + size] for c in range(0, len(lanes), size)):
+        for k, out in zip(chunk, attempt(chunk, 1.0, X0[chunk])):
+            if isinstance(out, ConvergenceError) and forcing[k].any():
+                counts["continuation_points"] += 1
+                try:
+                    out = continuation(k)
+                except (ConvergenceError, ValueError) as exc:
+                    out = exc
+            outcomes[k] = out
     return outcomes, counts
 
 

@@ -237,6 +237,28 @@ def test_two_tone_stack_matches_points_solved_alone(six_system):
             assert np.array_equal(getattr(s, line), getattr(alone, line))
 
 
+def test_two_tone_scan_solves_bounded_stacks(six_system, monkeypatch):
+    # the Newton workspace grows with the stack, so a long scan is solved in
+    # stacks of at most _STACK_ENTRIES / (L N)^2 lanes, with the same bits
+    om1 = abs(six_system.omegas[3])
+    grid = np.linspace(0.96 * om1, 1.04 * om1, 9)
+    grid = grid[np.abs(grid - om1) > 1e-3 * om1]
+    whole = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA, mode_index=3)
+    sizes, newton = [], hopf._newton_complex
+
+    def recording(fun_jac, Z0, tol):
+        sizes.append(len(Z0))
+        return newton(fun_jac, Z0, tol)
+
+    monkeypatch.setattr(hopf, "_newton_complex", recording)
+    monkeypatch.setattr(hopf, "_STACK_ENTRIES", 3 * (4 * six_system.n) ** 2)
+    split = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA, mode_index=3)
+    assert sizes == [3, 3, 2]
+    for s, w in zip(split.solutions, whole.solutions):
+        for line in ("X10", "X01", "X21", "X12"):
+            assert np.array_equal(getattr(s, line), getattr(w, line))
+
+
 def test_two_tone_sweep_rejects_collision_points(six_system):
     om1 = abs(six_system.omegas[3])
     grid = np.array([0.99 * om1, om1 * (1 + 1e-9), 1.01 * om1])

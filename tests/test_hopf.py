@@ -207,6 +207,25 @@ def test_line_jacobian_matches_finite_differences(six_system, vectors, tone_fact
             assert np.linalg.norm(fd - lin) <= 1e-7 * np.linalg.norm(lin)
 
 
+class _WithoutMatrixTranspose(np.ndarray):
+    """An array as numpy 1.x has it: ndarray.mT came with numpy 2.0."""
+
+    @property
+    def mT(self):
+        raise AttributeError("ndarray.mT needs numpy 2")
+
+
+def test_line_builder_needs_no_numpy2_transpose(six_system):
+    # pyproject declares numpy >= 1.24; arrays derived from the iterate keep
+    # this subclass, so a .mT anywhere in the builder raises here
+    freqs = np.array([_TWO_TONE_LINES]) @ (abs(six_system.omegas[3]) * np.array([1.0, 1.03]))
+    fun_jac = _line_fun_jac(six_system, freqs, _line_weights(_TWO_TONE_LINES), [(1e-5, 2e-5, 0, 0)], BETA)
+    rng = np.random.default_rng(5)
+    Z = 1e-2 * (rng.standard_normal((1, 4 * six_system.n)) + 1j * rng.standard_normal((1, 4 * six_system.n)))
+    for plain, guarded in zip(fun_jac(Z), fun_jac(Z.view(_WithoutMatrixTranspose))):
+        assert np.array_equal(plain, guarded)
+
+
 # ---------------------------------------------------------------------------
 # two-tone
 # ---------------------------------------------------------------------------
