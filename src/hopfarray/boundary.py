@@ -236,9 +236,9 @@ def assemble_boundary_system(
     )
 
 
-def _classify_points(array: ResonatorArray, points: np.ndarray, side: str | None):
-    """Return (containing disk index or -1 per point) honoring the side
-    selector for points on a circle boundary."""
+def _classify_points(array: ResonatorArray, points: np.ndarray, side: str | None) -> np.ndarray:
+    """Containing disk index or -1 per point, honoring the side selector
+    for points on a circle boundary."""
     centers = array.centers
     radii = array.radii
     diff = points[:, None, :] - centers[None, :, :]
@@ -259,8 +259,7 @@ def _classify_points(array: ResonatorArray, points: np.ndarray, side: str | None
         inside = inside | on_boundary
     elif side == "exterior":
         inside = inside & ~on_boundary
-    region = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
-    return region, dist, diff
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
 def evaluate_field(array: ResonatorArray, params: WaveParams, omega: complex, density: MultipoleDensity,
@@ -282,10 +281,13 @@ def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: 
     Outside every circle the exterior density radiates at omega/v; inside a
     circle the interior densities of all circles radiate at omega/v_b (the
     host circle through its regular expansion, the others through their
-    outgoing expansions). Per circle and node chunk, distances, angles and
-    e^{im theta} serve all fields; the Hankel/Bessel table runs over (field x
-    node) and is contracted with the densities order by order. Points within
-    1e-12 of a boundary need the side selector.
+    outgoing expansions). Per circle, distances, angles and e^{im theta}
+    serve all fields. The nodes of each region are sorted by distance to the
+    circle and chunked; each chunk's Hankel/Bessel table runs over (field x
+    distinct distance), since mirror-symmetric node sets repeat distances
+    exactly, and is contracted with the densities order by order. Every
+    point sums the circles in order, so its value does not depend on the
+    other points. Points within 1e-12 of a boundary need the side selector.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
@@ -306,21 +308,26 @@ def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: 
 
     values = np.zeros((len(psi), len(pts)), dtype=complex)
     step = max(1, _CHUNK // len(psi))
+    region = np.empty(len(pts), dtype=int)
     for start in range(0, len(pts), step):
-        chunk = slice(start, start + step)
-        region, dist, diff = _classify_points(array, pts[chunk], side)
-        for i in range(array.n):
-            rho = dist[:, i]
-            turn = (diff[:, i, 0] + 1j * diff[:, i, 1]) / np.where(rho > 0, rho, 1.0)
-            for idx, kk, coeff, table in (
-                (region < 0, k, ext_out[:, i], hankel1_orders),
-                ((region >= 0) & (region != i), kb, int_out[:, i], hankel1_orders),
-                (region == i, kb, int_reg[:, i], bessel_j_orders),
-            ):
-                idx = np.nonzero(idx)[0]
-                if not idx.size or not coeff.any():
-                    continue
-                tab = table(np.arange(M + 1)[:, None, None], kk * rho[idx])  # (M+1, F, P)
+        region[start:start + step] = _classify_points(array, pts[start:start + step], side)
+    for i, center in enumerate(array.centers):
+        diff = pts - center
+        rho = np.hypot(diff[:, 0], diff[:, 1])
+        turn = (diff[:, 0] + 1j * diff[:, 1]) / np.where(rho > 0, rho, 1.0)
+        for mask, kk, coeff, table in (
+            (region < 0, k, ext_out[:, i], hankel1_orders),
+            ((region >= 0) & (region != i), kb, int_out[:, i], hankel1_orders),
+            (region == i, kb, int_reg[:, i], bessel_j_orders),
+        ):
+            if not coeff.any():
+                continue
+            nodes = np.flatnonzero(mask)
+            nodes = nodes[np.argsort(rho[nodes], kind="stable")]
+            for start in range(0, nodes.size, step):
+                idx = nodes[start:start + step]
+                dists, inverse = np.unique(rho[idx], return_inverse=True)
+                tab = table(np.arange(M + 1)[:, None, None], kk * dists)[:, :, inverse]  # (M+1, F, P)
                 acc = coeff[:, M, None] * tab[0]
                 e_theta = turn[idx]
                 power = np.ones_like(e_theta)
@@ -329,5 +336,5 @@ def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: 
                     acc += tab[m] * (
                         coeff[:, M + m, None] * power + (-1) ** m * coeff[:, M - m, None] * power.conj()
                     )
-                values[:, start + idx] += acc
+                values[:, idx] += acc
     return values

@@ -4,7 +4,9 @@ The N subwavelength resonances are the complex frequencies where the
 boundary system A(omega) is singular. find_resonances locates them with
 Beyn's contour-integral method (W.-J. Beyn, Linear Algebra Appl. 436, 2012)
 on rectangles right of omega = 0 (the branch point of H_0), and counts them
-independently by the winding number of det A, from the same LU factors.
+independently by the winding number of det A. All dense linear algebra here
+is numpy.linalg: numpy and scipy ship separate OpenBLAS builds whose thread
+pools stall each other when their calls alternate.
 """
 
 from __future__ import annotations
@@ -160,8 +162,10 @@ class _ResolventProbe:
         return assemble_boundary_system(self.array, self.params, omega, self.M)
 
     def __call__(self, omega: complex) -> complex:
-        from scipy.linalg import lu_factor, lu_solve  # on first use: a cache hit needs neither
-        x = lu_solve(lu_factor(self.system(omega).matrix), self.q)
+        try:
+            x = np.linalg.solve(self.system(omega).matrix, self.q)
+        except np.linalg.LinAlgError:  # exactly singular: omega is a resonance
+            return 0.0
         return 1.0 / np.vdot(self.w, x)
 
 
@@ -199,11 +203,14 @@ def _inside(box, z: complex) -> bool:
     return bool(box[0] < z.real < box[1] and box[2] < z.imag < box[3])
 
 
+def _describe(box) -> str:
+    return "sub-contour Re [{:.6g}, {:.6g}] x Im [{:.6g}, {:.6g}]".format(*box)
+
+
 def _beyn(system, box, n: int, V: np.ndarray):
     """Winding number of det A around box (n Gauss-Legendre nodes per edge),
     its largest step, the Beyn rank, and the eigenvalues inside box and of
     those the ones whose eigenpairs pass the residual test."""
-    from scipy.linalg import lu_factor, lu_solve  # on first use: a cache hit needs neither
     corners = np.array([complex(box[i], box[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))])
     sides = np.roll(corners, -1) - corners
     x, w = np.polynomial.legendre.leggauss(n)
@@ -212,11 +219,15 @@ def _beyn(system, box, n: int, V: np.ndarray):
     moments = np.zeros((2, *V.shape), dtype=complex)  # of omega^p A^{-1} V, p = 0, 1
     bound, phase = 0.0, np.empty(len(nodes), dtype=complex)
     for j, (z, wz) in enumerate(zip(nodes, weights)):
-        lu, piv = lu_factor(system(z).matrix)
-        X = lu_solve((lu, piv), V)
+        A = system(z).matrix
+        try:
+            X = np.linalg.solve(A, V)
+        except np.linalg.LinAlgError:
+            raise ResonanceSearchError(
+                f"{_describe(box)}: boundary system singular at node {z:.6g}") from None
         moments += np.multiply.outer([wz, wz * z], X)
         bound += abs(wz) * np.sqrt(np.vdot(X, X).real)  # |moment 0| without cancellation
-        phase[j] = (-1.0) ** np.sum(piv != np.arange(len(piv))) * np.prod(np.sign(np.diag(lu)))
+        phase[j] = np.linalg.slogdet(A)[0]  # det A / |det A|
     steps = np.angle(np.roll(phase, -1) / phase)
     U, s, Wh = np.linalg.svd(moments[0], full_matrices=False)
     r = int(np.count_nonzero(s > _RANK_TOL * bound))
@@ -249,8 +260,9 @@ def find_resonances(
     Returns exactly N resonances sorted by ascending real part, each with
     smallest singular value <= tolerance and frequency drift < 1e-4
     relative under M -> M+2 refinement. Raises ResonanceSearchError when a
-    sub-contour cannot be certified (naming it and both counts), the window
-    holds another count, or refinement does not settle.
+    sub-contour cannot be certified (naming it and both counts) or has a
+    node where the system is exactly singular, the window holds another
+    count, or refinement does not settle.
     """
     search = dict(search or {})
     omega_max = search.pop("omega_max", None) or subwavelength_cutoff(array, params)
@@ -295,9 +307,9 @@ def find_resonances(
             pending += [(half, _NODES[0]) for half in _split(box, inner)]
         else:
             raise ResonanceSearchError(
-                "sub-contour Re [{:.6g}, {:.6g}] x Im [{:.6g}, {:.6g}]".format(*box)
-                + f" ({4 * n} nodes, largest arg step {step:.2f}, Beyn rank {rank}, {len(passed)}"
-                f" pass the residual test): winding number {winding}, but {len(roots)} accepted")
+                f"{_describe(box)} ({4 * n} nodes, largest arg step {step:.2f}, Beyn rank {rank},"
+                f" {len(passed)} pass the residual test): winding number {winding}, but"
+                f" {len(roots)} accepted")
     if len(found) != n_res:
         raise ResonanceSearchError(
             f"found {len(found)} resonances, expected {n_res}; the search "

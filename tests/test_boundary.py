@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hopfarray import boundary
 from hopfarray.boundary import (
     MultipoleDensity,
     WaveParams,
@@ -223,7 +224,8 @@ def test_evaluate_field_satisfies_helmholtz(params, pair_array):
 def test_sample_fields_matches_field_oracle(array_name, v_b, request):
     # three densities at three distinct frequencies in one call, against the
     # point-by-point layer-potential sum over scipy.special, at exterior,
-    # interior and on-boundary points with either side
+    # interior and on-boundary points with either side, their mirror images
+    # about the array axis (equal distances to every center) and one repeat
     array = request.getfixturevalue(array_name)
     params = WaveParams(v=1.0, v_b=v_b, delta=1e-3)
     seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
@@ -244,11 +246,40 @@ def test_sample_fields_matches_field_oracle(array_name, v_b, request):
         for scale in (0.0, 0.35, 0.9, 1.0, 1.2):
             angle = rng.uniform(0.0, 2.0 * np.pi)
             points.append(center + scale * radius * np.array([np.cos(angle), np.sin(angle)]))
+    points += [(x, -y) for x, y in points] + [points[3]]
     for side in ("exterior", "interior"):
         got = sample_fields(array, params, omegas, densities, points, side=side)
         for values, omega, density in zip(got, omegas, densities, strict=True):
             want = np.array([field_loop(array, params, omega, density, p, side) for p in points])
             assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want))
+
+
+def test_sample_fields_point_values_independent_of_chunking(six_array, monkeypatch):
+    # with chunks of 4 nodes every circle's region classes span several
+    # chunks, whose tables run over distinct distances only; each point must
+    # still get the same bits as when it is sampled alone
+    params = WaveParams(v=1.0, v_b=1.3, delta=1e-3)
+    rng = np.random.default_rng(5)
+    M = 4
+    omegas = [0.03 - 0.001j, 0.05 - 0.0002j, 0.06 - 0.00003j]
+    shape = (six_array.n, 2 * M + 1)
+    densities = [
+        MultipoleDensity(
+            psi=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            phi=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        )
+        for _ in omegas
+    ]
+    points = []
+    for center, radius in zip(six_array.centers, six_array.radii):
+        for scale, angle in zip(rng.uniform(0.0, 1.6, 6), rng.uniform(0.0, np.pi, 6)):
+            points.append(center + scale * radius * np.array([np.cos(angle), np.sin(angle)]))
+    points += [(x, -y) for x, y in points]
+    monkeypatch.setattr(boundary, "_CHUNK", 4 * len(omegas))
+    whole = sample_fields(six_array, params, omegas, densities, points)
+    alone = np.concatenate([sample_fields(six_array, params, omegas, densities, [p]) for p in points],
+                           axis=1)
+    assert np.array_equal(whole, alone)
 
 
 def test_boundary_point_needs_side(params, single_array):

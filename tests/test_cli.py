@@ -280,25 +280,38 @@ def test_sweep_counts_residual_evaluations(default_sweep):
     assert stats["residual_evaluations"] <= 2 * (stats["newton_iters"] + stats["n_points"])
 
 
-def test_cache_hit_sweep_skips_scipy_special_and_linalg(default_sweep, tmp_path):
-    cfg_path, out, manifest = default_sweep
-    hit = tmp_path / "hit"
-    hit.mkdir()
-    (hit / "cache").symlink_to(out / "cache")
+def _main_in_fresh_process(args: list[str]) -> str:
+    """Run main(args) in a new interpreter; its exit status and which of
+    scipy.special and scipy.linalg it loaded."""
     code = (
         "import sys; from hopfarray.cli import main; status = main(sys.argv[1:]); "
         "print(status, [m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(hopfarray.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "sweep", "--config", str(cfg_path), "--out", str(hit)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert proc.stdout.split("\n")[-2] == "0 []"
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return proc.stdout.split("\n")[-2]
+
+
+def test_cache_hit_sweep_skips_scipy_special_and_linalg(default_sweep, tmp_path):
+    cfg_path, out, manifest = default_sweep
+    hit = tmp_path / "hit"
+    hit.mkdir()
+    (hit / "cache").symlink_to(out / "cache")
+    assert _main_in_fresh_process(["sweep", "--config", str(cfg_path), "--out", str(hit)]) == "0 []"
     rerun = json.loads((hit / "run.json").read_text())
     assert rerun["cache"]["hit"] is True
     assert rerun["solver_stats"] == manifest["solver_stats"]  # the counts repeat exactly
     assert (hit / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
+
+def test_cold_build_skips_scipy_linalg(tmp_path):
+    # numpy and scipy ship separate OpenBLAS builds whose thread pools stall
+    # each other; the search and the modes use numpy.linalg alone
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(_config()))
+    args = ["resonances", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--no-cache"]
+    assert _main_in_fresh_process(args) == "0 ['scipy.special']"
 
 
 def test_main_validate_and_mismatch(tmp_path, capsys):

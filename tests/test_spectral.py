@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -306,4 +308,17 @@ def test_uncertified_subcontour_names_both_counts(single_array, params, monkeypa
     monkeypatch.setattr(spectral, "_NODES", (16, 16))
     monkeypatch.setattr(spectral, "_MAX_CONTOURS", 1)
     with pytest.raises(ResonanceSearchError, match=r"sub-contour Re \[.*winding number 1, but 0 "):
+        find_resonances(single_array, params, M=3)
+
+
+def test_exactly_singular_system(single_array, params, monkeypatch):
+    # numpy's solve raises on an exactly singular matrix: the probe reads it
+    # as a zero (a resonance), and a contour node on one fails the search
+    # with the box named
+    singular = assemble_boundary_system(single_array, params, 0.1, 3)
+    singular.matrix[:, 0] = 0.0
+    monkeypatch.setattr(spectral, "assemble_boundary_system", lambda *args: singular)
+    assert spectral._ResolventProbe(single_array, params, 3)(0.1) == 0.0
+    box = spectral._describe(_window_box(single_array, params))
+    with pytest.raises(ResonanceSearchError, match=re.escape(f"{box}: boundary system singular")):
         find_resonances(single_array, params, M=3)
