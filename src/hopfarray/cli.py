@@ -42,56 +42,85 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-_EXPERIMENT_TYPES = ("resonances", "sweep", "phase", "twotone", "oracle")
+_REQUIRED = object()  # default of a key the config must give
+_ABSENT = object()  # default of a key that, when left out, stays out of the parsed block
 
-_NUMERICS_DEFAULTS = {
-    "multipole_order": 5,
-    "resonance_tolerance": 1e-10,
-    "drift_tolerance": 1e-4,
-    "quad_inflate": 0.5,
-    "ext_order": 8,
-    "panel_size": 2.5,
-    "ring_radial": 10,
-    "ring_angular": 12,
-    "disk_radial": 16,
-    "disk_angular": 48,
-    "omega_max": None,
-    "collision_floor": 1e-3,
+# Every config field, one row each: (block, key, kind, bound, default). The
+# block is a top-level object of the config, or an experiment type for the
+# keys the "experiment" block takes with that type. Kinds and their bounds:
+#   integer  an int (not a bool) >= bound
+#   number   a finite int or float (not a bool) of sign bound: "positive" (> 0),
+#            "nonnegative" (>= 0), "negative" (< 0), or None for any sign
+#   numbers  a list of such numbers; bound is (sign, fewest items)
+#   enum     one of the strings in bound
+#   pairs    a nonempty list of [x1, x2] pairs of finite numbers
+# A default of None or _ABSENT also accepts null. Parsed values keep their
+# JSON type (an int stays an int), so cache keys and CSVs do not move. The
+# README's "Config fields" table lists the same rows and defaults.
+_FIELDS = (
+    ("geometry", "n", "integer", 1, _REQUIRED),
+    ("geometry", "first_radius", "number", "positive", _REQUIRED),
+    ("geometry", "s", "number", "positive", _REQUIRED),
+    ("geometry", "gap_ratio", "number", "positive", _REQUIRED),
+    ("geometry", "source_x", "number", "negative", _REQUIRED),
+    ("material", "v", "number", "positive", _REQUIRED),
+    ("material", "v_b", "number", "positive", _REQUIRED),
+    ("material", "delta", "number", "positive", _REQUIRED),
+    ("material", "beta", "number", None, _REQUIRED),
+    ("material", "tau", "number", "positive", _ABSENT),
+    ("numerics", "multipole_order", "integer", 1, 5),
+    ("numerics", "resonance_tolerance", "number", "positive", 1e-10),
+    ("numerics", "drift_tolerance", "number", "positive", 1e-4),
+    ("numerics", "quad_inflate", "number", "positive", 0.5),
+    ("numerics", "ext_order", "integer", 2, 8),
+    ("numerics", "panel_size", "number", "positive", 2.5),
+    ("numerics", "ring_radial", "integer", 2, 10),
+    ("numerics", "ring_angular", "integer", 2, 12),
+    ("numerics", "disk_radial", "integer", 2, 16),
+    ("numerics", "disk_angular", "integer", 2, 48),
+    ("numerics", "omega_max", "number", "positive", None),
+    ("numerics", "collision_floor", "number", "positive", 1e-3),
+    ("experiment", "type", "enum", ("resonances", "sweep", "phase", "twotone", "oracle"),
+     _REQUIRED),
+    ("sweep", "mode_ref", "integer", 1, 2),
+    ("sweep", "omega_min", "number", "positive", None),
+    ("sweep", "omega_max", "number", "positive", None),
+    ("sweep", "num_points", "integer", 2, 120),
+    ("sweep", "F_values", "numbers", ("positive", 1), [1e-6, 1e-4, 1e-2]),
+    ("phase", "omega_min", "number", "positive", None),
+    ("phase", "omega_max", "number", "positive", None),
+    ("phase", "num_points", "integer", 8, 240),
+    ("phase", "F", "number", "positive", 1e-6),
+    ("phase", "observation_points", "pairs", None, None),
+    ("phase", "phase_reference", "enum", ("velocity", "pressure"), "velocity"),
+    ("twotone", "Omega1", "number", "positive", None),
+    ("twotone", "Omega1_mode", "integer", 1, 4),
+    ("twotone", "omega2_min", "number", "positive", None),
+    ("twotone", "omega2_max", "number", "positive", None),
+    ("twotone", "num_points", "integer", 2, 41),
+    ("twotone", "F1", "number", "positive", 1e-5),
+    ("twotone", "F2", "number", "nonnegative", 1e-5),
+    ("twotone", "mode_index", "integer", 1, None),
+    ("oracle", "mu", "number", None, 0.0),
+    ("oracle", "omega0", "number", None, 1.0),
+    ("oracle", "Omega", "number", None, 1.0),
+    ("oracle", "F_values", "numbers", ("nonnegative", 0), [1e-8, 1e-6, 1e-4, 1e-2]),
+)
+
+_BLOCKS = ("geometry", "material", "numerics", "experiment")  # the config's top-level objects
+
+# The swept frequency's (lower, upper) keys per experiment type.
+_RANGES = {
+    "sweep": ("omega_min", "omega_max"),
+    "phase": ("omega_min", "omega_max"),
+    "twotone": ("omega2_min", "omega2_max"),
 }
 
-_EXPERIMENT_DEFAULTS = {
-    "resonances": {},
-    "sweep": {
-        "mode_ref": 2,
-        "omega_min": None,
-        "omega_max": None,
-        "num_points": 120,
-        "F_values": [1e-6, 1e-4, 1e-2],
-    },
-    "phase": {
-        "omega_min": None,
-        "omega_max": None,
-        "num_points": 240,
-        "F": 1e-6,
-        "observation_points": None,
-        "phase_reference": "velocity",
-    },
-    "twotone": {
-        "Omega1": None,
-        "Omega1_mode": 4,
-        "omega2_min": None,
-        "omega2_max": None,
-        "num_points": 41,
-        "F1": 1e-5,
-        "F2": 1e-5,
-        "mode_index": None,
-    },
-    "oracle": {
-        "mu": 0.0,
-        "omega0": 1.0,
-        "Omega": 1.0,
-        "F_values": [1e-8, 1e-6, 1e-4, 1e-2],
-    },
+_SIGNS = {
+    None: lambda x: True,
+    "positive": lambda x: x > 0,
+    "nonnegative": lambda x: x >= 0,
+    "negative": lambda x: x < 0,
 }
 
 
@@ -124,140 +153,101 @@ class ExperimentConfig:
         return self.material["beta"]
 
 
-def _require_keys(block: dict, name: str, required, optional=()) -> None:
-    unknown = set(block) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
-    missing = [k for k in required if k not in block]
-    if missing:
-        raise ConfigError(f"{name}: missing required key(s) {missing}")
+def _finite(x) -> bool:
+    """A JSON number that is a finite double: not a bool, NaN or +-Infinity."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def _check(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
+def _check(name: str, key: str, kind: str, bound, default, val) -> None:
+    """Raise unless val is of the row's kind within its bound, or null where allowed."""
+    nullable = default is None or default is _ABSENT
+    if val is None and nullable:
+        return
+    if kind == "integer":
+        ok = isinstance(val, int) and not isinstance(val, bool) and val >= bound
+        rule = f"an integer >= {bound}"
+    elif kind == "number":
+        ok = _finite(val) and _SIGNS[bound](val)
+        rule = f"{bound} and finite" if bound else "a finite number"
+    elif kind == "numbers":
+        sign, fewest = bound
+        ok = isinstance(val, list) and len(val) >= fewest and all(
+            _finite(x) and _SIGNS[sign](x) for x in val)
+        rule = f"a list of at least {fewest} {sign} finite numbers"
+    elif kind == "enum":
+        ok = isinstance(val, str) and val in bound
+        rule = f"one of {list(bound)}"
+    else:  # pairs
+        ok = isinstance(val, list) and len(val) > 0 and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_finite, p)) for p in val)
+        rule = "a nonempty list of [x1, x2] pairs of finite numbers"
+    if not ok:
+        rule += " or null" if nullable else ""
+        raise ConfigError(f"{name}.{key}: {key} must be {rule}, got {val!r}")
 
 
-def _number(block: dict, name: str, key: str, lo=None, hi=None, allow_none=False):
-    val = block[key]
-    if val is None and allow_none:
-        return None
-    _check(isinstance(val, (int, float)) and not isinstance(val, bool),
-           f"{name}.{key}: must be a number, got {val!r}")
-    if lo is not None:
-        _check(val > lo, f"{name}.{key}: must be > {lo}, got {val}")
-    if hi is not None:
-        _check(val < hi, f"{name}.{key}: must be < {hi}, got {val}")
-    return float(val)
+def _rows(block: str) -> list:
+    return [row for row in _FIELDS if row[0] == block]
+
+
+def _parse_fields(name: str, given: dict, rows: list) -> dict:
+    """The checked keys of the config object `name`, defaults filled in."""
+    keys = {row[1] for row in rows}
+    for key in given:
+        if key not in keys:
+            raise ConfigError(f"{name}.{key}: unknown key")
+    out = {}
+    for _, key, kind, bound, default in rows:
+        val = given.get(key, default)
+        if val is _REQUIRED:
+            raise ConfigError(f"{name}.{key}: missing")
+        if val is not _ABSENT:
+            _check(name, key, kind, bound, default, val)
+            out[key] = val
+    return out
+
+
+def _frequency_range(exp: dict, lo_default=None, hi_default=None):
+    """The swept (lower, upper) frequencies, each given or else its default;
+    raises naming the given end when both are known and not increasing."""
+    lo_key, hi_key = _RANGES[exp["type"]]
+    lo = exp[lo_key] if exp[lo_key] is not None else lo_default
+    hi = exp[hi_key] if exp[hi_key] is not None else hi_default
+    if lo is not None and hi is not None and not lo < hi:
+        key = hi_key if exp[hi_key] is not None else lo_key
+        raise ConfigError(
+            f"experiment.{key}: {lo_key} must be below {hi_key}, got {lo!r} and {hi!r}")
+    return lo, hi
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config (strict keys, defaults applied)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an int beyond the digit limit
+        raise ConfigError(f"config: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _require_keys(data, "config", ("geometry", "material", "experiment"), ("numerics",))
-
-    geo = dict(data["geometry"])
-    _require_keys(geo, "geometry", ("n", "first_radius", "s", "gap_ratio", "source_x"))
-    _check(isinstance(geo["n"], int) and geo["n"] >= 1,
-           f"geometry.n: must be an integer >= 1, got {geo['n']!r}")
-    _number(geo, "geometry", "first_radius", lo=0.0)
-    _number(geo, "geometry", "s", lo=0.0)
-    _number(geo, "geometry", "gap_ratio", lo=0.0)
-    _number(geo, "geometry", "source_x", hi=0.0)
-
-    mat = dict(data["material"])
-    _require_keys(mat, "material", ("v", "v_b", "delta", "beta"), ("tau",))
-    _number(mat, "material", "v", lo=0.0)
-    _number(mat, "material", "v_b", lo=0.0)
-    _check(isinstance(mat["delta"], (int, float)) and mat["delta"] > 0,
-           "material.delta: delta must be positive")
-    _number(mat, "material", "beta")
-    if "tau" in mat and mat["tau"] is not None:
-        tau = _number(mat, "material", "tau", lo=0.0)
-        _check(abs(tau - mat["v_b"] / mat["v"]) <= 1e-12 * abs(tau),
-               f"material.tau: {tau} inconsistent with v_b/v = {mat['v_b'] / mat['v']}")
-
-    num = dict(_NUMERICS_DEFAULTS)
-    given = dict(data.get("numerics", {}))
-    _require_keys(given, "numerics", (), tuple(_NUMERICS_DEFAULTS))
-    num.update(given)
-    _check(isinstance(num["multipole_order"], int) and num["multipole_order"] >= 1,
-           f"numerics.multipole_order: must be an integer >= 1, got {num['multipole_order']!r}")
-    for key in ("resonance_tolerance", "drift_tolerance", "quad_inflate", "panel_size",
-                "collision_floor"):
-        _number(num, "numerics", key, lo=0.0)
-    for key in ("ext_order", "ring_radial", "ring_angular", "disk_radial", "disk_angular"):
-        _check(isinstance(num[key], int) and num[key] >= 2,
-               f"numerics.{key}: must be an integer >= 2, got {num[key]!r}")
-    if num["omega_max"] is not None:
-        _number(num, "numerics", "omega_max", lo=0.0)
-
-    exp_raw = dict(data["experiment"])
-    _check("type" in exp_raw, "experiment.type: missing")
-    etype = exp_raw["type"]
-    _check(etype in _EXPERIMENT_TYPES,
-           f"experiment.type: must be one of {_EXPERIMENT_TYPES}, got {etype!r}")
-    exp = dict(_EXPERIMENT_DEFAULTS[etype])
-    _require_keys(exp_raw, f"experiment({etype})", ("type",), tuple(exp))
-    exp.update({k: v for k, v in exp_raw.items() if k != "type"})
-    exp["type"] = etype
-    _validate_experiment(exp)
-
+        raise ConfigError(f"config: must be a JSON object, got {type(data).__name__}")
+    for name in data:
+        if name not in _BLOCKS:
+            raise ConfigError(f"config.{name}: unknown key")
+    blocks = {name: data.get(name, {}) for name in _BLOCKS}  # numerics may be left out
+    for name, block in blocks.items():
+        if not isinstance(block, dict):
+            raise ConfigError(f"{name}: must be a JSON object, got {block!r}")
+    geo, mat, num = (_parse_fields(name, blocks[name], _rows(name)) for name in _BLOCKS[:3])
+    tau = mat.get("tau")
+    if tau is not None and abs(tau - mat["v_b"] / mat["v"]) > 1e-12 * abs(tau):
+        raise ConfigError(
+            f"material.tau: {float(tau)} inconsistent with v_b/v = {mat['v_b'] / mat['v']}")
+    # the type picks the experiment's rows, so it is checked on its own first
+    given = blocks["experiment"]
+    etype = _parse_fields("experiment", {k: v for k, v in given.items() if k == "type"},
+                          _rows("experiment"))["type"]
+    exp = _parse_fields("experiment", given, _rows("experiment") + _rows(etype))
+    if etype in _RANGES:
+        _frequency_range(exp)  # checked here when both ends are given
     return ExperimentConfig(geometry=geo, material=mat, numerics=num, experiment=exp, raw=data)
-
-
-def _validate_experiment(exp: dict) -> None:
-    etype = exp["type"]
-    name = f"experiment({etype})"
-    if etype == "sweep":
-        _check(isinstance(exp["mode_ref"], int) and exp["mode_ref"] >= 1,
-               f"{name}.mode_ref: must be an integer >= 1")
-        _number(exp, name, "omega_min", lo=0.0, allow_none=True)
-        _number(exp, name, "omega_max", lo=0.0, allow_none=True)
-        _check(isinstance(exp["num_points"], int) and exp["num_points"] >= 2,
-               f"{name}.num_points: must be an integer >= 2")
-        _check(isinstance(exp["F_values"], list) and exp["F_values"]
-               and all(isinstance(f, (int, float)) and f > 0 for f in exp["F_values"]),
-               f"{name}.F_values: must be a nonempty list of positive numbers")
-    elif etype == "phase":
-        _number(exp, name, "omega_min", lo=0.0, allow_none=True)
-        _number(exp, name, "omega_max", lo=0.0, allow_none=True)
-        _check(isinstance(exp["num_points"], int) and exp["num_points"] >= 8,
-               f"{name}.num_points: must be an integer >= 8")
-        _number(exp, name, "F", lo=0.0)
-        _check(exp["phase_reference"] in ("velocity", "pressure"),
-               f"{name}.phase_reference: must be 'velocity' or 'pressure'")
-        pts = exp["observation_points"]
-        if pts is not None:
-            _check(isinstance(pts, list) and pts
-                   and all(isinstance(p, list) and len(p) == 2 for p in pts),
-                   f"{name}.observation_points: must be a list of [x1, x2] pairs")
-    elif etype == "twotone":
-        _number(exp, name, "Omega1", lo=0.0, allow_none=True)
-        _check(isinstance(exp["Omega1_mode"], int) and exp["Omega1_mode"] >= 1,
-               f"{name}.Omega1_mode: must be an integer >= 1")
-        _number(exp, name, "omega2_min", lo=0.0, allow_none=True)
-        _number(exp, name, "omega2_max", lo=0.0, allow_none=True)
-        _check(isinstance(exp["num_points"], int) and exp["num_points"] >= 2,
-               f"{name}.num_points: must be an integer >= 2")
-        _number(exp, name, "F1", lo=0.0)
-        _check(isinstance(exp["F2"], (int, float)) and exp["F2"] >= 0,
-               f"{name}.F2: must be a nonnegative number, got {exp['F2']!r}")
-        if exp["mode_index"] is not None:
-            _check(isinstance(exp["mode_index"], int) and exp["mode_index"] >= 1,
-                   f"{name}.mode_index: must be an integer >= 1")
-    elif etype == "oracle":
-        _number(exp, name, "mu")
-        _number(exp, name, "omega0")
-        _number(exp, name, "Omega")
-        _check(isinstance(exp["F_values"], list)
-               and all(isinstance(f, (int, float)) and f >= 0 for f in exp["F_values"]),
-               f"{name}.F_values: must be a list of nonnegative numbers")
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +421,9 @@ def run_experiment(
     if etype == "sweep":
         mode_ref = exp["mode_ref"]
         if mode_ref > system.n:
-            raise ConfigError(f"experiment(sweep).mode_ref: only {system.n} modes available")
+            raise ConfigError(f"experiment.mode_ref: only {system.n} modes available")
         center = system.omegas[mode_ref - 1].real
-        lo = exp["omega_min"] if exp["omega_min"] is not None else 0.75 * center
-        hi = exp["omega_max"] if exp["omega_max"] is not None else 1.35 * center
+        lo, hi = _frequency_range(exp, 0.75 * center, 1.35 * center)
         grid = np.linspace(lo, hi, exp["num_points"])
         rows = []
         flagged = []
@@ -465,8 +454,8 @@ def run_experiment(
                                     **_sweep_stats(sweeps)}
 
     elif etype == "phase":
-        lo = exp["omega_min"] if exp["omega_min"] is not None else 0.25 * system.omegas[0].real
-        hi = exp["omega_max"] if exp["omega_max"] is not None else 1.25 * system.omegas[-1].real
+        lo, hi = _frequency_range(exp, 0.25 * system.omegas[0].real,
+                                  1.25 * system.omegas[-1].real)
         grid = refined_frequency_grid(system, lo, hi, exp["num_points"])
         if exp["observation_points"] is not None:
             obs = np.asarray(exp["observation_points"], dtype=float)
@@ -498,17 +487,14 @@ def run_experiment(
     elif etype == "twotone":
         mode_1b = exp["mode_index"] if exp["mode_index"] is not None else exp["Omega1_mode"]
         if mode_1b > system.n:
-            raise ConfigError(f"experiment(twotone).mode_index: only {system.n} modes available")
+            raise ConfigError(f"experiment.mode_index: only {system.n} modes available")
         if exp["Omega1"] is not None:
             Omega1 = exp["Omega1"]
         else:
             if exp["Omega1_mode"] > system.n:
-                raise ConfigError(
-                    f"experiment(twotone).Omega1_mode: only {system.n} modes available"
-                )
+                raise ConfigError(f"experiment.Omega1_mode: only {system.n} modes available")
             Omega1 = abs(system.omegas[exp["Omega1_mode"] - 1])
-        lo = exp["omega2_min"] if exp["omega2_min"] is not None else 0.9 * Omega1
-        hi = exp["omega2_max"] if exp["omega2_max"] is not None else 1.1 * Omega1
+        lo, hi = _frequency_range(exp, 0.9 * Omega1, 1.1 * Omega1)
         grid_all = np.linspace(lo, hi, exp["num_points"])
         floor = config.numerics["collision_floor"]
         keep = np.abs(grid_all - Omega1) > floor * abs(Omega1)
@@ -539,9 +525,6 @@ def run_experiment(
             **_sweep_stats([sweep]),
         }
 
-    elif etype != "resonances":
-        raise ConfigError(f"unhandled experiment type {etype!r}")
-
     manifest["wall_times_s"]["experiment"] = time.time() - t0
     manifest["wall_times_s"]["total"] = time.time() - t_start
     (out / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -557,7 +540,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Subwavelength resonator arrays with coupled Hopf dynamics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("resonances", "sweep", "phase", "twotone", "oracle", "validate"):
+    (types,) = (bound for _, key, _, bound, _ in _FIELDS if key == "type")
+    for name in (*types, "validate"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         if name != "validate":
@@ -571,7 +555,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = parse_config(Path(args.config).read_text())
-    except (OSError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.command == "validate":
