@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylinder import (
+    HankelPanels,
     bessel_j_orders,
     bessel_j_prime_orders,
     hankel1,
@@ -135,10 +136,6 @@ class BoundarySystem:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def sigma_min(self) -> float:
-        """Smallest singular value of the system matrix."""
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
-
 
 def fundamental_solution(k: complex, x) -> complex:
     """Outgoing 2D kernel -(i/4) H_0^(1)(k |x|)."""
@@ -150,20 +147,24 @@ def fundamental_solution(k: complex, x) -> complex:
     return -0.25j * hankel1(0, k * r)
 
 
-def _layer_blocks(array: ResonatorArray, k: complex, M: int):
-    """Trace and one-sided normal-derivative matrices of the k-layer.
+def _layer_blocks(array: ResonatorArray, k: np.ndarray, M: int):
+    """Trace and one-sided normal-derivative matrices of the k-layer at each
+    of W wavenumbers k.
 
-    Returns (trace, dtr_out, dtr_in), each K x K with K = N(2M+1): the
+    Returns (trace, dtr_out, dtr_in), each W x K x K with K = N(2M+1): the
     boundary values and exterior/interior-side radial derivatives on every
     circle of the single layer carried by every circle, in (circle, order)
-    block layout. Only the self blocks differ between the two sides.
+    block layout. Only the self blocks differ between the two sides. Every
+    entry is an elementwise function of its own k, so a stack holds the same
+    bits as its one-k slices.
     """
     n_res = array.n
     width = 2 * M + 1
     orders = np.arange(-M, M + 1)
     radii = array.radii
+    k = k[:, None, None]
     z = k * radii[:, None]
-    J = bessel_j_orders(orders, z)  # (N, 2M+1)
+    J = bessel_j_orders(orders, z)  # (W, N, 2M+1)
     Jp = bessel_j_prime_orders(orders, z)
     H = hankel1_orders(orders, z)
     Hp = hankel1_prime_orders(orders, z)
@@ -184,53 +185,62 @@ def _layer_blocks(array: ResonatorArray, k: complex, M: int):
     wide = np.arange(-2 * M, 2 * M + 1)
     upper = np.triu_indices(n_res, 1)
     h_pair = hankel1_orders(wide, k * b[upper][:, None])  # b_ij = b_ji
-    h_wide = np.zeros((n_res, n_res, wide.size), dtype=complex)
-    h_wide[upper] = h_pair
-    h_wide[upper[::-1]] = h_pair
+    h_wide = np.zeros((len(k), n_res, n_res, wide.size), dtype=complex)
+    h_wide[:, upper[0], upper[1]] = h_pair
+    h_wide[:, upper[1], upper[0]] = h_pair
     h_wide *= np.exp(1j * wide * np.arctan2(delta[..., 1], delta[..., 0])[..., None])
     diff = orders[None, :] - orders[:, None]  # m - n
-    G = np.moveaxis(h_wide[:, :, diff + 2 * M], 1, 2)  # (j, n, i, m)
-    block = G * strength[None, None, :, :]
+    G = np.moveaxis(h_wide[..., diff + 2 * M], 2, 3)  # (W, j, n, i, m)
+    block = G * strength[:, None, None, :, :]
 
-    trace = J[:, :, None, None] * block
-    dtr_out = k * Jp[:, :, None, None] * block
+    trace = J[..., None, None] * block
+    dtr_out = k[..., None, None] * Jp[..., None, None] * block
     dtr_in = dtr_out.copy()
     own, order = np.arange(n_res)[:, None], np.arange(width)[None, :]
     self_layer = -0.5j * np.pi * radii[:, None]
-    trace[own, order, own, order] = self_layer * J * H
-    dtr_out[own, order, own, order] = self_layer * k * J * Hp
-    dtr_in[own, order, own, order] = self_layer * k * H * Jp
+    trace[:, own, order, own, order] = self_layer * J * H
+    dtr_out[:, own, order, own, order] = self_layer * k * J * Hp
+    dtr_in[:, own, order, own, order] = self_layer * k * H * Jp
     K = n_res * width
-    return trace.reshape(K, K), dtr_out.reshape(K, K), dtr_in.reshape(K, K)
+    shape = (len(k), K, K)
+    return trace.reshape(shape), dtr_out.reshape(shape), dtr_in.reshape(shape)
+
+
+def assemble_boundary_matrices(array: ResonatorArray, params: WaveParams, omegas, M: int) -> np.ndarray:
+    """(W, 2K, 2K) transmission matrices at W frequencies, K = N(2M+1).
+
+    Row blocks enforce continuity of the field and the delta-weighted
+    normal-derivative jump on each circle; column blocks are the exterior
+    and interior density coefficients. Each matrix has the same bits as
+    when its frequency is assembled alone.
+    """
+    omegas = np.asarray(omegas, dtype=complex).ravel()
+    if not omegas.all():
+        raise ValueError("omega must be nonzero")
+    if M < 1:
+        raise ValueError(f"truncation order M must be >= 1, got {M}")
+    k, kb = params.wavenumbers(omegas)
+    ext_tr, ext_dtr, int_dtr = _layer_blocks(array, k, M)
+    int_tr = ext_tr
+    if not np.array_equal(kb, k):  # v = v_b makes the two layers one
+        int_tr, _, int_dtr = _layer_blocks(array, kb, M)
+    K = ext_tr.shape[-1]
+    matrix = np.empty((len(omegas), 2 * K, 2 * K), dtype=complex)
+    np.copyto(matrix[:, :K, :K], ext_tr)
+    np.negative(int_tr, out=matrix[:, :K, K:])
+    np.multiply(params.delta, ext_dtr, out=matrix[:, K:, :K])
+    np.negative(int_dtr, out=matrix[:, K:, K:])
+    return matrix
 
 
 def assemble_boundary_system(
     array: ResonatorArray, params: WaveParams, omega: complex, M: int
 ) -> BoundarySystem:
-    """Assemble the 2N(2M+1) transmission system at frequency omega.
-
-    Row blocks enforce continuity of the field and the delta-weighted
-    normal-derivative jump on each circle; column blocks are the exterior
-    and interior density coefficients.
-    """
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    if M < 1:
-        raise ValueError(f"truncation order M must be >= 1, got {M}")
-    k, kb = params.wavenumbers(omega)
-    ext_tr, ext_dtr, int_dtr = _layer_blocks(array, k, M)
-    int_tr = ext_tr
-    if kb != k:  # v = v_b makes the two layers one
-        int_tr, _, int_dtr = _layer_blocks(array, kb, M)
-    K = len(ext_tr)
-    matrix = np.empty((2 * K, 2 * K), dtype=complex)
-    np.copyto(matrix[:K, :K], ext_tr)
-    np.negative(int_tr, out=matrix[:K, K:])
-    np.multiply(params.delta, ext_dtr, out=matrix[K:, :K])
-    np.negative(int_dtr, out=matrix[K:, K:])
+    """The transmission system at one frequency: the one-omega case of
+    assemble_boundary_matrices."""
     return BoundarySystem(
         omega=complex(omega),
-        matrix=matrix,
+        matrix=assemble_boundary_matrices(array, params, [omega], M)[0],
         truncation=M,
         n_resonators=array.n,
     )
@@ -282,12 +292,14 @@ def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: 
     circle the interior densities of all circles radiate at omega/v_b (the
     host circle through its regular expansion, the others through their
     outgoing expansions). Per circle, distances, angles and e^{im theta}
-    serve all fields. The nodes of each region are sorted by distance to the
-    circle and chunked; each chunk's Hankel/Bessel table runs over (field x
-    distinct distance), since mirror-symmetric node sets repeat distances
-    exactly, and is contracted with the densities order by order. Every
-    point sums the circles in order, so its value does not depend on the
-    other points. Points within 1e-12 of a boundary need the side selector.
+    serve all fields, and the nodes of each region are chunked. The outgoing
+    tables take H_0 and H_1 from one cylinder.HankelPanels per circle and
+    wavenumber set (within 1e-12 relative of AMOS, about 3e-14 in the
+    subwavelength band); the host circle's J table is AMOS at every node.
+    Each chunk's table is contracted with the densities order by order.
+    Every point sums the circles in order, so its value does not depend on
+    the other points. Points within 1e-12 of a boundary need the side
+    selector.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
@@ -306,28 +318,32 @@ def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: 
     int_out = phi * (strength * bessel_j_orders(orders, kb[:, :, None] * radii))
     int_reg = phi * (strength * hankel1_orders(orders, kb[:, :, None] * radii))
 
+    def regular(nmax, r):  # the host circle's J table: AMOS at every node
+        return bessel_j_orders(np.arange(nmax + 1)[:, None, None], kb * r)
+
+    one_layer = np.array_equal(k, kb)  # v = v_b: both outgoing regions share panels
     values = np.zeros((len(psi), len(pts)), dtype=complex)
     step = max(1, _CHUNK // len(psi))
     region = np.empty(len(pts), dtype=int)
     for start in range(0, len(pts), step):
         region[start:start + step] = _classify_points(array, pts[start:start + step], side)
-    for i, center in enumerate(array.centers):
+    for i, (center, radius) in enumerate(zip(array.centers, array.radii)):
         diff = pts - center
         rho = np.hypot(diff[:, 0], diff[:, 1])
         turn = (diff[:, 0] + 1j * diff[:, 1]) / np.where(rho > 0, rho, 1.0)
-        for mask, kk, coeff, table in (
-            (region < 0, k, ext_out[:, i], hankel1_orders),
-            ((region >= 0) & (region != i), kb, int_out[:, i], hankel1_orders),
-            (region == i, kb, int_reg[:, i], bessel_j_orders),
+        ext_panels = HankelPanels(k, radius)
+        int_panels = ext_panels if one_layer else HankelPanels(kb, radius)
+        for mask, coeff, table in (
+            (region < 0, ext_out[:, i], ext_panels.orders),
+            ((region >= 0) & (region != i), int_out[:, i], int_panels.orders),
+            (region == i, int_reg[:, i], regular),
         ):
             if not coeff.any():
                 continue
             nodes = np.flatnonzero(mask)
-            nodes = nodes[np.argsort(rho[nodes], kind="stable")]
             for start in range(0, nodes.size, step):
                 idx = nodes[start:start + step]
-                dists, inverse = np.unique(rho[idx], return_inverse=True)
-                tab = table(np.arange(M + 1)[:, None, None], kk * dists)[:, :, inverse]  # (M+1, F, P)
+                tab = table(M, rho[idx])  # (M+1, F, P)
                 acc = coeff[:, M, None] * tab[0]
                 e_theta = turn[idx]
                 power = np.ones_like(e_theta)

@@ -17,6 +17,14 @@ and pointwise, for |n| <= 30: J and J' are identical; H and H' agree within
 |Im z| <= 0.05 |z|) and within 5e-10 over the supported range
 (1e-4 <= |z| <= 50, |Im z| <= 5), where the recurrence loses most at
 Im z < -1 and n near 30.
+
+HankelPanels tabulates H_0(k r) and H_1(k r) for a few wavenumbers k at many
+real distances r >= a by Chebyshev interpolation in log r on panels fixed by
+a and k (L. N. Trefethen, Approximation Theory and Approximation Practice,
+SIAM 2013), so AMOS runs at the panels' Chebyshev points only. Against
+scalar AMOS it agrees within 1e-12 relative for r from a (1 - 1e-12) up,
+and within about 3e-14 where |k| r <= 40; the higher orders follow by the
+same recurrence.
 """
 
 from __future__ import annotations
@@ -76,12 +84,84 @@ def _j_table(nmax: int, z: np.ndarray) -> np.ndarray:
 
 def _h_table(nmax: int, z: np.ndarray) -> np.ndarray:
     """H_0..H_nmax over the shape of z: AMOS H_0 and H_1, then the forward
-    recurrence H_{n+1} = (2n/z) H_n - H_{n-1} (A&S 9.1.27), stable for H."""
+    recurrence."""
     from scipy import special as _sp
-    table = [_sp.hankel1(0, z), _sp.hankel1(1, z)]
+    return _h_recurrence(nmax, z, _sp.hankel1(0, z), _sp.hankel1(1, z))
+
+
+def _h_recurrence(nmax: int, z: np.ndarray, h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+    """H_0..H_nmax from H_0 and H_1 by the forward recurrence
+    H_{n+1} = (2n/z) H_n - H_{n-1} (A&S 9.1.27), stable for H."""
+    table = [h0, h1]
     for n in range(1, nmax):
         table.append((2 * n / z) * table[n] - table[n - 1])
     return np.asarray(table[: nmax + 1], dtype=complex)
+
+
+# Chebyshev panels of HankelPanels: the degree is _CHEB_POINTS - 1, and a
+# panel spans at most _PANEL_PHASE radians of |k| r (octaves are halved until
+# it does). Degree 15 at 2 rad reaches the rounding floor, about 3e-14;
+# degree 11, or 4 rad, does not reach 1e-12.
+_CHEB_POINTS = 16
+_PANEL_PHASE = 2.0
+_CHEB_ANGLES = np.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
+_CHEB_X = np.cos(_CHEB_ANGLES)
+# values at the points _CHEB_X -> Chebyshev coefficients (a DCT-II)
+_CHEB_DCT = (2.0 / _CHEB_POINTS) * np.cos(np.outer(np.arange(_CHEB_POINTS), _CHEB_ANGLES))
+_CHEB_DCT[0] *= 0.5
+
+
+class HankelPanels:
+    """H_0^(1)(k r) and H_1^(1)(k r) for F wavenumbers k at distances r >= a.
+
+    Octave j of u = log2(r / a) (u < 0 joins octave 0) is cut into 2^s equal
+    panels in u, with s the least for which max |k| times a bound of each
+    panel's extent in r is at most _PANEL_PHASE. On each panel both
+    functions are Chebyshev interpolants in u, whose coefficients come from
+    AMOS at the Chebyshev points on the panel's first use. A value depends
+    only on a, the wavenumbers and r: the degree axis is reduced by einsum,
+    which rounds each point alike whatever the other points are.
+    """
+
+    def __init__(self, k, radius: float):
+        self.k = np.asarray(k, dtype=complex).ravel()
+        self.radius = float(radius)
+        self._kmax = float(np.abs(self.k).max())
+        self._coefficients: dict[float, np.ndarray] = {}
+
+    def _panel(self, start: float, width: float) -> np.ndarray:
+        """(4F, degree + 1) real coefficients of the panel [start, start +
+        width] in u, rows ordered (H_0, H_1) x field x (real, imag)."""
+        coef = self._coefficients.get(start)
+        if coef is None:
+            from scipy import special as _sp
+            z = self.k[:, None] * (self.radius * 2.0 ** (start + 0.5 * width * (_CHEB_X + 1.0)))
+            values = np.stack([_sp.hankel1(0, z), _sp.hankel1(1, z)])  # (2, F, points)
+            coef = np.einsum("gfm,dm->gfd", values, _CHEB_DCT)
+            coef = np.ascontiguousarray(np.stack([coef.real, coef.imag], axis=2).reshape(-1, _CHEB_POINTS))
+            self._coefficients[start] = coef
+        return coef
+
+    def orders(self, nmax: int, r: np.ndarray) -> np.ndarray:
+        """(nmax + 1, F, P) table of H_0..H_nmax at k r over the distances r."""
+        u = np.log2(np.asarray(r, dtype=float) / self.radius)
+        octave = np.maximum(np.floor(u), 0.0)
+        # |k| times a 2^(j+1) ln 2 bounds |k| times the r-extent of any panel of width 1
+        phase = self._kmax * self.radius * np.log(2.0) * 2.0 ** (octave + 1)
+        width = 2.0 ** -np.maximum(np.ceil(np.log2(phase / _PANEL_PHASE)), 0.0)
+        start = octave + np.maximum(np.floor((u - octave) / width), 0.0) * width
+        x = 2.0 * (u - start) / width - 1.0
+        basis = np.empty((u.size, _CHEB_POINTS))  # T_d(x), one row per point
+        basis[:, 0], basis[:, 1] = 1.0, x
+        for d in range(2, _CHEB_POINTS):
+            basis[:, d] = 2.0 * x * basis[:, d - 1] - basis[:, d - 2]
+        h01 = np.empty((u.size, 2 * self.k.size), dtype=complex)
+        for panel in np.unique(start):
+            sel = np.flatnonzero(start == panel)
+            coef = self._panel(float(panel), float(width[sel[0]]))
+            h01[sel] = np.einsum("pd,fd->pf", basis[sel], coef).view(complex)
+        h0, h1 = h01.T.reshape(2, self.k.size, -1)
+        return _h_recurrence(nmax, self.k[:, None] * r, h0, h1)
 
 
 def _pick(orders: np.ndarray, table: np.ndarray, z_shape: tuple) -> np.ndarray:

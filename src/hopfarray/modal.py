@@ -100,12 +100,22 @@ def cubic_tensor(modes: list[Eigenmode], quad: QuadratureSpec) -> np.ndarray:
     return cubic_tensor_from_values(_mode_values(modes, pts), wts)
 
 
+# (N^2, nodes) entries per factor of the cubic tensor: about 16 MB each
+_TENSOR_ENTRIES = 2**20
+
+
 def cubic_tensor_from_values(U: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Tensor T[n,i,j,k] = sum_p w_p U_i U_j conj(U_k) conj(U_n)."""
+    """Tensor T[n,i,j,k] = sum_p w_p U_i U_j conj(U_k) conj(U_n), summed over
+    node chunks so its two (N^2, nodes) factors stay within _TENSOR_ENTRIES."""
     n = U.shape[0]
-    A = np.einsum("ip,jp->ijp", U, U).reshape(n * n, -1)
-    B = np.einsum("kp,np->knp", U.conj(), U.conj() * wts[None, :]).reshape(n * n, -1)
-    T = (A @ B.T).reshape(n, n, n, n)  # indices (i, j, k, n)
+    step = max(1, _TENSOR_ENTRIES // (n * n))
+    T = np.zeros((n * n, n * n), dtype=complex)
+    for start in range(0, U.shape[1], step):
+        u, w = U[:, start:start + step], wts[start:start + step]
+        A = np.einsum("ip,jp->ijp", u, u).reshape(n * n, -1)
+        B = np.einsum("kp,np->knp", u.conj(), u.conj() * w[None, :]).reshape(n * n, -1)
+        T += A @ B.T
+    T = T.reshape(n, n, n, n)  # indices (i, j, k, n)
     T = np.transpose(T, (3, 0, 1, 2))  # -> (n, i, j, k)
     return 0.5 * (T + T.transpose(0, 2, 1, 3))
 
@@ -341,7 +351,7 @@ def build_modal_system(
         U = _mode_values(modes, points)
     gram, source_vec = _gram_from_values(U[:, :-1], wts), U[:, -1].conj()
     interior = np.ascontiguousarray(U[:, -1 - len(rule[1]):-1])
-    del U  # freed before the cubic tensor, whose (N^2, P) factors set the peak memory
+    del U  # freed before the cubic tensor
     return ModalSystem(
         array=array,
         params=params,

@@ -11,13 +11,14 @@ pools stall each other when their calls alternate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boundary import (
     MultipoleDensity,
     WaveParams,
+    assemble_boundary_matrices,
     assemble_boundary_system,
     evaluate_field,
     sample_fields,
@@ -39,12 +40,16 @@ class DegenerateModeError(RuntimeError):
 @dataclass(frozen=True)
 class Resonance:
     """A located resonance: frequency, boundary-system residual, truncation,
-    and the relative drift of the frequency under M -> M+2 refinement."""
+    and the relative drift of the frequency under M -> M+2 refinement.
+    svd holds the singular values and the last right singular vector of the
+    boundary system when the search decomposed it (None otherwise), so the
+    eigenmode reuses that decomposition."""
 
     omega: complex
     residual: float
     truncation: int
     drift: float
+    svd: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -157,13 +162,14 @@ class _ResolventProbe:
         self.q = q / np.linalg.norm(q)
         self.w = w / np.linalg.norm(w)
 
-    def system(self, omega: complex):
-        self.calls += 1
-        return assemble_boundary_system(self.array, self.params, omega, self.M)
+    def matrices(self, omegas) -> np.ndarray:
+        """Boundary matrices at the given frequencies, as one stack."""
+        self.calls += len(omegas)
+        return assemble_boundary_matrices(self.array, self.params, omegas, self.M)
 
     def __call__(self, omega: complex) -> complex:
         try:
-            x = np.linalg.solve(self.system(omega).matrix, self.q)
+            x = np.linalg.solve(self.matrices([omega])[0], self.q)
         except np.linalg.LinAlgError:  # exactly singular: omega is a resonance
             return 0.0
         return 1.0 / np.vdot(self.w, x)
@@ -197,6 +203,7 @@ _NODES = (16, 128)  # Gauss-Legendre nodes per edge: fewest and most
 _MAX_CONTOURS = 16  # sub-contours per search, so a search ends in bounded time
 _RANK_TOL = 1e-10  # singular-value cut of moment 0, relative to its bound
 _BEYN_RESIDUAL = 1e-6  # largest |A(z) v| / (|A(z)|_F |v|) of a Beyn pair
+_STACK_ENTRIES = 2**17  # contour nodes x matrix entries assembled at a time: about 2 MB
 
 
 def _inside(box, z: complex) -> bool:
@@ -207,10 +214,12 @@ def _describe(box) -> str:
     return "sub-contour Re [{:.6g}, {:.6g}] x Im [{:.6g}, {:.6g}]".format(*box)
 
 
-def _beyn(system, box, n: int, V: np.ndarray):
+def _beyn(matrices, box, n: int, V: np.ndarray):
     """Winding number of det A around box (n Gauss-Legendre nodes per edge),
     its largest step, the Beyn rank, and the eigenvalues inside box and of
-    those the ones whose eigenpairs pass the residual test."""
+    those the ones whose eigenpairs pass the residual test. The node matrices
+    are assembled _STACK_ENTRIES at a time, each stack when its first node
+    is reached."""
     corners = np.array([complex(box[i], box[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))])
     sides = np.roll(corners, -1) - corners
     x, w = np.polynomial.legendre.leggauss(n)
@@ -218,8 +227,11 @@ def _beyn(system, box, n: int, V: np.ndarray):
     weights = np.outer(sides, 0.5 * w).ravel() / (2j * np.pi)
     moments = np.zeros((2, *V.shape), dtype=complex)  # of omega^p A^{-1} V, p = 0, 1
     bound, phase = 0.0, np.empty(len(nodes), dtype=complex)
+    size = max(1, _STACK_ENTRIES // len(V) ** 2)
     for j, (z, wz) in enumerate(zip(nodes, weights)):
-        A = system(z).matrix
+        if j % size == 0:
+            stack = matrices(nodes[j:j + size])
+        A = stack[j % size]
         try:
             X = np.linalg.solve(A, V)
         except np.linalg.LinAlgError:
@@ -232,10 +244,11 @@ def _beyn(system, box, n: int, V: np.ndarray):
     U, s, Wh = np.linalg.svd(moments[0], full_matrices=False)
     r = int(np.count_nonzero(s > _RANK_TOL * bound))
     eigs, Y = np.linalg.eig(U[:, :r].conj().T @ moments[1] @ Wh[:r].conj().T / s[:r])
-    inner = [(z, v, system(z).matrix) for z, v in zip(eigs, (U[:, :r] @ Y).T) if _inside(box, z)]
+    inner = [(z, v) for z, v in zip(eigs, (U[:, :r] @ Y).T) if _inside(box, z)]
+    stack = matrices([z for z, _ in inner]) if inner else []
     norm = np.linalg.norm
-    passed = [z for z, v, A in inner if norm(A @ v) <= _BEYN_RESIDUAL * norm(A) * norm(v)]
-    return round(steps.sum() / (2 * np.pi)), np.abs(steps).max(), r, [z for z, *_ in inner], passed
+    passed = [z for (z, v), A in zip(inner, stack) if norm(A @ v) <= _BEYN_RESIDUAL * norm(A) * norm(v)]
+    return round(steps.sum() / (2 * np.pi)), np.abs(steps).max(), r, [z for z, _ in inner], passed
 
 
 def _split(box, points):
@@ -284,21 +297,23 @@ def find_resonances(
     pending, contours, found = [(window["re"] + window["im"], n)], [], Resonances()
     while pending:
         box, n = pending.pop()
-        winding, step, rank, inner, passed = _beyn(probe.system, box, n, V)
+        winding, step, rank, inner, passed = _beyn(probe.matrices, box, n, V)
         resolved = step <= 0.5 * np.pi
-        roots: dict[complex, float] = {}  # polished, inside, distinct -> sigma_min
+        roots: dict[complex, tuple] = {}  # polished, inside, distinct -> (s, last row of V^H)
         for z in passed if resolved and len(passed) == winding else []:
             z = _muller(probe, z)
             if _inside(box, z) and all(abs(z - r) > 1e-8 * abs(r) for r in roots):
-                roots[z] = probe.system(z).sigma_min()
-        if resolved and winding == len(roots) and all(v <= tolerance for v in roots.values()):
-            for z, sigma in roots.items():  # stability under truncation refinement
+                _, s, vh = np.linalg.svd(probe.matrices([z])[0])
+                roots[z] = s, vh[-1].copy()  # not a view that keeps all of V^H
+        if resolved and winding == len(roots) and all(s[-1] <= tolerance for s, _ in roots.values()):
+            for z, svd in roots.items():  # stability under truncation refinement
                 z_hi = _muller(probe_hi, z)
                 drift = abs(z_hi - z) / abs(z)
                 if drift > drift_tol:
                     raise ResonanceSearchError(f"resonance {z:.6g} drifts by {drift:.3g} "
                                                f"relative under M={M} -> {M + 2} refinement")
-                found.append(Resonance(omega=z, residual=sigma, truncation=M, drift=drift))
+                found.append(Resonance(omega=z, residual=float(svd[0][-1]), truncation=M, drift=drift,
+                                       svd=svd))
             contours.append({"box": [float(v) for v in box], "nodes": 4 * n, "winding": winding,
                              "accepted": winding, "rank": rank})
         elif n < _NODES[1]:
@@ -323,16 +338,21 @@ def find_resonances(
 
 def _null_density(array: ResonatorArray, params: WaveParams, resonance: Resonance):
     """Raw unit null density at a resonance (the right singular vector of the
-    boundary system's smallest singular value) and the gap s[-2]/s[-1].
-    Raises DegenerateModeError when the two are not clearly separated."""
-    system = assemble_boundary_system(array, params, resonance.omega, resonance.truncation)
-    _, s, vh = np.linalg.svd(system.matrix)
+    boundary system's smallest singular value) and the gap s[-2]/s[-1], from
+    the search's decomposition when it made one. Raises DegenerateModeError
+    when the two are not clearly separated."""
+    if resonance.svd is None:
+        system = assemble_boundary_system(array, params, resonance.omega, resonance.truncation)
+        _, s, vh = np.linalg.svd(system.matrix)
+        null = vh[-1]
+    else:
+        s, null = resonance.svd
     if s[-2] <= 1e4 * s[-1]:
         raise DegenerateModeError(
             f"smallest singular values {s[-1]:.3g}, {s[-2]:.3g} are not separated; "
             "resolve the degeneracy with a symmetry-restricted subsystem"
         )
-    raw = MultipoleDensity.from_vector(vh[-1].conj(), array.n, resonance.truncation)
+    raw = MultipoleDensity.from_vector(null.conj(), array.n, resonance.truncation)
     return raw, float(s[-2] / s[-1])
 
 

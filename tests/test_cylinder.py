@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfarray.boundary import WaveParams
 from hopfarray.cylinder import (
+    HankelPanels,
     bessel_j,
     bessel_j_orders,
     bessel_j_prime_orders,
@@ -11,6 +13,9 @@ from hopfarray.cylinder import (
     hankel1_orders,
     hankel1_prime_orders,
 )
+from hopfarray.geometry import build_graded_array
+from hopfarray.quadrature import default_spec
+from hopfarray.spectral import _default_search, single_disk_resonance, subwavelength_cutoff
 from oracles import bessel_j_series, bessel_y0_series, hankel1_0_series
 
 # values frozen from the series oracles (verified below)
@@ -171,3 +176,29 @@ def test_orders_match_scalars_in_program_band(points):
 @settings(max_examples=60, deadline=None)
 def test_orders_match_scalars_on_supported_range(points):
     assert _orders_error([complex(*p) for p in points]) <= 5e-10
+
+
+@pytest.mark.parametrize("n", [1, 6, 22])
+def test_hankel_panels_match_amos(n):
+    # k over the search window up to the subwavelength cutoff, r from just
+    # inside each circle to the far corners of the quadrature box and the
+    # source, against AMOS point by point
+    from scipy import special
+
+    array = build_graded_array(n, 1.0, 1.05, 0.5, -5.0)
+    params = WaveParams(v=1.0, v_b=1.0, delta=1e-3)
+    seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
+    window = _default_search(seeds, subwavelength_cutoff(array, params))
+    re, im = np.meshgrid(np.linspace(*window["re"], 4), np.linspace(*window["im"], 3))
+    k = (re + 1j * im).ravel() / params.v
+    x0, x1, y0, y1 = default_spec(array).box
+    far = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1], array.source])
+    rng = np.random.default_rng(n)
+    for center, radius in zip(array.centers, array.radii):
+        r_max = np.hypot(*(far - center).T).max()
+        r = np.concatenate([radius * np.array([1 - 1e-12, 1.0]), [r_max],
+                            np.exp(rng.uniform(np.log(radius), np.log(r_max), 300))])
+        table = HankelPanels(k, radius).orders(1, r)
+        for order in (0, 1):
+            want = special.hankel1(order, k[:, None] * r)
+            assert np.max(np.abs(table[order] - want) / np.abs(want)) <= 1e-12
