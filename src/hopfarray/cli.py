@@ -220,6 +220,19 @@ def _frequency_range(exp: dict, lo_default=None, hi_default=None):
     return lo, hi
 
 
+def _mode_keys(exp: dict) -> tuple:
+    """The experiment keys whose values pick a mode: mode_ref centers the
+    sweep; mode_index picks the two-tone lines, else Omega1_mode does, which
+    also gives Omega1 when that is null."""
+    if exp["type"] == "sweep":
+        return ("mode_ref",)
+    if exp["type"] != "twotone":
+        return ()
+    if exp["mode_index"] is None:
+        return ("Omega1_mode",)
+    return ("mode_index",) if exp["Omega1"] is not None else ("mode_index", "Omega1_mode")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config (strict keys, defaults applied)."""
     try:
@@ -247,6 +260,11 @@ def parse_config(text: str) -> ExperimentConfig:
     exp = _parse_fields("experiment", given, _rows("experiment") + _rows(etype))
     if etype in _RANGES:
         _frequency_range(exp)  # checked here when both ends are given
+    for key in _mode_keys(exp):  # the search returns exactly geometry.n modes
+        if exp[key] > geo["n"]:
+            given_as = "" if key in given else "the default "
+            raise ConfigError(f"experiment.{key}: {key} must be at most geometry.n = {geo['n']},"
+                              f" got {given_as}{exp[key]!r}")
     return ExperimentConfig(geometry=geo, material=mat, numerics=num, experiment=exp, raw=data)
 
 
@@ -419,10 +437,7 @@ def run_experiment(
     t0 = time.time()
 
     if etype == "sweep":
-        mode_ref = exp["mode_ref"]
-        if mode_ref > system.n:
-            raise ConfigError(f"experiment.mode_ref: only {system.n} modes available")
-        center = system.omegas[mode_ref - 1].real
+        center = system.omegas[exp["mode_ref"] - 1].real
         lo, hi = _frequency_range(exp, 0.75 * center, 1.35 * center)
         grid = np.linspace(lo, hi, exp["num_points"])
         rows = []
@@ -486,13 +501,9 @@ def run_experiment(
 
     elif etype == "twotone":
         mode_1b = exp["mode_index"] if exp["mode_index"] is not None else exp["Omega1_mode"]
-        if mode_1b > system.n:
-            raise ConfigError(f"experiment.mode_index: only {system.n} modes available")
         if exp["Omega1"] is not None:
             Omega1 = exp["Omega1"]
         else:
-            if exp["Omega1_mode"] > system.n:
-                raise ConfigError(f"experiment.Omega1_mode: only {system.n} modes available")
             Omega1 = abs(system.omegas[exp["Omega1_mode"] - 1])
         lo, hi = _frequency_range(exp, 0.9 * Omega1, 1.1 * Omega1)
         grid_all = np.linspace(lo, hi, exp["num_points"])

@@ -28,12 +28,6 @@ class Resonator:
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "radius", float(self.radius))
 
-    def contains(self, point, tol: float = 0.0) -> bool:
-        """True if point lies inside the circle (within tol of the radius)."""
-        dx = point[0] - self.center[0]
-        dy = point[1] - self.center[1]
-        return float(np.hypot(dx, dy)) < self.radius + tol
-
 
 @dataclass(frozen=True)
 class ResonatorArray:

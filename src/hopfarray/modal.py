@@ -17,9 +17,10 @@ and quadrature work.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .spectral import extract_eigenmode  # noqa: F401  kept for perfbench/tracin
 
 
 # Layout of the JSON cache; bump it whenever to_dict changes.
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 
 def _mode_values(modes: list[Eigenmode], points, side: str | None = None) -> np.ndarray:
@@ -124,40 +125,40 @@ def cubic_tensor_from_values(U: np.ndarray, wts: np.ndarray) -> np.ndarray:
 class ModalSystem:
     """Everything the projected amplitude equations need.
 
-    omegas are the N complex resonances, gram/gram_inverse the mode overlap
-    matrix over Q and its inverse, source_vec the point-mass pairings,
-    cubic_tensor the interior cubic products and interior_values the
-    (N, P) C-contiguous mode values at the interior quadrature nodes. The
-    modes themselves are kept so response fields can be evaluated at
+    gram is the mode overlap matrix over Q, source_vec the point-mass
+    pairings, cubic_tensor the interior cubic products and interior_values
+    the (N, P) C-contiguous mode values at the interior quadrature nodes.
+    The modes themselves are kept so response fields can be evaluated at
     arbitrary points; search is the resonance-search record of
-    find_resonances (None when the modes were given).
+    find_resonances (None when the modes were given). omegas (the N complex
+    resonances) and gram_inverse are derived from these on construction.
     """
 
     array: ResonatorArray
     params: WaveParams
     quad: QuadratureSpec
     modes: list[Eigenmode]
-    omegas: np.ndarray
     gram: np.ndarray
-    gram_inverse: np.ndarray
     source_vec: np.ndarray
     cubic_tensor: np.ndarray
     interior_values: np.ndarray = field(repr=False)
     search: dict | None = field(default=None, repr=False)
     _interior_rule: tuple | None = field(default=None, repr=False, compare=False)
+    omegas: np.ndarray = field(init=False)
+    gram_inverse: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.omegas = np.array([m.resonance.omega for m in self.modes])
+        self.gram_inverse = np.linalg.inv(self.gram)
 
     @property
     def n(self) -> int:
-        return len(self.omegas)
+        return len(self.modes)
 
     @property
     def source_gain(self) -> np.ndarray:
         """Vector g with g_m = sum_n [gram^{-1}]_{n,m} source_vec_n."""
         return self.gram_inverse.T @ self.source_vec
-
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the transposed Gram inverse (the modal deprojection)."""
-        return self.gram_inverse.T @ vec
 
     def mode_fields_at(self, points, side: str | None = None) -> np.ndarray:
         """(N, P) matrix of mode values at the given points."""
@@ -175,106 +176,58 @@ class ModalSystem:
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
+        modes = self.modes
         return {
             "version": CACHE_FORMAT,
-            "array": {
-                "resonators": [[r.center[0], r.center[1], r.radius] for r in self.array.resonators],
-                "source": list(self.array.source),
-                "grading_factor": self.array.grading_factor,
+            "inputs": _inputs(self.array, self.params, self.quad),
+            "resonances": {
+                "omega": _encode(self.omegas),
+                "residual": [m.resonance.residual for m in modes],
+                "truncation": [m.resonance.truncation for m in modes],
+                "drift": [m.resonance.drift for m in modes],
             },
-            "params": {
-                "v": self.params.v,
-                "v_b": self.params.v_b,
-                "delta": self.params.delta,
-                "tau": self.params.tau,
-            },
-            "quad": {
-                "box": list(self.quad.box),
-                "ext_order": self.quad.ext_order,
-                "panel_size": self.quad.panel_size,
-                "ring_radial": self.quad.ring_radial,
-                "ring_angular": self.quad.ring_angular,
-                "disk_radial": self.quad.disk_radial,
-                "disk_angular": self.quad.disk_angular,
-            },
-            "resonances": [
-                {
-                    "omega": [m.resonance.omega.real, m.resonance.omega.imag],
-                    "residual": m.resonance.residual,
-                    "truncation": m.resonance.truncation,
-                    "drift": m.resonance.drift,
-                }
-                for m in self.modes
-            ],
-            "sv_gaps": [m.sv_gap for m in self.modes],
-            "normalizations": [[m.normalization.real, m.normalization.imag] for m in self.modes],
-            "densities": [
-                {
-                    "psi": _complex_to_list(m.density.psi),
-                    "phi": _complex_to_list(m.density.phi),
-                }
-                for m in self.modes
-            ],
-            "gram": _complex_to_list(self.gram),
-            "gram_inverse": _complex_to_list(self.gram_inverse),
-            "source_vec": _complex_to_list(self.source_vec),
-            "cubic_tensor": _complex_to_list(self.cubic_tensor),
-            "interior_values": _complex_to_list(self.interior_values),
+            "sv_gaps": [m.sv_gap for m in modes],
+            "normalizations": _encode([m.normalization for m in modes]),
+            "psi": _encode([m.density.psi for m in modes]),
+            "phi": _encode([m.density.phi for m in modes]),
+            **{name: _encode(getattr(self, name)) for name in _ARRAYS},
             "search": self.search,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModalSystem":
+        if not isinstance(data, dict):
+            raise ValueError(f"modal cache entry must be an object, got {type(data).__name__}")
         if data.get("version") != CACHE_FORMAT:
             raise ValueError(f"unsupported modal cache version {data.get('version')}")
-        arr = ResonatorArray(
-            resonators=tuple(
-                Resonator(center=(c[0], c[1]), radius=c[2]) for c in data["array"]["resonators"]
-            ),
-            source=tuple(data["array"]["source"]),
-            grading_factor=data["array"]["grading_factor"],
+        inputs = data["inputs"]
+        array = ResonatorArray(
+            resonators=[Resonator(**r) for r in inputs["array"]["resonators"]],
+            source=inputs["array"]["source"],
+            grading_factor=inputs["array"]["grading_factor"],
         )
-        params = WaveParams(**data["params"])
-        quad = QuadratureSpec(box=tuple(data["quad"]["box"]), **{
-            k: data["quad"][k]
-            for k in ("ext_order", "panel_size", "ring_radial", "ring_angular", "disk_radial", "disk_angular")
-        })
-        modes = []
-        for res_d, gap, norm, dens in zip(
-            data["resonances"], data["sv_gaps"], data["normalizations"], data["densities"]
-        ):
-            resonance = Resonance(
-                omega=complex(*res_d["omega"]),
-                residual=res_d["residual"],
-                truncation=res_d["truncation"],
-                drift=res_d["drift"],
-            )
-            density = MultipoleDensity(
-                psi=_list_to_complex(dens["psi"]), phi=_list_to_complex(dens["phi"])
-            )
-            modes.append(
-                Eigenmode(
-                    resonance=resonance,
-                    density=density,
-                    normalization=complex(*norm),
-                    array=arr,
-                    params=params,
-                    sv_gap=gap,
-                )
-            )
-        return cls(
-            array=arr,
-            params=params,
-            quad=quad,
-            modes=modes,
-            omegas=np.array([m.resonance.omega for m in modes]),
-            gram=_list_to_complex(data["gram"]),
-            gram_inverse=_list_to_complex(data["gram_inverse"]),
-            source_vec=_list_to_complex(data["source_vec"]),
-            cubic_tensor=_list_to_complex(data["cubic_tensor"]),
-            interior_values=np.ascontiguousarray(_list_to_complex(data["interior_values"])),
-            search=data["search"],
+        params = WaveParams(**inputs["params"])
+        quad = QuadratureSpec(**{**inputs["quad"], "box": tuple(inputs["quad"]["box"])})
+        res = data["resonances"]
+        columns = zip(
+            _decode(res["omega"]), res["residual"], res["truncation"], res["drift"],
+            data["sv_gaps"], _decode(data["normalizations"]), _decode(data["psi"]),
+            _decode(data["phi"]), strict=True,
         )
+        modes = [
+            Eigenmode(
+                resonance=Resonance(omega=complex(omega), residual=residual,
+                                    truncation=truncation, drift=drift),
+                density=MultipoleDensity(psi=psi, phi=phi),
+                normalization=complex(norm),
+                array=array,
+                params=params,
+                sv_gap=gap,
+            )
+            for omega, residual, truncation, drift, gap, norm, psi, phi in columns
+        ]
+        return cls(array=array, params=params, quad=quad, modes=modes,
+                   **{name: _decode(data[name]) for name in _ARRAYS}, search=data["search"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -284,15 +237,26 @@ class ModalSystem:
         return cls.from_dict(json.loads(text))
 
 
-def _complex_to_list(a: np.ndarray):
-    a = np.asarray(a, dtype=complex)
-    return {"shape": list(a.shape), "re": a.real.ravel().tolist(), "im": a.imag.ravel().tolist()}
+# the stored arrays of a ModalSystem besides the modes
+_ARRAYS = ("gram", "source_vec", "cubic_tensor", "interior_values")
 
 
-def _list_to_complex(d) -> np.ndarray:
-    re = np.array(d["re"], dtype=float)
-    im = np.array(d["im"], dtype=float)
-    return (re + 1j * im).reshape(d["shape"])
+def _inputs(array: ResonatorArray, params: WaveParams, quad: QuadratureSpec) -> dict:
+    """Geometry, material and quadrature of a build, as JSON values: the
+    cache entry's inputs block and the heart of its key."""
+    return {"array": asdict(array), "params": asdict(params), "quad": asdict(quad)}
+
+
+def _encode(a) -> dict:
+    """A complex array, exactly: its shape and its little-endian complex128 bytes in base64."""
+    a = np.asarray(a, dtype="<c16")
+    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode(d) -> np.ndarray:
+    """Inverse of _encode: a writable C-contiguous complex array."""
+    raw = bytearray(base64.b64decode(d["data"], validate=True))
+    return np.frombuffer(raw, dtype="<c16").reshape(d["shape"])
 
 
 def modal_cache_key(
@@ -304,27 +268,16 @@ def modal_cache_key(
 ) -> str:
     """Content hash identifying a ModalSystem computation.
 
-    Covers every input that changes the result: geometry, material,
-    truncation, quadrature and resonance-search settings, plus the cache
-    format and the package version.
+    Covers every input that changes the result: the cache entry's inputs
+    (geometry, material, quadrature), the truncation and the
+    resonance-search settings, plus the cache format and the package version.
     """
     payload = {
         "format": CACHE_FORMAT,
         "version": __version__,
-        "search": dict(search or {}),
-        "resonators": [[r.center[0], r.center[1], r.radius] for r in array.resonators],
-        "source": list(array.source),
-        "params": [params.v, params.v_b, params.delta],
+        "inputs": _inputs(array, params, quad),
         "M": M,
-        "quad": [
-            list(quad.box),
-            quad.ext_order,
-            quad.panel_size,
-            quad.ring_radial,
-            quad.ring_angular,
-            quad.disk_radial,
-            quad.disk_angular,
-        ],
+        "search": dict(search or {}),
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -357,9 +310,7 @@ def build_modal_system(
         params=params,
         quad=quad,
         modes=modes,
-        omegas=np.array([m.resonance.omega for m in modes]),
         gram=gram,
-        gram_inverse=np.linalg.inv(gram),
         source_vec=source_vec,
         cubic_tensor=cubic_tensor_from_values(interior, rule[1]),
         interior_values=interior,

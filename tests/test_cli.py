@@ -157,7 +157,22 @@ def test_cache_round_trip_identical(tmp_path):
     assert (out_nc / "sweep.csv").read_bytes() == first
 
 
-def test_truncated_cache_is_rebuilt(tmp_path):
+def _cut_payload(text):
+    entry = json.loads(text)
+    data = entry["interior_values"]["data"]
+    entry["interior_values"]["data"] = data[: len(data) // 2 + 1]
+    return json.dumps(entry)
+
+
+@pytest.mark.parametrize("damage, cause", [
+    (lambda text: text[: len(text) // 2], "JSONDecodeError"),  # a write cut short
+    (lambda text: "null", "ValueError: modal cache entry must be an object, got NoneType"),
+    (lambda text: "[]", "ValueError: modal cache entry must be an object, got list"),
+    (lambda text: json.dumps({**json.loads(text), "version": 4}),
+     "ValueError: unsupported modal cache version 4"),
+    (_cut_payload, "Error: "),  # binascii.Error, a ValueError
+], ids=["half", "null", "list", "version-4", "cut-base64"])
+def test_truncated_cache_is_rebuilt(tmp_path, damage, cause):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(_config(experiment={
         "type": "sweep", "mode_ref": 1, "num_points": 6, "F_values": [1e-5]})))
@@ -167,11 +182,11 @@ def test_truncated_cache_is_rebuilt(tmp_path):
     first = (out / "sweep.csv").read_bytes()
     (entry,) = (out / "cache").iterdir()
     text = entry.read_text()
-    entry.write_text(text[: len(text) // 2])  # a write cut short
+    entry.write_text(damage(text))
     assert main(args) == 0
     manifest = json.loads((out / "run.json").read_text())
     assert manifest["cache"]["hit"] is False
-    assert "JSONDecodeError" in manifest["cache"]["recovered"]
+    assert manifest["cache"]["recovered"].startswith(cause)
     assert manifest["solver_stats"]["newton_iters"] >= manifest["solver_stats"]["n_points"]
     assert (out / "sweep.csv").read_bytes() == first
     assert entry.read_text() == text  # rewritten whole, no temporary left behind
@@ -293,16 +308,24 @@ def _main_in_fresh_process(args: list[str]) -> str:
     return proc.stdout.split("\n")[-2]
 
 
-def test_cache_hit_sweep_skips_scipy_special_and_linalg(default_sweep, tmp_path):
+@pytest.mark.parametrize("etype", ["sweep", "twotone"])
+def test_cache_hit_skips_scipy_special_and_linalg(default_sweep, tmp_path, etype):
     cfg_path, out, manifest = default_sweep
+    cache = out / "cache"
+    if etype != "sweep":  # the same array and numerics, so the sweep's entry serves it
+        cfg_path = tmp_path / f"{etype}.json"
+        cfg_path.write_text(json.dumps({**DEFAULT_SWEEP, "experiment": {"type": etype}}))
+        out = tmp_path / "cold"
+        assert main([etype, "--config", str(cfg_path), "--out", str(out), "--no-cache"]) == 0
+        manifest = json.loads((out / "run.json").read_text())
     hit = tmp_path / "hit"
     hit.mkdir()
-    (hit / "cache").symlink_to(out / "cache")
-    assert _main_in_fresh_process(["sweep", "--config", str(cfg_path), "--out", str(hit)]) == "0 []"
+    (hit / "cache").symlink_to(cache)
+    assert _main_in_fresh_process([etype, "--config", str(cfg_path), "--out", str(hit)]) == "0 []"
     rerun = json.loads((hit / "run.json").read_text())
     assert rerun["cache"]["hit"] is True
     assert rerun["solver_stats"] == manifest["solver_stats"]  # the counts repeat exactly
-    assert (hit / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+    assert (hit / f"{etype}.csv").read_bytes() == (out / f"{etype}.csv").read_bytes()
 
 
 def test_cold_build_skips_scipy_linalg(tmp_path):

@@ -77,6 +77,16 @@ def _consistent_tau(material):
     return material
 
 
+def _enough_modes(cfg):
+    """geometry.n raised to the largest mode a key of the experiment picks,
+    given or by default, since the search finds exactly n modes."""
+    exp = cfg["experiment"]
+    for _, key, _, _, default in rows_of(exp["type"]):
+        if key in ("mode_ref", "Omega1_mode", "mode_index") and exp.get(key, default) is not None:
+            cfg["geometry"]["n"] = max(cfg["geometry"]["n"], exp.get(key, default))
+    return cfg
+
+
 @st.composite
 def configs(draw, etype=None):
     etype = etype or draw(st.sampled_from(TYPES))
@@ -84,6 +94,7 @@ def configs(draw, etype=None):
     cfg = {name: draw(_object([r for r in rows if r[0] == name])) for name in BLOCKS}
     cfg["experiment"]["type"] = etype
     _consistent_tau(cfg["material"])
+    _enough_modes(cfg)
     if etype in RANGES:
         lo, hi = (cfg["experiment"].get(k) for k in RANGES[etype])
         assume(lo is None or hi is None or lo < hi)
@@ -231,6 +242,34 @@ def test_run_rejects_frequency_end_beyond_its_modal_default(tmp_path):
     with pytest.raises(ConfigError, match=r"^experiment\.omega_min: omega_min must be below"):
         run_experiment(parse_config(json.dumps(cfg)), tmp_path)
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ({"type": "sweep", "mode_ref": 3}, "mode_ref", "3"),
+    ({"type": "twotone"}, "Omega1_mode", "the default 4"),
+    ({"type": "twotone", "Omega1_mode": 1, "mode_index": 3}, "mode_index", "3"),
+])
+def test_validate_rejects_a_mode_beyond_geometry_n(tmp_path, capsys, monkeypatch,
+                                                   experiment, key, value):
+    import hopfarray.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("cold build")
+
+    monkeypatch.setattr(cli, "build_modal_system", no_build)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_config(experiment=experiment)))  # two resonators
+    want = f"error: experiment.{key}: {key} must be at most geometry.n = 2, got {value}\n"
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == want
+    assert main([experiment["type"], "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == want
+
+
+def test_parse_accepts_an_unused_omega1_mode_beyond_geometry_n():
+    # with Omega1 and mode_index both given, Omega1_mode (default 4) picks nothing
+    exp = {"type": "twotone", "Omega1": 0.01, "mode_index": 2}
+    assert parse_config(json.dumps(_config(experiment=exp))).experiment["Omega1_mode"] == 4
 
 
 def test_readme_lists_every_config_field_with_its_default():

@@ -193,6 +193,9 @@ def test_modal_system_serialization_roundtrip(six_system):
     assert np.array_equal(restored.cubic_tensor, six_system.cubic_tensor)
     assert np.array_equal(restored.interior_values, six_system.interior_values)
     assert restored.interior_values.flags.c_contiguous
+    assert restored.array == six_system.array
+    assert restored.params == six_system.params
+    assert restored.quad == six_system.quad
     for a, b in zip(restored.modes, six_system.modes):
         assert a.resonance == b.resonance
         assert a.sv_gap == b.sv_gap
@@ -207,13 +210,16 @@ def test_modal_cache_key_sensitivity(six_system, monkeypatch):
 
     search = {"tolerance": 1e-10, "drift_tolerance": 1e-4}
 
-    def key_of(M=5, quad=six_system.quad, **changes):
-        return modal_cache_key(six_system.array, six_system.params, M, quad, {**search, **changes})
+    def key_of(M=5, quad=six_system.quad, array=six_system.array, params=six_system.params,
+               **changes):
+        return modal_cache_key(array, params, M, quad, {**search, **changes})
 
     key = key_of()
     assert key == key_of()
     assert key != key_of(M=7)
     assert key != key_of(quad=six_system.quad.refine(2))
+    assert key != key_of(params=replace(six_system.params, delta=2e-3))
+    assert key != key_of(array=replace(six_system.array, source=(-6.0, 0.0)))
     assert key != key_of(tolerance=1e-9)
     assert key != key_of(drift_tolerance=1e-3)
     assert key != key_of(omega_max=0.1)
