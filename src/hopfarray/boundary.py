@@ -45,13 +45,12 @@ class WaveParams:
     """Material contrasts of the two-phase medium.
 
     v and v_b are the exterior/interior wave speeds, delta the (small)
-    density contrast. tau = v_b / v is stored redundantly and checked.
+    density contrast.
     """
 
     v: float
     v_b: float
     delta: float
-    tau: float | None = None
 
     def __post_init__(self) -> None:
         if not self.v > 0:
@@ -60,13 +59,6 @@ class WaveParams:
             raise ValueError(f"v_b must be positive, got {self.v_b}")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        tau = self.v_b / self.v
-        if self.tau is None:
-            object.__setattr__(self, "tau", tau)
-        elif abs(self.tau - tau) > 1e-12 * abs(tau):
-            raise ValueError(
-                f"inconsistent tau: given {self.tau}, but v_b/v = {tau}"
-            )
 
     def wavenumbers(self, omega: complex) -> tuple[complex, complex]:
         """(exterior, interior) wavenumbers at angular frequency omega."""

@@ -34,7 +34,7 @@ from .analysis import (
 from .boundary import WaveParams
 from .geometry import ResonatorArray, build_graded_array
 from .hopf import single_hopf_steady_state
-from .modal import ModalSystem, build_modal_system, modal_cache_key
+from .modal import ModalSystem, build_modal_system, cache_request, modal_cache_key
 from .quadrature import default_spec
 
 
@@ -43,7 +43,6 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()  # default of a key the config must give
-_ABSENT = object()  # default of a key that, when left out, stays out of the parsed block
 
 # Every config field, one row each: (block, key, kind, bound, default). The
 # block is a top-level object of the config, or an experiment type for the
@@ -54,7 +53,7 @@ _ABSENT = object()  # default of a key that, when left out, stays out of the par
 #   numbers  a list of such numbers; bound is (sign, fewest items)
 #   enum     one of the strings in bound
 #   pairs    a nonempty list of [x1, x2] pairs of finite numbers
-# A default of None or _ABSENT also accepts null. Parsed values keep their
+# A default of None also accepts null. Parsed values keep their
 # JSON type (an int stays an int), so cache keys and CSVs do not move. The
 # README's "Config fields" table lists the same rows and defaults.
 _FIELDS = (
@@ -67,7 +66,6 @@ _FIELDS = (
     ("material", "v_b", "number", "positive", _REQUIRED),
     ("material", "delta", "number", "positive", _REQUIRED),
     ("material", "beta", "number", None, _REQUIRED),
-    ("material", "tau", "number", "positive", _ABSENT),
     ("numerics", "multipole_order", "integer", 1, 5),
     ("numerics", "resonance_tolerance", "number", "positive", 1e-10),
     ("numerics", "drift_tolerance", "number", "positive", 1e-4),
@@ -146,7 +144,7 @@ class ExperimentConfig:
 
     def wave_params(self) -> WaveParams:
         m = self.material
-        return WaveParams(v=m["v"], v_b=m["v_b"], delta=m["delta"], tau=m.get("tau"))
+        return WaveParams(v=m["v"], v_b=m["v_b"], delta=m["delta"])
 
     @property
     def beta(self) -> float:
@@ -160,7 +158,7 @@ def _finite(x) -> bool:
 
 def _check(name: str, key: str, kind: str, bound, default, val) -> None:
     """Raise unless val is of the row's kind within its bound, or null where allowed."""
-    nullable = default is None or default is _ABSENT
+    nullable = default is None
     if val is None and nullable:
         return
     if kind == "integer":
@@ -201,9 +199,8 @@ def _parse_fields(name: str, given: dict, rows: list) -> dict:
         val = given.get(key, default)
         if val is _REQUIRED:
             raise ConfigError(f"{name}.{key}: missing")
-        if val is not _ABSENT:
-            _check(name, key, kind, bound, default, val)
-            out[key] = val
+        _check(name, key, kind, bound, default, val)
+        out[key] = val
     return out
 
 
@@ -249,10 +246,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if not isinstance(block, dict):
             raise ConfigError(f"{name}: must be a JSON object, got {block!r}")
     geo, mat, num = (_parse_fields(name, blocks[name], _rows(name)) for name in _BLOCKS[:3])
-    tau = mat.get("tau")
-    if tau is not None and abs(tau - mat["v_b"] / mat["v"]) > 1e-12 * abs(tau):
-        raise ConfigError(
-            f"material.tau: {float(tau)} inconsistent with v_b/v = {mat['v_b'] / mat['v']}")
     # the type picks the experiment's rows, so it is checked on its own first
     given = blocks["experiment"]
     etype = _parse_fields("experiment", {k: v for k, v in given.items() if k == "type"},
@@ -311,14 +304,15 @@ def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: boo
     }
     if num["omega_max"] is not None:
         search["omega_max"] = num["omega_max"]
-    key = modal_cache_key(array, params, M, quad, search)
+    request = cache_request(array, params, M, quad, search)
+    key = modal_cache_key(request)
     cache_path = out_dir / "cache" / f"modal-{key[:16]}.json"
     cache_info = {"key": key, "hit": False, "path": None, "recovered": None}
     if use_cache and cache_path.exists():
         try:
-            system = ModalSystem.from_json(cache_path.read_text())
+            system = ModalSystem.from_json(cache_path.read_text(), request=request)
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            # a truncated or foreign entry is rebuilt and overwritten below
+            # a truncated entry, or one for another request, is rebuilt and overwritten below
             cache_info["recovered"] = f"{type(exc).__name__}: {exc}"
         else:
             cache_info.update(hit=True, path=str(cache_path))

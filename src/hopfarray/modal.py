@@ -12,19 +12,22 @@ over the composite rule's nodes and the source; the normalization (on a cold
 build), the Gram matrix, the cubic tensor and the source vector all come from
 that sample. A ModalSystem bundles these with the modes and their interior
 samples, and is JSON-serializable so parameter sweeps can skip the spectral
-and quadrature work.
+and quadrature work. A serialized system carries the request it answers (see
+cache_request), and its cache key is the hash of that request, so an edited
+module or a changed input never reuses an old entry.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .boundary import MultipoleDensity, WaveParams, sample_fields
 from .geometry import Resonator, ResonatorArray
 from .quadrature import QuadratureSpec, default_spec, exterior_rule, interior_rule
@@ -32,16 +35,12 @@ from .spectral import Eigenmode, Resonance, find_resonances, sample_eigenmodes
 from .spectral import extract_eigenmode  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 
 
-# Layout of the JSON cache; bump it whenever to_dict changes.
-CACHE_FORMAT = 5
-
-
-def _mode_values(modes: list[Eigenmode], points, side: str | None = None) -> np.ndarray:
+def _mode_values(modes: list[Eigenmode], points) -> np.ndarray:
     """(N_modes, P) matrix of mode values at the given points, in one call."""
     if not modes:
         raise ValueError("need at least one mode")
     return sample_fields(modes[0].array, modes[0].params, [m.resonance.omega for m in modes],
-                         [m.density for m in modes], points, side=side)
+                         [m.density for m in modes], points)
 
 
 def _nodes(array: ResonatorArray, quad: QuadratureSpec):
@@ -130,8 +129,9 @@ class ModalSystem:
     the (N, P) C-contiguous mode values at the interior quadrature nodes.
     The modes themselves are kept so response fields can be evaluated at
     arbitrary points; search is the resonance-search record of
-    find_resonances (None when the modes were given). omegas (the N complex
-    resonances) and gram_inverse are derived from these on construction.
+    find_resonances (None when the modes were given), and request the
+    cache_request the system answers. omegas (the N complex resonances) and
+    gram_inverse are derived from these on construction.
     """
 
     array: ResonatorArray
@@ -142,6 +142,7 @@ class ModalSystem:
     source_vec: np.ndarray
     cubic_tensor: np.ndarray
     interior_values: np.ndarray = field(repr=False)
+    request: dict = field(repr=False)
     search: dict | None = field(default=None, repr=False)
     _interior_rule: tuple | None = field(default=None, repr=False, compare=False)
     omegas: np.ndarray = field(init=False)
@@ -160,9 +161,9 @@ class ModalSystem:
         """Vector g with g_m = sum_n [gram^{-1}]_{n,m} source_vec_n."""
         return self.gram_inverse.T @ self.source_vec
 
-    def mode_fields_at(self, points, side: str | None = None) -> np.ndarray:
+    def mode_fields_at(self, points) -> np.ndarray:
         """(N, P) matrix of mode values at the given points."""
-        return _mode_values(self.modes, np.atleast_2d(np.asarray(points, dtype=float)), side=side)
+        return _mode_values(self.modes, np.atleast_2d(np.asarray(points, dtype=float)))
 
     def interior_quadrature(self):
         """(points, weights, disk index, mode values) over the disk interiors.
@@ -176,10 +177,11 @@ class ModalSystem:
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The cache entry: the request once (array, params and quad are read
+        back from its inputs), then the results."""
         modes = self.modes
         return {
-            "version": CACHE_FORMAT,
-            "inputs": _inputs(self.array, self.params, self.quad),
+            "request": self.request,
             "resonances": {
                 "omega": _encode(self.omegas),
                 "residual": [m.resonance.residual for m in modes],
@@ -187,7 +189,6 @@ class ModalSystem:
                 "drift": [m.resonance.drift for m in modes],
             },
             "sv_gaps": [m.sv_gap for m in modes],
-            "normalizations": _encode([m.normalization for m in modes]),
             "psi": _encode([m.density.psi for m in modes]),
             "phi": _encode([m.density.phi for m in modes]),
             **{name: _encode(getattr(self, name)) for name in _ARRAYS},
@@ -195,12 +196,18 @@ class ModalSystem:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ModalSystem":
+    def from_dict(cls, data: dict, request: dict | None = None) -> "ModalSystem":
+        """Inverse of to_dict. Given a request, an entry written for any
+        other request raises ValueError naming the keys that differ."""
         if not isinstance(data, dict):
             raise ValueError(f"modal cache entry must be an object, got {type(data).__name__}")
-        if data.get("version") != CACHE_FORMAT:
-            raise ValueError(f"unsupported modal cache version {data.get('version')}")
-        inputs = data["inputs"]
+        if request is not None and data.get("request") != request:
+            stored = data["request"] if isinstance(data.get("request"), dict) else {}
+            differ = [k for k in sorted(request.keys() | stored.keys())
+                      if stored.get(k) != request.get(k)]
+            raise ValueError(
+                f"modal cache entry is for another request (differs in {', '.join(differ)})")
+        inputs = data["request"]["inputs"]
         array = ResonatorArray(
             resonators=[Resonator(**r) for r in inputs["array"]["resonators"]],
             source=inputs["array"]["source"],
@@ -211,40 +218,43 @@ class ModalSystem:
         res = data["resonances"]
         columns = zip(
             _decode(res["omega"]), res["residual"], res["truncation"], res["drift"],
-            data["sv_gaps"], _decode(data["normalizations"]), _decode(data["psi"]),
-            _decode(data["phi"]), strict=True,
+            data["sv_gaps"], _decode(data["psi"]), _decode(data["phi"]), strict=True,
         )
         modes = [
             Eigenmode(
                 resonance=Resonance(omega=complex(omega), residual=residual,
                                     truncation=truncation, drift=drift),
                 density=MultipoleDensity(psi=psi, phi=phi),
-                normalization=complex(norm),
                 array=array,
                 params=params,
                 sv_gap=gap,
             )
-            for omega, residual, truncation, drift, gap, norm, psi, phi in columns
+            for omega, residual, truncation, drift, gap, psi, phi in columns
         ]
         return cls(array=array, params=params, quad=quad, modes=modes,
-                   **{name: _decode(data[name]) for name in _ARRAYS}, search=data["search"])
+                   **{name: _decode(data[name]) for name in _ARRAYS},
+                   request=data["request"], search=data["search"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str) -> "ModalSystem":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str, request: dict | None = None) -> "ModalSystem":
+        return cls.from_dict(json.loads(text), request=request)
 
 
 # the stored arrays of a ModalSystem besides the modes
 _ARRAYS = ("gram", "source_vec", "cubic_tensor", "interior_values")
 
 
-def _inputs(array: ResonatorArray, params: WaveParams, quad: QuadratureSpec) -> dict:
-    """Geometry, material and quadrature of a build, as JSON values: the
-    cache entry's inputs block and the heart of its key."""
-    return {"array": asdict(array), "params": asdict(params), "quad": asdict(quad)}
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 over the name and bytes of every module of the package, read
+    once per process."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
 
 
 def _encode(a) -> dict:
@@ -259,27 +269,25 @@ def _decode(d) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").reshape(d["shape"])
 
 
-def modal_cache_key(
+def cache_request(
     array: ResonatorArray,
     params: WaveParams,
     M: int,
     quad: QuadratureSpec,
     search: dict | None = None,
-) -> str:
-    """Content hash identifying a ModalSystem computation.
+) -> dict:
+    """What a build computes from, as JSON values: the inputs (geometry,
+    material, quadrature), the truncation M, the resonance-search settings
+    and the digest of the package source, which stands for the code."""
+    inputs = {"array": asdict(array), "params": asdict(params), "quad": asdict(quad)}
+    request = {"inputs": inputs, "M": M, "search": dict(search or {}), "source": _source_digest()}
+    return json.loads(json.dumps(request))  # tuples become lists, as in a loaded entry
 
-    Covers every input that changes the result: the cache entry's inputs
-    (geometry, material, quadrature), the truncation and the
-    resonance-search settings, plus the cache format and the package version.
-    """
-    payload = {
-        "format": CACHE_FORMAT,
-        "version": __version__,
-        "inputs": _inputs(array, params, quad),
-        "M": M,
-        "search": dict(search or {}),
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+def modal_cache_key(request: dict) -> str:
+    """Content hash of a cache_request: any changed input, setting or
+    module gives a new key."""
+    return hashlib.sha256(json.dumps(request, sort_keys=True).encode()).hexdigest()
 
 
 def build_modal_system(
@@ -314,6 +322,7 @@ def build_modal_system(
         source_vec=source_vec,
         cubic_tensor=cubic_tensor_from_values(interior, rule[1]),
         interior_values=interior,
+        request=cache_request(array, params, M, quad, search),
         search=record,
         _interior_rule=rule,
     )

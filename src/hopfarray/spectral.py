@@ -58,15 +58,13 @@ class Eigenmode:
 
     density already carries the normalization: the represented field has
     unit L2 norm over the union of disk interiors and the interior mean
-    over the largest disk is real and positive. normalization is the
-    complex factor that was applied to the raw unit singular vector.
-    sv_gap is the ratio s[-2]/s[-1] of the two smallest singular values of
-    the boundary system at the resonance: how clearly the mode is simple.
+    over the largest disk is real and positive. sv_gap is the ratio
+    s[-2]/s[-1] of the two smallest singular values of the boundary system
+    at the resonance: how clearly the mode is simple.
     """
 
     resonance: Resonance
     density: MultipoleDensity
-    normalization: complex
     array: ResonatorArray
     params: WaveParams
     sv_gap: float
@@ -383,8 +381,7 @@ def sample_eigenmodes(
     normalization = (1.0 / np.sqrt(norm_sq)) / (mean / np.abs(mean))
     values *= normalization[:, None]
     return [
-        Eigenmode(resonance=r, density=raw.scaled(c), normalization=complex(c),
-                  array=array, params=params, sv_gap=gap)
+        Eigenmode(resonance=r, density=raw.scaled(c), array=array, params=params, sv_gap=gap)
         for r, raw, gap, c in zip(resonances, raws, gaps, normalization)
     ], values
 

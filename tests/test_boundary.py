@@ -19,11 +19,11 @@ from oracles import boundary_matrix_loop, field_loop
 
 def test_wave_params_validation():
     p = WaveParams(v=2.0, v_b=1.0, delta=1e-3)
-    assert p.tau == pytest.approx(0.5)
+    assert p.wavenumbers(1.0) == (0.5, 1.0)
     with pytest.raises(ValueError, match="delta"):
         WaveParams(v=1.0, v_b=1.0, delta=0.0)
-    with pytest.raises(ValueError, match="tau"):
-        WaveParams(v=2.0, v_b=1.0, delta=1e-3, tau=0.7)
+    with pytest.raises(ValueError, match="v_b"):
+        WaveParams(v=1.0, v_b=-1.0, delta=1e-3)
 
 
 def test_fundamental_solution_rotational_invariance():

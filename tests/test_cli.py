@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -56,9 +57,10 @@ def test_parse_rejects_unknown_key():
         parse_config(json.dumps(cfg))
 
 
-def test_parse_rejects_inconsistent_tau():
-    cfg = _config(material={"tau": 0.5})
-    with pytest.raises(ConfigError, match="tau"):
+def test_parse_rejects_tau_as_unknown_key():
+    # tau = v_b / v is derived; no key sets it, not even to its own value
+    cfg = _config(material={"tau": 1.0})
+    with pytest.raises(ConfigError, match="^material.tau: unknown key$"):
         parse_config(json.dumps(cfg))
 
 
@@ -164,14 +166,19 @@ def _cut_payload(text):
     return json.dumps(entry)
 
 
+def _other_M(text):
+    entry = json.loads(text)
+    entry["request"]["M"] = 3
+    return json.dumps(entry)
+
+
 @pytest.mark.parametrize("damage, cause", [
     (lambda text: text[: len(text) // 2], "JSONDecodeError"),  # a write cut short
     (lambda text: "null", "ValueError: modal cache entry must be an object, got NoneType"),
     (lambda text: "[]", "ValueError: modal cache entry must be an object, got list"),
-    (lambda text: json.dumps({**json.loads(text), "version": 4}),
-     "ValueError: unsupported modal cache version 4"),
+    (_other_M, "ValueError: modal cache entry is for another request (differs in M)"),
     (_cut_payload, "Error: "),  # binascii.Error, a ValueError
-], ids=["half", "null", "list", "version-4", "cut-base64"])
+], ids=["half", "null", "list", "request-differs", "cut-base64"])
 def test_truncated_cache_is_rebuilt(tmp_path, damage, cause):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(_config(experiment={
@@ -194,6 +201,27 @@ def test_truncated_cache_is_rebuilt(tmp_path, damage, cause):
     assert main(args) == 0
     manifest = json.loads((out / "run.json").read_text())
     assert manifest["cache"]["hit"] is True and manifest["cache"]["recovered"] is None
+
+
+def test_foreign_cache_entry_is_rebuilt(tmp_path):
+    # the N = 1 entry copied over the N = 2 entry's path is not served
+    paths = {}
+    for n in (1, 2):
+        cfg_path, out = tmp_path / f"n{n}.json", tmp_path / f"o{n}"
+        cfg_path.write_text(json.dumps(_config(geometry={"n": n})))
+        assert main(["resonances", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (paths[n],) = (out / "cache").iterdir()
+    shutil.copyfile(paths[1], paths[2])
+    args = ["resonances", "--config", str(tmp_path / "n2.json")]
+    assert main([*args, "--out", str(tmp_path / "o2")]) == 0
+    cache = json.loads((tmp_path / "o2" / "run.json").read_text())["cache"]
+    assert cache["hit"] is False
+    assert cache["recovered"] == (
+        "ValueError: modal cache entry is for another request (differs in inputs)")
+    assert main([*args, "--out", str(tmp_path / "nc"), "--no-cache"]) == 0
+    rebuilt = (tmp_path / "o2" / "resonances.csv").read_bytes()
+    assert rebuilt == (tmp_path / "nc" / "resonances.csv").read_bytes()
+    assert len(rebuilt.splitlines()) == 3  # header + two resonators
 
 
 def test_twotone_schema(tmp_path):
@@ -295,14 +323,15 @@ def test_sweep_counts_residual_evaluations(default_sweep):
     assert stats["residual_evaluations"] <= 2 * (stats["newton_iters"] + stats["n_points"])
 
 
-def _main_in_fresh_process(args: list[str]) -> str:
-    """Run main(args) in a new interpreter; its exit status and which of
-    scipy.special and scipy.linalg it loaded."""
+def _main_in_fresh_process(args: list[str], src: Path | None = None) -> str:
+    """Run main(args) in a new interpreter that imports the package from src
+    (default: this one); its exit status and which of scipy.special and
+    scipy.linalg it loaded."""
     code = (
         "import sys; from hopfarray.cli import main; status = main(sys.argv[1:]); "
         "print(status, [m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(hopfarray.__file__).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(src or Path(hopfarray.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return proc.stdout.split("\n")[-2]
@@ -326,6 +355,26 @@ def test_cache_hit_skips_scipy_special_and_linalg(default_sweep, tmp_path, etype
     assert rerun["cache"]["hit"] is True
     assert rerun["solver_stats"] == manifest["solver_stats"]  # the counts repeat exactly
     assert (hit / f"{etype}.csv").read_bytes() == (out / f"{etype}.csv").read_bytes()
+
+
+def test_edited_module_misses_the_cache(tmp_path):
+    # the key hashes the package source, so no version needs bumping by hand
+    src = tmp_path / "src"
+    shutil.copytree(Path(hopfarray.__file__).parent, src / "hopfarray",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(_config(geometry={"n": 1})))
+    out = tmp_path / "o"
+    args = ["resonances", "--config", str(cfg_path), "--out", str(out)]
+    hits = []
+    for edit in (False, False, True):
+        if edit:
+            with open(src / "hopfarray" / "geometry.py", "a") as module:
+                module.write("# an edit that changes no behaviour\n")
+        assert _main_in_fresh_process(args, src).startswith("0 ")
+        hits.append(json.loads((out / "run.json").read_text())["cache"]["hit"])
+    assert hits == [False, True, False]
+    assert len(list((out / "cache").iterdir())) == 2
 
 
 def test_cold_build_skips_scipy_linalg(tmp_path):

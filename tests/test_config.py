@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfarray.cli import (
-    _ABSENT, _FIELDS, _REQUIRED, ConfigError, main, parse_config, run_experiment,
+    _FIELDS, _REQUIRED, ConfigError, main, parse_config, run_experiment,
 )
 
 from test_cli import _config
@@ -28,10 +28,6 @@ def rows_of(etype):
     experiment type takes; an experiment type's keys sit in "experiment"."""
     return [("experiment" if block == etype else block, key, kind, bound, default)
             for block, key, kind, bound, default in _FIELDS if block in (*BLOCKS, etype)]
-
-
-def _nullable(default):
-    return default is None or default is _ABSENT
 
 
 # ---------------------------------------------------------------------------
@@ -58,23 +54,13 @@ def _valid(kind, bound, default):
         values = st.sampled_from(bound)
     else:  # pairs
         values = st.lists(st.lists(_SIGNED[None], min_size=2, max_size=2), min_size=1, max_size=3)
-    return st.none() | values if _nullable(default) else values
+    return st.none() | values if default is None else values
 
 
 def _object(rows):
     required = {key: _valid(*rest) for _, key, *rest in rows if rest[-1] is _REQUIRED}
     optional = {key: _valid(*rest) for _, key, *rest in rows if rest[-1] is not _REQUIRED}
     return st.fixed_dictionaries(required, optional=optional)
-
-
-def _consistent_tau(material):
-    if material.get("tau") is not None:
-        tau = material["v_b"] / material["v"]
-        if 0 < tau < INF:
-            material["tau"] = tau
-        else:
-            del material["tau"]
-    return material
 
 
 def _enough_modes(cfg):
@@ -93,7 +79,6 @@ def configs(draw, etype=None):
     rows = rows_of(etype)
     cfg = {name: draw(_object([r for r in rows if r[0] == name])) for name in BLOCKS}
     cfg["experiment"]["type"] = etype
-    _consistent_tau(cfg["material"])
     _enough_modes(cfg)
     if etype in RANGES:
         lo, hi = (cfg["experiment"].get(k) for k in RANGES[etype])
@@ -118,10 +103,7 @@ def test_valid_config_parses_to_drawn_values_and_defaults(cfg):
     parsed = parse_config(json.dumps(cfg))
     want = {name: {} for name in BLOCKS}
     for name, key, _, _, default in rows_of(cfg["experiment"]["type"]):
-        if key in cfg.get(name, {}):
-            want[name][key] = cfg[name][key]
-        elif default is not _ABSENT:
-            want[name][key] = default
+        want[name][key] = cfg.get(name, {}).get(key, default)
     got = {"geometry": parsed.geometry, "material": parsed.material,
            "numerics": parsed.numerics, "experiment": parsed.experiment}
     assert _typed(got) == _typed(want)
@@ -130,7 +112,7 @@ def test_valid_config_parses_to_drawn_values_and_defaults(cfg):
 def _bad_values(kind, bound, default):
     """Values the row must reject: non-finite, bool, wrong type, out of bound."""
     bad = [NAN, INF, -INF, True, False, "1", {"x": 1}]
-    bad += [] if _nullable(default) else [None]
+    bad += [] if default is None else [None]
     if kind == "integer":
         bad += [bound - 1, float(bound)]
     elif kind == "number":
@@ -276,9 +258,8 @@ def test_readme_lists_every_config_field_with_its_default():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Config fields", 1)[1].split("\n#", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|.*\| (.+) \|$", section, flags=re.MULTILINE)
-    words = {"required": _REQUIRED, "left out": _ABSENT}
-    listed = {(block, key): words.get(cell) or _typed(json.loads(cell.strip("`")))
-              for block, key, cell in rows}
+    listed = {(block, key): _REQUIRED if cell == "required"
+              else _typed(json.loads(cell.strip("`"))) for block, key, cell in rows}
     assert len(listed) == len(rows)
-    assert listed == {(block, key): default if default in (_REQUIRED, _ABSENT) else _typed(default)
+    assert listed == {(block, key): default if default is _REQUIRED else _typed(default)
                       for block, key, _, _, default in _FIELDS}

@@ -6,6 +6,7 @@ import pytest
 from hopfarray.modal import (
     ModalSystem,
     build_modal_system,
+    cache_request,
     cubic_tensor,
     gram_matrix,
     modal_cache_key,
@@ -22,7 +23,6 @@ def _scaled_mode(mode, factor):
     return Eigenmode(
         resonance=mode.resonance,
         density=mode.density.scaled(factor),
-        normalization=mode.normalization * factor,
         array=mode.array,
         params=mode.params,
         sv_gap=mode.sv_gap,
@@ -212,7 +212,7 @@ def test_modal_cache_key_sensitivity(six_system, monkeypatch):
 
     def key_of(M=5, quad=six_system.quad, array=six_system.array, params=six_system.params,
                **changes):
-        return modal_cache_key(array, params, M, quad, {**search, **changes})
+        return modal_cache_key(cache_request(array, params, M, quad, {**search, **changes}))
 
     key = key_of()
     assert key == key_of()
@@ -223,10 +223,10 @@ def test_modal_cache_key_sensitivity(six_system, monkeypatch):
     assert key != key_of(tolerance=1e-9)
     assert key != key_of(drift_tolerance=1e-3)
     assert key != key_of(omega_max=0.1)
-    monkeypatch.setattr(modal, "__version__", "0.0.0")
-    assert key != key_of()
-    monkeypatch.undo()
-    monkeypatch.setattr(modal, "CACHE_FORMAT", 1)
+    # a build records the request it answers; an edited module keys a new one
+    assert six_system.request == cache_request(six_system.array, six_system.params, 5,
+                                               six_system.quad)
+    monkeypatch.setattr(modal, "_source_digest", lambda: "0" * 64)
     assert key != key_of()
 
 
