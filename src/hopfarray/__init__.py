@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"  # recorded in each run.json; cache keys hash the source instead
 
-from .geometry import Resonator, ResonatorArray, build_graded_array, default_array, validate_array
+from .geometry import Resonator, ResonatorArray, build_graded_array, validate_array
 from .cylinder import bessel_j, hankel1
 from .boundary import (
     BoundarySystem,
@@ -30,7 +30,6 @@ from .modal import (
     cubic_tensor,
     gram_matrix,
     modal_cache_key,
-    refinement_report,
     source_coupling,
 )
 from .hopf import (
@@ -39,7 +38,6 @@ from .hopf import (
     HopfOracleResult,
     PureToneSolution,
     TwoToneSolution,
-    cubic_coefficients,
     single_hopf_steady_state,
     solve_passive,
     solve_pure_tone,
@@ -62,7 +60,6 @@ __all__ = [
     "Resonator",
     "ResonatorArray",
     "build_graded_array",
-    "default_array",
     "validate_array",
     "bessel_j",
     "hankel1",
@@ -86,7 +83,6 @@ __all__ = [
     "HopfOracleResult",
     "PureToneSolution",
     "TwoToneSolution",
-    "cubic_coefficients",
     "single_hopf_steady_state",
     "solve_passive",
     "solve_pure_tone",
@@ -108,6 +104,5 @@ __all__ = [
     "subwavelength_cutoff",
     "cache_request",
     "modal_cache_key",
-    "refinement_report",
     "__version__",
 ]

@@ -163,7 +163,3 @@ def build_graded_array(
     )
     return ResonatorArray(resonators=resonators, source=(source_x, 0.0), grading_factor=s)
 
-
-def default_array() -> ResonatorArray:
-    """Desk-scale default: 6 circles, r0=1, s=1.05, gap ratio 0.5, source at (-5, 0)."""
-    return build_graded_array(n=6, first_radius=1.0, s=1.05, gap_ratio=0.5, source_x=-5.0)

@@ -14,7 +14,6 @@ conjugate factor -i Omega, so |da/dt|^2 da/dt carries +i Omega^3.
 Two-tone forcing keeps the four dominant response lines Omega_1, Omega_2,
 2 Omega_1 - Omega_2 and -Omega_1 + 2 Omega_2; matching coefficients of the
 four exponentials in |dp/dt|^2 dp/dt yields four coupled N-vector systems.
-Their closed-form cubic sources are :func:`cubic_coefficients`.
 
 Both forcings are one problem: L response lines, each given by an integer
 frequency vector over the tones (pure tone: (1,); two tone: (1, 0), (0, 1),
@@ -30,14 +29,19 @@ the forcing when Newton stalls. It solves a stack of independent lanes
 lane's result does not depend on its stack; past its target residual a lane
 polishes with full Newton steps only, down to the float floor.
 
-Solutions are certified pointwise: the response is sampled at the interior
-quadrature nodes, its cubic nonlinearity is formed there and projected back
-onto the modes (alternating frequency/time evaluation). That path uses
-neither the cubic tensor nor the generated line table, for either forcing.
+Solutions of any line set are certified by one alternating frequency/time
+residual (T. M. Cameron & J. H. Griffin, J. Appl. Mech. 56, 1989). At each
+of the Q phases of a grid on which no cubic product aliases onto a line
+(Q = 1 for the pure tone, 7 for the four two-tone lines), the time
+derivative is sampled at the interior quadrature nodes, cubed there and
+projected onto the modes; a DFT over the phases returns the lines. That path
+uses neither the cubic tensor nor the generated line table.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,15 +82,6 @@ class TwoToneSolution:
     X12: np.ndarray
     newton_iters: int
     residual_norm: float
-
-    @property
-    def frequencies(self) -> tuple[float, float, float, float]:
-        return (
-            self.Omega1,
-            self.Omega2,
-            2.0 * self.Omega1 - self.Omega2,
-            -self.Omega1 + 2.0 * self.Omega2,
-        )
 
 
 @dataclass(frozen=True)
@@ -346,36 +341,78 @@ def _solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, star
 
 
 # ---------------------------------------------------------------------------
+# pointwise certificate on L response lines
+# ---------------------------------------------------------------------------
+@functools.lru_cache
+def _phase_grid(vectors) -> tuple[tuple[int, ...], int]:
+    """Integer harmonics h (one per line) and size Q of the least phase grid
+    on which the cubic products of the lines do not alias.
+
+    Line l rings at harmonic h_l = v_l . (1, K, K^2, ...) mod Q. The least Q,
+    then the least direction K, is taken for which the lines' harmonics are
+    distinct and no other product v_a + v_b - v_c lands on one of them.
+    """
+    V = np.asarray(vectors, dtype=int)
+    if len(np.unique(V, axis=0)) < len(V):
+        raise ValueError(f"response lines {vectors} repeat a frequency vector")
+    products = (V[:, None, None] + V[None, :, None] - V[None, None, :]).reshape(-1, V.shape[1])
+    others = products[~(products[:, None] == V[None]).all(axis=-1).any(axis=1)]
+    for Q in itertools.count(1):
+        for K in range(Q):
+            direction = K ** np.arange(V.shape[1])
+            h = V @ direction % Q
+            if len(set(h)) == len(h) and not np.isin(others @ direction % Q, h).any():
+                return tuple(int(x) for x in h), Q
+
+
+def _cubic_lines(vectors, Y: np.ndarray, U: np.ndarray, project: np.ndarray) -> np.ndarray:
+    """Line coefficients of |a|^2 a with a = sum_l (Y_l @ U) e^{i (v_l . Omega) t},
+    projected: (..., L, N') from line amplitudes Y (..., L, N), mode values
+    U (N, P) at P points and a projection (P, N').
+
+    Alternating frequency/time evaluation on the grid of _phase_grid: at each
+    phase j, a_j = sum_l e^{2 pi i h_l j / Q} Y_l @ U is sampled, cubed
+    pointwise and projected at once, so temporaries stay (..., P); a DFT over
+    the phases returns the lines. Exact to rounding, as the grid does not alias.
+    """
+    h, Q = _phase_grid(vectors)
+    lines = 0.0
+    for e in np.exp(2j * np.pi * (np.outer(np.arange(Q), h) % Q) / Q):
+        a = (e @ Y) @ U
+        a *= np.abs(a) ** 2
+        lines = lines + e.conj()[:, None] * (a @ project)[..., None, :]
+    return lines / Q
+
+
+def _residual_lines(system: ModalSystem, vectors, tones, forcing, beta: float, X: np.ndarray) -> np.ndarray:
+    """Residual of the L line systems at amplitudes X (..., L, N), line l
+    ringing at vectors[l] . tones (tones (..., T)) with forcing[l].
+
+    The time derivative is sampled at the interior quadrature nodes, its
+    cubic is formed there by _cubic_lines and integrated against the
+    conjugated modes. Neither the cubic tensor nor the solver's line table
+    is used, so this is an independent certificate on returned solutions.
+    """
+    freqs = np.asarray(tones, dtype=float) @ np.asarray(vectors).T
+    _, wts, _, U = system.interior_quadrature()
+    cubic = _cubic_lines(vectors, freqs[..., None] * X, U, (U.conj() * wts).T)
+    return (
+        (system.omegas**2 - freqs[..., None] ** 2) * X
+        + np.asarray(forcing, dtype=float)[:, None] * system.source_gain
+        + 1j * beta * (cubic @ system.gram_inverse)
+    )
+
+
+# ---------------------------------------------------------------------------
 # pure tone
 # ---------------------------------------------------------------------------
-def _project_pointwise(system: ModalSystem, values: np.ndarray) -> np.ndarray:
-    """Interior integral of fields sampled at the interior quadrature nodes
-    (last axis) against each conjugated mode: sum_p w_p conj(u_n(x_p)) values[..., p]."""
-    _, wts, _, U = system.interior_quadrature()
-    return values @ (U.conj() * wts[None, :]).T
-
-
 def residual_pure_tone_reference(
     system: ModalSystem, Omega, F: float, beta: float, X: np.ndarray
 ) -> np.ndarray:
-    """Pointwise re-evaluation of the pure-tone residual.
-
-    Samples a = sum_i X_i u_i at the interior quadrature nodes, integrates
-    |a|^2 a against each conjugated mode and deprojects with the Gram
-    inverse. It never touches the cubic tensor, so it checks how the tensor
-    was built as well as how Newton contracts it; used as an independent
-    certificate on returned solutions. X may stack points, one Omega each.
-    """
-    _, _, _, U = system.interior_quadrature()
-    Omega = np.asarray(Omega, dtype=float)[..., None]
-    a = X @ U
-    cubic = _project_pointwise(system, np.abs(a) ** 2 * a)
-    G = system.gram_inverse.T
-    return (
-        (system.omegas**2 - Omega**2) * X
-        + F * (G @ system.source_vec)
-        + 1j * Omega**3 * beta * (cubic @ G.T)
-    )
+    """Pointwise residual of the pure-tone system: the one-line case of
+    _residual_lines. X may stack points, one Omega each."""
+    tones = np.asarray(Omega, dtype=float)[..., None]
+    return _residual_lines(system, _PURE_TONE_LINES, tones, [F], beta, X[..., None, :])[..., 0, :]
 
 
 def solve_pure_tone_lanes(system: ModalSystem, Omegas, F: float, beta: float, starts):
@@ -413,53 +450,6 @@ def solve_pure_tone(
 # ---------------------------------------------------------------------------
 # two-tone
 # ---------------------------------------------------------------------------
-def cubic_coefficients(S10, S01, S21, S12):
-    """Closed-form cubic line coefficients for the four dominant lines.
-
-    Given the four complex line sums of the time-derivative field, returns
-    the coefficients of e^{i Omega_1 t}, e^{i Omega_2 t},
-    e^{i (2 Omega_1 - Omega_2) t} and e^{i (-Omega_1 + 2 Omega_2) t} in
-    a |a|^2 a with a = S10 e1 + S01 e2 + S21 e3 + S12 e4. Accepts scalars
-    or broadcastable arrays.
-    """
-    a10 = np.abs(S10) ** 2
-    a01 = np.abs(S01) ** 2
-    a21 = np.abs(S21) ** 2
-    a12 = np.abs(S12) ** 2
-    C10 = (
-        S10 * a10
-        + 2.0 * S10 * (a01 + a21 + a12)
-        + S01**2 * np.conj(S12)
-        + 2.0 * S01 * S21 * np.conj(S10)
-        + 2.0 * S21 * S12 * np.conj(S01)
-    )
-    C01 = (
-        S01 * a01
-        + 2.0 * S01 * (a10 + a21 + a12)
-        + S10**2 * np.conj(S21)
-        + 2.0 * S10 * S12 * np.conj(S01)
-        + 2.0 * S21 * S12 * np.conj(S10)
-    )
-    C21 = (
-        S21 * a21
-        + 2.0 * S21 * (a10 + a01 + a12)
-        + S10**2 * np.conj(S01)
-        + 2.0 * S10 * S01 * np.conj(S12)
-    )
-    C12 = (
-        S12 * a12
-        + 2.0 * S12 * (a10 + a01 + a21)
-        + S01**2 * np.conj(S10)
-        + 2.0 * S10 * S01 * np.conj(S21)
-    )
-    return C10, C01, C21, C12
-
-
-def _two_tone_frequencies(Omega1, Omega2) -> np.ndarray:
-    Omega1, Omega2 = np.broadcast_arrays(float(Omega1), np.asarray(Omega2, dtype=float))
-    return np.stack([Omega1, Omega2, 2.0 * Omega1 - Omega2, -Omega1 + 2.0 * Omega2], axis=-1)
-
-
 def residual_two_tone(
     system: ModalSystem,
     Omega1: float,
@@ -469,25 +459,11 @@ def residual_two_tone(
     beta: float,
     Xs: np.ndarray,
 ) -> np.ndarray:
-    """(4, N) residual of the four coupled line systems at amplitudes Xs.
-
-    The cubic terms are formed pointwise: the four line-sum fields are
-    sampled at the interior quadrature nodes, combined by
-    cubic_coefficients and integrated against the conjugated modes. Neither
-    the cubic tensor nor the solver's line table is used, so this is an
-    independent certificate on returned solutions. Xs may stack points.
-    """
-    freqs = _two_tone_frequencies(Omega1, Omega2)
-    _, _, _, U = system.interior_quadrature()
-    S = (freqs[..., None] * Xs) @ U  # (..., 4, P) line-sum fields
-    cubic = np.stack(cubic_coefficients(*np.moveaxis(S, -2, 0)), axis=-2)
-    proj = _project_pointwise(system, cubic)
-    forcing = np.array([F1, F2, 0.0, 0.0])
-    return (
-        (system.omegas**2 - freqs[..., None] ** 2) * Xs
-        + forcing[:, None] * system.source_gain
-        + 1j * beta * (proj @ system.gram_inverse)
-    )
+    """(4, N) pointwise residual of the four two-tone line systems at
+    amplitudes Xs: the four-line case of _residual_lines. Xs may stack
+    points, one Omega2 each."""
+    tones = np.stack(np.broadcast_arrays(float(Omega1), np.asarray(Omega2, dtype=float)), axis=-1)
+    return _residual_lines(system, _TWO_TONE_LINES, tones, [F1, F2, 0.0, 0.0], beta, Xs)
 
 
 def solve_two_tone_lanes(system: ModalSystem, Omega1: float, Omega2s, F1: float, F2: float, beta: float):

@@ -327,16 +327,3 @@ def build_modal_system(
         _interior_rule=rule,
     )
 
-
-def refinement_report(modes: list[Eigenmode], quad: QuadratureSpec) -> dict[str, float]:
-    """Max relative change of each projected quantity under node doubling."""
-    reports = []
-    for q in (quad, quad.refine(2)):
-        pts, wts, rule = _nodes(modes[0].array, q)
-        U = _mode_values(modes, pts)
-        reports.append((_gram_from_values(U, wts), cubic_tensor_from_values(U[:, -len(rule[1]):], rule[1])))
-    (g0, t0), (g1, t1) = reports
-    return {
-        "gram": float(np.max(np.abs(g1 - g0)) / np.max(np.abs(g1))),
-        "cubic_tensor": float(np.max(np.abs(t1 - t0)) / np.max(np.abs(t1))),
-    }

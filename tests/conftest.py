@@ -1,7 +1,7 @@
 import pytest
 
 from hopfarray.boundary import WaveParams
-from hopfarray.geometry import Resonator, ResonatorArray, build_graded_array, default_array
+from hopfarray.geometry import Resonator, ResonatorArray, build_graded_array
 from hopfarray.modal import build_modal_system
 from hopfarray.spectral import extract_eigenmode, find_resonances
 
@@ -31,7 +31,8 @@ def pair_array():
 
 @pytest.fixture(scope="session")
 def six_array():
-    return default_array()
+    # desk-scale default: 6 circles, r0 = 1, s = 1.05, gap ratio 0.5, source at (-5, 0)
+    return build_graded_array(n=6, first_radius=1.0, s=1.05, gap_ratio=0.5, source_x=-5.0)
 
 
 @pytest.fixture(scope="session")

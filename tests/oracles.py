@@ -9,7 +9,9 @@ layer potentials that represent a field (all three take their cylinder
 functions from scipy.special, not from hopfarray.cylinder), an
 argument-principle count of the resonances in a rectangle from the
 loop-built determinant, and a time integration of the single forced Hopf
-oscillator.
+oscillator. The node-doubling refinement report at the end is the
+exception: it reuses the modal sampling, as it checks convergence of the
+quadrature rather than the code.
 """
 
 from __future__ import annotations
@@ -332,3 +334,23 @@ def hopf_steady_state_rk(mu: float, omega0: float, Omega: float, F: float) -> fl
             return float(mean)
         horizon *= 2.0
     raise RuntimeError("steady state not reached within the horizon cap")
+
+
+# ---------------------------------------------------------------------------
+# node-doubling refinement of the projected quantities
+# ---------------------------------------------------------------------------
+def refinement_report(modes, quad) -> dict[str, float]:
+    """Max relative change of the Gram matrix and the cubic tensor under
+    node doubling. A convergence check: it samples the modes as a build does."""
+    from hopfarray.modal import _gram_from_values, _mode_values, _nodes, cubic_tensor_from_values
+
+    reports = []
+    for q in (quad, quad.refine(2)):
+        pts, wts, rule = _nodes(modes[0].array, q)
+        U = _mode_values(modes, pts)
+        reports.append((_gram_from_values(U, wts), cubic_tensor_from_values(U[:, -len(rule[1]):], rule[1])))
+    (g0, t0), (g1, t1) = reports
+    return {
+        "gram": float(np.max(np.abs(g1 - g0)) / np.max(np.abs(g1))),
+        "cubic_tensor": float(np.max(np.abs(t1 - t0)) / np.max(np.abs(t1))),
+    }

@@ -19,15 +19,15 @@ from hopfarray.analysis import (
     two_tone_sweep,
 )
 from hopfarray.hopf import (
-    cubic_coefficients,
+    _TWO_TONE_LINES,
+    _cubic_lines,
     single_hopf_steady_state,
     solve_passive,
     solve_pure_tone,
     solve_two_tone,
 )
-from hopfarray.modal import refinement_report
 from hopfarray.spectral import _ResolventProbe, _muller, extract_eigenmode, find_resonances
-from oracles import fourier_cubic_coefficients, parity_resonance
+from oracles import fourier_cubic_coefficients, parity_resonance, refinement_report
 
 BETA = 5.0e5
 
@@ -273,7 +273,7 @@ def test_criterion_8_cubic_coefficient_oracle():
         worst = 0.0
         for _ in range(100):
             S = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            got = cubic_coefficients(*S)
+            got = _cubic_lines(_TWO_TONE_LINES, S[:, None], np.ones((1, 1)), np.ones((1, 1)))[:, 0]  # one node, unit weight
             want = fourier_cubic_coefficients(*S)
             for g, w in zip(got, want):
                 worst = max(worst, abs(g - w) / max(abs(w), 1e-30))

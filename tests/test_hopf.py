@@ -7,9 +7,11 @@ from hopfarray.hopf import (
     _PURE_TONE_LINES,
     _TWO_TONE_LINES,
     ConvergenceError,
+    _cubic_lines,
     _line_fun_jac,
     _line_weights,
-    cubic_coefficients,
+    _phase_grid,
+    _residual_lines,
     residual_pure_tone_reference,
     residual_two_tone,
     single_hopf_steady_state,
@@ -20,6 +22,7 @@ from hopfarray.hopf import (
 from oracles import fourier_cubic_coefficients, hopf_steady_state_rk, residual_pure_tone_loop
 
 BETA = 5.0e5
+_SIX_LINES = _TWO_TONE_LINES + ((3, -2), (-2, 3))  # the next combination tones
 
 
 def _line_system(system, vectors, tones, forcing):
@@ -123,22 +126,36 @@ def test_pure_tone_invalid_beta(six_system):
 # ---------------------------------------------------------------------------
 # cubic line coefficients
 # ---------------------------------------------------------------------------
+def _aft_lines(vectors, S):
+    """The certificate's line extraction at one node of unit weight: the line
+    coefficients of |a|^2 a from the scalar line sums S (..., L)."""
+    return _cubic_lines(vectors, np.asarray(S)[..., None], np.ones((1, 1)), np.ones((1, 1)))[..., 0]
+
+
+def test_phase_grid_least_alias_free():
+    assert _phase_grid(_PURE_TONE_LINES) == ((0,), 1)
+    assert _phase_grid(_TWO_TONE_LINES)[1] == 7
+    assert _phase_grid(_SIX_LINES)[1] == 11
+    with pytest.raises(ValueError, match="repeat"):
+        _phase_grid(((1, 0), (1, 0)))
+
+
 def test_cubic_coefficients_all_zero():
-    assert cubic_coefficients(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0)
+    assert np.all(_aft_lines(_TWO_TONE_LINES, np.zeros(4)) == 0.0)
 
 
 def test_cubic_coefficients_single_line():
-    C10, C01, C21, C12 = cubic_coefficients(1.0, 0.0, 0.0, 0.0)
-    assert C10 == 1.0 and C01 == 0.0 and C21 == 0.0 and C12 == 0.0
-    C10, C01, C21, C12 = cubic_coefficients(0.0, 2.0, 0.0, 0.0)
-    assert C01 == 8.0 and C10 == 0.0  # |z|^2 z on a lone line
+    C = _aft_lines(_TWO_TONE_LINES, [1.0, 0.0, 0.0, 0.0])
+    assert C == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-14)
+    C = _aft_lines(_TWO_TONE_LINES, [0.0, 2.0, 0.0, 0.0])
+    assert C == pytest.approx([0.0, 8.0, 0.0, 0.0], abs=1e-14)  # |z|^2 z on a lone line
 
 
 def test_cubic_coefficients_against_fourier_oracle():
     rng = np.random.default_rng(12)
     for _ in range(100):
         S = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        got = cubic_coefficients(*S)
+        got = _aft_lines(_TWO_TONE_LINES, S)
         want = fourier_cubic_coefficients(*S)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-8, abs=1e-12)
@@ -149,7 +166,7 @@ def test_cubic_coefficients_against_fourier_oracle():
 def test_cubic_coefficients_oracle_property(seed):
     rng = np.random.default_rng(seed)
     S = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    got = cubic_coefficients(*S)
+    got = _aft_lines(_TWO_TONE_LINES, S)
     want = fourier_cubic_coefficients(*S)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-8, abs=1e-12)
@@ -157,24 +174,22 @@ def test_cubic_coefficients_oracle_property(seed):
 
 def test_cubic_coefficients_vectorized():
     rng = np.random.default_rng(3)
-    S = rng.standard_normal((4, 50)) + 1j * rng.standard_normal((4, 50))
-    C = cubic_coefficients(S[0], S[1], S[2], S[3])
+    S = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    C = _aft_lines(_TWO_TONE_LINES, S)
     for p in (0, 17, 49):
-        single = cubic_coefficients(S[0, p], S[1, p], S[2, p], S[3, p])
-        for ch in range(4):
-            assert C[ch][p] == pytest.approx(single[ch], rel=1e-14)
+        assert C[p] == pytest.approx(_aft_lines(_TWO_TONE_LINES, S[p]), rel=1e-14)
 
 
 def test_line_table_matches_closed_form():
     # the generated table contracted with scalar line sums (N = 1, T = 1)
-    # is the closed-form line algebra, and |S|^2 S on a lone line
+    # is the exact DFT line algebra, and |S|^2 S on a lone line
     W = _line_weights(_TWO_TONE_LINES)
     assert W.shape == (4, 4, 4, 4)
     rng = np.random.default_rng(17)
     for _ in range(50):
         S = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         got = np.einsum("labc,a,b,c->l", W, S, S, S.conj())
-        assert np.allclose(got, cubic_coefficients(*S), rtol=1e-13, atol=0.0)
+        assert got == pytest.approx(fourier_cubic_coefficients(*S), rel=1e-8, abs=1e-12)
     W1 = _line_weights(_PURE_TONE_LINES)
     assert W1.shape == (1, 1, 1, 1)
     S = complex(rng.standard_normal(), rng.standard_normal())
@@ -264,16 +279,25 @@ def test_two_tone_residual_paths_agree(six_system):
     r_point = residual_two_tone(six_system, tt.Omega1, tt.Omega2, 1e-5, 1e-5, BETA, Xs)
     assert np.linalg.norm(r_solver) <= 1e-10 * (1 + 2e-5)
     assert np.max(np.abs(r_solver - r_point)) <= 1e-10
-    # away from the solution both paths see the same cubic terms
+    # away from the solution the certificate sees the solver's cubic terms:
+    # the pure tone, the two-tone lines and the next combination tones
+    tones = (tt.Omega1, tt.Omega2)
+    six_forcing = (1e-5, 1e-5, 0.0, 0.0, 0.0, 0.0)
+    cases = [
+        (_PURE_TONE_LINES, tones[:1], (1e-5,),
+         lambda Z: residual_pure_tone_reference(six_system, tt.Omega1, 1e-5, BETA, Z[0])[None]),
+        (_TWO_TONE_LINES, tones, (1e-5, 1e-5, 0.0, 0.0),
+         lambda Z: residual_two_tone(six_system, *tones, 1e-5, 1e-5, BETA, Z)),
+        (_SIX_LINES, tones, six_forcing,
+         lambda Z: _residual_lines(six_system, _SIX_LINES, tones, six_forcing, BETA, Z)),
+    ]
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        Z = 1e-2 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
-        got = fun_jac(Z.ravel())[0].reshape(4, -1)
-        want = residual_two_tone(six_system, tt.Omega1, tt.Omega2, 1e-5, 1e-5, BETA, Z)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-    assert tt.frequencies == pytest.approx(
-        (om4, 1.03 * om4, 0.97 * om4, 1.06 * om4), rel=1e-12
-    )
+    for vectors, line_tones, forcing, certificate in cases:
+        fun_jac = _line_system(six_system, vectors, line_tones, forcing)
+        for _ in range(3):
+            Z = 1e-2 * (rng.standard_normal((len(vectors), 6)) + 1j * rng.standard_normal((len(vectors), 6)))
+            got = fun_jac(Z.ravel())[0].reshape(len(vectors), -1)
+            assert np.allclose(certificate(Z), got, rtol=1e-12, atol=0.0)
 
 
 def test_two_tone_frequency_collision_rejected(six_system):

@@ -10,11 +10,11 @@ from hopfarray.modal import (
     cubic_tensor,
     gram_matrix,
     modal_cache_key,
-    refinement_report,
     source_coupling,
 )
 from hopfarray.quadrature import QuadratureSpec, default_spec, disk_rule, exterior_rule, interior_rule
 from hopfarray.spectral import Eigenmode
+from oracles import refinement_report
 
 BETA = 5.0e5
 
