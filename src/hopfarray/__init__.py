@@ -4,14 +4,7 @@ __version__ = "0.1.0"  # recorded in each run.json; cache keys hash the source i
 
 from .geometry import Resonator, ResonatorArray, build_graded_array, validate_array
 from .cylinder import bessel_j, hankel1
-from .boundary import (
-    BoundarySystem,
-    MultipoleDensity,
-    WaveParams,
-    assemble_boundary_system,
-    evaluate_field,
-    fundamental_solution,
-)
+from .boundary import MultipoleDensity, WaveParams, assemble_boundary_system, evaluate_field
 from .quadrature import QuadratureSpec, default_spec
 from .spectral import (
     DegenerateModeError,
@@ -63,12 +56,10 @@ __all__ = [
     "validate_array",
     "bessel_j",
     "hankel1",
-    "BoundarySystem",
     "MultipoleDensity",
     "WaveParams",
     "assemble_boundary_system",
     "evaluate_field",
-    "fundamental_solution",
     "QuadratureSpec",
     "default_spec",
     "Eigenmode",

@@ -5,10 +5,10 @@ inside a block are warm-started from the previous one, and every block
 starts cold, so a point's solution depends only on its block. Step j solves
 point j of every block as one stack of lanes in ``hopf``; the two-tone scan
 is cold-started stacks. Per-point solver failures are flagged, never
-fatal, and every returned solution carries a residual certificate from the
-pointwise evaluator in ``hopf`` (the cubic term formed at the interior
-quadrature nodes, a separate code path from the tensor contraction in the
-Newton iteration).
+fatal (a phase curve needs two solved points), and every returned
+solution carries a residual certificate from the pointwise evaluator in
+``hopf`` (the cubic term formed at the interior quadrature nodes, a
+separate code path from the tensor contraction in the Newton iteration).
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ class PhaseCurve:
     vibrometry measures and what makes the low-frequency delay come out
     near minus a quarter cycle). When sign_flipped is true the curve has
     additionally been negated globally so the low-frequency delay is
-    negative; both normalizations are surfaced here, never absorbed. sweep
-    is the pure-tone sweep the curves of one call share, with its solver
-    statistics and certificates.
+    negative; both normalizations are surfaced here, never absorbed. grid
+    holds the solved frequencies only. sweep is the pure-tone sweep over
+    the whole grid that the curves of one call share, with its solver
+    statistics, certificates and the flags of the frequencies left out.
     """
 
     x: tuple[float, float]
@@ -150,27 +151,29 @@ def phase_response(
 
     At each grid frequency the modal amplitudes are solved, the complex
     response at every x is assembled from the mode fields, and the phase is
-    unwrapped along the grid (anchored so the first point lies in
-    (-pi, pi]). phase_reference "velocity" reports the phase of the time
-    derivative of the response (a global quarter-cycle shift); "pressure"
-    reports the response phase itself. If the raw phase steps by nearly pi
-    between neighbouring grid points the unwrap is ambiguous (unless the
-    amplitude passes through a null, where a pi step is genuine) and
-    UnwrapError suggests a finer grid.
+    unwrapped along the solved frequencies (anchored so the first lies in
+    (-pi, pi]). A frequency whose solve fails is flagged in the sweep and
+    left out of the curves; fewer than two solved frequencies raise
+    ConvergenceError. phase_reference "velocity" reports the phase of the
+    time derivative of the response (a global quarter-cycle shift);
+    "pressure" reports the response phase itself. If the raw phase steps by
+    nearly pi between neighbouring frequencies the unwrap is ambiguous
+    (unless the amplitude passes through a null, where a pi step is
+    genuine) and UnwrapError suggests a finer grid.
     """
     if phase_reference not in ("velocity", "pressure"):
         raise ValueError(f"phase_reference must be 'velocity' or 'pressure', got {phase_reference!r}")
-    grid = np.asarray(grid, dtype=float)
     x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     U = system.mode_fields_at(x_points)  # (N, P)
 
     sweep = pure_tone_sweep(system, grid, F, beta)
-    bad = [i for i, s in enumerate(sweep.solutions) if s is None]
-    if bad:
-        raise ConvergenceError(
-            f"solver failed at grid points {bad}: {sweep.flags[bad[0]]}"
-        )
-    amplitudes = np.array([s.X for s in sweep.solutions]) @ U  # (G, P)
+    solved = [s for s in sweep.solutions if s is not None]
+    if len(solved) < 2:
+        first = next((f for f in sweep.flags if f is not None), None)
+        raise ConvergenceError(f"a phase curve needs two solved frequencies, got {len(solved)} "
+                               f"of {len(sweep.grid)} (first failure: {first})")
+    grid = sweep.grid[np.array([s is not None for s in sweep.solutions])]
+    amplitudes = np.array([s.X for s in solved]) @ U  # (G, P)
 
     curves: list[PhaseCurve] = []
     raw = np.angle(amplitudes)  # (G, P)

@@ -31,10 +31,10 @@ from .cylinder import (
     HankelPanels,
     bessel_j_orders,
     bessel_j_prime_orders,
-    hankel1,
     hankel1_orders,
     hankel1_prime_orders,
 )
+from .cylinder import hankel1  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 from .geometry import ResonatorArray
 
 _BOUNDARY_TOL = 1e-12
@@ -94,9 +94,6 @@ class MultipoleDensity:
     def truncation(self) -> int:
         return (self.psi.shape[1] - 1) // 2
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.psi.ravel(), self.phi.ravel()])
-
     @classmethod
     def from_vector(cls, vec: np.ndarray, n: int, M: int) -> "MultipoleDensity":
         vec = np.asarray(vec, dtype=complex)
@@ -107,36 +104,6 @@ class MultipoleDensity:
 
     def scaled(self, factor: complex) -> "MultipoleDensity":
         return MultipoleDensity(psi=self.psi * factor, phi=self.phi * factor)
-
-
-@dataclass(frozen=True)
-class BoundarySystem:
-    """Assembled transmission system at one complex frequency.
-
-    The matrix acts on the stacked coefficient vector
-    [psi_0, ..., psi_{N-1}, phi_0, ..., phi_{N-1}] (each block 2M+1 long).
-    Rows are continuity conditions followed by flux conditions, in the same
-    (circle, order) layout.
-    """
-
-    omega: complex
-    matrix: np.ndarray
-    truncation: int
-    n_resonators: int
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-def fundamental_solution(k: complex, x) -> complex:
-    """Outgoing 2D kernel -(i/4) H_0^(1)(k |x|)."""
-    if k == 0:
-        raise ValueError("fundamental solution requires k != 0")
-    r = float(np.hypot(x[0], x[1]))
-    if r == 0.0:
-        raise ValueError("fundamental solution is singular at x = 0")
-    return -0.25j * hankel1(0, k * r)
 
 
 def _layer_blocks(array: ResonatorArray, k: np.ndarray, M: int):
@@ -227,15 +194,10 @@ def assemble_boundary_matrices(array: ResonatorArray, params: WaveParams, omegas
 
 def assemble_boundary_system(
     array: ResonatorArray, params: WaveParams, omega: complex, M: int
-) -> BoundarySystem:
-    """The transmission system at one frequency: the one-omega case of
+) -> np.ndarray:
+    """The transmission matrix at one frequency: the one-omega case of
     assemble_boundary_matrices."""
-    return BoundarySystem(
-        omega=complex(omega),
-        matrix=assemble_boundary_matrices(array, params, [omega], M)[0],
-        truncation=M,
-        n_resonators=array.n,
-    )
+    return assemble_boundary_matrices(array, params, [omega], M)[0]
 
 
 def _classify_points(array: ResonatorArray, points: np.ndarray, side: str | None) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Batch experiment runner: strict JSON config in, CSV datasets + manifest out.
 
 Subcommands mirror the experiment types: resonances, sweep, phase, twotone,
-oracle, plus validate (config check only). Every modal-pipeline run writes
-resonances.csv, the experiment CSV and a run.json manifest with config echo,
-content hashes, versions, wall times and solver statistics, so each number
-in the CSVs is reproducible from the config and code version alone.
+oracle, plus validate (config check only). Every run writes the experiment
+CSV (and every modal-pipeline run resonances.csv) and a run.json manifest
+with config echo, content hashes, versions, wall times and solver
+statistics, so each number in the CSVs is reproducible from the config and
+code version alone.
 
-Exit codes: 0 clean, 2 completed with flagged sweep points, 1 fatal.
+Exit codes: 0 clean; 2 completed with flagged points, each named with its
+cause in run.json; 1 fatal (a config error, or a failure of the whole run),
+with no run.json.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .analysis import (
 )
 from .boundary import WaveParams
 from .geometry import ResonatorArray, build_graded_array
-from .hopf import single_hopf_steady_state
+from .hopf import ConvergenceError, single_hopf_steady_state
 from .modal import ModalSystem, build_modal_system, cache_request, modal_cache_key
 from .quadrature import default_spec
 
@@ -363,11 +366,123 @@ def _diagnostics(system: ModalSystem) -> dict:
     }
 
 
-def _resonance_rows(system: ModalSystem):
-    return [
-        (n + 1, m.resonance.omega.real, m.resonance.omega.imag, m.resonance.residual)
-        for n, m in enumerate(system.modes)
-    ]
+@dataclass(frozen=True)
+class _Result:
+    """What one experiment hands to run_experiment: its CSV, the number of
+    points it tried, one {point..., "message": cause} per failed point, and
+    further solver_stats and sign_flags entries."""
+
+    csv: str
+    header: list
+    rows: list
+    n_points: int
+    flagged: list
+    stats: dict = field(default_factory=dict)
+    sign_flags: dict = field(default_factory=dict)
+
+
+def _failures(sweep, key: str) -> list:
+    """The failed points of a sweep: the swept frequency under key, and the cause."""
+    return [{key: float(om), "message": flag}
+            for om, flag in zip(sweep.grid, sweep.flags) if flag is not None]
+
+
+def _resonances(config: ExperimentConfig, system: ModalSystem) -> _Result:
+    """The resonances, which every modal experiment writes too."""
+    rows = [(n + 1, m.resonance.omega.real, m.resonance.omega.imag, m.resonance.residual)
+            for n, m in enumerate(system.modes)]
+    return _Result("resonances.csv", ["n", "re_omega", "im_omega", "residual"], rows, system.n, [])
+
+
+def _sweep(config: ExperimentConfig, system: ModalSystem) -> _Result:
+    """Every mode's pure-tone response over the grid, per forcing; a failed
+    point keeps its rows, with empty values and the cause."""
+    exp = config.experiment
+    center = system.omegas[exp["mode_ref"] - 1].real
+    lo, hi = _frequency_range(exp, 0.75 * center, 1.35 * center)
+    grid = np.linspace(lo, hi, exp["num_points"])
+    rows, flagged, sweeps = [], [], []
+    for F in exp["F_values"]:
+        sweep = pure_tone_sweep(system, grid, F, config.beta)
+        sweeps.append(sweep)
+        flagged += [{**f, "F": F} for f in _failures(sweep, "Omega")]
+        for om, sol, flag, cert in zip(sweep.grid, sweep.solutions, sweep.flags, sweep.certificates):
+            if sol is None:
+                rows += [(om, F, m, None, None, None, None, flag) for m in range(1, system.n + 1)]
+            else:
+                rows += [(om, F, m, abs(x) / F, x.real, x.imag, cert, "")
+                         for m, x in enumerate(sol.X, 1)]
+    return _Result("sweep.csv",
+                   ["Omega", "F", "mode", "abs_X_over_F", "re_X", "im_X", "residual", "flag"],
+                   rows, len(grid) * len(exp["F_values"]), flagged, _sweep_stats(sweeps))
+
+
+def _phase(config: ExperimentConfig, system: ModalSystem) -> _Result:
+    """Response magnitude, unwrapped phase and delays at the observation
+    points over the refined grid; failed frequencies are left out."""
+    exp = config.experiment
+    lo, hi = _frequency_range(exp, 0.25 * system.omegas[0].real, 1.25 * system.omegas[-1].real)
+    grid = refined_frequency_grid(system, lo, hi, exp["num_points"])
+    if exp["observation_points"] is not None:
+        obs = np.asarray(exp["observation_points"], dtype=float)
+    else:
+        obs = default_observation_points(system)
+    curves = phase_response(system, grid, exp["F"], config.beta, obs,
+                            phase_reference=exp["phase_reference"])
+    sweep = curves[0].sweep
+    rows = [(c.x[0], c.x[1], *point) for c in curves
+            for point in zip(c.grid, c.R, c.phi, c.phase_delay_cycles, c.group_delay_cycles)]
+    return _Result(
+        "phase.csv",
+        ["x1", "x2", "Omega", "R", "phi_rad", "phase_delay_cycles", "group_delay_cycles"],
+        rows, len(grid), _failures(sweep, "Omega"), _sweep_stats([sweep]),
+        sign_flags={"phase_sign_flipped": curves[0].sign_flipped,
+                    "phase_reference": curves[0].phase_reference},
+    )
+
+
+def _twotone(config: ExperimentConfig, system: ModalSystem) -> _Result:
+    """One mode's line amplitudes while the second tone sweeps; grid points
+    inside the collision floor around Omega1 are dropped, failed ones left out."""
+    exp = config.experiment
+    mode = exp["mode_index"] if exp["mode_index"] is not None else exp["Omega1_mode"]
+    Omega1 = exp["Omega1"]
+    if Omega1 is None:
+        Omega1 = abs(system.omegas[exp["Omega1_mode"] - 1])
+    lo, hi = _frequency_range(exp, 0.9 * Omega1, 1.1 * Omega1)
+    grid = np.linspace(lo, hi, exp["num_points"])
+    floor = config.numerics["collision_floor"]
+    keep = np.abs(grid - Omega1) > floor * abs(Omega1)
+    sweep = two_tone_sweep(system, Omega1, grid[keep], exp["F1"], exp["F2"], config.beta,
+                           mode_index=mode - 1, collision_floor=floor)
+    lines = ["abs_X10", "abs_X01", "abs_X21", "abs_X12", "abs_X01_passive"]
+    rows = [(om2, *(rec[k] for k in lines))
+            for om2, rec in zip(sweep.grid, sweep.metadata["records"]) if rec is not None]
+    stats = {"Omega1": float(Omega1), "collision_dropped": [float(v) for v in grid[~keep]],
+             **_sweep_stats([sweep])}
+    return _Result("twotone.csv", ["Omega2", *lines], rows, len(sweep.grid),
+                   _failures(sweep, "Omega2"), stats)
+
+
+def _oracle(config: ExperimentConfig, system: None) -> _Result:
+    """The one-oscillator steady state per forcing, with no modal system; a
+    forcing without exactly one stable phase-locked state is left out."""
+    exp = config.experiment
+    rows, flagged = [], []
+    for F in exp["F_values"]:
+        try:
+            res = single_hopf_steady_state(exp["mu"], exp["omega0"], exp["Omega"], F)
+        except ConvergenceError as exc:
+            flagged.append({"F": F, "message": f"{type(exc).__name__}: {exc}"})
+        else:
+            rows.append((res.mu, res.omega0, res.Omega, res.F, res.steady_amplitude))
+    return _Result("oracle.csv", ["mu", "omega0", "Omega", "F", "steady_amplitude"], rows,
+                   len(exp["F_values"]), flagged)
+
+
+# one function per value of experiment.type
+_EXPERIMENTS = {"resonances": _resonances, "sweep": _sweep, "phase": _phase,
+                "twotone": _twotone, "oracle": _oracle}
 
 
 def run_experiment(
@@ -375,10 +490,13 @@ def run_experiment(
     output_dir,
     use_cache: bool = True,
 ) -> int:
-    """Run the configured experiment, writing CSVs and run.json.
+    """Run the configured experiment, writing its CSVs and run.json.
 
-    Returns the process exit status: 0 clean, 2 when some sweep points were
-    flagged (results still written), never raises for per-point failures.
+    A point that fails is flagged with its cause under solver_stats and the
+    other points are still written. Returns the process exit status: 0
+    clean, 2 when some point was flagged. Raises when the whole run fails:
+    the build or the search, a phase that cannot be unwrapped or has fewer
+    than two solved points.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -394,146 +512,26 @@ def run_experiment(
         },
         "experiment_type": etype,
         "outputs": {},
-        "solver_stats": {},
-        "sign_flags": {},
         "wall_times_s": {},
     }
-
-    if etype == "oracle":
-        exp = config.experiment
-        rows = []
-        for F in exp["F_values"]:
-            res = single_hopf_steady_state(exp["mu"], exp["omega0"], exp["Omega"], F)
-            rows.append((res.mu, res.omega0, res.Omega, res.F, res.steady_amplitude))
-        manifest["outputs"]["oracle.csv"] = _write_csv(
-            out / "oracle.csv",
-            ["mu", "omega0", "Omega", "F", "steady_amplitude"],
-            rows,
-        )
-        manifest["wall_times_s"]["total"] = time.time() - t_start
-        (out / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return 0
-
+    system, results = None, {}
+    if etype != "oracle":  # every other experiment starts from the modal system
+        system, manifest["cache"] = _obtain_modal_system(config, out, use_cache)
+        manifest["diagnostics"] = _diagnostics(system)
+        manifest["wall_times_s"]["modal_system"] = time.time() - t_start
+        results["resonances.csv"] = _resonances(config, system)
     t0 = time.time()
-    system, cache_info = _obtain_modal_system(config, out, use_cache)
-    manifest["cache"] = cache_info
-    manifest["diagnostics"] = _diagnostics(system)
-    manifest["wall_times_s"]["modal_system"] = time.time() - t0
-    manifest["outputs"]["resonances.csv"] = _write_csv(
-        out / "resonances.csv",
-        ["n", "re_omega", "im_omega", "residual"],
-        _resonance_rows(system),
-    )
-
-    exp = config.experiment
-    beta = config.beta
-    n_flagged = 0
-    t0 = time.time()
-
-    if etype == "sweep":
-        center = system.omegas[exp["mode_ref"] - 1].real
-        lo, hi = _frequency_range(exp, 0.75 * center, 1.35 * center)
-        grid = np.linspace(lo, hi, exp["num_points"])
-        rows = []
-        flagged = []
-        sweeps = []
-        for F in exp["F_values"]:
-            sweep = pure_tone_sweep(system, grid, F, beta)
-            sweeps.append(sweep)
-            n_flagged += sweep.n_flagged
-            for i, om in enumerate(sweep.grid):
-                sol = sweep.solutions[i]
-                if sol is None:
-                    flagged.append({"Omega": float(om), "F": F, "message": sweep.flags[i]})
-                    for m in range(system.n):
-                        rows.append((om, F, m + 1, None, None, None, None, sweep.flags[i]))
-                    continue
-                for m in range(system.n):
-                    rows.append(
-                        (om, F, m + 1, abs(sol.X[m]) / F, sol.X[m].real, sol.X[m].imag,
-                         sweep.certificates[i], "")
-                    )
-        manifest["outputs"]["sweep.csv"] = _write_csv(
-            out / "sweep.csv",
-            ["Omega", "F", "mode", "abs_X_over_F", "re_X", "im_X", "residual", "flag"],
-            rows,
-        )
-        manifest["solver_stats"] = {"n_points": len(grid) * len(exp["F_values"]),
-                                    "n_flagged": n_flagged, "flagged": flagged,
-                                    **_sweep_stats(sweeps)}
-
-    elif etype == "phase":
-        lo, hi = _frequency_range(exp, 0.25 * system.omegas[0].real,
-                                  1.25 * system.omegas[-1].real)
-        grid = refined_frequency_grid(system, lo, hi, exp["num_points"])
-        if exp["observation_points"] is not None:
-            obs = np.asarray(exp["observation_points"], dtype=float)
-        else:
-            obs = default_observation_points(system)
-        curves = phase_response(
-            system, grid, exp["F"], beta, obs,
-            phase_reference=exp["phase_reference"],
-        )
-        rows = []
-        for c in curves:
-            for i, om in enumerate(c.grid):
-                rows.append(
-                    (c.x[0], c.x[1], om, c.R[i], c.phi[i],
-                     c.phase_delay_cycles[i], c.group_delay_cycles[i])
-                )
-        manifest["outputs"]["phase.csv"] = _write_csv(
-            out / "phase.csv",
-            ["x1", "x2", "Omega", "R", "phi_rad", "phase_delay_cycles", "group_delay_cycles"],
-            rows,
-        )
-        manifest["sign_flags"] = {
-            "phase_sign_flipped": curves[0].sign_flipped,
-            "phase_reference": curves[0].phase_reference,
-        }
-        manifest["solver_stats"] = {"n_points": len(grid), "n_flagged": 0, "flagged": [],
-                                    **_sweep_stats([curves[0].sweep])}
-
-    elif etype == "twotone":
-        mode_1b = exp["mode_index"] if exp["mode_index"] is not None else exp["Omega1_mode"]
-        if exp["Omega1"] is not None:
-            Omega1 = exp["Omega1"]
-        else:
-            Omega1 = abs(system.omegas[exp["Omega1_mode"] - 1])
-        lo, hi = _frequency_range(exp, 0.9 * Omega1, 1.1 * Omega1)
-        grid_all = np.linspace(lo, hi, exp["num_points"])
-        floor = config.numerics["collision_floor"]
-        keep = np.abs(grid_all - Omega1) > floor * abs(Omega1)
-        dropped = [float(v) for v in grid_all[~keep]]
-        grid = grid_all[keep]
-        sweep = two_tone_sweep(
-            system, Omega1, grid, exp["F1"], exp["F2"], beta,
-            mode_index=mode_1b - 1, collision_floor=floor,
-        )
-        n_flagged = sweep.n_flagged
-        rows = []
-        flagged = []
-        for i, om2 in enumerate(sweep.grid):
-            rec = sweep.metadata["records"][i]
-            if rec is None:
-                flagged.append({"Omega2": float(om2), "message": sweep.flags[i]})
-                continue
-            rows.append((om2, rec["abs_X10"], rec["abs_X01"], rec["abs_X21"],
-                         rec["abs_X12"], rec["abs_X01_passive"]))
-        manifest["outputs"]["twotone.csv"] = _write_csv(
-            out / "twotone.csv",
-            ["Omega2", "abs_X10", "abs_X01", "abs_X21", "abs_X12", "abs_X01_passive"],
-            rows,
-        )
-        manifest["solver_stats"] = {
-            "n_points": len(grid), "n_flagged": n_flagged, "flagged": flagged,
-            "Omega1": float(Omega1), "collision_dropped": dropped,
-            **_sweep_stats([sweep]),
-        }
-
+    result = _EXPERIMENTS[etype](config, system)
     manifest["wall_times_s"]["experiment"] = time.time() - t0
+    results[result.csv] = result
+    for name, res in results.items():
+        manifest["outputs"][name] = _write_csv(out / name, res.header, res.rows)
+    manifest["solver_stats"] = {"n_points": result.n_points, "n_flagged": len(result.flagged),
+                                "flagged": result.flagged, **result.stats}
+    manifest["sign_flags"] = result.sign_flags
     manifest["wall_times_s"]["total"] = time.time() - t_start
     (out / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return 2 if n_flagged else 0
+    return 2 if result.flagged else 0
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,6 @@ class ResonatorArray:
     def radii(self) -> np.ndarray:
         return np.array([r.radius for r in self.resonators], dtype=float)
 
-    @property
-    def width(self) -> float:
-        """Extent of the array along x1, from leftmost to rightmost circle point."""
-        lo = min(r.center[0] - r.radius for r in self.resonators)
-        hi = max(r.center[0] + r.radius for r in self.resonators)
-        return hi - lo
-
     def largest_index(self) -> int:
         """Index of the largest circle (ties broken by lowest index)."""
         radii = self.radii

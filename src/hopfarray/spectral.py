@@ -20,9 +20,9 @@ from .boundary import (
     WaveParams,
     assemble_boundary_matrices,
     assemble_boundary_system,
-    evaluate_field,
     sample_fields,
 )
+from .boundary import evaluate_field  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 from .cylinder import bessel_j, hankel1
 from .geometry import ResonatorArray
 from .quadrature import default_spec, interior_rule
@@ -68,12 +68,6 @@ class Eigenmode:
     array: ResonatorArray
     params: WaveParams
     sv_gap: float
-
-    def field(self, points, side: str | None = None):
-        """Evaluate the mode at one or many points."""
-        return evaluate_field(
-            self.array, self.params, self.resonance.omega, self.density, points, side=side
-        )
 
 
 def _muller(
@@ -340,8 +334,8 @@ def _null_density(array: ResonatorArray, params: WaveParams, resonance: Resonanc
     the search's decomposition when it made one. Raises DegenerateModeError
     when the two are not clearly separated."""
     if resonance.svd is None:
-        system = assemble_boundary_system(array, params, resonance.omega, resonance.truncation)
-        _, s, vh = np.linalg.svd(system.matrix)
+        _, s, vh = np.linalg.svd(assemble_boundary_system(array, params, resonance.omega,
+                                                          resonance.truncation))
         null = vh[-1]
     else:
         s, null = resonance.svd

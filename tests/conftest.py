@@ -1,6 +1,6 @@
 import pytest
 
-from hopfarray.boundary import WaveParams
+from hopfarray.boundary import WaveParams, evaluate_field
 from hopfarray.geometry import Resonator, ResonatorArray, build_graded_array
 from hopfarray.modal import build_modal_system
 from hopfarray.spectral import extract_eigenmode, find_resonances
@@ -80,6 +80,12 @@ def six_system(six_array, params, six_resonances):
 @pytest.fixture(scope="session")
 def pair_system(pair_array, params, pair_modes):
     return build_modal_system(pair_array, params, M=5, modes=pair_modes)
+
+
+def mode_field(mode, points, side=None):
+    """A normalized eigenmode's field at one or many points."""
+    return evaluate_field(mode.array, mode.params, mode.resonance.omega, mode.density, points,
+                          side=side)
 
 
 # ---------------------------------------------------------------------------

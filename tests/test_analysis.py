@@ -148,6 +148,33 @@ def test_phase_unwrap_flags_coarse_grid(six_system):
         phase_response(six_system, grid, 1e-6, BETA, default_observation_points(six_system))
 
 
+def test_phase_curve_leaves_out_failed_points(six_system, monkeypatch):
+    # failed frequencies are flagged in the sweep and left out of the curve;
+    # with fewer than two solved the curve cannot be drawn, and the error
+    # names the count
+    import hopfarray.analysis as analysis
+
+    grid = refined_frequency_grid(six_system, 0.004, 0.03, 60)
+    obs = [[1.0, 0.0]]
+    real = analysis.solve_pure_tone_lanes
+
+    def failing(lost):
+        def solve(system, Omegas, F, beta, starts=None):
+            outcomes, counts = real(system, Omegas, F, beta, starts)
+            forced = hopf.ConvergenceError("forced")
+            return [forced if om in lost else out for om, out in zip(Omegas, outcomes)], counts
+        return solve
+
+    monkeypatch.setattr(analysis, "solve_pure_tone_lanes", failing({grid[3]}))
+    (curve,) = phase_response(six_system, grid, 1e-6, BETA, obs)
+    assert np.array_equal(curve.grid, np.delete(grid, 3))
+    assert len(curve.phi) == len(curve.group_delay_cycles) == len(grid) - 1
+    assert curve.sweep.flags[3] == "ConvergenceError: forced" and curve.sweep.n_flagged == 1
+    monkeypatch.setattr(analysis, "solve_pure_tone_lanes", failing(set(grid[1:])))
+    with pytest.raises(hopf.ConvergenceError, match=f"got 1 of {len(grid)} "):
+        phase_response(six_system, grid, 1e-6, BETA, obs)
+
+
 def test_phase_unwrap_refinement_stable(six_system):
     lo, hi = 0.004, 0.052  # below the sharpest high modes, past the first two
     coarse = refined_frequency_grid(six_system, lo, hi, 100)

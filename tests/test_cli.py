@@ -293,6 +293,56 @@ def test_flagged_points_exit_code(tmp_path, monkeypatch):
     assert len(flagged_rows) == 2  # one per mode at the failed point
 
 
+def test_flagged_phase_point_exit_code(tmp_path, monkeypatch):
+    import hopfarray.analysis as analysis
+    from hopfarray.hopf import ConvergenceError
+
+    real_solver = analysis.solve_pure_tone_lanes
+    parsed = parse_config(json.dumps(_config(experiment={"type": "phase", "num_points": 60})))
+    assert run_experiment(parsed, tmp_path / "probe") == 0
+    probe = (tmp_path / "probe" / "phase.csv").read_text().splitlines()[1:]
+    grid = sorted({float(r.split(",")[2]) for r in probe})
+    lost = grid[5]  # an interior point, so both its neighbours' differences change
+
+    def failing(system, Omegas, F, beta, starts=None):
+        outcomes, counts = real_solver(system, Omegas, F, beta, starts)
+        forced = ConvergenceError("forced failure for the phase flag-path test")
+        return [forced if om == lost else out for om, out in zip(Omegas, outcomes)], counts
+
+    monkeypatch.setattr(analysis, "solve_pure_tone_lanes", failing)
+    assert run_experiment(parsed, tmp_path / "flagged") == 2
+    stats = json.loads((tmp_path / "flagged" / "run.json").read_text())["solver_stats"]
+    assert stats["n_points"] == len(grid) and stats["n_flagged"] == 1
+    assert stats["flagged"] == [
+        {"Omega": lost, "message": "ConvergenceError: forced failure for the phase flag-path test"}]
+    rows = np.array([[float(v) for v in r.split(",")]
+                     for r in (tmp_path / "flagged" / "phase.csv").read_text().splitlines()[1:]])
+    points = np.unique(rows[:, :2], axis=0)
+    assert len(rows) == len(points) * (len(grid) - 1)
+    for x in points:
+        om, phi, gd = rows[(rows[:, :2] == x).all(axis=1)][:, [2, 4, 6]].T
+        assert sorted(om) == [w for w in grid if w != lost]
+        central = (phi[2:] - phi[:-2]) / (om[2:] - om[:-2]) * om[1:-1] / (2 * np.pi)
+        assert np.allclose(gd[1:-1], central, rtol=1e-12, atol=0.0)
+
+
+def test_oracle_flags_forcing_without_one_stable_state(tmp_path):
+    # the detuning of test_hopf's bistable case: weak forcing leaves the limit
+    # cycle unlocked, F = 0.5265 lies inside the fold, strong forcing locks
+    cfg = _config(experiment={"type": "oracle", "mu": 1.0, "omega0": 1.0, "Omega": 0.45,
+                              "F_values": [0.05, 0.5265, 2.0]})
+    assert run_experiment(parse_config(json.dumps(cfg)), tmp_path) == 2
+    stats = json.loads((tmp_path / "run.json").read_text())["solver_stats"]
+    assert stats["n_points"] == 3 and stats["n_flagged"] == 2
+    assert [f["F"] for f in stats["flagged"]] == [0.05, 0.5265]
+    assert stats["flagged"][0]["message"].startswith(
+        "ConvergenceError: no stable phase-locked state at mu=1.0")
+    assert stats["flagged"][1]["message"].startswith(
+        "ConvergenceError: bistable response at mu=1.0")
+    lines = (tmp_path / "oracle.csv").read_text().splitlines()
+    assert len(lines) == 2 and float(lines[1].split(",")[3]) == 2.0
+
+
 # the README's default 6-disk array with the default sweep
 DEFAULT_SWEEP = {
     "geometry": {"n": 6, "first_radius": 1.0, "s": 1.05, "gap_ratio": 0.5, "source_x": -5.0},
@@ -355,6 +405,19 @@ def test_cache_hit_skips_scipy_special_and_linalg(default_sweep, tmp_path, etype
     assert rerun["cache"]["hit"] is True
     assert rerun["solver_stats"] == manifest["solver_stats"]  # the counts repeat exactly
     assert (hit / f"{etype}.csv").read_bytes() == (out / f"{etype}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("etype", ["resonances", "sweep", "phase", "twotone", "oracle"])
+def test_exit_status_two_exactly_when_flagged(default_sweep, tmp_path, etype):
+    # the benchmark's correctness check reads the exit status by this rule
+    cfg_path = tmp_path / f"{etype}.json"
+    cfg_path.write_text(json.dumps({**DEFAULT_SWEEP, "experiment": {"type": etype}}))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "cache").symlink_to(default_sweep[1] / "cache")
+    status = main([etype, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    stats = json.loads((tmp_path / "out" / "run.json").read_text())["solver_stats"]
+    assert stats["n_flagged"] == len(stats["flagged"])
+    assert status == (2 if stats["n_flagged"] > 0 else 0)
 
 
 def test_edited_module_misses_the_cache(tmp_path):
