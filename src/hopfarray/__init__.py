@@ -29,9 +29,9 @@ from .hopf import (
     DEFAULT_BETA,
     ConvergenceError,
     HopfOracleResult,
-    PureToneSolution,
-    TwoToneSolution,
+    LineSolution,
     single_hopf_steady_state,
+    solve_lines,
     solve_passive,
     solve_pure_tone,
     solve_two_tone,
@@ -72,9 +72,9 @@ __all__ = [
     "gram_matrix",
     "source_coupling",
     "HopfOracleResult",
-    "PureToneSolution",
-    "TwoToneSolution",
+    "LineSolution",
     "single_hopf_steady_state",
+    "solve_lines",
     "solve_passive",
     "solve_pure_tone",
     "solve_two_tone",

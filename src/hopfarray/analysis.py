@@ -1,14 +1,15 @@
 """Frequency sweeps, phase/group delay curves and two-tone interference scans.
 
-Pure-tone sweeps partition their grid into fixed contiguous blocks; points
-inside a block are warm-started from the previous one, and every block
-starts cold, so a point's solution depends only on its block. Step j solves
-point j of every block as one stack of lanes in ``hopf``; the two-tone scan
-is cold-started stacks. Per-point solver failures are flagged, never
-fatal (a phase curve needs two solved points), and every returned
-solution carries a residual certificate from the pointwise evaluator in
-``hopf`` (the cubic term formed at the interior quadrature nodes, a
-separate code path from the tensor contraction in the Newton iteration).
+Every sweep is one loop over the points of a line set: fixed contiguous
+blocks, each point warm-started from the previous one in its block and every
+block started cold, so a point's solution depends only on its block. Step j
+solves point j of every block as one stack of lanes in ``hopf``. Pure tones
+use blocks of 16; the two-tone scan blocks of one, so one cold stack.
+Per-point solver failures are flagged, never fatal (a phase curve needs two
+solved points), and every returned solution carries a residual certificate
+from the pointwise evaluator in ``hopf`` (the cubic term formed at the
+interior quadrature nodes, a separate code path from the tensor contraction
+in the Newton iteration).
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hopf import (
+    _PURE_TONE_LINES,
+    _TWO_TONE_LINES,
     ConvergenceError,
     residual_pure_tone_reference,
     residual_two_tone,
+    solve_lines,
     solve_passive,
-    solve_pure_tone_lanes,
-    solve_two_tone_lanes,
 )
 from .hopf import solve_pure_tone, solve_two_tone  # noqa: F401  kept for perfbench/tracing.py, which patches them here
 from .modal import ModalSystem
@@ -42,7 +44,8 @@ class SweepResult:
 
     solutions[i] is None when point i failed; flags[i] then carries the
     failure message. certificates[i] is the independently re-evaluated
-    residual norm.
+    residual norm. metadata holds the solver counts residual_evaluations and
+    continuation_points, and for a two-tone scan its records.
     """
 
     grid: np.ndarray
@@ -92,9 +95,25 @@ class PhaseCurve:
     sweep: SweepResult | None = field(default=None, repr=False)
 
 
-def _collect(outcomes, certify):
-    """Solutions, flags and certificates from per-point outcomes (a solution or
-    an exception); certify takes at most _BLOCK solutions, to bound memory."""
+def _line_sweep(system: ModalSystem, vectors, tones, forcing, beta: float, block: int,
+                certify) -> SweepResult:
+    """Solve the lines `vectors` at every point k, ringing at tones[k] (an
+    array whose last column is the swept tone, and the grid) with forcing[k].
+
+    Point j of every block of `block` contiguous points is solved as one
+    stack, warm-started from the block's previous point when that one was
+    solved. certify(solutions) returns their certificates; it is given at
+    most _BLOCK solutions at a time, to bound memory.
+    """
+    outcomes, counts = [None] * len(tones), Counter()
+    for j in range(min(block, len(tones))):
+        idx = np.arange(j, len(tones), block)
+        starts = [None if j == 0 or isinstance(outcomes[i - 1], Exception) else outcomes[i - 1].X
+                  for i in idx]
+        step, step_counts = solve_lines(system, vectors, tones[idx], forcing[idx], beta, starts)
+        counts.update(step_counts)
+        for i, out in zip(idx, step):
+            outcomes[i] = out
     solutions = [None if isinstance(o, Exception) else o for o in outcomes]
     flags = [f"{type(o).__name__}: {o}" if isinstance(o, Exception) else None for o in outcomes]
     solved = [i for i, s in enumerate(solutions) if s is not None]
@@ -103,40 +122,21 @@ def _collect(outcomes, certify):
         chunk = solved[c:c + _BLOCK]
         for i, cert in zip(chunk, certify([solutions[i] for i in chunk])):
             certificates[i] = float(cert)
-    return solutions, flags, certificates
+    return SweepResult(grid=tones[:, -1], solutions=solutions, flags=flags,
+                       certificates=certificates, metadata=dict(counts))
 
 
-def pure_tone_sweep(
-    system: ModalSystem,
-    grid,
-    F: float,
-    beta: float,
-) -> SweepResult:
-    """Solve the pure-tone system across a frequency grid; metadata carries
-    the solver counts residual_evaluations and continuation_points."""
+def pure_tone_sweep(system: ModalSystem, grid, F: float, beta: float) -> SweepResult:
+    """Solve the pure-tone system across a frequency grid, in warm-started
+    blocks of _BLOCK points."""
     grid = np.asarray(grid, dtype=float)
-    outcomes, counts = [None] * len(grid), Counter()
-    for j in range(min(_BLOCK, len(grid))):  # point j of every block, as one stack
-        idx = np.arange(j, len(grid), _BLOCK)
-        starts = [None if j == 0 or isinstance(outcomes[i - 1], Exception) else outcomes[i - 1].X
-                  for i in idx]
-        step, step_counts = solve_pure_tone_lanes(system, grid[idx], F, beta, starts)
-        counts.update(step_counts)
-        for i, out in zip(idx, step):
-            outcomes[i] = out
 
     def certify(sols):
-        Omegas, X = np.array([s.Omega for s in sols]), np.array([s.X for s in sols])
+        Omegas, X = np.array([s.tones[0] for s in sols]), np.array([s.X[0] for s in sols])
         return np.linalg.norm(residual_pure_tone_reference(system, Omegas, F, beta, X), axis=1)
 
-    solutions, flags, certificates = _collect(outcomes, certify)
-    return SweepResult(
-        grid=grid,
-        solutions=solutions,
-        flags=flags,
-        certificates=certificates,
-        metadata={"F": F, "beta": beta, "kind": "pure_tone", **counts},
-    )
+    return _line_sweep(system, _PURE_TONE_LINES, grid[:, None], np.full((len(grid), 1), F), beta,
+                       _BLOCK, certify)
 
 
 def phase_response(
@@ -173,7 +173,7 @@ def phase_response(
         raise ConvergenceError(f"a phase curve needs two solved frequencies, got {len(solved)} "
                                f"of {len(sweep.grid)} (first failure: {first})")
     grid = sweep.grid[np.array([s is not None for s in sweep.solutions])]
-    amplitudes = np.array([s.X for s in solved]) @ U  # (G, P)
+    amplitudes = np.array([s.X[0] for s in solved]) @ U  # (G, P)
 
     curves: list[PhaseCurve] = []
     raw = np.angle(amplitudes)  # (G, P)
@@ -308,36 +308,19 @@ def two_tone_sweep(
         )
 
     def certify(sols):
-        Omega2s = np.array([s.Omega2 for s in sols])
-        Xs = np.array([[s.X10, s.X01, s.X21, s.X12] for s in sols])
+        Omega2s, Xs = np.array([s.tones[1] for s in sols]), np.array([s.X for s in sols])
         residuals = residual_two_tone(system, Omega1, Omega2s, F1, F2, beta, Xs)
         return np.linalg.norm(residuals, axis=(1, 2))
 
-    outcomes, counts = solve_two_tone_lanes(system, Omega1, grid2, F1, F2, beta)
-    solutions, flags, certificates = _collect(outcomes, certify)
-    records = [
+    tones = np.stack([np.full_like(grid2, Omega1), grid2], axis=1)
+    forcing = np.tile([F1, F2, 0.0, 0.0], (len(grid2), 1))
+    sweep = _line_sweep(system, _TWO_TONE_LINES, tones, forcing, beta, 1, certify)
+    keys = ("abs_X10", "abs_X01", "abs_X21", "abs_X12")  # one per line, in the lines' order
+    sweep.metadata["records"] = [
         None if s is None else {
-            "abs_X10": float(abs(s.X10[mode_index])),
-            "abs_X01": float(abs(s.X01[mode_index])),
-            "abs_X21": float(abs(s.X21[mode_index])),
-            "abs_X12": float(abs(s.X12[mode_index])),
-            "abs_X01_passive": float(abs(solve_passive(system, s.Omega2, F2)[mode_index])),
+            **{key: float(abs(x[mode_index])) for key, x in zip(keys, s.X)},
+            "abs_X01_passive": float(abs(solve_passive(system, s.tones[1], F2)[mode_index])),
         }
-        for s in solutions
+        for s in sweep.solutions
     ]
-    return SweepResult(
-        grid=grid2,
-        solutions=solutions,
-        flags=flags,
-        certificates=certificates,
-        metadata={
-            "Omega1": Omega1,
-            "F1": F1,
-            "F2": F2,
-            "beta": beta,
-            "mode_index": mode_index,
-            "kind": "two_tone",
-            "records": records,
-            **counts,
-        },
-    )
+    return sweep

@@ -200,11 +200,11 @@ def assemble_boundary_system(
     return assemble_boundary_matrices(array, params, [omega], M)[0]
 
 
-def _classify_points(array: ResonatorArray, points: np.ndarray, side: str | None) -> np.ndarray:
-    """Containing disk index or -1 per point, honoring the side selector
-    for points on a circle boundary."""
-    centers = array.centers
-    radii = array.radii
+def classify_points(centers: np.ndarray, radii: np.ndarray, points: np.ndarray,
+                    side: str | None) -> np.ndarray:
+    """Containing disk index or -1 per point, for disks of the given centers
+    (N, 2) and radii. A point on a circle is inside it for side 'interior'
+    and outside for 'exterior'; for side None it raises ValueError."""
     diff = points[:, None, :] - centers[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])  # (P, N)
     scale = np.maximum(radii[None, :], 1.0)
@@ -213,7 +213,7 @@ def _classify_points(array: ResonatorArray, points: np.ndarray, side: str | None
         if side is None:
             bad = points[on_boundary.any(axis=1)][0]
             raise ValueError(
-                f"point {tuple(bad)} lies on a resonator boundary; pass "
+                f"point {tuple(bad.tolist())} lies on a resonator boundary; pass "
                 "side='exterior' or side='interior' to select the trace"
             )
         if side not in ("exterior", "interior"):
@@ -280,7 +280,7 @@ def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: 
     step = max(1, _CHUNK // len(psi))
     region = np.empty(len(pts), dtype=int)
     for start in range(0, len(pts), step):
-        region[start:start + step] = _classify_points(array, pts[start:start + step], side)
+        region[start:start + step] = classify_points(array.centers, array.radii, pts[start:start + step], side)
     for i, (center, radius) in enumerate(zip(array.centers, array.radii)):
         diff = pts - center
         rho = np.hypot(diff[:, 0], diff[:, 1])

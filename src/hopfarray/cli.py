@@ -34,8 +34,8 @@ from .analysis import (
     refined_frequency_grid,
     two_tone_sweep,
 )
-from .boundary import WaveParams
-from .geometry import ResonatorArray, build_graded_array
+from .boundary import WaveParams, classify_points
+from .geometry import ResonatorArray, build_graded_array, graded_layout
 from .hopf import ConvergenceError, single_hopf_steady_state
 from .modal import ModalSystem, build_modal_system, cache_request, modal_cache_key
 from .quadrature import default_spec
@@ -261,7 +261,27 @@ def parse_config(text: str) -> ExperimentConfig:
             given_as = "" if key in given else "the default "
             raise ConfigError(f"experiment.{key}: {key} must be at most geometry.n = {geo['n']},"
                               f" got {given_as}{exp[key]!r}")
+    if etype == "phase" and exp["observation_points"] is not None:
+        point = _point_on_circle(geo, exp["observation_points"])
+        if point is not None:
+            raise ConfigError(f"experiment.observation_points: {point} lies on a resonator "
+                              "boundary, where the field has two traces")
     return ExperimentConfig(geometry=geo, material=mat, numerics=num, experiment=exp, raw=data)
+
+
+def _point_on_circle(geometry: dict, points):
+    """The first of the points that lies on a circle of the configured array,
+    or None. Only the circles' layout is computed, so any n is cheap."""
+    centers_x, radii = graded_layout(geometry["n"], geometry["first_radius"], geometry["s"],
+                                     geometry["gap_ratio"])
+    centers = np.stack([centers_x, np.zeros_like(centers_x)], axis=1)
+    for point in points:
+        try:
+            with np.errstate(all="ignore"):  # circles or points near the float range
+                classify_points(centers, radii, np.array([point], dtype=float), side=None)
+        except ValueError:
+            return point
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +431,7 @@ def _sweep(config: ExperimentConfig, system: ModalSystem) -> _Result:
                 rows += [(om, F, m, None, None, None, None, flag) for m in range(1, system.n + 1)]
             else:
                 rows += [(om, F, m, abs(x) / F, x.real, x.imag, cert, "")
-                         for m, x in enumerate(sol.X, 1)]
+                         for m, x in enumerate(sol.X[0], 1)]
     return _Result("sweep.csv",
                    ["Omega", "F", "mode", "abs_X_over_F", "re_X", "im_X", "residual", "flag"],
                    rows, len(grid) * len(exp["F_values"]), flagged, _sweep_stats(sweeps))
@@ -453,6 +473,10 @@ def _twotone(config: ExperimentConfig, system: ModalSystem) -> _Result:
     grid = np.linspace(lo, hi, exp["num_points"])
     floor = config.numerics["collision_floor"]
     keep = np.abs(grid - Omega1) > floor * abs(Omega1)
+    if not keep.any():
+        raise ConfigError(f"experiment.omega2_min/omega2_max: every Omega2 in [{float(lo)!r}, "
+                          f"{float(hi)!r}] lies within numerics.collision_floor = {floor!r} "
+                          f"of Omega1 = {float(Omega1)!r}")
     sweep = two_tone_sweep(system, Omega1, grid[keep], exp["F1"], exp["F2"], config.beta,
                            mode_index=mode - 1, collision_floor=floor)
     lines = ["abs_X10", "abs_X01", "abs_X21", "abs_X12", "abs_X01_passive"]

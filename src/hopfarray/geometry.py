@@ -109,6 +109,20 @@ def validate_array(array: ResonatorArray) -> list[str]:
     return violations
 
 
+def graded_layout(n: int, first_radius: float, s: float, gap_ratio: float):
+    """x1 of the centers and the radii of the n circles of a graded array.
+
+    Radius i + 1 is radius i times s, and center i + 1 is center i plus
+    radius i, the gap gap_ratio * radius i and radius i + 1, each added to
+    the running sum in that order; circle 0 touches the origin. A value past
+    the float range is inf.
+    """
+    with np.errstate(over="ignore"):
+        radii = np.multiply.accumulate(np.r_[first_radius, np.full(n - 1, s)].astype(float))
+        steps = np.stack([radii[:-1], gap_ratio * radii[:-1], radii[1:]], axis=1).ravel()
+        return np.add.accumulate(np.r_[radii[0], steps])[::3], radii
+
+
 def build_graded_array(
     n: int,
     first_radius: float,
@@ -135,15 +149,7 @@ def build_graded_array(
     if not gap_ratio > 0:
         raise ValueError(f"gap_ratio must be positive, got {gap_ratio}")
 
-    radii = [first_radius]
-    for _ in range(n - 1):
-        radii.append(radii[-1] * s)
-
-    centers_x = [radii[0]]  # leftmost point of circle 0 at the origin
-    for i in range(n - 1):
-        gap = gap_ratio * radii[i]
-        centers_x.append(centers_x[i] + radii[i] + gap + radii[i + 1])
-
+    centers_x, radii = graded_layout(n, first_radius, s, gap_ratio)
     leftmost = centers_x[0] - radii[0]
     if not source_x < leftmost:
         raise ValueError(

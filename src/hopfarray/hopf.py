@@ -61,25 +61,13 @@ DEFAULT_BETA = 5.0e5
 
 
 @dataclass(frozen=True)
-class PureToneSolution:
-    Omega: float
-    F: float
-    beta: float
+class LineSolution:
+    """The amplitudes X (L, N) of L response lines at one point, where line l
+    rings at vectors[l] . tones. The pure tone is X[0]; the two-tone lines
+    are X[0..3], at Omega1, Omega2, 2 Omega1 - Omega2 and -Omega1 + 2 Omega2."""
+
+    tones: np.ndarray
     X: np.ndarray
-    newton_iters: int
-    residual_norm: float
-
-
-@dataclass(frozen=True)
-class TwoToneSolution:
-    Omega1: float
-    Omega2: float
-    F1: float
-    F2: float
-    X10: np.ndarray
-    X01: np.ndarray
-    X21: np.ndarray
-    X12: np.ndarray
     newton_iters: int
     residual_norm: float
 
@@ -114,7 +102,7 @@ def solve_passive(system: ModalSystem, Omega: float, F: float) -> np.ndarray:
 _PURE_TONE_LINES = ((1,),)
 _TWO_TONE_LINES = ((1, 0), (0, 1), (2, -1), (-1, 2))
 
-# two-tone lines closer than this, relative to the largest, collide
+# lines closer than this, relative to the largest, collide
 _FREQUENCY_FLOOR = 1e-8
 _STACK_ENTRIES = 2**16  # lanes x (L N)^2 per Newton stack: about 300 bytes each, 20 MB
 
@@ -248,7 +236,7 @@ def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray, max_iter: int = 60
     return Z, iters, norm, evaluations, errors
 
 
-def _solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, starts):
+def solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, starts):
     """Solve line systems (lanes) in lockstep, _STACK_ENTRIES / (L N)^2 at a time.
 
     Lane k rings line l at vectors[l] . tones[k], driven with amplitude
@@ -257,11 +245,15 @@ def _solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, star
     every forcing is scaled down by 2^24 and continued back up
     geometrically, each step retried from a list of rescue starts; the
     branch reported is then the one continuously connected to the passive
-    solution. Returns per lane (X (L, N), Newton iterations, residual) or
-    the ConvergenceError or ValueError it failed with, and the solver counts.
+    solution. Returns per lane its LineSolution, or the ConvergenceError or
+    ValueError (such as two colliding lines) it failed with, and the solver
+    counts. Raises ValueError when beta is not finite.
     """
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     V = np.asarray(vectors)
-    freqs = np.asarray(tones, dtype=float) @ V.T
+    tones = np.asarray(tones, dtype=float)
+    freqs = tones @ V.T
     forcing = np.asarray(forcing, dtype=float)
     (K, L), n = forcing.shape, system.n
     W = _line_weights(V)
@@ -317,12 +309,10 @@ def _solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, star
     X0 = np.zeros((K, L, n), dtype=complex)
     for k in range(K):
         try:
-            if not np.isfinite(beta):
-                raise ValueError("beta must be finite")
             for a, b in zip(*np.triu_indices(L, 1)):  # lines must stay distinct
                 if abs(freqs[k, a] - freqs[k, b]) <= _FREQUENCY_FLOOR * np.max(np.abs(freqs[k])):
-                    raise ValueError(f"line frequencies {freqs[k, a]:.6g} and {freqs[k, b]:.6g} "
-                                     "collide; |Omega1 - Omega2| must exceed the frequency floor")
+                    raise ValueError(f"lines {tuple(V[a].tolist())} and {tuple(V[b].tolist())} collide "
+                                     f"at frequencies {freqs[k, a]:.6g} and {freqs[k, b]:.6g}")
             X0[k] = passive(k, 1.0) if starts[k] is None else np.reshape(starts[k], (L, n))
         except ValueError as exc:
             outcomes[k] = exc
@@ -337,7 +327,8 @@ def _solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, star
                 except (ConvergenceError, ValueError) as exc:
                     out = exc
             outcomes[k] = out
-    return outcomes, counts
+    return [out if isinstance(out, Exception) else LineSolution(tones[k], *out)
+            for k, out in enumerate(outcomes)], counts
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +395,7 @@ def _residual_lines(system: ModalSystem, vectors, tones, forcing, beta: float, X
 
 
 # ---------------------------------------------------------------------------
-# pure tone
+# presets: the pure tone (one line) and the two tone (four lines)
 # ---------------------------------------------------------------------------
 def residual_pure_tone_reference(
     system: ModalSystem, Omega, F: float, beta: float, X: np.ndarray
@@ -415,41 +406,16 @@ def residual_pure_tone_reference(
     return _residual_lines(system, _PURE_TONE_LINES, tones, [F], beta, X[..., None, :])[..., 0, :]
 
 
-def solve_pure_tone_lanes(system: ModalSystem, Omegas, F: float, beta: float, starts):
-    """Solve the pure-tone system at each frequency of Omegas as one stack of
-    lanes, lane k warm-started from starts[k] (None: the passive solution).
-    Returns per lane the PureToneSolution or the exception it failed with,
-    and the counts of residual evaluations and continuation points."""
-    Omegas = np.asarray(Omegas, dtype=float)
-    forcing = np.full((len(Omegas), 1), F)
-    solved, counts = _solve_lines(system, _PURE_TONE_LINES, Omegas[:, None], forcing, beta, starts)
-    return [s if isinstance(s, Exception) else PureToneSolution(float(Om), F, beta, s[0][0], *s[1:])
-            for Om, s in zip(Omegas, solved)], counts
-
-
-def solve_pure_tone(
-    system: ModalSystem,
-    Omega: float,
-    F: float,
-    beta: float,
-    start: np.ndarray | None = None,
-) -> PureToneSolution:
-    """Solve the coupled pure-tone system (one line at Omega) by damped Newton.
-
-    Starts from the passive solution (or the given warm start) and falls
-    back to geometric continuation in F from the linear regime when Newton
-    stalls. The reported branch is the one continuously connected to the
-    passive solution. The one-lane case of solve_pure_tone_lanes.
-    """
-    (outcome,), _ = solve_pure_tone_lanes(system, [Omega], F, beta, [start])
+def solve_pure_tone(system: ModalSystem, Omega: float, F: float, beta: float, start=None) -> LineSolution:
+    """Solve the coupled pure-tone system (one line at Omega) from the
+    passive solution or the given warm start: the one-lane, one-line case of
+    solve_lines."""
+    (outcome,), _ = solve_lines(system, _PURE_TONE_LINES, [[Omega]], [[F]], beta, [start])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-# ---------------------------------------------------------------------------
-# two-tone
-# ---------------------------------------------------------------------------
 def residual_two_tone(
     system: ModalSystem,
     Omega1: float,
@@ -466,35 +432,12 @@ def residual_two_tone(
     return _residual_lines(system, _TWO_TONE_LINES, tones, [F1, F2, 0.0, 0.0], beta, Xs)
 
 
-def solve_two_tone_lanes(system: ModalSystem, Omega1: float, Omega2s, F1: float, F2: float, beta: float):
-    """Solve the two-tone system at each second tone of Omega2s as one stack
-    of cold-started lanes; returns per lane the TwoToneSolution or the
-    exception it failed with, and the solver counts."""
-    Omega2s = np.asarray(Omega2s, dtype=float)
-    tones = np.stack([np.full_like(Omega2s, Omega1), Omega2s], axis=1)
-    forcing = np.tile([F1, F2, 0.0, 0.0], (len(Omega2s), 1))
-    solved, counts = _solve_lines(system, _TWO_TONE_LINES, tones, forcing, beta, [None] * len(tones))
-    return [s if isinstance(s, Exception) else TwoToneSolution(Omega1, float(Om2), F1, F2, *s[0], *s[1:])
-            for Om2, s in zip(Omega2s, solved)], counts
-
-
-def solve_two_tone(
-    system: ModalSystem,
-    Omega1: float,
-    Omega2: float,
-    F1: float,
-    F2: float,
-    beta: float,
-) -> TwoToneSolution:
-    """Solve the four coupled line systems for two-tone forcing.
-
-    Initialized from single-tone passive solutions with zero combination
-    lines; if Newton stalls, both forcing amplitudes are continued up
-    geometrically from the linear regime. Rejects configurations where the
-    four line frequencies are not clearly distinct. The one-lane case of
-    solve_two_tone_lanes.
-    """
-    (outcome,), _ = solve_two_tone_lanes(system, Omega1, [Omega2], F1, F2, beta)
+def solve_two_tone(system: ModalSystem, Omega1: float, Omega2: float, F1: float, F2: float,
+                   beta: float) -> LineSolution:
+    """Solve the four coupled two-tone line systems from the passive
+    responses to both tones: the one-lane, four-line case of solve_lines."""
+    (outcome,), _ = solve_lines(system, _TWO_TONE_LINES, [[Omega1, Omega2]], [[F1, F2, 0.0, 0.0]],
+                                beta, [None])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

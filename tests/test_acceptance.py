@@ -103,7 +103,7 @@ def test_criterion_3_linear_limit(six_system):
         for om in grid:
             passive = solve_passive(six_system, om, 1e-4)
             sol = solve_pure_tone(six_system, om, 1e-4, 0.0, start=np.zeros(6, complex))
-            worst = max(worst, np.linalg.norm(sol.X - passive) / np.linalg.norm(passive))
+            worst = max(worst, np.linalg.norm(sol.X[0] - passive) / np.linalg.norm(passive))
         assert worst <= 1e-12, f"worst relative deviation {worst:.2e}"
         record_acceptance(
             name, True, f"worst rel dev {worst:.1e} over 200 points; {time.perf_counter() - t0:.1f}s"
@@ -121,7 +121,7 @@ def test_criterion_4_cubic_order_consistency(six_system):
         Fs = np.logspace(-8, -6, 9)
         diffs = [
             np.linalg.norm(
-                solve_pure_tone(six_system, om, F, BETA).X - solve_passive(six_system, om, F)
+                solve_pure_tone(six_system, om, F, BETA).X[0] - solve_passive(six_system, om, F)
             )
             for F in Fs
         ]
@@ -141,7 +141,7 @@ def _compressive_slope_report(system, omega, Fs):
     for F in Fs:
         sol = solve_pure_tone(system, omega, F, BETA, start=start)
         start = sol.X
-        amps.append(abs(sol.X[1]))
+        amps.append(abs(sol.X[0, 1]))
     amps = np.array(amps)
     logF = np.log10(Fs)
     slopes = np.diff(np.log10(amps)) / np.diff(logF)
@@ -210,7 +210,7 @@ def test_criterion_6_compressive_amplification(six_system):
         for F in (1e-6, 1e-4, 1e-2):
             sweep = pure_tone_sweep(six_system, grid, F, BETA)
             assert sweep.n_flagged == 0
-            peaks[F] = max(abs(s.X[1]) / F for s in sweep.solutions)
+            peaks[F] = max(abs(s.X[0, 1]) / F for s in sweep.solutions)
         passive_peak = max(abs(solve_passive(six_system, om, 1.0)[1]) for om in grid)
         assert peaks[1e-6] > peaks[1e-4] > peaks[1e-2], f"peaks {peaks}"
         assert peaks[1e-6] > passive_peak, (
@@ -292,10 +292,10 @@ def test_criterion_9_two_tone_interference(six_system):
         tt = solve_two_tone(six_system, om1, 1.07 * om1, 1e-5, 0.0, BETA)
         pt = solve_pure_tone(six_system, om1, 1e-5, BETA)
         reduction = max(
-            np.max(np.abs(tt.X10 - pt.X)),
-            np.max(np.abs(tt.X01)),
-            np.max(np.abs(tt.X21)),
-            np.max(np.abs(tt.X12)),
+            np.max(np.abs(tt.X[0] - pt.X[0])),
+            np.max(np.abs(tt.X[1])),
+            np.max(np.abs(tt.X[2])),
+            np.max(np.abs(tt.X[3])),
         )
         assert reduction <= 1e-10, f"F2=0 reduction defect {reduction:.2e}"
 

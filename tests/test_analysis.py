@@ -32,7 +32,13 @@ def test_passive_limit_sweep(six_system):
     sweep = pure_tone_sweep(six_system, grid, 1e-5, 0.0)
     assert sweep.n_flagged == 0
     for om, sol in zip(sweep.grid, sweep.solutions):
-        assert np.allclose(sol.X, solve_passive(six_system, om, 1e-5), rtol=1e-12, atol=0)
+        assert np.allclose(sol.X[0], solve_passive(six_system, om, 1e-5), rtol=1e-12, atol=0)
+
+
+def test_sweep_rejects_infinite_beta_once(six_system):
+    # beta is checked once per solve, not flagged at every point
+    with pytest.raises(ValueError, match="beta must be finite"):
+        pure_tone_sweep(six_system, np.linspace(0.02, 0.026, 12), 1e-4, np.inf)
 
 
 def test_sweep_certificates_meet_tolerance(six_system):
@@ -47,7 +53,7 @@ def test_peak_location_near_resonance(six_system):
     center = six_system.omegas[1].real
     grid = np.linspace(0.97 * center, 1.03 * center, 61)
     sweep = pure_tone_sweep(six_system, grid, 1e-7, BETA)
-    amps = np.array([abs(s.X[1]) for s in sweep.solutions])
+    amps = np.array([abs(s.X[0, 1]) for s in sweep.solutions])
     peak = grid[np.argmax(amps)]
     assert abs(peak - center) <= 1.5 * (grid[1] - grid[0])
 
@@ -57,7 +63,7 @@ def test_warm_start_equals_cold_start(six_system):
     warm = pure_tone_sweep(six_system, grid, 1e-4, BETA)  # block warm chains
     for om, sol in zip(grid, warm.solutions):
         cold = solve_pure_tone(six_system, float(om), 1e-4, BETA)
-        assert np.max(np.abs(sol.X - cold.X)) <= 1e-9
+        assert np.max(np.abs(sol.X[0] - cold.X[0])) <= 1e-9
 
 
 def test_lockstep_lanes_match_blocks_solved_alone(six_system):
@@ -156,21 +162,21 @@ def test_phase_curve_leaves_out_failed_points(six_system, monkeypatch):
 
     grid = refined_frequency_grid(six_system, 0.004, 0.03, 60)
     obs = [[1.0, 0.0]]
-    real = analysis.solve_pure_tone_lanes
+    real = analysis.solve_lines
 
     def failing(lost):
-        def solve(system, Omegas, F, beta, starts=None):
-            outcomes, counts = real(system, Omegas, F, beta, starts)
+        def solve(system, vectors, tones, forcing, beta, starts):
+            outcomes, counts = real(system, vectors, tones, forcing, beta, starts)
             forced = hopf.ConvergenceError("forced")
-            return [forced if om in lost else out for om, out in zip(Omegas, outcomes)], counts
+            return [forced if om in lost else out for (om,), out in zip(tones, outcomes)], counts
         return solve
 
-    monkeypatch.setattr(analysis, "solve_pure_tone_lanes", failing({grid[3]}))
+    monkeypatch.setattr(analysis, "solve_lines", failing({grid[3]}))
     (curve,) = phase_response(six_system, grid, 1e-6, BETA, obs)
     assert np.array_equal(curve.grid, np.delete(grid, 3))
     assert len(curve.phi) == len(curve.group_delay_cycles) == len(grid) - 1
     assert curve.sweep.flags[3] == "ConvergenceError: forced" and curve.sweep.n_flagged == 1
-    monkeypatch.setattr(analysis, "solve_pure_tone_lanes", failing(set(grid[1:])))
+    monkeypatch.setattr(analysis, "solve_lines", failing(set(grid[1:])))
     with pytest.raises(hopf.ConvergenceError, match=f"got 1 of {len(grid)} "):
         phase_response(six_system, grid, 1e-6, BETA, obs)
 
@@ -260,8 +266,7 @@ def test_two_tone_stack_matches_points_solved_alone(six_system):
     sweep = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA, mode_index=3)
     for om2, s in zip(grid, sweep.solutions):
         alone = solve_two_tone(six_system, om1, om2, 1e-5, 1e-5, BETA)
-        for line in ("X10", "X01", "X21", "X12"):
-            assert np.array_equal(getattr(s, line), getattr(alone, line))
+        assert np.array_equal(s.X, alone.X)
 
 
 def test_two_tone_scan_solves_bounded_stacks(six_system, monkeypatch):
@@ -282,8 +287,7 @@ def test_two_tone_scan_solves_bounded_stacks(six_system, monkeypatch):
     split = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA, mode_index=3)
     assert sizes == [3, 3, 2]
     for s, w in zip(split.solutions, whole.solutions):
-        for line in ("X10", "X01", "X21", "X12"):
-            assert np.array_equal(getattr(s, line), getattr(w, line))
+        assert np.array_equal(s.X, w.X)
 
 
 def test_two_tone_sweep_rejects_collision_points(six_system):

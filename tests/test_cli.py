@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import hopfarray
+from hopfarray.boundary import classify_points
 from hopfarray.cli import ConfigError, main, parse_config, run_experiment
 
 BASE = {
@@ -238,6 +240,34 @@ def test_twotone_schema(tmp_path):
     assert 0 <= stats["certificate_max"] <= 1e-10 * (1 + 2e-5)
 
 
+def test_twotone_without_second_tone_is_a_config_error(tmp_path, capsys):
+    # every Omega2 of the grid falls inside the collision floor of Omega1
+    cfg = _config(experiment={"type": "twotone", "Omega1": 0.046, "mode_index": 1,
+                              "omega2_min": 0.045999, "omega2_max": 0.046001, "num_points": 3})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["twotone", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: experiment.omega2_min/omega2_max: ")
+    assert "numerics.collision_floor" in err
+    assert not (tmp_path / "out" / "run.json").exists()
+
+
+def test_phase_observation_point_on_a_circle_rejected(tmp_path, capsys):
+    # circle 0 of the two-disk array is centered at (1, 0) with radius 1
+    cfg = _config(experiment={"type": "phase", "observation_points": [[3.0, 0.5], [2.0, 0.0]]})
+    with pytest.raises(ConfigError, match=re.escape(
+            "experiment.observation_points: [2.0, 0.0] lies on a resonator boundary")):
+        parse_config(json.dumps(cfg))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "experiment.observation_points" in capsys.readouterr().err
+    array = parse_config(json.dumps(_config())).build_array()
+    with pytest.raises(ValueError, match=re.escape("point (2.0, 0.0) lies on a resonator boundary")):
+        classify_points(array.centers, array.radii, np.array([[3.0, 0.5], [2.0, 0.0]]), side=None)
+
+
 def test_phase_experiment_and_sign_flags(tmp_path):
     cfg = _config(experiment={"type": "phase", "num_points": 60, "F": 1e-6})
     parsed = parse_config(json.dumps(cfg))
@@ -266,7 +296,7 @@ def test_flagged_points_exit_code(tmp_path, monkeypatch):
     import hopfarray.analysis as analysis
     from hopfarray.hopf import ConvergenceError
 
-    real_solver = analysis.solve_pure_tone_lanes
+    real_solver = analysis.solve_lines
     cfg = _config(experiment={"type": "sweep", "mode_ref": 1, "num_points": 6,
                               "F_values": [1e-5]})
     parsed = parse_config(json.dumps(cfg))
@@ -275,14 +305,14 @@ def test_flagged_points_exit_code(tmp_path, monkeypatch):
         (tmp_path / "probe" / "sweep.csv").read_text().splitlines()[1].split(",")[0]
     )
 
-    def failing(system, Omegas, F, beta, starts=None):
+    def failing(system, vectors, tones, forcing, beta, starts):
         # the lane at grid_omega fails; the sweep flags what the driver returns
-        outcomes, counts = real_solver(system, Omegas, F, beta, starts)
+        outcomes, counts = real_solver(system, vectors, tones, forcing, beta, starts)
         forced = ConvergenceError("forced failure for the flag-path test")
         return [forced if abs(om - grid_omega) < 1e-15 else out
-                for om, out in zip(Omegas, outcomes)], counts
+                for (om,), out in zip(tones, outcomes)], counts
 
-    monkeypatch.setattr(analysis, "solve_pure_tone_lanes", failing)
+    monkeypatch.setattr(analysis, "solve_lines", failing)
     status = run_experiment(parsed, tmp_path / "flagged")
     assert status == 2
     manifest = json.loads((tmp_path / "flagged" / "run.json").read_text())
@@ -297,19 +327,19 @@ def test_flagged_phase_point_exit_code(tmp_path, monkeypatch):
     import hopfarray.analysis as analysis
     from hopfarray.hopf import ConvergenceError
 
-    real_solver = analysis.solve_pure_tone_lanes
+    real_solver = analysis.solve_lines
     parsed = parse_config(json.dumps(_config(experiment={"type": "phase", "num_points": 60})))
     assert run_experiment(parsed, tmp_path / "probe") == 0
     probe = (tmp_path / "probe" / "phase.csv").read_text().splitlines()[1:]
     grid = sorted({float(r.split(",")[2]) for r in probe})
     lost = grid[5]  # an interior point, so both its neighbours' differences change
 
-    def failing(system, Omegas, F, beta, starts=None):
-        outcomes, counts = real_solver(system, Omegas, F, beta, starts)
+    def failing(system, vectors, tones, forcing, beta, starts):
+        outcomes, counts = real_solver(system, vectors, tones, forcing, beta, starts)
         forced = ConvergenceError("forced failure for the phase flag-path test")
-        return [forced if om == lost else out for om, out in zip(Omegas, outcomes)], counts
+        return [forced if om == lost else out for (om,), out in zip(tones, outcomes)], counts
 
-    monkeypatch.setattr(analysis, "solve_pure_tone_lanes", failing)
+    monkeypatch.setattr(analysis, "solve_lines", failing)
     assert run_experiment(parsed, tmp_path / "flagged") == 2
     stats = json.loads((tmp_path / "flagged" / "run.json").read_text())["solver_stats"]
     assert stats["n_points"] == len(grid) and stats["n_flagged"] == 1

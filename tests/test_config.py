@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfarray.cli import (
-    _FIELDS, _REQUIRED, ConfigError, main, parse_config, run_experiment,
+    _FIELDS, _REQUIRED, ConfigError, _point_on_circle, main, parse_config, run_experiment,
 )
 
 from test_cli import _config
@@ -83,6 +83,8 @@ def configs(draw, etype=None):
     if etype in RANGES:
         lo, hi = (cfg["experiment"].get(k) for k in RANGES[etype])
         assume(lo is None or hi is None or lo < hi)
+    if cfg["experiment"].get("observation_points"):  # a point on a circle is invalid
+        assume(_point_on_circle(cfg["geometry"], cfg["experiment"]["observation_points"]) is None)
     if not cfg["numerics"] and draw(st.booleans()):
         del cfg["numerics"]  # the numerics object may be left out
     return cfg

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfarray.geometry import Resonator, ResonatorArray, build_graded_array, validate_array
+from hopfarray.geometry import Resonator, ResonatorArray, build_graded_array, graded_layout, validate_array
 
 
 def test_single_resonator_case():
@@ -21,6 +21,27 @@ def test_graded_radii_powers_of_s():
     assert radii == pytest.approx([s**i for i in range(8)], rel=1e-14)
     ratios = radii[1:] / radii[:-1]
     assert np.allclose(ratios, s, rtol=4e-16, atol=0.0)
+
+
+def _layout_loop(n, first_radius, s, gap_ratio):
+    """The graded layout as a scalar recurrence, one float operation at a time."""
+    radii = [float(first_radius)]
+    for _ in range(n - 1):
+        radii.append(radii[-1] * s)
+    centers = [radii[0]]
+    for i in range(n - 1):
+        centers.append(centers[i] + radii[i] + gap_ratio * radii[i] + radii[i + 1])
+    return centers, radii
+
+
+@given(st.integers(1, 40), st.floats(1e-3, 1e3), st.floats(0.5, 2.0), st.floats(1e-3, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_graded_layout_matches_scalar_recurrence(n, radius, s, gap_ratio):
+    # the accumulations run in the recurrence's order, so the bits agree
+    centers, radii = graded_layout(n, radius, s, gap_ratio)
+    want_centers, want_radii = _layout_loop(n, radius, s, gap_ratio)
+    assert np.array_equal(radii, want_radii) and np.array_equal(centers, want_centers)
+    assert np.array_equal(build_graded_array(n, radius, s, gap_ratio, -1.0).centers[:, 0], centers)
 
 
 def test_uniform_array_when_s_is_one():

@@ -15,6 +15,7 @@ from hopfarray.hopf import (
     residual_pure_tone_reference,
     residual_two_tone,
     single_hopf_steady_state,
+    solve_lines,
     solve_passive,
     solve_pure_tone,
     solve_two_tone,
@@ -72,14 +73,14 @@ def test_pure_tone_beta_zero_matches_passive(six_system):
     for om in np.linspace(0.015, 0.05, 7):
         passive = solve_passive(six_system, om, 1e-4)
         sol = solve_pure_tone(six_system, om, 1e-4, 0.0, start=np.zeros(6, complex))
-        assert np.allclose(sol.X, passive, rtol=1e-12, atol=1e-20)
+        assert np.allclose(sol.X[0], passive, rtol=1e-12, atol=1e-20)
         assert sol.residual_norm <= 1e-10 * (1 + 1e-4)
 
 
 def test_pure_tone_residual_certificate(six_system):
     om = six_system.omegas[1].real
     sol = solve_pure_tone(six_system, om, 1e-4, BETA)
-    ref = residual_pure_tone_reference(six_system, om, 1e-4, BETA, sol.X)
+    ref = residual_pure_tone_reference(six_system, om, 1e-4, BETA, sol.X[0])
     assert np.linalg.norm(ref) <= 1e-10 * (1 + 1e-4)
     # the pointwise certificate, the loop oracle and the solver's residual
     # agree where the residual is not pure noise
@@ -96,7 +97,7 @@ def test_pure_tone_residual_certificate(six_system):
 
 def test_pure_tone_small_forcing_is_perturbative(six_system):
     om = six_system.omegas[1].real
-    X = solve_pure_tone(six_system, om, 1e-8, BETA).X
+    X = solve_pure_tone(six_system, om, 1e-8, BETA).X[0]
     Xp = solve_passive(six_system, om, 1e-8)
     assert np.linalg.norm(X - Xp) / np.linalg.norm(Xp) < 1e-4
 
@@ -106,7 +107,7 @@ def test_pure_tone_cubic_order_scaling(six_system):
     Fs = np.logspace(-8, -6, 7)
     diffs = []
     for F in Fs:
-        X = solve_pure_tone(six_system, om, F, BETA).X
+        X = solve_pure_tone(six_system, om, F, BETA).X[0]
         diffs.append(np.linalg.norm(X - solve_passive(six_system, om, F)))
     slope = np.polyfit(np.log(Fs), np.log(diffs), 1)[0]
     assert 2.8 <= slope <= 3.2
@@ -114,7 +115,7 @@ def test_pure_tone_cubic_order_scaling(six_system):
 
 def test_pure_tone_compressive_at_resonance(six_system):
     om = six_system.omegas[1].real
-    gains = [abs(solve_pure_tone(six_system, om, F, BETA).X[1]) / F for F in (1e-6, 1e-4, 1e-2)]
+    gains = [abs(solve_pure_tone(six_system, om, F, BETA).X[0, 1]) / F for F in (1e-6, 1e-4, 1e-2)]
     assert gains[0] > gains[1] > gains[2]
 
 
@@ -248,10 +249,10 @@ def test_two_tone_reduces_to_pure_tone(six_system):
     om4 = abs(six_system.omegas[3])
     tt = solve_two_tone(six_system, om4, 1.07 * om4, 1e-5, 0.0, BETA)
     pt = solve_pure_tone(six_system, om4, 1e-5, BETA)
-    assert np.allclose(tt.X10, pt.X, rtol=0, atol=1e-10)
-    assert np.linalg.norm(tt.X01) <= 1e-10
-    assert np.linalg.norm(tt.X21) <= 1e-10
-    assert np.linalg.norm(tt.X12) <= 1e-10
+    assert np.allclose(tt.X[0], pt.X[0], rtol=0, atol=1e-10)
+    assert np.linalg.norm(tt.X[1]) <= 1e-10
+    assert np.linalg.norm(tt.X[2]) <= 1e-10
+    assert np.linalg.norm(tt.X[3]) <= 1e-10
 
 
 def test_two_tone_far_detuned_decoupling(six_system):
@@ -263,29 +264,29 @@ def test_two_tone_far_detuned_decoupling(six_system):
     for f in (om2_far, 2 * om4 - om2_far, 2 * om2_far - om4):
         assert np.min(np.abs(om - f)) > 0.045 * f
     tt = solve_two_tone(six_system, om4, om2_far, 1e-5, 1e-5, BETA)
-    primaries = max(np.max(np.abs(tt.X10)), np.max(np.abs(tt.X01)))
-    assert np.max(np.abs(tt.X21)) * 100 <= primaries
-    assert np.max(np.abs(tt.X12)) * 100 <= primaries
+    primaries = max(np.max(np.abs(tt.X[0])), np.max(np.abs(tt.X[1])))
+    assert np.max(np.abs(tt.X[2])) * 100 <= primaries
+    assert np.max(np.abs(tt.X[3])) * 100 <= primaries
 
 
 def test_two_tone_residual_paths_agree(six_system):
     om4 = abs(six_system.omegas[3])
     tt = solve_two_tone(six_system, om4, 1.03 * om4, 1e-5, 1e-5, BETA)
-    Xs = np.array([tt.X10, tt.X01, tt.X21, tt.X12])
+    Xs = tt.X
     fun_jac = _line_system(
-        six_system, _TWO_TONE_LINES, (tt.Omega1, tt.Omega2), (1e-5, 1e-5, 0.0, 0.0)
+        six_system, _TWO_TONE_LINES, tt.tones, (1e-5, 1e-5, 0.0, 0.0)
     )
     r_solver = fun_jac(Xs.ravel())[0].reshape(4, -1)
-    r_point = residual_two_tone(six_system, tt.Omega1, tt.Omega2, 1e-5, 1e-5, BETA, Xs)
+    r_point = residual_two_tone(six_system, *tt.tones, 1e-5, 1e-5, BETA, Xs)
     assert np.linalg.norm(r_solver) <= 1e-10 * (1 + 2e-5)
     assert np.max(np.abs(r_solver - r_point)) <= 1e-10
     # away from the solution the certificate sees the solver's cubic terms:
     # the pure tone, the two-tone lines and the next combination tones
-    tones = (tt.Omega1, tt.Omega2)
+    tones = tuple(tt.tones)
     six_forcing = (1e-5, 1e-5, 0.0, 0.0, 0.0, 0.0)
     cases = [
         (_PURE_TONE_LINES, tones[:1], (1e-5,),
-         lambda Z: residual_pure_tone_reference(six_system, tt.Omega1, 1e-5, BETA, Z[0])[None]),
+         lambda Z: residual_pure_tone_reference(six_system, tt.tones[0], 1e-5, BETA, Z[0])[None]),
         (_TWO_TONE_LINES, tones, (1e-5, 1e-5, 0.0, 0.0),
          lambda Z: residual_two_tone(six_system, *tones, 1e-5, 1e-5, BETA, Z)),
         (_SIX_LINES, tones, six_forcing,
@@ -304,6 +305,32 @@ def test_two_tone_frequency_collision_rejected(six_system):
     om4 = abs(six_system.omegas[3])
     with pytest.raises(ValueError, match="collide"):
         solve_two_tone(six_system, om4, om4 * (1 + 1e-12), 1e-5, 1e-5, BETA)
+
+
+def test_line_collision_names_the_lines(six_system):
+    # the colliding pair is named by its frequency vectors, whatever the line set
+    om4 = abs(six_system.omegas[3])
+    forcing = [(1e-5, 1e-5, 0.0, 0.0, 0.0, 0.0)]
+    (outcome,), _ = solve_lines(six_system, _SIX_LINES, [(om4, om4 * (1 + 1e-12))], forcing, BETA, [None])
+    assert isinstance(outcome, ValueError)
+    assert str(outcome).startswith("lines (1, 0) and (0, 1) collide at frequencies ")
+
+
+def test_solve_lines_six_line_set(six_system):
+    # a line set that is neither the pure tone nor the two tone: the two-tone
+    # lines plus the next combination tones, each lane certified by the AFT
+    # residual, which shares no code with the solver's line table
+    om4 = abs(six_system.omegas[3])
+    tones = [(om4, 1.02 * om4), (om4, 0.97 * om4)]
+    forcing = np.tile([1e-5, 1e-5, 0.0, 0.0, 0.0, 0.0], (2, 1))
+    solved, counts = solve_lines(six_system, _SIX_LINES, tones, forcing, BETA, [None, None])
+    assert set(counts) == {"residual_evaluations", "continuation_points"}
+    for t, sol in zip(tones, solved):
+        assert not isinstance(sol, Exception), sol
+        assert sol.X.shape == (6, six_system.n)
+        assert np.array_equal(sol.tones, t)
+        cert = np.linalg.norm(_residual_lines(six_system, _SIX_LINES, sol.tones, forcing[0], BETA, sol.X))
+        assert cert <= 1e-10 * (1 + 2e-5)
 
 
 # ---------------------------------------------------------------------------
