@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"  # recorded in each run.json; cache keys hash the source instead
 
-from .geometry import Resonator, ResonatorArray, build_graded_array, validate_array
+from .geometry import ResonatorArray, build_graded_array
 from .cylinder import bessel_j, hankel1
 from .boundary import MultipoleDensity, WaveParams, assemble_boundary_system, evaluate_field
 from .quadrature import QuadratureSpec, default_spec
@@ -50,10 +50,8 @@ from .analysis import (
 
 
 __all__ = [
-    "Resonator",
     "ResonatorArray",
     "build_graded_array",
-    "validate_array",
     "bessel_j",
     "hankel1",
     "MultipoleDensity",

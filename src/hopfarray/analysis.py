@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hopf import (
-    _PURE_TONE_LINES,
-    _TWO_TONE_LINES,
+    PURE_TONE_LINES,
+    TWO_TONE_LINES,
     ConvergenceError,
     residual_pure_tone_reference,
     residual_two_tone,
@@ -32,6 +32,10 @@ from .hopf import solve_pure_tone, solve_two_tone  # noqa: F401  kept for perfbe
 from .modal import ModalSystem
 
 _BLOCK = 16
+
+# the keys of a two-tone record: one mode's modulus on each line of
+# TWO_TONE_LINES, in their order, then its passive response to Omega2 alone
+TWO_TONE_KEYS = ("abs_X10", "abs_X01", "abs_X21", "abs_X12", "abs_X01_passive")
 
 
 class UnwrapError(RuntimeError):
@@ -135,7 +139,7 @@ def pure_tone_sweep(system: ModalSystem, grid, F: float, beta: float) -> SweepRe
         Omegas, X = np.array([s.tones[0] for s in sols]), np.array([s.X[0] for s in sols])
         return np.linalg.norm(residual_pure_tone_reference(system, Omegas, F, beta, X), axis=1)
 
-    return _line_sweep(system, _PURE_TONE_LINES, grid[:, None], np.full((len(grid), 1), F), beta,
+    return _line_sweep(system, PURE_TONE_LINES, grid[:, None], np.full((len(grid), 1), F), beta,
                        _BLOCK, certify)
 
 
@@ -314,12 +318,12 @@ def two_tone_sweep(
 
     tones = np.stack([np.full_like(grid2, Omega1), grid2], axis=1)
     forcing = np.tile([F1, F2, 0.0, 0.0], (len(grid2), 1))
-    sweep = _line_sweep(system, _TWO_TONE_LINES, tones, forcing, beta, 1, certify)
-    keys = ("abs_X10", "abs_X01", "abs_X21", "abs_X12")  # one per line, in the lines' order
+    sweep = _line_sweep(system, TWO_TONE_LINES, tones, forcing, beta, 1, certify)
+    *line_keys, passive_key = TWO_TONE_KEYS
     sweep.metadata["records"] = [
         None if s is None else {
-            **{key: float(abs(x[mode_index])) for key, x in zip(keys, s.X)},
-            "abs_X01_passive": float(abs(solve_passive(system, s.tones[1], F2)[mode_index])),
+            **{key: float(abs(x[mode_index])) for key, x in zip(line_keys, s.X, strict=True)},
+            passive_key: float(abs(solve_passive(system, s.tones[1], F2)[mode_index])),
         }
         for s in sweep.solutions
     ]

@@ -28,6 +28,7 @@ import scipy
 
 from . import __version__
 from .analysis import (
+    TWO_TONE_KEYS,
     default_observation_points,
     phase_response,
     pure_tone_sweep,
@@ -38,7 +39,7 @@ from .boundary import WaveParams, classify_points
 from .geometry import ResonatorArray, build_graded_array, graded_layout
 from .hopf import ConvergenceError, single_hopf_steady_state
 from .modal import ModalSystem, build_modal_system, cache_request, modal_cache_key
-from .quadrature import default_spec
+from .quadrature import QuadratureSpec, default_spec
 
 
 class ConfigError(ValueError):
@@ -78,7 +79,7 @@ _FIELDS = (
     ("numerics", "ring_radial", "integer", 2, 10),
     ("numerics", "ring_angular", "integer", 2, 12),
     ("numerics", "disk_radial", "integer", 2, 16),
-    ("numerics", "disk_angular", "integer", 2, 48),
+    ("numerics", "disk_angular", "integer", 8, 48),
     ("numerics", "omega_max", "number", "positive", None),
     ("numerics", "collision_floor", "number", "positive", 1e-3),
     ("experiment", "type", "enum", ("resonances", "sweep", "phase", "twotone", "oracle"),
@@ -144,6 +145,13 @@ class ExperimentConfig:
             gap_ratio=g["gap_ratio"],
             source_x=g["source_x"],
         )
+
+    def quadrature_spec(self, array: ResonatorArray) -> QuadratureSpec:
+        """The composite rule's spec from the numerics block, box around the array."""
+        num = self.numerics
+        keys = ("ext_order", "panel_size", "ring_radial", "ring_angular", "disk_radial",
+                "disk_angular")
+        return default_spec(array, inflate=num["quad_inflate"], **{key: num[key] for key in keys})
 
     def wave_params(self) -> WaveParams:
         m = self.material
@@ -311,16 +319,7 @@ def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: boo
     params = config.wave_params()
     num = config.numerics
     M = num["multipole_order"]
-    quad = default_spec(
-        array,
-        inflate=num["quad_inflate"],
-        ext_order=num["ext_order"],
-        panel_size=num["panel_size"],
-        ring_radial=num["ring_radial"],
-        ring_angular=num["ring_angular"],
-        disk_radial=num["disk_radial"],
-        disk_angular=num["disk_angular"],
-    )
+    quad = config.quadrature_spec(array)
     search = {
         "tolerance": num["resonance_tolerance"],
         "drift_tolerance": num["drift_tolerance"],
@@ -479,12 +478,11 @@ def _twotone(config: ExperimentConfig, system: ModalSystem) -> _Result:
                           f"of Omega1 = {float(Omega1)!r}")
     sweep = two_tone_sweep(system, Omega1, grid[keep], exp["F1"], exp["F2"], config.beta,
                            mode_index=mode - 1, collision_floor=floor)
-    lines = ["abs_X10", "abs_X01", "abs_X21", "abs_X12", "abs_X01_passive"]
-    rows = [(om2, *(rec[k] for k in lines))
+    rows = [(om2, *(rec[k] for k in TWO_TONE_KEYS))
             for om2, rec in zip(sweep.grid, sweep.metadata["records"]) if rec is not None]
     stats = {"Omega1": float(Omega1), "collision_dropped": [float(v) for v in grid[~keep]],
              **_sweep_stats([sweep])}
-    return _Result("twotone.csv", ["Omega2", *lines], rows, len(sweep.grid),
+    return _Result("twotone.csv", ["Omega2", *TWO_TONE_KEYS], rows, len(sweep.grid),
                    _failures(sweep, "Omega2"), stats)
 
 

@@ -8,104 +8,105 @@ origin so the source, on the negative x1-axis, is always outside the array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
-class Resonator:
-    """A single circular resonator: center (2-vector) and radius > 0."""
-
-    center: tuple[float, float]
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.radius) or self.radius <= 0:
-            raise ValueError(f"radius must be a positive finite real, got {self.radius}")
-        if len(self.center) != 2 or not all(np.isfinite(c) for c in self.center):
-            raise ValueError(f"center must be a finite 2-vector, got {self.center}")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        object.__setattr__(self, "radius", float(self.radius))
-
-
-@dataclass(frozen=True)
 class ResonatorArray:
-    """Ordered collection of disjoint circles plus the source location.
+    """Circles on the line x2 = 0 and a point source on that line.
 
-    Invariants (checked by :func:`validate_array`):
+    Circle i has center (center_x[i], 0) and radius radius[i]; the source is
+    at (source_x, 0). The constructor stores float tuples and raises
+    ValueError unless:
 
-    - circles pairwise disjoint (center distance > sum of radii),
-    - all centers on the line x2 = 0, ordered by increasing x1,
-    - source strictly outside every circle.
+    - every radius is finite and positive, and every center finite;
+    - each circle ends before the next begins, center_x[i] + radius[i] <
+      center_x[i + 1] - radius[i + 1]. On one line this is the same as
+      ordered by increasing x1 and pairwise disjoint, and it is checked in
+      floating point as written, so it also holds for every pair i < j;
+    - the source lies outside every circle, |source_x - center_x[i]| > radius[i].
     """
 
-    resonators: tuple[Resonator, ...]
-    source: tuple[float, float]
-    grading_factor: float = 1.0
+    center_x: tuple[float, ...]
+    radius: tuple[float, ...]
+    source_x: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "resonators", tuple(self.resonators))
-        object.__setattr__(self, "source", (float(self.source[0]), float(self.source[1])))
-        object.__setattr__(self, "grading_factor", float(self.grading_factor))
-        violations = validate_array(self)
+        x = np.asarray(self.center_x, dtype=float)
+        r = np.asarray(self.radius, dtype=float)
+        source_x = float(self.source_x)
+        object.__setattr__(self, "center_x", tuple(x.ravel().tolist()))
+        object.__setattr__(self, "radius", tuple(r.ravel().tolist()))
+        object.__setattr__(self, "source_x", source_x)
+        violations = _violations(x, r, source_x)
         if violations:
             raise ValueError("invalid resonator array: " + "; ".join(violations))
 
     @property
     def n(self) -> int:
-        return len(self.resonators)
+        return len(self.center_x)
 
     @property
     def centers(self) -> np.ndarray:
         """Centers as an (N, 2) array."""
-        return np.array([r.center for r in self.resonators], dtype=float)
+        x = np.array(self.center_x)
+        return np.stack([x, np.zeros_like(x)], axis=1)
 
     @property
     def radii(self) -> np.ndarray:
-        return np.array([r.radius for r in self.resonators], dtype=float)
+        return np.array(self.radius)
+
+    @property
+    def source(self) -> tuple[float, float]:
+        return (self.source_x, 0.0)
 
     def largest_index(self) -> int:
         """Index of the largest circle (ties broken by lowest index)."""
-        radii = self.radii
-        return int(np.argmax(radii))
+        return int(np.argmax(self.radii))
 
 
-def validate_array(array: ResonatorArray) -> list[str]:
-    """Return a list of invariant violations; empty iff the array is valid.
+def _first(mask: np.ndarray) -> tuple[int, str]:
+    """Index of the first True entry, and how many more there are as text."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]), f" (and {len(hits) - 1} more)" if len(hits) > 1 else ""
 
-    Diagnostic only: never raises.
-    """
-    violations: list[str] = []
-    res = array.resonators
-    if len(res) == 0:
-        violations.append("array contains no resonators")
+
+def _violations(x: np.ndarray, r: np.ndarray, source_x: float) -> list[str]:
+    """What makes the circles (x, r) and the source invalid, each named by
+    its first offender; empty iff the array is valid."""
+    if x.ndim != 1 or x.shape != r.shape:
+        return [f"center_x and radius must be 1-D and of one length, "
+                f"got shapes {x.shape} and {r.shape}"]
+    if x.size == 0:
+        return ["array contains no resonators"]
+    if not np.isfinite(source_x):
+        return [f"source_x must be finite, got {source_x}"]
+    bad_radius = ~(np.isfinite(r) & (r > 0))
+    bad_center = ~np.isfinite(x)
+    violations = []
+    if bad_radius.any():
+        i, more = _first(bad_radius)
+        violations.append(f"radius {i} must be positive and finite, got {r[i]}{more}")
+    if bad_center.any():
+        i, more = _first(bad_center)
+        violations.append(f"center {i} must be finite, got {x[i]}{more}")
+    if violations:
         return violations
-    for idx, r in enumerate(res):
-        if abs(r.center[1]) > 0.0:
-            violations.append(f"resonator {idx} center not on the line x2=0: {r.center}")
-    for idx in range(len(res) - 1):
-        if res[idx].center[0] >= res[idx + 1].center[0]:
-            violations.append(
-                f"resonators {idx} and {idx + 1} not ordered by increasing x1"
-            )
-    for i in range(len(res)):
-        for j in range(i + 1, len(res)):
-            d = np.hypot(
-                res[i].center[0] - res[j].center[0],
-                res[i].center[1] - res[j].center[1],
-            )
-            if d <= res[i].radius + res[j].radius:
-                violations.append(
-                    f"resonators {i} and {j} overlap: center distance {d:.6g} "
-                    f"<= radius sum {res[i].radius + res[j].radius:.6g}"
-                )
-    for idx, r in enumerate(res):
-        d = np.hypot(array.source[0] - r.center[0], array.source[1] - r.center[1])
-        if d <= r.radius:
-            violations.append(
-                f"source {array.source} lies inside or on resonator {idx}"
-            )
+    with np.errstate(over="ignore"):
+        ends, starts = x + r, x - r
+    overlap = ~(ends[:-1] < starts[1:])
+    if overlap.any():
+        i, more = _first(overlap)
+        violations.append(
+            f"resonators {i} and {i + 1} overlap or are out of order: circle {i} ends at "
+            f"x1 = {ends[i]:.6g}, circle {i + 1} begins at x1 = {starts[i + 1]:.6g}{more}"
+        )
+    inside = ~(np.abs(source_x - x) > r)
+    if inside.any():
+        i, more = _first(inside)
+        violations.append(f"source ({source_x}, 0.0) lies inside or on resonator {i}{more}")
     return violations
 
 
@@ -157,8 +158,5 @@ def build_graded_array(
             f"(x = {leftmost:.6g}), got {source_x}"
         )
 
-    resonators = tuple(
-        Resonator(center=(x, 0.0), radius=r) for x, r in zip(centers_x, radii)
-    )
-    return ResonatorArray(resonators=resonators, source=(source_x, 0.0), grading_factor=s)
+    return ResonatorArray(center_x=centers_x, radius=radii, source_x=source_x)
 

@@ -98,9 +98,11 @@ def solve_passive(system: ModalSystem, Omega: float, F: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # harmonic balance on L response lines
 # ---------------------------------------------------------------------------
-# integer frequency vectors of the response lines over the forcing tones
-_PURE_TONE_LINES = ((1,),)
-_TWO_TONE_LINES = ((1, 0), (0, 1), (2, -1), (-1, 2))
+# integer frequency vectors of the response lines over the forcing tones: the
+# line sets of a pure tone and of the two-tone lines Omega1, Omega2, 2 Omega1 - Omega2
+# and 2 Omega2 - Omega1, as solve_lines takes them
+PURE_TONE_LINES = ((1,),)
+TWO_TONE_LINES = ((1, 0), (0, 1), (2, -1), (-1, 2))
 
 # lines closer than this, relative to the largest, collide
 _FREQUENCY_FLOOR = 1e-8
@@ -403,14 +405,14 @@ def residual_pure_tone_reference(
     """Pointwise residual of the pure-tone system: the one-line case of
     _residual_lines. X may stack points, one Omega each."""
     tones = np.asarray(Omega, dtype=float)[..., None]
-    return _residual_lines(system, _PURE_TONE_LINES, tones, [F], beta, X[..., None, :])[..., 0, :]
+    return _residual_lines(system, PURE_TONE_LINES, tones, [F], beta, X[..., None, :])[..., 0, :]
 
 
 def solve_pure_tone(system: ModalSystem, Omega: float, F: float, beta: float, start=None) -> LineSolution:
     """Solve the coupled pure-tone system (one line at Omega) from the
     passive solution or the given warm start: the one-lane, one-line case of
     solve_lines."""
-    (outcome,), _ = solve_lines(system, _PURE_TONE_LINES, [[Omega]], [[F]], beta, [start])
+    (outcome,), _ = solve_lines(system, PURE_TONE_LINES, [[Omega]], [[F]], beta, [start])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -429,14 +431,14 @@ def residual_two_tone(
     amplitudes Xs: the four-line case of _residual_lines. Xs may stack
     points, one Omega2 each."""
     tones = np.stack(np.broadcast_arrays(float(Omega1), np.asarray(Omega2, dtype=float)), axis=-1)
-    return _residual_lines(system, _TWO_TONE_LINES, tones, [F1, F2, 0.0, 0.0], beta, Xs)
+    return _residual_lines(system, TWO_TONE_LINES, tones, [F1, F2, 0.0, 0.0], beta, Xs)
 
 
 def solve_two_tone(system: ModalSystem, Omega1: float, Omega2: float, F1: float, F2: float,
                    beta: float) -> LineSolution:
     """Solve the four coupled two-tone line systems from the passive
     responses to both tones: the one-lane, four-line case of solve_lines."""
-    (outcome,), _ = solve_lines(system, _TWO_TONE_LINES, [[Omega1, Omega2]], [[F1, F2, 0.0, 0.0]],
+    (outcome,), _ = solve_lines(system, TWO_TONE_LINES, [[Omega1, Omega2]], [[F1, F2, 0.0, 0.0]],
                                 beta, [None])
     if isinstance(outcome, Exception):
         raise outcome

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import MultipoleDensity, WaveParams, sample_fields
-from .geometry import Resonator, ResonatorArray
+from .geometry import ResonatorArray
 from .quadrature import QuadratureSpec, default_spec, exterior_rule, interior_rule
 from .spectral import Eigenmode, Resonance, find_resonances, sample_eigenmodes
 from .spectral import extract_eigenmode  # noqa: F401  kept for perfbench/tracing.py, which patches it here
@@ -85,10 +85,12 @@ def source_coupling(modes: list[Eigenmode], source) -> np.ndarray:
     if not modes:
         raise ValueError("need at least one mode")
     array = modes[0].array
-    for idx, r in enumerate(array.resonators):
-        d = np.hypot(source[0] - r.center[0], source[1] - r.center[1])
-        if abs(d - r.radius) <= 1e-12 * max(r.radius, 1.0):
-            raise ValueError(f"source {tuple(source)} lies on the boundary of resonator {idx}")
+    radii = array.radii
+    d = np.hypot(source[0] - array.centers[:, 0], source[1])
+    on_boundary = np.abs(d - radii) <= 1e-12 * np.maximum(radii, 1.0)
+    if on_boundary.any():
+        raise ValueError(
+            f"source {tuple(source)} lies on the boundary of resonator {np.argmax(on_boundary)}")
     return _mode_values(modes, np.asarray(source, dtype=float))[:, 0].conj()
 
 
@@ -208,11 +210,7 @@ class ModalSystem:
             raise ValueError(
                 f"modal cache entry is for another request (differs in {', '.join(differ)})")
         inputs = data["request"]["inputs"]
-        array = ResonatorArray(
-            resonators=[Resonator(**r) for r in inputs["array"]["resonators"]],
-            source=inputs["array"]["source"],
-            grading_factor=inputs["array"]["grading_factor"],
-        )
+        array = ResonatorArray(**inputs["array"])
         params = WaveParams(**inputs["params"])
         quad = QuadratureSpec(**{**inputs["quad"], "box": tuple(inputs["quad"]["box"])})
         res = data["resonances"]

@@ -66,10 +66,11 @@ class QuadratureSpec:
     def validate_against(self, array: ResonatorArray) -> None:
         """Check the box strictly contains all circles and the source."""
         x0, x1, y0, y1 = self.box
-        for idx, r in enumerate(array.resonators):
-            cx, cy = r.center
-            if not (x0 < cx - r.radius and cx + r.radius < x1 and y0 < cy - r.radius and cy + r.radius < y1):
-                raise ValueError(f"box {self.box} does not strictly contain resonator {idx}")
+        x, r = array.centers[:, 0], array.radii
+        outside = ~((x0 < x - r) & (x + r < x1) & (y0 < -r) & (r < y1))
+        if outside.any():
+            raise ValueError(
+                f"box {self.box} does not strictly contain resonator {np.argmax(outside)}")
         sx, sy = array.source
         if not (x0 < sx < x1 and y0 < sy < y1):
             raise ValueError(f"box {self.box} does not contain the source {array.source}")
@@ -167,30 +168,22 @@ def collar_half_widths(array: ResonatorArray, spec: QuadratureSpec) -> np.ndarra
     radii = array.radii
     cxs = array.centers[:, 0]
     x0, x1, y0, y1 = spec.box
-    n = array.n
-    widths = np.empty(n)
-    for i in range(n):
-        slack = 0.5 * radii[i]
-        if i > 0:
-            gap = cxs[i] - cxs[i - 1] - radii[i] - radii[i - 1]
-            slack = min(slack, 0.45 * gap)
-        if i < n - 1:
-            gap = cxs[i + 1] - cxs[i] - radii[i] - radii[i + 1]
-            slack = min(slack, 0.45 * gap)
+    step = cxs[1:] - cxs[:-1]
+    slack = np.minimum.reduce([
+        0.5 * radii,
+        np.r_[np.inf, 0.45 * (step - radii[1:] - radii[:-1])],  # gap to the left neighbour
+        np.r_[0.45 * (step - radii[:-1] - radii[1:]), np.inf],  # gap to the right neighbour
         # keep the whole square inside the box
-        slack = min(
-            slack,
-            0.9 * (cxs[i] - x0) - radii[i],
-            0.9 * (x1 - cxs[i]) - radii[i],
-            0.9 * y1 - radii[i],
-            0.9 * (-y0) - radii[i],
+        0.9 * (cxs - x0) - radii,
+        0.9 * (x1 - cxs) - radii,
+        0.9 * y1 - radii,
+        0.9 * (-y0) - radii,
+    ])
+    if (slack <= 0).any():
+        raise ValueError(
+            f"box {spec.box} leaves no room for a collar around resonator {np.argmax(slack <= 0)}"
         )
-        if slack <= 0:
-            raise ValueError(
-                f"box {spec.box} leaves no room for a collar around resonator {i}"
-            )
-        widths[i] = radii[i] + slack
-    return widths
+    return radii + slack
 
 
 def exterior_rule(array: ResonatorArray, spec: QuadratureSpec):
@@ -246,8 +239,8 @@ def interior_rule(array: ResonatorArray, spec: QuadratureSpec):
     pts_all = []
     wts_all = []
     idx_all = []
-    for i, r in enumerate(array.resonators):
-        p, w = disk_rule(r.center, r.radius, spec.disk_radial, spec.disk_angular)
+    for i, (x, r) in enumerate(zip(array.center_x, array.radius)):
+        p, w = disk_rule((x, 0.0), r, spec.disk_radial, spec.disk_angular)
         pts_all.append(p)
         wts_all.append(w)
         idx_all.append(np.full(len(w), i, dtype=int))

@@ -277,7 +277,7 @@ def find_resonances(
         raise ValueError(f"unknown search keys: {sorted(search)}")
 
     n_res = array.n
-    disk_seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
+    disk_seeds = [single_disk_resonance(r, params) for r in array.radii]
     if any(abs(s) > omega_max for s in disk_seeds):
         raise ResonanceSearchError("isolated-disk seeds exceed the subwavelength window; "
                                    "lower delta or raise omega_max")

@@ -1,7 +1,7 @@
 import pytest
 
 from hopfarray.boundary import WaveParams, evaluate_field
-from hopfarray.geometry import Resonator, ResonatorArray, build_graded_array
+from hopfarray.geometry import ResonatorArray, build_graded_array
 from hopfarray.modal import build_modal_system
 from hopfarray.spectral import extract_eigenmode, find_resonances
 
@@ -19,14 +19,7 @@ def single_array():
 @pytest.fixture(scope="session")
 def pair_array():
     # two identical circles mirrored in the x2-axis
-    return ResonatorArray(
-        resonators=(
-            Resonator(center=(-1.25, 0.0), radius=1.0),
-            Resonator(center=(1.25, 0.0), radius=1.0),
-        ),
-        source=(-6.0, 0.0),
-        grading_factor=1.0,
-    )
+    return ResonatorArray(center_x=(-1.25, 1.25), radius=(1.0, 1.0), source_x=-6.0)
 
 
 @pytest.fixture(scope="session")

@@ -8,13 +8,16 @@ for the mirror-symmetric two-resonator system, a point-by-point sum of the
 layer potentials that represent a field (all three take their cylinder
 functions from scipy.special, not from hopfarray.cylinder), an
 argument-principle count of the resonances in a rectangle from the
-loop-built determinant, and a time integration of the single forced Hopf
-oscillator. The node-doubling refinement report at the end is the
+loop-built determinant, a time integration of the single forced Hopf
+oscillator, and a pair-by-pair validity check of a line of circles. The
+node-doubling refinement report at the end is the
 exception: it reuses the modal sampling, as it checks convergence of the
 quadrature rather than the code.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import special as sp
@@ -334,6 +337,34 @@ def hopf_steady_state_rk(mu: float, omega0: float, Omega: float, F: float) -> fl
             return float(mean)
         horizon *= 2.0
     raise RuntimeError("steady state not reached within the horizon cap")
+
+
+# ---------------------------------------------------------------------------
+# validity of a line of circles, pair by pair
+# ---------------------------------------------------------------------------
+def array_violations_pairwise(center_x, radius, source_x) -> list[str]:
+    """Every violation of the circles (center_x[i], 0) of radius radius[i]
+    and the source (source_x, 0), in Python floats: a radius that is not
+    positive and finite, a center that is not finite, every pair i < j not
+    in order or where circle i does not end before circle j begins, and
+    every circle that holds the source. O(n^2); empty iff the array is valid."""
+    x, r, s = [float(v) for v in center_x], [float(v) for v in radius], float(source_x)
+    if len(x) == 0 or len(x) != len(r):
+        return [f"need as many radii as centers, at least one: got {len(x)} and {len(r)}"]
+    violations = [f"radius {i} not positive and finite" for i, ri in enumerate(r)
+                  if not (math.isfinite(ri) and ri > 0)]
+    violations += [f"center {i} not finite" for i, xi in enumerate(x) if not math.isfinite(xi)]
+    if violations:
+        return violations
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            if not x[i] < x[j]:
+                violations.append(f"resonators {i} and {j} not ordered by increasing x1")
+            if not x[i] + r[i] < x[j] - r[j]:
+                violations.append(f"resonators {i} and {j} overlap")
+    violations += [f"source lies inside or on resonator {i}"
+                   for i in range(len(x)) if not abs(s - x[i]) > r[i]]
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hopfarray.analysis import (
     two_tone_sweep,
 )
 from hopfarray.hopf import (
-    _TWO_TONE_LINES,
+    TWO_TONE_LINES,
     _cubic_lines,
     single_hopf_steady_state,
     solve_passive,
@@ -64,8 +64,8 @@ def test_criterion_2_hybridization_symmetry(pair_array, params, pair_resonances,
     name = "2 hybridization symmetry"
     t0 = time.perf_counter()
     try:
-        r = pair_array.resonators[0].radius
-        d = abs(pair_array.resonators[0].center[0])
+        r = pair_array.radius[0]
+        d = abs(pair_array.center_x[0])
         from hopfarray.spectral import single_disk_resonance
 
         seed = single_disk_resonance(r, params)
@@ -273,7 +273,7 @@ def test_criterion_8_cubic_coefficient_oracle():
         worst = 0.0
         for _ in range(100):
             S = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            got = _cubic_lines(_TWO_TONE_LINES, S[:, None], np.ones((1, 1)), np.ones((1, 1)))[:, 0]  # one node, unit weight
+            got = _cubic_lines(TWO_TONE_LINES, S[:, None], np.ones((1, 1)), np.ones((1, 1)))[:, 0]  # one node, unit weight
             want = fourier_cubic_coefficients(*S)
             for g, w in zip(got, want):
                 worst = max(worst, abs(g - w) / max(abs(w), 1e-30))

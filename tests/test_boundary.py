@@ -12,7 +12,7 @@ from hopfarray.boundary import (
     sample_fields,
 )
 from hopfarray.cylinder import bessel_j_orders, hankel1, hankel1_orders
-from hopfarray.geometry import Resonator, ResonatorArray, build_graded_array
+from hopfarray.geometry import build_graded_array
 from hopfarray.spectral import _default_search, single_disk_resonance, subwavelength_cutoff
 from oracles import boundary_matrix_loop, field_loop
 
@@ -102,7 +102,7 @@ def test_assembly_matches_loop_oracle(array_name, v_b, request):
     # the vectorised assembly against the per-pair loop over scipy.special
     array = request.getfixturevalue(array_name)
     params = WaveParams(v=1.0, v_b=v_b, delta=1e-3)
-    seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
+    seeds = [single_disk_resonance(r, params) for r in array.radii]
     window = _default_search(seeds, subwavelength_cutoff(array, params))
     rng = np.random.default_rng(array.n)
     M = 5
@@ -188,7 +188,7 @@ def test_evaluate_field_monopole_far_field(params):
     dens = MultipoleDensity(psi=psi, phi=np.zeros_like(psi))
     omega = 0.4
     k = omega / params.v
-    c = np.array(arr.resonators[0].center)
+    c = arr.centers[0]
     x = c + np.array([100.0, 35.0])
     val = evaluate_field(arr, params, omega, dens, x)
     # moment of S[e^{i 0 theta}]: circumference times the kernel average
@@ -218,7 +218,7 @@ def test_evaluate_field_satisfies_helmholtz(params, pair_array):
     for pt, kk in [
         (np.array([0.0, 2.5]), omega / params.v),
         (np.array([-3.0, 0.7]), omega / params.v),
-        (np.array(pair_array.resonators[1].center) + np.array([0.2, 0.1]), omega / params.v_b),
+        (pair_array.centers[1] + np.array([0.2, 0.1]), omega / params.v_b),
     ]:
         lap = (
             field(pt + [h, 0]) + field(pt - [h, 0]) + field(pt + [0, h]) + field(pt - [0, h])
@@ -237,7 +237,7 @@ def test_sample_fields_matches_field_oracle(array_name, v_b, request):
     # about the array axis (equal distances to every center) and one repeat
     array = request.getfixturevalue(array_name)
     params = WaveParams(v=1.0, v_b=v_b, delta=1e-3)
-    seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
+    seeds = [single_disk_resonance(r, params) for r in array.radii]
     window = _default_search(seeds, subwavelength_cutoff(array, params))
     rng = np.random.default_rng(20 + array.n)
     M = 4

@@ -1,6 +1,7 @@
 """The config schema: every field's kind, bound and default come from one
 table in `hopfarray.cli`, and every rejection names its field."""
 
+import dataclasses
 import json
 import math
 import re
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hopfarray.cli import (
     _FIELDS, _REQUIRED, ConfigError, _point_on_circle, main, parse_config, run_experiment,
 )
+from hopfarray.quadrature import QuadratureSpec
 
 from test_cli import _config
 
@@ -259,9 +261,31 @@ def test_parse_accepts_an_unused_omega1_mode_beyond_geometry_n():
 def test_readme_lists_every_config_field_with_its_default():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Config fields", 1)[1].split("\n#", 1)[0]
-    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|.*\| (.+) \|$", section, flags=re.MULTILINE)
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| [^|]+ \| ([^|]+) \| (.+) \|$", section,
+                      flags=re.MULTILINE)
     listed = {(block, key): _REQUIRED if cell == "required"
-              else _typed(json.loads(cell.strip("`"))) for block, key, cell in rows}
+              else _typed(json.loads(cell.strip("`"))) for block, key, _, cell in rows}
     assert len(listed) == len(rows)
     assert listed == {(block, key): default if default is _REQUIRED else _typed(default)
                       for block, key, _, _, default in _FIELDS}
+    bounds = {(block, key): cell for block, key, cell, _ in rows}
+    assert all(bounds[block, key] == f"≥ {bound}"
+               for block, key, kind, bound, _ in _FIELDS if kind == "integer")
+
+
+def test_quadrature_counts_at_their_bound_build_the_spec(tmp_path, capsys):
+    # each integer numerics row that QuadratureSpec checks: at the table's
+    # bound the config validates and its spec builds (the spec only: the
+    # rules at a tiny panel_size would allocate without limit)
+    checked = {f.name for f in dataclasses.fields(QuadratureSpec)} - {"box", "panel_size"}
+    rows = [(key, bound) for block, key, kind, bound, _ in _FIELDS
+            if block == "numerics" and kind == "integer" and key in checked]
+    assert {key for key, _ in rows} == checked
+    for key, bound in rows:
+        config = parse_config(json.dumps(_config(numerics={key: bound})))
+        assert getattr(config.quadrature_spec(config.build_array()), key) == bound
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(_config(numerics={key: bound - 1})))
+        assert main(["validate", "--config", str(path)]) == 1
+        want = f"error: numerics.{key}: {key} must be an integer >= {bound}"
+        assert capsys.readouterr().err.startswith(want)

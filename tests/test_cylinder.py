@@ -187,7 +187,7 @@ def test_hankel_panels_match_amos(n):
 
     array = build_graded_array(n, 1.0, 1.05, 0.5, -5.0)
     params = WaveParams(v=1.0, v_b=1.0, delta=1e-3)
-    seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
+    seeds = [single_disk_resonance(r, params) for r in array.radii]
     window = _default_search(seeds, subwavelength_cutoff(array, params))
     re, im = np.meshgrid(np.linspace(*window["re"], 4), np.linspace(*window["im"], 3))
     k = (re + 1j * im).ravel() / params.v

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfarray.hopf import (
-    _PURE_TONE_LINES,
-    _TWO_TONE_LINES,
+    PURE_TONE_LINES,
+    TWO_TONE_LINES,
     ConvergenceError,
     _cubic_lines,
     _line_fun_jac,
@@ -23,7 +23,7 @@ from hopfarray.hopf import (
 from oracles import fourier_cubic_coefficients, hopf_steady_state_rk, residual_pure_tone_loop
 
 BETA = 5.0e5
-_SIX_LINES = _TWO_TONE_LINES + ((3, -2), (-2, 3))  # the next combination tones
+_SIX_LINES = TWO_TONE_LINES + ((3, -2), (-2, 3))  # the next combination tones
 
 
 def _line_system(system, vectors, tones, forcing):
@@ -84,7 +84,7 @@ def test_pure_tone_residual_certificate(six_system):
     assert np.linalg.norm(ref) <= 1e-10 * (1 + 1e-4)
     # the pointwise certificate, the loop oracle and the solver's residual
     # agree where the residual is not pure noise
-    fun_jac = _line_system(six_system, _PURE_TONE_LINES, (om,), (1e-4,))
+    fun_jac = _line_system(six_system, PURE_TONE_LINES, (om,), (1e-4,))
     rng = np.random.default_rng(8)
     for _ in range(5):
         X = 1e-2 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
@@ -134,21 +134,21 @@ def _aft_lines(vectors, S):
 
 
 def test_phase_grid_least_alias_free():
-    assert _phase_grid(_PURE_TONE_LINES) == ((0,), 1)
-    assert _phase_grid(_TWO_TONE_LINES)[1] == 7
+    assert _phase_grid(PURE_TONE_LINES) == ((0,), 1)
+    assert _phase_grid(TWO_TONE_LINES)[1] == 7
     assert _phase_grid(_SIX_LINES)[1] == 11
     with pytest.raises(ValueError, match="repeat"):
         _phase_grid(((1, 0), (1, 0)))
 
 
 def test_cubic_coefficients_all_zero():
-    assert np.all(_aft_lines(_TWO_TONE_LINES, np.zeros(4)) == 0.0)
+    assert np.all(_aft_lines(TWO_TONE_LINES, np.zeros(4)) == 0.0)
 
 
 def test_cubic_coefficients_single_line():
-    C = _aft_lines(_TWO_TONE_LINES, [1.0, 0.0, 0.0, 0.0])
+    C = _aft_lines(TWO_TONE_LINES, [1.0, 0.0, 0.0, 0.0])
     assert C == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-14)
-    C = _aft_lines(_TWO_TONE_LINES, [0.0, 2.0, 0.0, 0.0])
+    C = _aft_lines(TWO_TONE_LINES, [0.0, 2.0, 0.0, 0.0])
     assert C == pytest.approx([0.0, 8.0, 0.0, 0.0], abs=1e-14)  # |z|^2 z on a lone line
 
 
@@ -156,7 +156,7 @@ def test_cubic_coefficients_against_fourier_oracle():
     rng = np.random.default_rng(12)
     for _ in range(100):
         S = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        got = _aft_lines(_TWO_TONE_LINES, S)
+        got = _aft_lines(TWO_TONE_LINES, S)
         want = fourier_cubic_coefficients(*S)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-8, abs=1e-12)
@@ -167,7 +167,7 @@ def test_cubic_coefficients_against_fourier_oracle():
 def test_cubic_coefficients_oracle_property(seed):
     rng = np.random.default_rng(seed)
     S = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    got = _aft_lines(_TWO_TONE_LINES, S)
+    got = _aft_lines(TWO_TONE_LINES, S)
     want = fourier_cubic_coefficients(*S)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-8, abs=1e-12)
@@ -176,22 +176,22 @@ def test_cubic_coefficients_oracle_property(seed):
 def test_cubic_coefficients_vectorized():
     rng = np.random.default_rng(3)
     S = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
-    C = _aft_lines(_TWO_TONE_LINES, S)
+    C = _aft_lines(TWO_TONE_LINES, S)
     for p in (0, 17, 49):
-        assert C[p] == pytest.approx(_aft_lines(_TWO_TONE_LINES, S[p]), rel=1e-14)
+        assert C[p] == pytest.approx(_aft_lines(TWO_TONE_LINES, S[p]), rel=1e-14)
 
 
 def test_line_table_matches_closed_form():
     # the generated table contracted with scalar line sums (N = 1, T = 1)
     # is the exact DFT line algebra, and |S|^2 S on a lone line
-    W = _line_weights(_TWO_TONE_LINES)
+    W = _line_weights(TWO_TONE_LINES)
     assert W.shape == (4, 4, 4, 4)
     rng = np.random.default_rng(17)
     for _ in range(50):
         S = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         got = np.einsum("labc,a,b,c->l", W, S, S, S.conj())
         assert got == pytest.approx(fourier_cubic_coefficients(*S), rel=1e-8, abs=1e-12)
-    W1 = _line_weights(_PURE_TONE_LINES)
+    W1 = _line_weights(PURE_TONE_LINES)
     assert W1.shape == (1, 1, 1, 1)
     S = complex(rng.standard_normal(), rng.standard_normal())
     assert np.einsum("labc,a,b,c->l", W1, [S], [S], [np.conj(S)])[0] == pytest.approx(
@@ -202,8 +202,8 @@ def test_line_table_matches_closed_form():
 @pytest.mark.parametrize(
     "vectors, tone_factors, forcing",
     [
-        (_PURE_TONE_LINES, (1.0,), (1e-4,)),
-        (_TWO_TONE_LINES, (1.0, 1.03), (1e-5, 2e-5, 0.0, 0.0)),
+        (PURE_TONE_LINES, (1.0,), (1e-4,)),
+        (TWO_TONE_LINES, (1.0, 1.03), (1e-5, 2e-5, 0.0, 0.0)),
     ],
 )
 def test_line_jacobian_matches_finite_differences(six_system, vectors, tone_factors, forcing):
@@ -234,8 +234,8 @@ class _WithoutMatrixTranspose(np.ndarray):
 def test_line_builder_needs_no_numpy2_transpose(six_system):
     # pyproject declares numpy >= 1.24; arrays derived from the iterate keep
     # this subclass, so a .mT anywhere in the builder raises here
-    freqs = np.array([_TWO_TONE_LINES]) @ (abs(six_system.omegas[3]) * np.array([1.0, 1.03]))
-    fun_jac = _line_fun_jac(six_system, freqs, _line_weights(_TWO_TONE_LINES), [(1e-5, 2e-5, 0, 0)], BETA)
+    freqs = np.array([TWO_TONE_LINES]) @ (abs(six_system.omegas[3]) * np.array([1.0, 1.03]))
+    fun_jac = _line_fun_jac(six_system, freqs, _line_weights(TWO_TONE_LINES), [(1e-5, 2e-5, 0, 0)], BETA)
     rng = np.random.default_rng(5)
     Z = 1e-2 * (rng.standard_normal((1, 4 * six_system.n)) + 1j * rng.standard_normal((1, 4 * six_system.n)))
     for plain, guarded in zip(fun_jac(Z), fun_jac(Z.view(_WithoutMatrixTranspose))):
@@ -274,7 +274,7 @@ def test_two_tone_residual_paths_agree(six_system):
     tt = solve_two_tone(six_system, om4, 1.03 * om4, 1e-5, 1e-5, BETA)
     Xs = tt.X
     fun_jac = _line_system(
-        six_system, _TWO_TONE_LINES, tt.tones, (1e-5, 1e-5, 0.0, 0.0)
+        six_system, TWO_TONE_LINES, tt.tones, (1e-5, 1e-5, 0.0, 0.0)
     )
     r_solver = fun_jac(Xs.ravel())[0].reshape(4, -1)
     r_point = residual_two_tone(six_system, *tt.tones, 1e-5, 1e-5, BETA, Xs)
@@ -285,9 +285,9 @@ def test_two_tone_residual_paths_agree(six_system):
     tones = tuple(tt.tones)
     six_forcing = (1e-5, 1e-5, 0.0, 0.0, 0.0, 0.0)
     cases = [
-        (_PURE_TONE_LINES, tones[:1], (1e-5,),
+        (PURE_TONE_LINES, tones[:1], (1e-5,),
          lambda Z: residual_pure_tone_reference(six_system, tt.tones[0], 1e-5, BETA, Z[0])[None]),
-        (_TWO_TONE_LINES, tones, (1e-5, 1e-5, 0.0, 0.0),
+        (TWO_TONE_LINES, tones, (1e-5, 1e-5, 0.0, 0.0),
          lambda Z: residual_two_tone(six_system, *tones, 1e-5, 1e-5, BETA, Z)),
         (_SIX_LINES, tones, six_forcing,
          lambda Z: _residual_lines(six_system, _SIX_LINES, tones, six_forcing, BETA, Z)),

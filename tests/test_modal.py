@@ -80,7 +80,7 @@ def test_gram_refinement_under_doubling(pair_modes):
 def test_gram_parity_orthogonality(pair_modes):
     # symmetric box for the symmetric pair: parity sectors are orthogonal
     arr = pair_modes[0].array
-    span = 4.0 * (arr.resonators[1].center[0] + arr.resonators[1].radius)
+    span = 4.0 * (arr.center_x[1] + arr.radius[1])
     quad = default_spec(arr)
     quad = QuadratureSpec(
         box=(-span, span, -span, span),
@@ -117,7 +117,7 @@ def test_source_coupling_far_field_decay(single_mode):
     from hopfarray.cylinder import hankel1
 
     k = single_mode.resonance.omega / single_mode.params.v
-    center = single_mode.array.resonators[0].center[0]
+    center = single_mode.array.center_x[0]
     d1, d2 = 50.0, 200.0
     v1 = abs(source_coupling([single_mode], (-d1, 0.0))[0])
     v2 = abs(source_coupling([single_mode], (-d2, 0.0))[0])
@@ -153,7 +153,7 @@ def test_cubic_tensor_diagonal_real_positive(single_mode):
     assert val.imag == pytest.approx(0.0, abs=1e-14 * abs(val))
     assert val.real > 0
     # matches the direct interior integral of |u|^4
-    pts, wts = disk_rule(single_mode.array.resonators[0].center, 1.0, 24, 48)
+    pts, wts = disk_rule(single_mode.array.centers[0], 1.0, 24, 48)
     direct = np.sum(wts * np.abs(mode_field(single_mode, pts)) ** 4)
     assert val.real == pytest.approx(direct, rel=1e-10)
 
@@ -220,7 +220,7 @@ def test_modal_cache_key_sensitivity(six_system, monkeypatch):
     assert key != key_of(M=7)
     assert key != key_of(quad=six_system.quad.refine(2))
     assert key != key_of(params=replace(six_system.params, delta=2e-3))
-    assert key != key_of(array=replace(six_system.array, source=(-6.0, 0.0)))
+    assert key != key_of(array=replace(six_system.array, source_x=-6.0))
     assert key != key_of(tolerance=1e-9)
     assert key != key_of(drift_tolerance=1e-3)
     assert key != key_of(omega_max=0.1)

@@ -31,7 +31,7 @@ _PINNED_SIX = [
 
 
 def _window_box(array, params):
-    seeds = [single_disk_resonance(r.radius, params) for r in array.resonators]
+    seeds = [single_disk_resonance(r, params) for r in array.radii]
     window = _default_search(seeds, subwavelength_cutoff(array, params))
     return window["re"] + window["im"]
 
@@ -95,8 +95,8 @@ def test_delta_scaling(six_array):
 
 
 def test_hybridized_pair_matches_parity_oracle(pair_array, params, pair_resonances):
-    r = pair_array.resonators[0].radius
-    d = abs(pair_array.resonators[0].center[0])
+    r = pair_array.radius[0]
+    d = abs(pair_array.center_x[0])
     seed = single_disk_resonance(r, params)
     oracle = sorted(
         (parity_resonance(r, d, params, 5, parity, seed) for parity in (+1, -1)),
@@ -126,8 +126,8 @@ def test_pair_modes_have_definite_parity(pair_modes):
 
 def test_mode_normalization_unit_interior_norm(single_array, params, single_mode):
     total = 0.0
-    for res in single_array.resonators:
-        pts, wts = disk_rule(res.center, res.radius, 30, 72)
+    for center, radius in zip(single_array.centers, single_array.radii):
+        pts, wts = disk_rule(center, radius, 30, 72)
         vals = mode_field(single_mode, pts)
         total += np.sum(wts * np.abs(vals) ** 2)
     assert total == pytest.approx(1.0, rel=1e-8)
@@ -137,7 +137,7 @@ def test_mode_phase_anchor_real_positive(six_system):
     # interior mean over the largest resonator is real and positive
     arr = six_system.array
     largest = arr.largest_index()
-    pts, wts = disk_rule(arr.resonators[largest].center, arr.resonators[largest].radius, 20, 48)
+    pts, wts = disk_rule(arr.centers[largest], arr.radii[largest], 20, 48)
     for mode in six_system.modes:
         mean = np.sum(wts * mode_field(mode, pts)) / np.sum(wts)
         assert abs(mean.imag) <= 1e-10 * abs(mean)
@@ -163,9 +163,7 @@ def _pointwise_condition_defects(mode, n_samples: int = 64):
     delta = mode.params.delta
     scale = 0.0
     worst_u, worst_flux = 0.0, 0.0
-    for res in arr.resonators:
-        c = np.array(res.center)
-        r = res.radius
+    for c, r in zip(arr.centers, arr.radii):
         h = 1e-5 * r
         thetas = np.linspace(0, 2 * np.pi, n_samples, endpoint=False)
         for th in thetas[:: max(1, n_samples // 8)]:

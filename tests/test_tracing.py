@@ -5,6 +5,7 @@ and where they are imported. Every name it wraps must exist, and undoing
 the wrap must leave every module as it was.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -19,6 +20,8 @@ import hopfarray.quadrature as quadrature
 import hopfarray.spectral as spectral
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "hopfarray"
+KEPT = "kept for perfbench/tracing.py"  # the comment on an import that only the tracer uses
 MODULES = (cylinder, boundary, spectral, quadrature, modal, hopf, analysis, cli)
 
 
@@ -60,3 +63,28 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     } <= patched
     assert during.keys() == before.keys() == after.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def _kept_imports() -> set:
+    """(module, name) of every name imported in src/ on a line marked KEPT."""
+    kept = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and KEPT in lines[node.end_lineno - 1]:
+                kept |= {(f"hopfarray.{path.stem}", a.asname or a.name) for a in node.names}
+    return kept
+
+
+def test_tracer_patches_every_import_kept_for_it(monkeypatch):
+    kept = _kept_imports()
+    assert {("hopfarray.boundary", "hankel1"), ("hopfarray.spectral", "evaluate_field")} <= kept
+    tracing = _load_tracing(monkeypatch)
+    before = _attributes()
+    undo = tracing.instrument(tracing.Tracer())
+    try:
+        during = _attributes()
+    finally:
+        undo()
+    assert sorted(key for key in kept if during[key] is before[key]) == []
