@@ -200,37 +200,26 @@ def assemble_boundary_system(
     return assemble_boundary_matrices(array, params, [omega], M)[0]
 
 
-def classify_points(centers: np.ndarray, radii: np.ndarray, points: np.ndarray,
-                    side: str | None) -> np.ndarray:
+def classify_points(centers: np.ndarray, radii: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Containing disk index or -1 per point, for disks of the given centers
-    (N, 2) and radii. A point on a circle is inside it for side 'interior'
-    and outside for 'exterior'; for side None it raises ValueError."""
+    (N, 2) and radii. A point within 1e-12 of a circle, where the field has
+    two traces, raises ValueError."""
     diff = points[:, None, :] - centers[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])  # (P, N)
     scale = np.maximum(radii[None, :], 1.0)
     on_boundary = np.abs(dist - radii[None, :]) <= _BOUNDARY_TOL * scale
     if on_boundary.any():
-        if side is None:
-            bad = points[on_boundary.any(axis=1)][0]
-            raise ValueError(
-                f"point {tuple(bad.tolist())} lies on a resonator boundary; pass "
-                "side='exterior' or side='interior' to select the trace"
-            )
-        if side not in ("exterior", "interior"):
-            raise ValueError(f"side must be 'exterior' or 'interior', got {side!r}")
+        bad = points[on_boundary.any(axis=1)][0]
+        raise ValueError(f"point {tuple(bad.tolist())} lies on a resonator boundary")
     inside = dist < radii[None, :]
-    if side == "interior":
-        inside = inside | on_boundary
-    elif side == "exterior":
-        inside = inside & ~on_boundary
     return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
 def evaluate_field(array: ResonatorArray, params: WaveParams, omega: complex, density: MultipoleDensity,
-                   points, side: str | None = None) -> np.ndarray | complex:
+                   points) -> np.ndarray | complex:
     """Evaluate the represented field at one or many points: the
     one-density case of sample_fields."""
-    values = sample_fields(array, params, [omega], [density], points, side=side)[0]
+    values = sample_fields(array, params, [omega], [density], points)[0]
     return complex(values[0]) if np.asarray(points).ndim == 1 else values
 
 
@@ -239,7 +228,7 @@ _CHUNK = 1 << 13
 
 
 def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: list[MultipoleDensity],
-                  points, side: str | None = None) -> np.ndarray:
+                  points) -> np.ndarray:
     """(F, P) values of F represented fields, each at its own frequency.
 
     Outside every circle the exterior density radiates at omega/v; inside a
@@ -252,8 +241,7 @@ def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: 
     subwavelength band); the host circle's J table is AMOS at every node.
     Each chunk's table is contracted with the densities order by order.
     Every point sums the circles in order, so its value does not depend on
-    the other points. Points within 1e-12 of a boundary need the side
-    selector.
+    the other points. A point within 1e-12 of a circle raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
@@ -280,7 +268,7 @@ def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: 
     step = max(1, _CHUNK // len(psi))
     region = np.empty(len(pts), dtype=int)
     for start in range(0, len(pts), step):
-        region[start:start + step] = classify_points(array.centers, array.radii, pts[start:start + step], side)
+        region[start:start + step] = classify_points(array.centers, array.radii, pts[start:start + step])
     for i, (center, radius) in enumerate(zip(array.centers, array.radii)):
         diff = pts - center
         rho = np.hypot(diff[:, 0], diff[:, 1])

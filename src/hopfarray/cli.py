@@ -36,7 +36,7 @@ from .analysis import (
     two_tone_sweep,
 )
 from .boundary import WaveParams, classify_points
-from .geometry import ResonatorArray, build_graded_array, graded_layout
+from .geometry import ResonatorArray, _violations, build_graded_array, graded_layout
 from .hopf import ConvergenceError, single_hopf_steady_state
 from .modal import ModalSystem, build_modal_system, cache_request, modal_cache_key
 from .quadrature import QuadratureSpec, default_spec
@@ -269,24 +269,39 @@ def parse_config(text: str) -> ExperimentConfig:
             given_as = "" if key in given else "the default "
             raise ConfigError(f"experiment.{key}: {key} must be at most geometry.n = {geo['n']},"
                               f" got {given_as}{exp[key]!r}")
+    layout = _layout(geo)
     if etype == "phase" and exp["observation_points"] is not None:
-        point = _point_on_circle(geo, exp["observation_points"])
+        point = _point_on_circle(layout, exp["observation_points"])
         if point is not None:
             raise ConfigError(f"experiment.observation_points: {point} lies on a resonator "
                               "boundary, where the field has two traces")
     return ExperimentConfig(geometry=geo, material=mat, numerics=num, experiment=exp, raw=data)
 
 
-def _point_on_circle(geometry: dict, points):
-    """The first of the points that lies on a circle of the configured array,
-    or None. Only the circles' layout is computed, so any n is cheap."""
-    centers_x, radii = graded_layout(geometry["n"], geometry["first_radius"], geometry["s"],
-                                     geometry["gap_ratio"])
+def _layout(geometry: dict):
+    """x1 of the centers and the radii of the configured circles. Raises
+    naming geometry.n and geometry.s when they form no valid array, such as
+    when the grading carries a radius past the float range. Only the layout
+    is computed, so any n is cheap."""
+    g = geometry
+    layout = graded_layout(g["n"], g["first_radius"], g["s"], g["gap_ratio"])
+    violations = _violations(*layout, float(g["source_x"]))
+    if violations:
+        raise ConfigError(f"geometry.n, geometry.s: {g['n']!r} circles of first radius "
+                          f"{g['first_radius']!r} graded by s = {g['s']!r} with gap ratio "
+                          f"{g['gap_ratio']!r} do not form a valid array: " + "; ".join(violations))
+    return layout
+
+
+def _point_on_circle(layout, points):
+    """The first of the points that lies on a circle of the layout (x1 of
+    the centers, radii), or None."""
+    centers_x, radii = layout
     centers = np.stack([centers_x, np.zeros_like(centers_x)], axis=1)
     for point in points:
         try:
-            with np.errstate(all="ignore"):  # circles or points near the float range
-                classify_points(centers, radii, np.array([point], dtype=float), side=None)
+            with np.errstate(all="ignore"):  # points near the float range
+                classify_points(centers, radii, np.array([point], dtype=float))
         except ValueError:
             return point
     return None

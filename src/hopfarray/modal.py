@@ -131,9 +131,9 @@ class ModalSystem:
     the (N, P) C-contiguous mode values at the interior quadrature nodes.
     The modes themselves are kept so response fields can be evaluated at
     arbitrary points; search is the resonance-search record of
-    find_resonances (None when the modes were given), and request the
-    cache_request the system answers. omegas (the N complex resonances) and
-    gram_inverse are derived from these on construction.
+    find_resonances, and request the cache_request the system answers.
+    omegas (the N complex resonances) and gram_inverse are derived from
+    these on construction.
     """
 
     array: ResonatorArray
@@ -145,7 +145,7 @@ class ModalSystem:
     cubic_tensor: np.ndarray
     interior_values: np.ndarray = field(repr=False)
     request: dict = field(repr=False)
-    search: dict | None = field(default=None, repr=False)
+    search: dict = field(repr=False)
     _interior_rule: tuple | None = field(default=None, repr=False, compare=False)
     omegas: np.ndarray = field(init=False)
     gram_inverse: np.ndarray = field(init=False, repr=False)
@@ -198,12 +198,13 @@ class ModalSystem:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, request: dict | None = None) -> "ModalSystem":
-        """Inverse of to_dict. Given a request, an entry written for any
-        other request raises ValueError naming the keys that differ."""
+    def from_dict(cls, data: dict, *, request: dict) -> "ModalSystem":
+        """Inverse of to_dict for an entry written for request; an entry
+        written for any other request raises ValueError naming the keys
+        that differ."""
         if not isinstance(data, dict):
             raise ValueError(f"modal cache entry must be an object, got {type(data).__name__}")
-        if request is not None and data.get("request") != request:
+        if data.get("request") != request:
             stored = data["request"] if isinstance(data.get("request"), dict) else {}
             differ = [k for k in sorted(request.keys() | stored.keys())
                       if stored.get(k) != request.get(k)]
@@ -237,7 +238,7 @@ class ModalSystem:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str, request: dict | None = None) -> "ModalSystem":
+    def from_json(cls, text: str, *, request: dict) -> "ModalSystem":
         return cls.from_dict(json.loads(text), request=request)
 
 
@@ -294,20 +295,14 @@ def build_modal_system(
     M: int = 5,
     quad: QuadratureSpec | None = None,
     search: dict | None = None,
-    modes: list[Eigenmode] | None = None,
 ) -> ModalSystem:
     """Full pipeline: resonances -> eigenmodes -> projection quantities."""
     if quad is None:
         quad = default_spec(array)
     nodes, wts, rule = _nodes(array, quad)
     points = np.vstack([nodes, np.asarray(array.source, dtype=float)[None, :]])
-    record = None
-    if modes is None:
-        resonances = find_resonances(array, params, M=M, search=search)
-        record = resonances.search
-        modes, U = sample_eigenmodes(array, params, resonances, rule, points, len(wts) - len(rule[1]))
-    else:
-        U = _mode_values(modes, points)
+    resonances = find_resonances(array, params, M=M, search=search)
+    modes, U = sample_eigenmodes(array, params, resonances, rule, points, len(wts) - len(rule[1]))
     gram, source_vec = _gram_from_values(U[:, :-1], wts), U[:, -1].conj()
     interior = np.ascontiguousarray(U[:, -1 - len(rule[1]):-1])
     del U  # freed before the cubic tensor
@@ -321,7 +316,7 @@ def build_modal_system(
         cubic_tensor=cubic_tensor_from_values(interior, rule[1]),
         interior_values=interior,
         request=cache_request(array, params, M, quad, search),
-        search=record,
+        search=resonances.search,
         _interior_rule=rule,
     )
 

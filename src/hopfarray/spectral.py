@@ -15,13 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (
-    MultipoleDensity,
-    WaveParams,
-    assemble_boundary_matrices,
-    assemble_boundary_system,
-    sample_fields,
-)
+from .boundary import MultipoleDensity, WaveParams, assemble_boundary_matrices, sample_fields
+from .boundary import assemble_boundary_system  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 from .boundary import evaluate_field  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 from .cylinder import bessel_j, hankel1
 from .geometry import ResonatorArray
@@ -42,8 +37,8 @@ class Resonance:
     """A located resonance: frequency, boundary-system residual, truncation,
     and the relative drift of the frequency under M -> M+2 refinement.
     svd holds the singular values and the last right singular vector of the
-    boundary system when the search decomposed it (None otherwise), so the
-    eigenmode reuses that decomposition."""
+    boundary system as the search decomposed it, which the eigenmode reuses;
+    it is None on a resonance read back from a cache entry."""
 
     omega: complex
     residual: float
@@ -330,15 +325,14 @@ def find_resonances(
 
 def _null_density(array: ResonatorArray, params: WaveParams, resonance: Resonance):
     """Raw unit null density at a resonance (the right singular vector of the
-    boundary system's smallest singular value) and the gap s[-2]/s[-1], from
-    the search's decomposition when it made one. Raises DegenerateModeError
-    when the two are not clearly separated."""
+    boundary system's smallest singular value) and the gap s[-2]/s[-1], both
+    from the search's decomposition. Raises ValueError for a resonance that
+    carries none, and DegenerateModeError when the two are not clearly
+    separated."""
     if resonance.svd is None:
-        _, s, vh = np.linalg.svd(assemble_boundary_system(array, params, resonance.omega,
-                                                          resonance.truncation))
-        null = vh[-1]
-    else:
-        s, null = resonance.svd
+        raise ValueError(f"resonance {resonance.omega:.6g} carries no decomposition of the "
+                         "boundary system; take it from find_resonances")
+    s, null = resonance.svd
     if s[-2] <= 1e4 * s[-1]:
         raise DegenerateModeError(
             f"smallest singular values {s[-1]:.3g}, {s[-2]:.3g} are not separated; "

@@ -3,7 +3,7 @@ import pytest
 from hopfarray.boundary import WaveParams, evaluate_field
 from hopfarray.geometry import ResonatorArray, build_graded_array
 from hopfarray.modal import build_modal_system
-from hopfarray.spectral import extract_eigenmode, find_resonances
+from hopfarray.spectral import Resonances, extract_eigenmode, find_resonances
 
 
 @pytest.fixture(scope="session")
@@ -38,14 +38,27 @@ def single_mode(single_array, params, single_resonances):
     return extract_eigenmode(single_array, params, single_resonances[0])
 
 
-@pytest.fixture(scope="session")
-def pair_resonances(pair_array, params):
-    return find_resonances(pair_array, params, M=5)
+def _resonances(system):
+    """The resonances a modal system's build found, with their search record."""
+    found = Resonances(mode.resonance for mode in system.modes)
+    found.search = system.search
+    return found
 
 
 @pytest.fixture(scope="session")
-def pair_modes(pair_array, params, pair_resonances):
-    return [extract_eigenmode(pair_array, params, r) for r in pair_resonances]
+def pair_system(pair_array, params):
+    # the CLI's build path: one search, then every mode sampled once
+    return build_modal_system(pair_array, params, M=5)
+
+
+@pytest.fixture(scope="session")
+def pair_resonances(pair_system):
+    return _resonances(pair_system)
+
+
+@pytest.fixture(scope="session")
+def pair_modes(pair_system):
+    return pair_system.modes
 
 
 @pytest.fixture(scope="session")
@@ -60,25 +73,19 @@ def twelve_resonances(twelve_array, params):
 
 
 @pytest.fixture(scope="session")
-def six_resonances(six_array, params):
-    return find_resonances(six_array, params, M=5)
+def six_system(six_array, params):
+    # the system `hopfarray resonances` builds for the README default config
+    return build_modal_system(six_array, params, M=5)
 
 
 @pytest.fixture(scope="session")
-def six_system(six_array, params, six_resonances):
-    modes = [extract_eigenmode(six_array, params, r) for r in six_resonances]
-    return build_modal_system(six_array, params, M=5, modes=modes)
+def six_resonances(six_system):
+    return _resonances(six_system)
 
 
-@pytest.fixture(scope="session")
-def pair_system(pair_array, params, pair_modes):
-    return build_modal_system(pair_array, params, M=5, modes=pair_modes)
-
-
-def mode_field(mode, points, side=None):
-    """A normalized eigenmode's field at one or many points."""
-    return evaluate_field(mode.array, mode.params, mode.resonance.omega, mode.density, points,
-                          side=side)
+def mode_field(mode, points):
+    """A normalized eigenmode's field at one or many points off every circle."""
+    return evaluate_field(mode.array, mode.params, mode.resonance.omega, mode.density, points)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from hopfarray.hopf import (
     solve_pure_tone,
     solve_two_tone,
 )
-from hopfarray.spectral import _ResolventProbe, _muller, extract_eigenmode, find_resonances
+from hopfarray.spectral import _ResolventProbe, _muller, find_resonances
 from oracles import fourier_cubic_coefficients, parity_resonance, refinement_report
 
 BETA = 5.0e5

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hopfarray.boundary import (
     WaveParams,
     assemble_boundary_matrices,
     assemble_boundary_system,
+    classify_points,
     evaluate_field,
     sample_fields,
 )
@@ -232,9 +235,10 @@ def test_evaluate_field_satisfies_helmholtz(params, pair_array):
 @pytest.mark.parametrize("array_name", ["single_array", "pair_array", "six_array"])
 def test_sample_fields_matches_field_oracle(array_name, v_b, request):
     # three densities at three distinct frequencies in one call, against the
-    # point-by-point layer-potential sum over scipy.special, at exterior,
-    # interior and on-boundary points with either side, their mirror images
-    # about the array axis (equal distances to every center) and one repeat
+    # point-by-point layer-potential sum over scipy.special, at exterior and
+    # interior points, points 1e-9 r inside and outside each circle, their
+    # mirror images about the array axis (equal distances to every center)
+    # and one repeat; the near points tend to the oracle's two traces
     array = request.getfixturevalue(array_name)
     params = WaveParams(v=1.0, v_b=v_b, delta=1e-3)
     seeds = [single_disk_resonance(r, params) for r in array.radii]
@@ -250,17 +254,25 @@ def test_sample_fields_matches_field_oracle(array_name, v_b, request):
         )
         for _ in omegas
     ]
-    points = [array.source, (0.0, 2.5)]
+    points, on_circle = [array.source, (0.0, 2.5)], []
     for center, radius in zip(array.centers, array.radii):
         for scale in (0.0, 0.35, 0.9, 1.0, 1.2):
             angle = rng.uniform(0.0, 2.0 * np.pi)
-            points.append(center + scale * radius * np.array([np.cos(angle), np.sin(angle)]))
+            offset = radius * np.array([np.cos(angle), np.sin(angle)])
+            if scale == 1.0:  # the circle point: its near points inside and outside
+                on_circle.append((center + offset, len(points)))
+                points += [center + (1 - 1e-9) * offset, center + (1 + 1e-9) * offset]
+            else:
+                points.append(center + scale * offset)
     points += [(x, -y) for x, y in points] + [points[3]]
-    for side in ("exterior", "interior"):
-        got = sample_fields(array, params, omegas, densities, points, side=side)
-        for values, omega, density in zip(got, omegas, densities, strict=True):
-            want = np.array([field_loop(array, params, omega, density, p, side) for p in points])
-            assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want))
+    got = sample_fields(array, params, omegas, densities, points)
+    for values, omega, density in zip(got, omegas, densities, strict=True):
+        want = np.array([field_loop(array, params, omega, density, p) for p in points])
+        assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want))
+        for point, i in on_circle:
+            for side, near in (("interior", values[i]), ("exterior", values[i + 1])):
+                trace = field_loop(array, params, omega, density, point, side)
+                assert abs(near - trace) <= 1e-7 * abs(trace)
 
 
 def test_sample_fields_point_values_independent_of_chunking(six_array, monkeypatch):
@@ -291,17 +303,23 @@ def test_sample_fields_point_values_independent_of_chunking(six_array, monkeypat
     assert np.array_equal(whole, alone)
 
 
-def test_boundary_point_needs_side(params, single_array):
+def test_circle_point_raises_at_every_entry_point(params, single_array):
+    # on a circle the field has two traces, so no entry point picks one
     M = 2
     dens = MultipoleDensity(
         psi=np.ones((1, 2 * M + 1), complex), phi=np.ones((1, 2 * M + 1), complex)
     )
-    boundary_pt = (2.0, 0.0)  # on the circle tangent to origin with r = 1
-    with pytest.raises(ValueError, match="side"):
-        evaluate_field(single_array, params, 0.3, dens, boundary_pt)
-    out = evaluate_field(single_array, params, 0.3, dens, boundary_pt, side="exterior")
-    inn = evaluate_field(single_array, params, 0.3, dens, boundary_pt, side="interior")
-    assert np.isfinite(out.real) and np.isfinite(inn.real)
+    centers, radii = single_array.centers, single_array.radii
+    for point in ((2.0, 0.0), (2.0 + 1e-13, 0.0), (1.0, -1.0)):  # r = 1, center (1, 0)
+        message = re.escape(f"point {point} lies on a resonator boundary")
+        with pytest.raises(ValueError, match=message):
+            classify_points(centers, radii, np.array([(3.0, 0.0), point]))
+        with pytest.raises(ValueError, match=message):
+            sample_fields(single_array, params, [0.3], [dens], [(3.0, 0.0), point])
+        with pytest.raises(ValueError, match=message):
+            evaluate_field(single_array, params, 0.3, dens, point)
+    near = np.array([(2.0 + 1e-11, 0.0), (2.0 - 1e-11, 0.0)])  # just outside, just inside
+    assert classify_points(centers, radii, near).tolist() == [-1, 0]
 
 
 def test_graf_translation_identity():

@@ -11,7 +11,7 @@ import pytest
 
 import hopfarray
 from hopfarray.boundary import classify_points
-from hopfarray.cli import ConfigError, main, parse_config, run_experiment
+from hopfarray.cli import ConfigError, _obtain_modal_system, main, parse_config, run_experiment
 
 BASE = {
     "geometry": {"n": 2, "first_radius": 1.0, "s": 1.0, "gap_ratio": 0.5, "source_x": -5.0},
@@ -265,7 +265,7 @@ def test_phase_observation_point_on_a_circle_rejected(tmp_path, capsys):
     assert "experiment.observation_points" in capsys.readouterr().err
     array = parse_config(json.dumps(_config())).build_array()
     with pytest.raises(ValueError, match=re.escape("point (2.0, 0.0) lies on a resonator boundary")):
-        classify_points(array.centers, array.radii, np.array([[3.0, 0.5], [2.0, 0.0]]), side=None)
+        classify_points(array.centers, array.radii, np.array([[3.0, 0.5], [2.0, 0.0]]))
 
 
 def test_phase_experiment_and_sign_flags(tmp_path):
@@ -379,6 +379,16 @@ DEFAULT_SWEEP = {
     "material": {"v": 1.0, "v_b": 1.0, "delta": 1e-3, "beta": 5e5},
     "experiment": {"type": "sweep"},
 }
+
+
+def test_acceptance_fixture_is_the_cli_system(six_system, tmp_path):
+    # the acceptance criteria certify the very system the CLI builds for the
+    # README default config, bit for bit
+    config = parse_config(json.dumps(DEFAULT_SWEEP))
+    system, cache = _obtain_modal_system(config, tmp_path, use_cache=False)
+    assert cache["path"] is None and not (tmp_path / "cache").exists()
+    for name in ("omegas", "gram", "source_vec", "cubic_tensor", "interior_values"):
+        assert np.array_equal(getattr(system, name), getattr(six_system, name)), name
 
 
 @pytest.fixture(scope="module")

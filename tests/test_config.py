@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hopfarray.cli import (
     _FIELDS, _REQUIRED, ConfigError, _point_on_circle, main, parse_config, run_experiment,
 )
+from hopfarray.geometry import graded_layout
 from hopfarray.quadrature import QuadratureSpec
 
 from test_cli import _config
@@ -86,7 +87,8 @@ def configs(draw, etype=None):
         lo, hi = (cfg["experiment"].get(k) for k in RANGES[etype])
         assume(lo is None or hi is None or lo < hi)
     if cfg["experiment"].get("observation_points"):  # a point on a circle is invalid
-        assume(_point_on_circle(cfg["geometry"], cfg["experiment"]["observation_points"]) is None)
+        layout = graded_layout(*(cfg["geometry"][k] for k in ("n", "first_radius", "s", "gap_ratio")))
+        assume(_point_on_circle(layout, cfg["experiment"]["observation_points"]) is None)
     if not cfg["numerics"] and draw(st.booleans()):
         del cfg["numerics"]  # the numerics object may be left out
     return cfg
@@ -104,7 +106,11 @@ def _typed(value):
 @settings(max_examples=150, deadline=None)
 @given(configs())
 def test_valid_config_parses_to_drawn_values_and_defaults(cfg):
-    parsed = parse_config(json.dumps(cfg))
+    try:
+        parsed = parse_config(json.dumps(cfg))
+    except ConfigError as exc:  # a drawn grading can carry a radius past the float range
+        assert str(exc).startswith("geometry.n, geometry.s: ")
+        return
     want = {name: {} for name in BLOCKS}
     for name, key, _, _, default in rows_of(cfg["experiment"]["type"]):
         want[name][key] = cfg.get(name, {}).get(key, default)
@@ -171,6 +177,23 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys, etype, block, key
     path.write_text(json.dumps(cfg))  # Python's json writes and reads NaN and Infinity
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {block}.{key}: ")
+
+
+@pytest.mark.parametrize("s, violation", [
+    (2.0, "radius 1024 must be positive and finite, got inf"),  # overflows
+    (0.5, "radius 1075 must be positive and finite, got 0.0"),  # underflows
+])
+def test_validate_names_a_grading_past_the_float_range(tmp_path, capsys, s, violation):
+    # every key is within its own bounds; only the layout they make is invalid
+    cfg = _config(geometry={"n": 1100, "s": s})
+    with pytest.raises(ConfigError, match=re.escape(violation)):
+        parse_config(json.dumps(cfg))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: geometry.n, geometry.s: 1100 circles of first radius 1.0 "
+                          f"graded by s = {s} with gap ratio 0.5 do not form a valid array: ")
 
 
 @pytest.mark.parametrize("block, key, value", [

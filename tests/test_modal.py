@@ -186,7 +186,7 @@ def test_pairing_linearity_under_scaling(pair_modes):
 
 def test_modal_system_serialization_roundtrip(six_system):
     text = six_system.to_json()
-    restored = ModalSystem.from_json(text)
+    restored = ModalSystem.from_json(text, request=six_system.request)
     assert np.array_equal(restored.omegas, six_system.omegas)
     assert np.array_equal(restored.gram, six_system.gram)
     assert np.array_equal(restored.gram_inverse, six_system.gram_inverse)
@@ -231,13 +231,7 @@ def test_modal_cache_key_sensitivity(six_system, monkeypatch):
     assert key != key_of()
 
 
-def test_build_modal_system_reuses_given_modes(pair_modes, pair_system, params):
-    rebuilt = build_modal_system(pair_modes[0].array, params, M=5, modes=pair_modes)
-    assert np.array_equal(rebuilt.gram, pair_system.gram)
-    assert np.array_equal(rebuilt.cubic_tensor, pair_system.cubic_tensor)
-
-
-def test_modes_sampled_once(pair_array, pair_resonances, pair_modes, pair_system, params, monkeypatch):
+def test_modes_sampled_once(pair_array, pair_resonances, pair_system, params, monkeypatch):
     import hopfarray.boundary as boundary
     import hopfarray.modal as modal
     import hopfarray.spectral as spectral
@@ -247,9 +241,9 @@ def test_modes_sampled_once(pair_array, pair_resonances, pair_modes, pair_system
     sample = boundary.sample_fields
     calls = []
 
-    def counting(array, params, omegas, densities, points, side=None):
+    def counting(array, params, omegas, densities, points):
         calls.append((len(densities), len(np.atleast_2d(points))))
-        return sample(array, params, omegas, densities, points, side=side)
+        return sample(array, params, omegas, densities, points)
 
     for module in (boundary, spectral, modal):
         monkeypatch.setattr(module, "sample_fields", counting)
@@ -263,14 +257,11 @@ def test_modes_sampled_once(pair_array, pair_resonances, pair_modes, pair_system
     assert calls == [(2, n_nodes + 1)]
     assert np.allclose(cold.gram, pair_system.gram, rtol=1e-12, atol=0)
     calls.clear()
-    build_modal_system(pair_array, params, M=5, modes=pair_modes)
-    assert calls == [(2, n_nodes + 1)]
-    calls.clear()
     extract_eigenmode(pair_array, params, pair_resonances[0])
     assert calls == [(1, n_interior)]
 
     calls.clear()
-    loaded = ModalSystem.from_json(pair_system.to_json())
+    loaded = ModalSystem.from_json(pair_system.to_json(), request=pair_system.request)
     center = loaded.omegas[0].real
     pure_tone_sweep(loaded, np.linspace(0.9 * center, 1.1 * center, 3), 1e-5, BETA)
     two_tone_sweep(loaded, center, [0.95 * center, 1.05 * center], 1e-5, 1e-5, BETA, mode_index=0)

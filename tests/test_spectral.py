@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hopfarray.spectral import (
     single_disk_resonance,
     subwavelength_cutoff,
 )
-from oracles import argument_principle_count, parity_resonance
+from oracles import argument_principle_count, field_loop, parity_resonance
 
 # resonances.csv of the default array as the sigma_min-scan search wrote it
 # (re_omega, im_omega); the contour search must reproduce it to 1e-10
@@ -158,9 +159,14 @@ def test_single_mode_monopole_dominated(params):
 
 def _pointwise_condition_defects(mode, n_samples: int = 64):
     """Worst pointwise transmission-condition defects of the represented
-    field over boundary samples, via one-sided finite differences."""
+    field over boundary samples, via one-sided finite differences. The two
+    traces on a circle come from the field oracle, which takes a side."""
     arr = mode.array
     delta = mode.params.delta
+
+    def trace(point, side):
+        return field_loop(arr, mode.params, mode.resonance.omega, mode.density, point, side)
+
     scale = 0.0
     worst_u, worst_flux = 0.0, 0.0
     for c, r in zip(arr.centers, arr.radii):
@@ -172,8 +178,8 @@ def _pointwise_condition_defects(mode, n_samples: int = 64):
             u_out2 = complex(mode_field(mode, c + (r + 2 * h) * e))
             u_in = complex(mode_field(mode, c + (r - h) * e))
             u_in2 = complex(mode_field(mode, c + (r - 2 * h) * e))
-            ub_out = complex(mode_field(mode, c + r * e, side="exterior"))
-            ub_in = complex(mode_field(mode, c + r * e, side="interior"))
+            ub_out = trace(c + r * e, "exterior")
+            ub_in = trace(c + r * e, "interior")
             du_plus = (-1.5 * ub_out + 2 * u_out - 0.5 * u_out2) / h
             du_minus = (1.5 * ub_in - 2 * u_in + 0.5 * u_in2) / h
             scale = max(scale, abs(ub_out), abs(du_plus) * r)
@@ -192,20 +198,28 @@ def test_mode_continuity_pointwise(six_system):
 def test_mode_flux_defect_shrinks_with_truncation(pair_array, params, pair_resonances):
     """The pointwise flux defect is limited by the inter-circle expansion
     tail ~ (r/b)^M, so refining M must shrink it markedly."""
-    from hopfarray.spectral import _ResolventProbe, _muller
+    from hopfarray.spectral import Resonance, _ResolventProbe, _muller
 
     base = pair_resonances[0]
     defects = {}
     for M in (5, 8):
         probe = _ResolventProbe(pair_array, params, M)
         omega = _muller(probe, base.omega)
-        from hopfarray.spectral import Resonance
-
-        res = Resonance(omega=omega, residual=0.0, truncation=M, drift=0.0)
+        _, s, vh = np.linalg.svd(assemble_boundary_system(pair_array, params, omega, M))
+        res = Resonance(omega=omega, residual=0.0, truncation=M, drift=0.0,
+                        svd=(s, vh[-1]))
         mode = extract_eigenmode(pair_array, params, res)
         _, flux, scale = _pointwise_condition_defects(mode, n_samples=32)
         defects[M] = flux / scale
     assert defects[8] < 0.2 * defects[5]
+
+
+def test_eigenmode_needs_the_search_decomposition(pair_array, params, pair_resonances):
+    # a resonance without the search's SVD (as read back from a cache entry)
+    # is refused by name, not decomposed a second time
+    bare = replace(pair_resonances[0], svd=None)
+    with pytest.raises(ValueError, match=re.escape(f"resonance {bare.omega:.6g} carries no")):
+        extract_eigenmode(pair_array, params, bare)
 
 
 def test_mode_residual_in_coefficient_space(six_system):
