@@ -37,7 +37,7 @@ from .hopf import (
     solve_two_tone,
 )
 from .analysis import (
-    PhaseCurve,
+    PhaseResponse,
     SweepResult,
     UnwrapError,
     default_observation_points,
@@ -76,7 +76,7 @@ __all__ = [
     "solve_passive",
     "solve_pure_tone",
     "solve_two_tone",
-    "PhaseCurve",
+    "PhaseResponse",
     "SweepResult",
     "UnwrapError",
     "default_observation_points",

@@ -5,11 +5,11 @@ blocks, each point warm-started from the previous one in its block and every
 block started cold, so a point's solution depends only on its block. Step j
 solves point j of every block as one stack of lanes in ``hopf``. Pure tones
 use blocks of 16; the two-tone scan blocks of one, so one cold stack.
-Per-point solver failures are flagged, never fatal (a phase curve needs two
-solved points), and every returned solution carries a residual certificate
-from the pointwise evaluator in ``hopf`` (the cubic term formed at the
-interior quadrature nodes, a separate code path from the tensor contraction
-in the Newton iteration).
+A sweep returns arrays: the line amplitudes of every mode at every point, NaN
+where the point failed, which is flagged with its cause, never fatal (a phase
+response needs two solved points). Every solved point carries a residual
+certificate from the pointwise evaluator in ``hopf``, a separate code path
+from the tensor contraction in the Newton iteration.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from .modal import ModalSystem
 
 _BLOCK = 16
 
-# the keys of a two-tone record: one mode's modulus on each line of
-# TWO_TONE_LINES, in their order, then its passive response to Omega2 alone
-TWO_TONE_KEYS = ("abs_X10", "abs_X01", "abs_X21", "abs_X12", "abs_X01_passive")
-
 
 class UnwrapError(RuntimeError):
     """Phase cannot be unwrapped reliably on the given grid."""
@@ -44,18 +40,21 @@ class UnwrapError(RuntimeError):
 
 @dataclass
 class SweepResult:
-    """Per-grid-point solutions plus flags and residual certificates.
+    """The line amplitudes X (K, L, N) of every point of a sweep.
 
-    solutions[i] is None when point i failed; flags[i] then carries the
-    failure message. certificates[i] is the independently re-evaluated
-    residual norm. metadata holds the solver counts residual_evaluations and
-    continuation_points, and for a two-tone scan its records.
+    X[k, l] holds the N modal amplitudes of line l at point k. A point that
+    failed has X NaN, newton_iters 0 and certificate NaN, and flags[k]
+    carries its failure message. certificates[k] is the independently
+    re-evaluated residual norm. metadata holds the solver counts
+    residual_evaluations and continuation_points, and for a two-tone scan
+    the passive responses.
     """
 
     grid: np.ndarray
-    solutions: list
+    X: np.ndarray
+    newton_iters: np.ndarray
+    certificates: np.ndarray
     flags: list
-    certificates: list
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -67,36 +66,45 @@ class SweepResult:
         self.grid = grid
 
     @property
+    def solved(self) -> np.ndarray:
+        return np.array([f is None for f in self.flags], dtype=bool)
+
+    @property
     def n_flagged(self) -> int:
         return sum(1 for f in self.flags if f is not None)
 
 
 @dataclass
-class PhaseCurve:
-    """Response magnitude and unwrapped phase at one observation point.
+class PhaseResponse:
+    """Response magnitude R and unwrapped phase phi (G, P) at P observation
+    points over the G solved frequencies of grid.
 
-    phase_delay_cycles is the unwrapped phase over 2 pi; group_delay_cycles
-    its frequency derivative times Omega / (2 pi). phase_reference records
-    whether the phase is that of the response itself ("pressure") or of its
-    time derivative ("velocity", a global +0.25 cycle shift; this is what
-    vibrometry measures and what makes the low-frequency delay come out
-    near minus a quarter cycle). When sign_flipped is true the curve has
-    additionally been negated globally so the low-frequency delay is
-    negative; both normalizations are surfaced here, never absorbed. grid
-    holds the solved frequencies only. sweep is the pure-tone sweep over
-    the whole grid that the curves of one call share, with its solver
-    statistics, certificates and the flags of the frequencies left out.
+    phase_reference records whether the phase is that of the response
+    itself ("pressure") or of its time derivative ("velocity", a global
+    +0.25 cycle shift; this is what vibrometry measures and what makes the
+    low-frequency delay come out near minus a quarter cycle). When
+    sign_flipped is true the phase has additionally been negated globally so
+    the low-frequency delay is negative; both normalizations are surfaced
+    here, never absorbed. sweep is the pure-tone sweep over the whole grid,
+    with its solver statistics, certificates and the flags of the
+    frequencies left out.
     """
 
-    x: tuple[float, float]
+    points: np.ndarray
     grid: np.ndarray
     R: np.ndarray
     phi: np.ndarray
-    phase_delay_cycles: np.ndarray
-    group_delay_cycles: np.ndarray
     sign_flipped: bool
-    phase_reference: str = "velocity"
-    sweep: SweepResult | None = field(default=None, repr=False)
+    phase_reference: str
+    sweep: SweepResult = field(repr=False)
+
+    @property
+    def phase_delay_cycles(self) -> np.ndarray:
+        return self.phi / (2.0 * np.pi)
+
+    @property
+    def group_delay_cycles(self) -> np.ndarray:
+        return group_delay(self.phi, self.grid)
 
 
 def _line_sweep(system: ModalSystem, vectors, tones, forcing, beta: float, block: int,
@@ -106,28 +114,29 @@ def _line_sweep(system: ModalSystem, vectors, tones, forcing, beta: float, block
 
     Point j of every block of `block` contiguous points is solved as one
     stack, warm-started from the block's previous point when that one was
-    solved. certify(solutions) returns their certificates; it is given at
-    most _BLOCK solutions at a time, to bound memory.
+    solved. certify(tones, X) returns the certificates of solved points; it
+    is given at most _BLOCK points at a time, to bound memory.
     """
-    outcomes, counts = [None] * len(tones), Counter()
-    for j in range(min(block, len(tones))):
-        idx = np.arange(j, len(tones), block)
-        starts = [None if j == 0 or isinstance(outcomes[i - 1], Exception) else outcomes[i - 1].X
-                  for i in idx]
+    K = len(tones)
+    X = np.full((K, len(vectors), system.n), np.nan, dtype=complex)
+    iters, flags, counts = np.zeros(K, dtype=int), [None] * K, Counter()
+    for j in range(min(block, K)):
+        idx = np.arange(j, K, block)
+        starts = [None if j == 0 or flags[i - 1] is not None else X[i - 1] for i in idx]
         step, step_counts = solve_lines(system, vectors, tones[idx], forcing[idx], beta, starts)
         counts.update(step_counts)
         for i, out in zip(idx, step):
-            outcomes[i] = out
-    solutions = [None if isinstance(o, Exception) else o for o in outcomes]
-    flags = [f"{type(o).__name__}: {o}" if isinstance(o, Exception) else None for o in outcomes]
-    solved = [i for i, s in enumerate(solutions) if s is not None]
-    certificates = [None] * len(outcomes)
+            if isinstance(out, Exception):
+                flags[i] = f"{type(out).__name__}: {out}"
+            else:
+                X[i], iters[i] = out.X, out.newton_iters
+    sweep = SweepResult(grid=tones[:, -1], X=X, newton_iters=iters, certificates=np.full(K, np.nan),
+                        flags=flags, metadata=dict(counts))
+    solved = np.flatnonzero(sweep.solved)
     for c in range(0, len(solved), _BLOCK):
         chunk = solved[c:c + _BLOCK]
-        for i, cert in zip(chunk, certify([solutions[i] for i in chunk])):
-            certificates[i] = float(cert)
-    return SweepResult(grid=tones[:, -1], solutions=solutions, flags=flags,
-                       certificates=certificates, metadata=dict(counts))
+        sweep.certificates[chunk] = certify(tones[chunk], X[chunk])
+    return sweep
 
 
 def pure_tone_sweep(system: ModalSystem, grid, F: float, beta: float) -> SweepResult:
@@ -135,9 +144,9 @@ def pure_tone_sweep(system: ModalSystem, grid, F: float, beta: float) -> SweepRe
     blocks of _BLOCK points."""
     grid = np.asarray(grid, dtype=float)
 
-    def certify(sols):
-        Omegas, X = np.array([s.tones[0] for s in sols]), np.array([s.X[0] for s in sols])
-        return np.linalg.norm(residual_pure_tone_reference(system, Omegas, F, beta, X), axis=1)
+    def certify(tones, X):
+        return np.linalg.norm(residual_pure_tone_reference(system, tones[:, 0], F, beta, X[:, 0]),
+                              axis=1)
 
     return _line_sweep(system, PURE_TONE_LINES, grid[:, None], np.full((len(grid), 1), F), beta,
                        _BLOCK, certify)
@@ -150,14 +159,14 @@ def phase_response(
     beta: float,
     x_points,
     phase_reference: str = "velocity",
-) -> list[PhaseCurve]:
+) -> PhaseResponse:
     """Amplitude and unwrapped phase of the response at observation points.
 
     At each grid frequency the modal amplitudes are solved, the complex
     response at every x is assembled from the mode fields, and the phase is
     unwrapped along the solved frequencies (anchored so the first lies in
     (-pi, pi]). A frequency whose solve fails is flagged in the sweep and
-    left out of the curves; fewer than two solved frequencies raise
+    left out of the response; fewer than two solved frequencies raise
     ConvergenceError. phase_reference "velocity" reports the phase of the
     time derivative of the response (a global quarter-cycle shift);
     "pressure" reports the response phase itself. If the raw phase steps by
@@ -171,15 +180,14 @@ def phase_response(
     U = system.mode_fields_at(x_points)  # (N, P)
 
     sweep = pure_tone_sweep(system, grid, F, beta)
-    solved = [s for s in sweep.solutions if s is not None]
-    if len(solved) < 2:
+    solved = sweep.solved
+    if solved.sum() < 2:
         first = next((f for f in sweep.flags if f is not None), None)
-        raise ConvergenceError(f"a phase curve needs two solved frequencies, got {len(solved)} "
+        raise ConvergenceError(f"a phase curve needs two solved frequencies, got {solved.sum()} "
                                f"of {len(sweep.grid)} (first failure: {first})")
-    grid = sweep.grid[np.array([s is not None for s in sweep.solutions])]
-    amplitudes = np.array([s.X[0] for s in solved]) @ U  # (G, P)
+    grid = sweep.grid[solved]
+    amplitudes = sweep.X[solved, 0] @ U  # (G, P)
 
-    curves: list[PhaseCurve] = []
     raw = np.angle(amplitudes)  # (G, P)
     mags = np.abs(amplitudes)
     steps = np.abs(np.diff(raw, axis=0))
@@ -198,48 +206,33 @@ def phase_response(
             )
             raise UnwrapError(
                 f"phase steps by {steps[g, p]:.3f} rad between Omega = "
-                f"{grid[g]:.6g} and {grid[g + 1]:.6g} at x = {tuple(x_points[p])}; "
+                f"{grid[g]:.6g} and {grid[g + 1]:.6g} at x = {tuple(x_points[p].tolist())}; "
                 "refine the grid near this frequency"
             )
-    phi_all = np.unwrap(raw, axis=0)
+    phi = np.unwrap(raw, axis=0)
     # anchor the first point to its principal value
-    first = phi_all[0]
+    first = phi[0]
     anchor = (first + np.pi) % (2.0 * np.pi) - np.pi
-    phi_all = phi_all + (anchor - first)[None, :]
+    phi = phi + (anchor - first)[None, :]
     if phase_reference == "velocity":
-        phi_all = phi_all + 0.5 * np.pi
+        phi = phi + 0.5 * np.pi
 
     # global orientation: low-frequency delay is reported negative; a flip
     # is recorded, never silently absorbed
-    flip = bool(np.median(phi_all[0]) > 0.1 * 2.0 * np.pi)
+    flip = bool(np.median(phi[0]) > 0.1 * 2.0 * np.pi)
     if flip:
-        phi_all = -phi_all
-
-    for p in range(x_points.shape[0]):
-        phi = phi_all[:, p]
-        curve = PhaseCurve(
-            x=(float(x_points[p, 0]), float(x_points[p, 1])),
-            grid=grid,
-            R=mags[:, p],
-            phi=phi,
-            phase_delay_cycles=phi / (2.0 * np.pi),
-            group_delay_cycles=np.empty(0),
-            sign_flipped=flip,
-            phase_reference=phase_reference,
-            sweep=sweep,
-        )
-        curve.group_delay_cycles = group_delay(curve)
-        curves.append(curve)
-    return curves
+        phi = -phi
+    return PhaseResponse(points=x_points, grid=grid, R=mags, phi=phi, sign_flipped=flip,
+                         phase_reference=phase_reference, sweep=sweep)
 
 
-def group_delay(curve: PhaseCurve) -> np.ndarray:
-    """Group delay in cycles: dphi/dOmega times Omega / (2 pi).
+def group_delay(phi: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Group delay in cycles, dphi/dOmega times Omega / (2 pi), of each
+    column of phi (G, P) over grid (G,).
 
     Central differences inside the grid, one-sided at the ends.
     """
-    phi = curve.phi
-    om = curve.grid
+    om = grid[:, None]
     dphi = np.empty_like(phi)
     dphi[1:-1] = (phi[2:] - phi[:-2]) / (om[2:] - om[:-2])
     dphi[0] = (phi[1] - phi[0]) / (om[1] - om[0])
@@ -292,18 +285,15 @@ def two_tone_sweep(
     F1: float,
     F2: float,
     beta: float,
-    mode_index: int,
     collision_floor: float = 1e-3,
 ) -> SweepResult:
-    """Two-tone responses of one mode while the second frequency sweeps.
+    """Two-tone responses of every mode while the second frequency sweeps.
 
-    Records, per grid point, the moduli of the four line amplitudes of the
-    requested mode plus the passive single-tone reference at Omega_2. The
-    grid must exclude the collision floor around Omega_1.
+    X holds the four lines of TWO_TONE_LINES, and metadata["passive"] (K, N)
+    the passive response to Omega_2 alone at every solved point (NaN
+    elsewhere). The grid must exclude the collision floor around Omega_1.
     """
     grid2 = np.asarray(grid2, dtype=float)
-    if not 0 <= mode_index < system.n:
-        raise ValueError(f"mode_index {mode_index} outside 0..{system.n - 1}")
     too_close = np.abs(grid2 - Omega1) <= collision_floor * abs(Omega1)
     if too_close.any():
         raise ValueError(
@@ -311,20 +301,15 @@ def two_tone_sweep(
             f"around Omega1 = {Omega1:.6g} (half-width {collision_floor * abs(Omega1):.3g})"
         )
 
-    def certify(sols):
-        Omega2s, Xs = np.array([s.tones[1] for s in sols]), np.array([s.X for s in sols])
-        residuals = residual_two_tone(system, Omega1, Omega2s, F1, F2, beta, Xs)
+    def certify(tones, X):
+        residuals = residual_two_tone(system, Omega1, tones[:, 1], F1, F2, beta, X)
         return np.linalg.norm(residuals, axis=(1, 2))
 
     tones = np.stack([np.full_like(grid2, Omega1), grid2], axis=1)
     forcing = np.tile([F1, F2, 0.0, 0.0], (len(grid2), 1))
     sweep = _line_sweep(system, TWO_TONE_LINES, tones, forcing, beta, 1, certify)
-    *line_keys, passive_key = TWO_TONE_KEYS
-    sweep.metadata["records"] = [
-        None if s is None else {
-            **{key: float(abs(x[mode_index])) for key, x in zip(line_keys, s.X, strict=True)},
-            passive_key: float(abs(solve_passive(system, s.tones[1], F2)[mode_index])),
-        }
-        for s in sweep.solutions
-    ]
+    passive = np.full((len(grid2), system.n), np.nan, dtype=complex)
+    for k in np.flatnonzero(sweep.solved):
+        passive[k] = solve_passive(system, grid2[k], F2)
+    sweep.metadata["passive"] = passive
     return sweep

@@ -28,7 +28,6 @@ import scipy
 
 from . import __version__
 from .analysis import (
-    TWO_TONE_KEYS,
     default_observation_points,
     phase_response,
     pure_tone_sweep,
@@ -378,11 +377,11 @@ def _sweep_stats(sweeps) -> dict:
     """Newton iterations, residual evaluations and continuation points summed
     over the sweeps, and the largest certificate (None when none was solved)."""
     return {
-        "newton_iters": sum(s.newton_iters for sw in sweeps for s in sw.solutions if s is not None),
+        "newton_iters": int(sum(sw.newton_iters.sum() for sw in sweeps)),
         "residual_evaluations": sum(sw.metadata["residual_evaluations"] for sw in sweeps),
         "continuation_points": sum(sw.metadata["continuation_points"] for sw in sweeps),
         "certificate_max": max(
-            (c for sw in sweeps for c in sw.certificates if c is not None), default=None
+            (float(c) for sw in sweeps for c in sw.certificates[sw.solved]), default=None
         ),
     }
 
@@ -440,12 +439,12 @@ def _sweep(config: ExperimentConfig, system: ModalSystem) -> _Result:
         sweep = pure_tone_sweep(system, grid, F, config.beta)
         sweeps.append(sweep)
         flagged += [{**f, "F": F} for f in _failures(sweep, "Omega")]
-        for om, sol, flag, cert in zip(sweep.grid, sweep.solutions, sweep.flags, sweep.certificates):
-            if sol is None:
+        for om, X, flag, cert in zip(sweep.grid, sweep.X, sweep.flags, sweep.certificates):
+            if flag is not None:
                 rows += [(om, F, m, None, None, None, None, flag) for m in range(1, system.n + 1)]
             else:
                 rows += [(om, F, m, abs(x) / F, x.real, x.imag, cert, "")
-                         for m, x in enumerate(sol.X[0], 1)]
+                         for m, x in enumerate(X[0], 1)]
     return _Result("sweep.csv",
                    ["Omega", "F", "mode", "abs_X_over_F", "re_X", "im_X", "residual", "flag"],
                    rows, len(grid) * len(exp["F_values"]), flagged, _sweep_stats(sweeps))
@@ -461,17 +460,17 @@ def _phase(config: ExperimentConfig, system: ModalSystem) -> _Result:
         obs = np.asarray(exp["observation_points"], dtype=float)
     else:
         obs = default_observation_points(system)
-    curves = phase_response(system, grid, exp["F"], config.beta, obs,
-                            phase_reference=exp["phase_reference"])
-    sweep = curves[0].sweep
-    rows = [(c.x[0], c.x[1], *point) for c in curves
-            for point in zip(c.grid, c.R, c.phi, c.phase_delay_cycles, c.group_delay_cycles)]
+    resp = phase_response(system, grid, exp["F"], config.beta, obs,
+                          phase_reference=exp["phase_reference"])
+    columns = (resp.R, resp.phi, resp.phase_delay_cycles, resp.group_delay_cycles)
+    rows = [(*x, om, *(c[g, p] for c in columns))
+            for p, x in enumerate(resp.points) for g, om in enumerate(resp.grid)]
     return _Result(
         "phase.csv",
         ["x1", "x2", "Omega", "R", "phi_rad", "phase_delay_cycles", "group_delay_cycles"],
-        rows, len(grid), _failures(sweep, "Omega"), _sweep_stats([sweep]),
-        sign_flags={"phase_sign_flipped": curves[0].sign_flipped,
-                    "phase_reference": curves[0].phase_reference},
+        rows, len(grid), _failures(resp.sweep, "Omega"), _sweep_stats([resp.sweep]),
+        sign_flags={"phase_sign_flipped": resp.sign_flipped,
+                    "phase_reference": resp.phase_reference},
     )
 
 
@@ -492,13 +491,17 @@ def _twotone(config: ExperimentConfig, system: ModalSystem) -> _Result:
                           f"{float(hi)!r}] lies within numerics.collision_floor = {floor!r} "
                           f"of Omega1 = {float(Omega1)!r}")
     sweep = two_tone_sweep(system, Omega1, grid[keep], exp["F1"], exp["F2"], config.beta,
-                           mode_index=mode - 1, collision_floor=floor)
-    rows = [(om2, *(rec[k] for k in TWO_TONE_KEYS))
-            for om2, rec in zip(sweep.grid, sweep.metadata["records"]) if rec is not None]
+                           collision_floor=floor)
+    # per solved point, the mode's modulus on each line, then its passive response to Omega2
+    # alone; scalar abs, as np.abs on an array may round differently
+    rows = [(om2, *(abs(x) for x in X[:, mode - 1]), abs(passive[mode - 1]))
+            for om2, X, passive, ok in zip(sweep.grid, sweep.X, sweep.metadata["passive"],
+                                           sweep.solved) if ok]
     stats = {"Omega1": float(Omega1), "collision_dropped": [float(v) for v in grid[~keep]],
              **_sweep_stats([sweep])}
-    return _Result("twotone.csv", ["Omega2", *TWO_TONE_KEYS], rows, len(sweep.grid),
-                   _failures(sweep, "Omega2"), stats)
+    return _Result("twotone.csv",
+                   ["Omega2", "abs_X10", "abs_X01", "abs_X21", "abs_X12", "abs_X01_passive"],
+                   rows, len(sweep.grid), _failures(sweep, "Omega2"), stats)
 
 
 def _oracle(config: ExperimentConfig, system: None) -> _Result:

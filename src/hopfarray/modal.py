@@ -90,7 +90,8 @@ def source_coupling(modes: list[Eigenmode], source) -> np.ndarray:
     on_boundary = np.abs(d - radii) <= 1e-12 * np.maximum(radii, 1.0)
     if on_boundary.any():
         raise ValueError(
-            f"source {tuple(source)} lies on the boundary of resonator {np.argmax(on_boundary)}")
+            f"source {tuple(map(float, source))} lies on the boundary of "
+            f"resonator {np.argmax(on_boundary)}")
     return _mode_values(modes, np.asarray(source, dtype=float))[:, 0].conj()
 
 

@@ -1,10 +1,10 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hopfarray.analysis import (
-    PhaseCurve,
     SweepResult,
     UnwrapError,
     default_observation_points,
@@ -23,16 +23,17 @@ BETA = 5.0e5
 
 def test_sweep_result_requires_increasing_grid():
     with pytest.raises(ValueError, match="increasing"):
-        SweepResult(grid=np.array([1.0, 0.5]), solutions=[None, None],
-                    flags=[None, None], certificates=[None, None])
+        SweepResult(grid=np.array([1.0, 0.5]), X=np.full((2, 1, 1), np.nan, dtype=complex),
+                    newton_iters=np.zeros(2, dtype=int), certificates=np.full(2, np.nan),
+                    flags=[None, None])
 
 
 def test_passive_limit_sweep(six_system):
     grid = np.linspace(0.018, 0.03, 25)
     sweep = pure_tone_sweep(six_system, grid, 1e-5, 0.0)
     assert sweep.n_flagged == 0
-    for om, sol in zip(sweep.grid, sweep.solutions):
-        assert np.allclose(sol.X[0], solve_passive(six_system, om, 1e-5), rtol=1e-12, atol=0)
+    for om, X in zip(sweep.grid, sweep.X):
+        assert np.allclose(X[0], solve_passive(six_system, om, 1e-5), rtol=1e-12, atol=0)
 
 
 def test_sweep_rejects_infinite_beta_once(six_system):
@@ -44,7 +45,7 @@ def test_sweep_rejects_infinite_beta_once(six_system):
 def test_sweep_certificates_meet_tolerance(six_system):
     grid = np.linspace(0.02, 0.026, 12)
     sweep = pure_tone_sweep(six_system, grid, 1e-4, BETA)
-    assert all(c is not None and c <= 1e-10 * (1 + 1e-4) for c in sweep.certificates)
+    assert np.all(sweep.certificates <= 1e-10 * (1 + 1e-4))  # NaN, a failed point, fails
 
 
 def test_peak_location_near_resonance(six_system):
@@ -53,7 +54,7 @@ def test_peak_location_near_resonance(six_system):
     center = six_system.omegas[1].real
     grid = np.linspace(0.97 * center, 1.03 * center, 61)
     sweep = pure_tone_sweep(six_system, grid, 1e-7, BETA)
-    amps = np.array([abs(s.X[0, 1]) for s in sweep.solutions])
+    amps = np.abs(sweep.X[:, 0, 1])
     peak = grid[np.argmax(amps)]
     assert abs(peak - center) <= 1.5 * (grid[1] - grid[0])
 
@@ -61,9 +62,9 @@ def test_peak_location_near_resonance(six_system):
 def test_warm_start_equals_cold_start(six_system):
     grid = np.linspace(0.02, 0.025, 40)
     warm = pure_tone_sweep(six_system, grid, 1e-4, BETA)  # block warm chains
-    for om, sol in zip(grid, warm.solutions):
+    for om, X in zip(grid, warm.X):
         cold = solve_pure_tone(six_system, float(om), 1e-4, BETA)
-        assert np.max(np.abs(sol.X[0] - cold.X[0])) <= 1e-9
+        assert np.max(np.abs(X[0] - cold.X[0])) <= 1e-9
 
 
 def test_lockstep_lanes_match_blocks_solved_alone(six_system):
@@ -74,9 +75,8 @@ def test_lockstep_lanes_match_blocks_solved_alone(six_system):
     assert sweep.n_flagged == 0
     for b in range(0, len(grid), 16):
         alone = pure_tone_sweep(six_system, grid[b:b + 16], 1e-4, BETA)
-        for s, a in zip(sweep.solutions[b:b + 16], alone.solutions):
-            assert np.array_equal(s.X, a.X)
-            assert s.newton_iters == a.newton_iters
+        assert np.array_equal(sweep.X[b:b + 16], alone.X)
+        assert np.array_equal(sweep.newton_iters[b:b + 16], alone.newton_iters)
 
 
 @pytest.mark.parametrize("poison, message", [
@@ -108,9 +108,11 @@ def test_failed_lane_leaves_other_lanes_unchanged(six_system, monkeypatch, poiso
     assert [i for i, f in enumerate(sweep.flags) if f] == [18]
     assert message in sweep.flags[18]
     for i in [*range(18), *range(32, 40)]:  # other blocks, and this one before the failure
-        assert np.array_equal(sweep.solutions[i].X, clean.solutions[i].X)
+        assert np.array_equal(sweep.X[i], clean.X[i])
+    assert np.isnan(sweep.X[18]).all() and np.isnan(sweep.certificates[18])
+    assert sweep.newton_iters[18] == 0 and list(np.flatnonzero(~sweep.solved)) == [18]
     # the next point of the failed lane's block starts cold
-    assert np.array_equal(sweep.solutions[19].X, solve_pure_tone(six_system, grid[19], 1e-4, BETA).X)
+    assert np.array_equal(sweep.X[19], solve_pure_tone(six_system, grid[19], 1e-4, BETA).X)
 
 
 def test_single_mode_phase_swings_half_cycle(single_array, params):
@@ -121,8 +123,8 @@ def test_single_mode_phase_swings_half_cycle(single_array, params):
     # the lone mode is heavily radiation damped (Q ~ 2), so the window must
     # stretch far on both sides to collect the full half-cycle
     grid = np.linspace(0.05 * om0.real, 10.0 * om0.real, 600)
-    curves = phase_response(system, grid, 1e-6, 0.0, [[4.0, 0.0]], phase_reference="pressure")
-    phi = curves[0].phi
+    resp = phase_response(system, grid, 1e-6, 0.0, [[4.0, 0.0]], phase_reference="pressure")
+    phi = resp.phi[:, 0]
     swing = phi[-1] - phi[0]
     # analytic oracle: arg(-1 / (omega0^2 - Omega^2)) unwrapped over the grid
     oracle = np.unwrap(np.angle(-1.0 / (om0**2 - grid**2)))
@@ -139,9 +141,9 @@ def test_phase_reference_shift(six_system):
     obs = [[1.0, 0.0]]
     vel = phase_response(six_system, grid, 1e-6, BETA, obs, phase_reference="velocity")
     prs = phase_response(six_system, grid, 1e-6, BETA, obs, phase_reference="pressure")
-    diff = vel[0].phase_delay_cycles - prs[0].phase_delay_cycles
+    diff = vel.phase_delay_cycles - prs.phase_delay_cycles
     assert np.allclose(diff, 0.25, atol=1e-12)
-    assert vel[0].phase_reference == "velocity"
+    assert vel.phase_reference == "velocity"
     with pytest.raises(ValueError, match="phase_reference"):
         phase_response(six_system, grid, 1e-6, BETA, obs, phase_reference="bogus")
 
@@ -150,7 +152,8 @@ def test_phase_unwrap_flags_coarse_grid(six_system):
     # a grid that hops across the sharpest resonances in one step cannot be
     # unwrapped reliably
     grid = np.linspace(0.02, 0.065, 40)
-    with pytest.raises(UnwrapError, match="refine"):
+    # the point is named in plain floats, the middle default point: (6.2275, 0.0)
+    with pytest.raises(UnwrapError, match=re.escape("at x = (6.2275, 0.0); refine")):
         phase_response(six_system, grid, 1e-6, BETA, default_observation_points(six_system))
 
 
@@ -172,10 +175,10 @@ def test_phase_curve_leaves_out_failed_points(six_system, monkeypatch):
         return solve
 
     monkeypatch.setattr(analysis, "solve_lines", failing({grid[3]}))
-    (curve,) = phase_response(six_system, grid, 1e-6, BETA, obs)
-    assert np.array_equal(curve.grid, np.delete(grid, 3))
-    assert len(curve.phi) == len(curve.group_delay_cycles) == len(grid) - 1
-    assert curve.sweep.flags[3] == "ConvergenceError: forced" and curve.sweep.n_flagged == 1
+    resp = phase_response(six_system, grid, 1e-6, BETA, obs)
+    assert np.array_equal(resp.grid, np.delete(grid, 3))
+    assert resp.phi.shape == resp.group_delay_cycles.shape == (len(grid) - 1, 1)
+    assert resp.sweep.flags[3] == "ConvergenceError: forced" and resp.sweep.n_flagged == 1
     monkeypatch.setattr(analysis, "solve_lines", failing(set(grid[1:])))
     with pytest.raises(hopf.ConvergenceError, match=f"got 1 of {len(grid)} "):
         phase_response(six_system, grid, 1e-6, BETA, obs)
@@ -186,8 +189,8 @@ def test_phase_unwrap_refinement_stable(six_system):
     coarse = refined_frequency_grid(six_system, lo, hi, 100)
     fine = refined_frequency_grid(six_system, lo, hi, 200)
     obs = [[6.2275, 0.0]]
-    c1 = phase_response(six_system, coarse, 1e-6, BETA, obs)[0]
-    c2 = phase_response(six_system, fine, 1e-6, BETA, obs)[0]
+    c1 = phase_response(six_system, coarse, 1e-6, BETA, obs)
+    c2 = phase_response(six_system, fine, 1e-6, BETA, obs)
     shared = np.intersect1d(coarse, fine)
     i1 = np.searchsorted(coarse, shared)
     i2 = np.searchsorted(fine, shared)
@@ -195,19 +198,14 @@ def test_phase_unwrap_refinement_stable(six_system):
     mask = np.ones(len(shared), bool)
     for om in six_system.omegas:
         mask &= np.abs(shared - om.real) > 10 * abs(om.imag)
-    assert np.max(np.abs(c1.phi[i1][mask] - c2.phi[i2][mask])) < 1e-3
+    assert np.max(np.abs(c1.phi[i1, 0][mask] - c2.phi[i2, 0][mask])) < 1e-3
 
 
 def test_group_delay_linear_phase_exact():
     grid = np.linspace(0.5, 1.5, 21)
-    a = 3.7
-    curve = PhaseCurve(
-        x=(0.0, 0.0), grid=grid, R=np.ones_like(grid), phi=a * grid,
-        phase_delay_cycles=a * grid / (2 * np.pi),
-        group_delay_cycles=np.empty(0), sign_flipped=False,
-    )
-    gd = group_delay(curve)
-    assert np.allclose(gd, a * grid / (2 * np.pi), rtol=1e-12)
+    phi = np.outer(grid, [3.7, -1.2])  # one linear phase per column
+    gd = group_delay(phi, grid)
+    assert np.allclose(gd, phi / (2 * np.pi), rtol=1e-12)
 
 
 def test_group_delay_richardson_stability(six_system):
@@ -217,15 +215,15 @@ def test_group_delay_richardson_stability(six_system):
     coarse = np.linspace(lo, hi, 101)
     fine = np.linspace(lo, hi, 201)
     obs = [[18.0, 0.0]]
-    c1 = phase_response(six_system, coarse, 1e-6, BETA, obs)[0]
-    c2 = phase_response(six_system, fine, 1e-6, BETA, obs)[0]
-    g1 = c1.group_delay_cycles
-    g2 = c2.group_delay_cycles[::2]
+    c1 = phase_response(six_system, coarse, 1e-6, BETA, obs)
+    c2 = phase_response(six_system, fine, 1e-6, BETA, obs)
+    g1 = c1.group_delay_cycles[:, 0]
+    g2 = c2.group_delay_cycles[::2, 0]
     mask = np.ones(len(coarse), bool)
     mask[0] = mask[-1] = False  # one-sided endpoint stencils differ
     for om in six_system.omegas:
         mask &= np.abs(coarse - om.real) > 10 * abs(om.imag)
-    mask &= c1.R > 0.5 * np.median(c1.R)  # exclude response nulls
+    mask &= c1.R[:, 0] > 0.5 * np.median(c1.R)  # exclude response nulls
     assert mask.sum() > 20
     rel = np.abs(g1[mask] - g2[mask]) / np.maximum(np.abs(g2[mask]), 1e-3)
     assert np.max(rel) < 0.01
@@ -233,11 +231,12 @@ def test_group_delay_richardson_stability(six_system):
 
 def test_group_delay_exceeds_one_cycle_near_resonances(six_system):
     grid = refined_frequency_grid(six_system, 0.004, 0.075, 150)
-    curves = phase_response(six_system, grid, 1e-6, BETA, default_observation_points(six_system))
+    gd = phase_response(six_system, grid, 1e-6, BETA,
+                        default_observation_points(six_system)).group_delay_cycles
     found = False
     for om in six_system.omegas.real:
         mask = np.abs(grid - om) <= 0.05 * om
-        if any(np.max(c.group_delay_cycles[mask]) > 1.0 for c in curves):
+        if np.any(np.max(gd[mask], axis=0) > 1.0):
             found = True
     assert found
 
@@ -246,27 +245,26 @@ def test_two_tone_sweep_records(six_system):
     om1 = abs(six_system.omegas[3])
     grid = np.linspace(0.96 * om1, 1.04 * om1, 9)
     grid = grid[np.abs(grid - om1) > 1e-3 * om1]
-    sweep = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA, mode_index=3)
+    sweep = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA)
     assert sweep.n_flagged == 0
-    recs = sweep.metadata["records"]
-    assert all(set(r) == {"abs_X10", "abs_X01", "abs_X21", "abs_X12", "abs_X01_passive"}
-               for r in recs)
-    # combination tones below both primaries pointwise
-    for r in recs:
-        assert r["abs_X21"] < max(r["abs_X10"], r["abs_X01"])
-        assert r["abs_X12"] < max(r["abs_X10"], r["abs_X01"])
+    assert sweep.X.shape == (len(grid), 4, six_system.n)
+    passive = np.array([solve_passive(six_system, om2, 1e-5) for om2 in grid])
+    assert np.array_equal(sweep.metadata["passive"], passive)
+    # combination tones below both primaries pointwise, in mode 4
+    x10, x01, x21, x12 = np.abs(sweep.X[:, :, 3]).T
+    assert np.all(x21 < np.maximum(x10, x01)) and np.all(x12 < np.maximum(x10, x01))
     # certificates from the pointwise (independent) residual path
-    assert all(c <= 1e-10 * (1 + 2e-5) for c in sweep.certificates)
+    assert np.all(sweep.certificates <= 1e-10 * (1 + 2e-5))
 
 
 def test_two_tone_stack_matches_points_solved_alone(six_system):
     om1 = abs(six_system.omegas[3])
     grid = np.linspace(0.96 * om1, 1.04 * om1, 9)
     grid = grid[np.abs(grid - om1) > 1e-3 * om1]
-    sweep = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA, mode_index=3)
-    for om2, s in zip(grid, sweep.solutions):
+    sweep = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA)
+    for om2, X in zip(grid, sweep.X):
         alone = solve_two_tone(six_system, om1, om2, 1e-5, 1e-5, BETA)
-        assert np.array_equal(s.X, alone.X)
+        assert np.array_equal(X, alone.X)
 
 
 def test_two_tone_scan_solves_bounded_stacks(six_system, monkeypatch):
@@ -275,7 +273,7 @@ def test_two_tone_scan_solves_bounded_stacks(six_system, monkeypatch):
     om1 = abs(six_system.omegas[3])
     grid = np.linspace(0.96 * om1, 1.04 * om1, 9)
     grid = grid[np.abs(grid - om1) > 1e-3 * om1]
-    whole = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA, mode_index=3)
+    whole = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA)
     sizes, newton = [], hopf._newton_complex
 
     def recording(fun_jac, Z0, tol):
@@ -284,19 +282,16 @@ def test_two_tone_scan_solves_bounded_stacks(six_system, monkeypatch):
 
     monkeypatch.setattr(hopf, "_newton_complex", recording)
     monkeypatch.setattr(hopf, "_STACK_ENTRIES", 3 * (4 * six_system.n) ** 2)
-    split = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA, mode_index=3)
+    split = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA)
     assert sizes == [3, 3, 2]
-    for s, w in zip(split.solutions, whole.solutions):
-        assert np.array_equal(s.X, w.X)
+    assert np.array_equal(split.X, whole.X)
 
 
 def test_two_tone_sweep_rejects_collision_points(six_system):
     om1 = abs(six_system.omegas[3])
     grid = np.array([0.99 * om1, om1 * (1 + 1e-9), 1.01 * om1])
     with pytest.raises(ValueError, match="collision"):
-        two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA, mode_index=3)
-    with pytest.raises(ValueError, match="mode_index"):
-        two_tone_sweep(six_system, om1, grid[:1], 1e-5, 1e-5, BETA, mode_index=9)
+        two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA)
 
 
 def test_refined_grid_properties(six_system):

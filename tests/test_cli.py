@@ -356,6 +356,32 @@ def test_flagged_phase_point_exit_code(tmp_path, monkeypatch):
         assert np.allclose(gd[1:-1], central, rtol=1e-12, atol=0.0)
 
 
+def test_flagged_twotone_point_exit_code(tmp_path, monkeypatch):
+    import hopfarray.analysis as analysis
+    from hopfarray.hopf import ConvergenceError
+
+    real_solver = analysis.solve_lines
+    parsed = parse_config(json.dumps(_config(experiment={"type": "twotone", "Omega1_mode": 2,
+                                                         "num_points": 7})))
+    assert run_experiment(parsed, tmp_path / "probe") == 0
+    probe = (tmp_path / "probe" / "twotone.csv").read_text().splitlines()
+    lost = float(probe[3].split(",")[0])
+
+    def failing(system, vectors, tones, forcing, beta, starts):
+        outcomes, counts = real_solver(system, vectors, tones, forcing, beta, starts)
+        forced = ConvergenceError("forced failure for the two-tone flag-path test")
+        return [forced if om2 == lost else out for (_, om2), out in zip(tones, outcomes)], counts
+
+    monkeypatch.setattr(analysis, "solve_lines", failing)
+    assert run_experiment(parsed, tmp_path / "flagged") == 2
+    stats = json.loads((tmp_path / "flagged" / "run.json").read_text())["solver_stats"]
+    assert stats["n_points"] == len(probe) - 1 and stats["n_flagged"] == 1
+    assert stats["flagged"] == [
+        {"Omega2": lost, "message": "ConvergenceError: forced failure for the two-tone flag-path test"}]
+    # the failed row is left out; every other row keeps its bytes
+    assert (tmp_path / "flagged" / "twotone.csv").read_text().splitlines() == probe[:3] + probe[4:]
+
+
 def test_oracle_flags_forcing_without_one_stable_state(tmp_path):
     # the detuning of test_hopf's bistable case: weak forcing leaves the limit
     # cycle unlocked, F = 0.5265 lies inside the fold, strong forcing locks

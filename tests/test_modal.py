@@ -264,7 +264,7 @@ def test_modes_sampled_once(pair_array, pair_resonances, pair_system, params, mo
     loaded = ModalSystem.from_json(pair_system.to_json(), request=pair_system.request)
     center = loaded.omegas[0].real
     pure_tone_sweep(loaded, np.linspace(0.9 * center, 1.1 * center, 3), 1e-5, BETA)
-    two_tone_sweep(loaded, center, [0.95 * center, 1.05 * center], 1e-5, 1e-5, BETA, mode_index=0)
+    two_tone_sweep(loaded, center, [0.95 * center, 1.05 * center], 1e-5, 1e-5, BETA)
     assert calls == []
 
 

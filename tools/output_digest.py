@@ -1,0 +1,77 @@
+"""Digest every CSV and the solver statistics of the reference configs.
+
+    PYTHONPATH=src python tools/output_digest.py > digest.txt
+
+Runs each reference config through ``hopfarray.cli.main`` in a temporary
+directory, with a cold cache, and prints one line per output, ``config file
+sha256``: one for every CSV the run lists in run.json, one for its
+``solver_stats`` (dumped as JSON with sorted keys) and one for its exit
+status. A refactor that must keep every output byte for byte runs it on the
+parent commit's ``src`` and on its own, then diffs the two listings.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from hopfarray.cli import main
+
+# the README's full example config: the default 6-disk array
+BASE = {
+    "geometry": {"n": 6, "first_radius": 1.0, "s": 1.05, "gap_ratio": 0.5, "source_x": -5.0},
+    "material": {"v": 1.0, "v_b": 1.0, "delta": 1e-3, "beta": 5e5},
+    "numerics": {"multipole_order": 5},
+}
+
+# name: experiment block; every other block is BASE's
+CONFIGS = {
+    "resonances": {"type": "resonances"},
+    "sweep": {"type": "sweep"},
+    "phase": {"type": "phase"},
+    "twotone": {"type": "twotone"},
+    "oracle": {"type": "oracle"},
+    "twotone-mode2": {"type": "twotone", "mode_index": 2, "F2": 1e-4},
+    "phase-pressure": {"type": "phase", "phase_reference": "pressure",
+                       "observation_points": [[3.0, 0.5], [10.0, 1.0]]},
+    "sweep-mode3": {"type": "sweep", "mode_ref": 3, "omega_min": 0.03, "omega_max": 0.07,
+                    "num_points": 50, "F_values": [3e-5, 2e-2]},
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(name: str, experiment: dict, work: Path) -> list[str]:
+    """The listing lines of one config, run in its own directory under work."""
+    config = copy.deepcopy(BASE)
+    config["experiment"] = experiment
+    path, out = work / f"{name}.json", work / name
+    path.write_text(json.dumps(config))
+    status = main([experiment["type"], "--config", str(path), "--out", str(out)])
+    lines = [f"{name} exit {status}"]
+    run = out / "run.json"
+    if run.exists():
+        manifest = json.loads(run.read_text())
+        for csv in sorted(manifest["outputs"]):
+            lines.append(f"{name} {csv} {_sha256((out / csv).read_bytes())}")
+        stats = json.dumps(manifest["solver_stats"], sort_keys=True).encode()
+        lines.append(f"{name} solver_stats {_sha256(stats)}")
+    return lines
+
+
+def run() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, experiment in CONFIGS.items():
+            for line in digest(name, experiment, Path(tmp)):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
