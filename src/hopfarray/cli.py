@@ -70,13 +70,7 @@ _FIELDS = (
     ("material", "delta", "number", "positive", _REQUIRED),
     ("material", "beta", "number", None, _REQUIRED),
     ("numerics", "multipole_order", "integer", 1, 5),
-    ("numerics", "resonance_tolerance", "number", "positive", 1e-10),
-    ("numerics", "drift_tolerance", "number", "positive", 1e-4),
-    ("numerics", "quad_inflate", "number", "positive", 0.5),
-    ("numerics", "ext_order", "integer", 2, 8),
     ("numerics", "panel_size", "number", "positive", 2.5),
-    ("numerics", "ring_radial", "integer", 2, 10),
-    ("numerics", "ring_angular", "integer", 2, 12),
     ("numerics", "disk_radial", "integer", 2, 16),
     ("numerics", "disk_angular", "integer", 8, 48),
     ("numerics", "omega_max", "number", "positive", None),
@@ -147,10 +141,8 @@ class ExperimentConfig:
 
     def quadrature_spec(self, array: ResonatorArray) -> QuadratureSpec:
         """The composite rule's spec from the numerics block, box around the array."""
-        num = self.numerics
-        keys = ("ext_order", "panel_size", "ring_radial", "ring_angular", "disk_radial",
-                "disk_angular")
-        return default_spec(array, inflate=num["quad_inflate"], **{key: num[key] for key in keys})
+        return default_spec(array, **{key: self.numerics[key]
+                                      for key in ("panel_size", "disk_radial", "disk_angular")})
 
     def wave_params(self) -> WaveParams:
         m = self.material
@@ -334,13 +326,7 @@ def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: boo
     num = config.numerics
     M = num["multipole_order"]
     quad = config.quadrature_spec(array)
-    search = {
-        "tolerance": num["resonance_tolerance"],
-        "drift_tolerance": num["drift_tolerance"],
-    }
-    if num["omega_max"] is not None:
-        search["omega_max"] = num["omega_max"]
-    request = cache_request(array, params, M, quad, search)
+    request = cache_request(array, params, M, quad, num["omega_max"])
     key = modal_cache_key(request)
     cache_path = out_dir / "cache" / f"modal-{key[:16]}.json"
     cache_info = {"key": key, "hit": False, "path": None, "recovered": None}
@@ -353,7 +339,7 @@ def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: boo
         else:
             cache_info.update(hit=True, path=str(cache_path))
             return system, cache_info
-    system = build_modal_system(array, params, M=M, quad=quad, search=search)
+    system = build_modal_system(array, params, M=M, quad=quad, omega_max=num["omega_max"])
     if use_cache:
         _write_atomic(cache_path, system.to_json())
         cache_info["path"] = str(cache_path)

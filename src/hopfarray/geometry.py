@@ -96,6 +96,7 @@ def _violations(x: np.ndarray, r: np.ndarray, source_x: float) -> list[str]:
         return violations
     with np.errstate(over="ignore"):
         ends, starts = x + r, x - r
+        inside = ~(np.abs(source_x - x) > r)
     overlap = ~(ends[:-1] < starts[1:])
     if overlap.any():
         i, more = _first(overlap)
@@ -103,7 +104,6 @@ def _violations(x: np.ndarray, r: np.ndarray, source_x: float) -> list[str]:
             f"resonators {i} and {i + 1} overlap or are out of order: circle {i} ends at "
             f"x1 = {ends[i]:.6g}, circle {i + 1} begins at x1 = {starts[i + 1]:.6g}{more}"
         )
-    inside = ~(np.abs(source_x - x) > r)
     if inside.any():
         i, more = _first(inside)
         violations.append(f"source ({source_x}, 0.0) lies inside or on resonator {i}{more}")

@@ -76,9 +76,9 @@ class QuadratureSpec:
             raise ValueError(f"box {self.box} does not contain the source {array.source}")
 
 
-def default_spec(array: ResonatorArray, inflate: float = 0.5, **kwargs) -> QuadratureSpec:
-    """Bounding box of circles + source, expanded on each side by
-    inflate/2 times the diagonal of the tight box."""
+def default_spec(array: ResonatorArray, **kwargs) -> QuadratureSpec:
+    """Bounding box of circles + source, expanded on each side by a quarter
+    of the diagonal of the tight box; kwargs set the other fields."""
     cxs = array.centers[:, 0]
     radii = array.radii
     xs = np.concatenate([cxs - radii, cxs + radii, [array.source[0]]])
@@ -86,7 +86,7 @@ def default_spec(array: ResonatorArray, inflate: float = 0.5, **kwargs) -> Quadr
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
     diag = float(np.hypot(x1 - x0, y1 - y0))
-    pad = 0.5 * inflate * diag
+    pad = 0.25 * diag
     return QuadratureSpec(box=(x0 - pad, x1 + pad, y0 - pad, y1 + pad), **kwargs)
 
 

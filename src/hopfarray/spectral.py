@@ -191,6 +191,8 @@ _MAX_CONTOURS = 16  # sub-contours per search, so a search ends in bounded time
 _RANK_TOL = 1e-10  # singular-value cut of moment 0, relative to its bound
 _BEYN_RESIDUAL = 1e-6  # largest |A(z) v| / (|A(z)|_F |v|) of a Beyn pair
 _STACK_ENTRIES = 2**17  # contour nodes x matrix entries assembled at a time: about 2 MB
+_RESONANCE_TOL = 1e-10  # largest smallest singular value of A at an accepted resonance
+_DRIFT_TOL = 1e-4  # largest relative move of a resonance under M -> M+2
 
 
 def _inside(box, z: complex) -> bool:
@@ -253,24 +255,19 @@ def find_resonances(
     array: ResonatorArray,
     params: WaveParams,
     M: int = 5,
-    search: dict | None = None,
+    omega_max: float | None = None,
 ) -> Resonances:
-    """Locate the N subwavelength resonances of the coupled array.
+    """Locate the N subwavelength resonances of the coupled array, below
+    omega_max (default: subwavelength_cutoff).
 
     Returns exactly N resonances sorted by ascending real part, each with
-    smallest singular value <= tolerance and frequency drift < 1e-4
-    relative under M -> M+2 refinement. Raises ResonanceSearchError when a
-    sub-contour cannot be certified (naming it and both counts) or has a
-    node where the system is exactly singular, the window holds another
-    count, or refinement does not settle.
+    smallest singular value <= _RESONANCE_TOL and frequency drift
+    <= _DRIFT_TOL relative under M -> M+2 refinement. Raises
+    ResonanceSearchError when a sub-contour cannot be certified (naming it
+    and both counts) or has a node where the system is exactly singular,
+    the window holds another count, or refinement does not settle.
     """
-    search = dict(search or {})
-    omega_max = search.pop("omega_max", None) or subwavelength_cutoff(array, params)
-    tolerance = search.pop("tolerance", 1e-9)
-    drift_tol = search.pop("drift_tolerance", 1e-4)
-    if search:
-        raise ValueError(f"unknown search keys: {sorted(search)}")
-
+    omega_max = omega_max or subwavelength_cutoff(array, params)
     n_res = array.n
     disk_seeds = [single_disk_resonance(r, params) for r in array.radii]
     if any(abs(s) > omega_max for s in disk_seeds):
@@ -292,11 +289,12 @@ def find_resonances(
             if _inside(box, z) and all(abs(z - r) > 1e-8 * abs(r) for r in roots):
                 _, s, vh = np.linalg.svd(probe.matrices([z])[0])
                 roots[z] = s, vh[-1].copy()  # not a view that keeps all of V^H
-        if resolved and winding == len(roots) and all(s[-1] <= tolerance for s, _ in roots.values()):
+        certified = all(s[-1] <= _RESONANCE_TOL for s, _ in roots.values())
+        if resolved and winding == len(roots) and certified:
             for z, svd in roots.items():  # stability under truncation refinement
                 z_hi = _muller(probe_hi, z)
                 drift = abs(z_hi - z) / abs(z)
-                if drift > drift_tol:
+                if drift > _DRIFT_TOL:
                     raise ResonanceSearchError(f"resonance {z:.6g} drifts by {drift:.3g} "
                                                f"relative under M={M} -> {M + 2} refinement")
                 found.append(Resonance(omega=z, residual=float(svd[0][-1]), truncation=M, drift=drift,

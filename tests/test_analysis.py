@@ -1,3 +1,4 @@
+import functools
 import re
 from types import SimpleNamespace
 
@@ -113,6 +114,25 @@ def test_failed_lane_leaves_other_lanes_unchanged(six_system, monkeypatch, poiso
     assert sweep.newton_iters[18] == 0 and list(np.flatnonzero(~sweep.solved)) == [18]
     # the next point of the failed lane's block starts cold
     assert np.array_equal(sweep.X[19], solve_pure_tone(six_system, grid[19], 1e-4, BETA).X)
+
+
+def test_stalled_continuation_flags_its_point(six_system, monkeypatch):
+    # with Newton capped at one iteration every solve fails, so the lane falls
+    # back to forcing continuation, which stalls; the point is flagged, not fatal
+    capped = functools.partial(hopf._newton_complex, max_iter=1)
+    newton_errors = []
+
+    def recording(*args, **kwargs):
+        out = capped(*args, **kwargs)
+        newton_errors.extend(str(e) for e in out[-1] if e is not None)
+        return out
+
+    monkeypatch.setattr(hopf, "_newton_complex", recording)
+    sweep = pure_tone_sweep(six_system, [six_system.omegas[1].real], 1e-2, BETA)
+    assert any(e.startswith("Newton did not converge in 1 iterations") for e in newton_errors)
+    assert sweep.flags[0].startswith("ConvergenceError: continuation stalled at forcing fraction")
+    assert np.isnan(sweep.X[0]).all() and not sweep.solved[0]
+    assert sweep.metadata["continuation_points"] == 1
 
 
 def test_single_mode_phase_swings_half_cycle(single_array, params):

@@ -16,8 +16,7 @@ from hopfarray.cli import ConfigError, _obtain_modal_system, main, parse_config,
 BASE = {
     "geometry": {"n": 2, "first_radius": 1.0, "s": 1.0, "gap_ratio": 0.5, "source_x": -5.0},
     "material": {"v": 1.0, "v_b": 1.0, "delta": 1e-3, "beta": 5.0e5},
-    "numerics": {"ext_order": 6, "disk_radial": 10, "disk_angular": 24,
-                 "ring_radial": 8, "ring_angular": 10},
+    "numerics": {"disk_radial": 10, "disk_angular": 24},
     "experiment": {"type": "resonances"},
 }
 
@@ -37,8 +36,8 @@ def test_parse_minimal_config_applies_defaults():
     del cfg["numerics"]
     parsed = parse_config(json.dumps(cfg))
     assert parsed.numerics["multipole_order"] == 5
-    assert parsed.numerics["resonance_tolerance"] == 1e-10
-    assert "newton_tolerance" not in parsed.numerics
+    assert set(parsed.numerics) == {"multipole_order", "panel_size", "disk_radial",
+                                    "disk_angular", "omega_max", "collision_floor"}
     assert parsed.beta == 5.0e5
 
 
@@ -48,7 +47,7 @@ def test_parse_rejects_zero_delta():
         parse_config(json.dumps(cfg))
 
 
-def test_parse_rejects_unknown_key():
+def test_parse_rejects_unknown_key(tmp_path, capsys):
     cfg = _config()
     cfg["material"]["betaa"] = 1.0
     with pytest.raises(ConfigError, match="betaa"):
@@ -57,6 +56,17 @@ def test_parse_rejects_unknown_key():
     cfg = _config(numerics={"newton_tolerance": 1e-10})
     with pytest.raises(ConfigError, match="newton_tolerance"):
         parse_config(json.dumps(cfg))
+    # so are the box, the exterior rule and the resonance certificate's thresholds
+    for key in ("quad_inflate", "ext_order", "ring_radial", "ring_angular",
+                "resonance_tolerance", "drift_tolerance"):
+        cfg = _config(numerics={key: 1})
+        with pytest.raises(ConfigError, match=f"^numerics.{key}: unknown key$"):
+            parse_config(json.dumps(cfg))
+    # validate names the key, so no build runs into a box too tight for its collars
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_config(numerics={"quad_inflate": 0.001})))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: numerics.quad_inflate: unknown key\n"
 
 
 def test_parse_rejects_tau_as_unknown_key():
@@ -279,6 +289,20 @@ def test_phase_experiment_and_sign_flags(tmp_path):
     assert manifest["sign_flags"]["phase_sign_flipped"] in (True, False)
     assert manifest["solver_stats"]["newton_iters"] >= manifest["solver_stats"]["n_points"]
     assert 0 <= manifest["solver_stats"]["certificate_max"] <= 1e-10 * (1 + 1e-6)
+
+
+def test_phase_at_given_observation_points(tmp_path):
+    # one point inside circle 1 (centered at (3.5, 0)), one outside both circles
+    points = [[3.5, 0.5], [0.0, 2.0]]
+    cfg = _config(experiment={"type": "phase", "num_points": 60, "F": 1e-6,
+                              "observation_points": points})
+    assert run_experiment(parse_config(json.dumps(cfg)), tmp_path) == 0
+    stats = json.loads((tmp_path / "run.json").read_text())["solver_stats"]
+    rows = [line.split(",") for line in (tmp_path / "phase.csv").read_text().splitlines()[1:]]
+    n = stats["n_points"]
+    assert stats["n_flagged"] == 0 and len(rows) == 2 * n
+    for k, point in enumerate(points):
+        assert all([float(x1), float(x2)] == point for x1, x2, *_ in rows[k * n:(k + 1) * n])
 
 
 def test_oracle_experiment(tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,15 @@ def test_validate_names_a_grading_past_the_float_range(tmp_path, capsys, s, viol
                           f"graded by s = {s} with gap ratio 0.5 do not form a valid array: ")
 
 
+def test_parse_near_the_float_range_warns_nothing():
+    # the source's distance to the circle overflows; only the verdict may show
+    geometry = {"n": 1, "first_radius": 5e307, "s": 1.0, "gap_ratio": 0.5, "source_x": -1.7e308}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parsed = parse_config(json.dumps(_config(geometry=geometry)))
+    assert parsed.geometry == geometry
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("geometry", "n", True),
     ("numerics", "multipole_order", True),
@@ -313,11 +323,12 @@ def test_readme_lists_every_config_field_with_its_default():
 def test_quadrature_counts_at_their_bound_build_the_spec(tmp_path, capsys):
     # each integer numerics row that QuadratureSpec checks: at the table's
     # bound the config validates and its spec builds (the spec only: the
-    # rules at a tiny panel_size would allocate without limit)
-    checked = {f.name for f in dataclasses.fields(QuadratureSpec)} - {"box", "panel_size"}
+    # rules at a tiny panel_size would allocate without limit). The config
+    # sets the interior counts; the exterior rule's are fixed
+    fields = {f.name for f in dataclasses.fields(QuadratureSpec)}
     rows = [(key, bound) for block, key, kind, bound, _ in _FIELDS
-            if block == "numerics" and kind == "integer" and key in checked]
-    assert {key for key, _ in rows} == checked
+            if block == "numerics" and kind == "integer" and key in fields]
+    assert {key for key, _ in rows} == {"disk_radial", "disk_angular"}
     for key, bound in rows:
         config = parse_config(json.dumps(_config(numerics={key: bound})))
         assert getattr(config.quadrature_spec(config.build_array()), key) == bound

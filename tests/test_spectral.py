@@ -244,14 +244,7 @@ def test_refinement_stability(six_resonances, six_array, params):
 
 def test_search_window_misconfiguration_raises(single_array, params):
     with pytest.raises(ResonanceSearchError, match="window|seeds"):
-        find_resonances(single_array, params, M=3, search={"omega_max": 1e-4})
-
-
-def test_search_rejects_unknown_keys(single_array, params):
-    with pytest.raises(ValueError, match="unknown search keys"):
-        find_resonances(single_array, params, M=3, search={"bogus": 1})
-    with pytest.raises(ValueError, match="unknown search keys"):
-        find_resonances(single_array, params, M=3, search={"grid": (30, 9)})
+        find_resonances(single_array, params, M=3, omega_max=1e-4)
 
 
 @pytest.mark.parametrize("name, M", [("single", 4), ("pair", 5), ("six", 5)])
@@ -294,7 +287,7 @@ def test_resonance_near_subcontour_edge_counted_once(six_array, params, six_reso
     # (Im omega ~ -2.7e-5), so the sub-contour that holds it must resolve it
     # next to its edge: it is split and still counts the mode exactly once
     top = six_resonances[-1].omega
-    res = find_resonances(six_array, params, M=5, search={"omega_max": 1.003 * abs(top)})
+    res = find_resonances(six_array, params, M=5, omega_max=1.003 * abs(top))
     assert 0 < max(c["box"][1] for c in res.search["contours"]) - top.real < 4e-3 * top.real
     assert len(res.search["contours"]) > 1
     _assert_certified(res, 6)

@@ -40,6 +40,9 @@ CONFIGS = {
                        "observation_points": [[3.0, 0.5], [10.0, 1.0]]},
     "sweep-mode3": {"type": "sweep", "mode_ref": 3, "omega_min": 0.03, "omega_max": 0.07,
                     "num_points": 50, "F_values": [3e-5, 2e-2]},
+    # takes forcing continuation at two points; every other config takes none
+    "phase-continuation": {"type": "phase", "omega_min": 0.0019862027948276875,
+                           "omega_max": 0.07797730208237533, "F": 8.382430587987718e-07},
 }
 
 
