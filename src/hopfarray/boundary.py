@@ -35,9 +35,7 @@ from .cylinder import (
     hankel1_prime_orders,
 )
 from .cylinder import hankel1  # noqa: F401  kept for perfbench/tracing.py, which patches it here
-from .geometry import ResonatorArray
-
-_BOUNDARY_TOL = 1e-12
+from .geometry import ResonatorArray, classify_points
 
 
 @dataclass(frozen=True)
@@ -200,21 +198,6 @@ def assemble_boundary_system(
     return assemble_boundary_matrices(array, params, [omega], M)[0]
 
 
-def classify_points(centers: np.ndarray, radii: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Containing disk index or -1 per point, for disks of the given centers
-    (N, 2) and radii. A point within 1e-12 of a circle, where the field has
-    two traces, raises ValueError."""
-    diff = points[:, None, :] - centers[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])  # (P, N)
-    scale = np.maximum(radii[None, :], 1.0)
-    on_boundary = np.abs(dist - radii[None, :]) <= _BOUNDARY_TOL * scale
-    if on_boundary.any():
-        bad = points[on_boundary.any(axis=1)][0]
-        raise ValueError(f"point {tuple(bad.tolist())} lies on a resonator boundary")
-    inside = dist < radii[None, :]
-    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
-
-
 def evaluate_field(array: ResonatorArray, params: WaveParams, omega: complex, density: MultipoleDensity,
                    points) -> np.ndarray | complex:
     """Evaluate the represented field at one or many points: the
@@ -241,7 +224,8 @@ def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: 
     subwavelength band); the host circle's J table is AMOS at every node.
     Each chunk's table is contracted with the densities order by order.
     Every point sums the circles in order, so its value does not depend on
-    the other points. A point within 1e-12 of a circle raises ValueError.
+    the other points. A point on a circle (geometry.classify_points) raises
+    ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:

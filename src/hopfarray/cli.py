@@ -34,8 +34,8 @@ from .analysis import (
     refined_frequency_grid,
     two_tone_sweep,
 )
-from .boundary import WaveParams, classify_points
-from .geometry import ResonatorArray, _violations, build_graded_array, graded_layout
+from .boundary import WaveParams
+from .geometry import ResonatorArray, classify_points, graded_layout
 from .hopf import ConvergenceError, single_hopf_steady_state
 from .modal import ModalSystem, build_modal_system, cache_request, modal_cache_key
 from .quadrature import QuadratureSpec, default_spec
@@ -121,32 +121,17 @@ _SIGNS = {
 
 @dataclass
 class ExperimentConfig:
-    """Validated configuration: geometry, material, numerics, experiment."""
+    """Validated configuration: its blocks, and the array, material and
+    composite rule's spec (box around the array) they describe."""
 
     geometry: dict
     material: dict
     numerics: dict
     experiment: dict
+    array: ResonatorArray
+    params: WaveParams
+    quad: QuadratureSpec
     raw: dict = field(repr=False, default_factory=dict)
-
-    def build_array(self) -> ResonatorArray:
-        g = self.geometry
-        return build_graded_array(
-            n=g["n"],
-            first_radius=g["first_radius"],
-            s=g["s"],
-            gap_ratio=g["gap_ratio"],
-            source_x=g["source_x"],
-        )
-
-    def quadrature_spec(self, array: ResonatorArray) -> QuadratureSpec:
-        """The composite rule's spec from the numerics block, box around the array."""
-        return default_spec(array, **{key: self.numerics[key]
-                                      for key in ("panel_size", "disk_radial", "disk_angular")})
-
-    def wave_params(self) -> WaveParams:
-        m = self.material
-        return WaveParams(v=m["v"], v_b=m["v_b"], delta=m["delta"])
 
     @property
     def beta(self) -> float:
@@ -219,6 +204,21 @@ def _frequency_range(exp: dict, lo_default=None, hi_default=None):
     return lo, hi
 
 
+def _twotone_grid(exp: dict, floor: float, Omega1):
+    """The two-tone experiment's Omega2 grid around Omega1 and the mask of
+    its points outside the collision floor; raises naming the range when
+    the mask keeps none."""
+    lo, hi = _frequency_range(exp, 0.9 * Omega1, 1.1 * Omega1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a given Omega1 near the float range
+        grid = np.linspace(lo, hi, exp["num_points"])
+        keep = np.abs(grid - Omega1) > floor * abs(Omega1)
+    if not keep.any():
+        raise ConfigError(f"experiment.omega2_min/omega2_max: every Omega2 in [{float(lo)!r}, "
+                          f"{float(hi)!r}] lies within numerics.collision_floor = {floor!r} "
+                          f"of Omega1 = {float(Omega1)!r}")
+    return grid, keep
+
+
 def _mode_keys(exp: dict) -> tuple:
     """The experiment keys whose values pick a mode: mode_ref centers the
     sweep; mode_index picks the two-tone lines, else Omega1_mode does, which
@@ -260,28 +260,26 @@ def parse_config(text: str) -> ExperimentConfig:
             given_as = "" if key in given else "the default "
             raise ConfigError(f"experiment.{key}: {key} must be at most geometry.n = {geo['n']},"
                               f" got {given_as}{exp[key]!r}")
-    layout = _layout(geo)
+    if etype == "twotone" and exp["Omega1"] is not None:
+        _twotone_grid(exp, num["collision_floor"], exp["Omega1"])  # checked here when known
+    layout = graded_layout(geo["n"], geo["first_radius"], geo["s"], geo["gap_ratio"])
+    try:
+        array = ResonatorArray(center_x=layout[0], radius=layout[1], source_x=geo["source_x"])
+    except ValueError as exc:  # the source is named last, so first only when alone at fault
+        reason = str(exc).removeprefix("invalid resonator array: ")
+        keys = "geometry.source_x" if reason.startswith("source") else "geometry.n, geometry.s"
+        raise ConfigError(f"{keys}: {geo['n']!r} circles of first radius {geo['first_radius']!r}"
+                          f" graded by s = {geo['s']!r} with gap ratio {geo['gap_ratio']!r} do "
+                          f"not form a valid array: {reason}") from None
     if etype == "phase" and exp["observation_points"] is not None:
         point = _point_on_circle(layout, exp["observation_points"])
         if point is not None:
             raise ConfigError(f"experiment.observation_points: {point} lies on a resonator "
                               "boundary, where the field has two traces")
-    return ExperimentConfig(geometry=geo, material=mat, numerics=num, experiment=exp, raw=data)
-
-
-def _layout(geometry: dict):
-    """x1 of the centers and the radii of the configured circles. Raises
-    naming geometry.n and geometry.s when they form no valid array, such as
-    when the grading carries a radius past the float range. Only the layout
-    is computed, so any n is cheap."""
-    g = geometry
-    layout = graded_layout(g["n"], g["first_radius"], g["s"], g["gap_ratio"])
-    violations = _violations(*layout, float(g["source_x"]))
-    if violations:
-        raise ConfigError(f"geometry.n, geometry.s: {g['n']!r} circles of first radius "
-                          f"{g['first_radius']!r} graded by s = {g['s']!r} with gap ratio "
-                          f"{g['gap_ratio']!r} do not form a valid array: " + "; ".join(violations))
-    return layout
+    rule = {key: num[key] for key in ("panel_size", "disk_radial", "disk_angular")}
+    return ExperimentConfig(geometry=geo, material=mat, numerics=num, experiment=exp, array=array,
+                            params=WaveParams(v=mat["v"], v_b=mat["v_b"], delta=mat["delta"]),
+                            quad=default_spec(array, **rule), raw=data)
 
 
 def _point_on_circle(layout, points):
@@ -321,11 +319,9 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 
 
 def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: bool):
-    array = config.build_array()
-    params = config.wave_params()
+    array, params, quad = config.array, config.params, config.quad
     num = config.numerics
     M = num["multipole_order"]
-    quad = config.quadrature_spec(array)
     request = cache_request(array, params, M, quad, num["omega_max"])
     key = modal_cache_key(request)
     cache_path = out_dir / "cache" / f"modal-{key[:16]}.json"
@@ -468,14 +464,8 @@ def _twotone(config: ExperimentConfig, system: ModalSystem) -> _Result:
     Omega1 = exp["Omega1"]
     if Omega1 is None:
         Omega1 = abs(system.omegas[exp["Omega1_mode"] - 1])
-    lo, hi = _frequency_range(exp, 0.9 * Omega1, 1.1 * Omega1)
-    grid = np.linspace(lo, hi, exp["num_points"])
     floor = config.numerics["collision_floor"]
-    keep = np.abs(grid - Omega1) > floor * abs(Omega1)
-    if not keep.any():
-        raise ConfigError(f"experiment.omega2_min/omega2_max: every Omega2 in [{float(lo)!r}, "
-                          f"{float(hi)!r}] lies within numerics.collision_floor = {floor!r} "
-                          f"of Omega1 = {float(Omega1)!r}")
+    grid, keep = _twotone_grid(exp, floor, Omega1)
     sweep = two_tone_sweep(system, Omega1, grid[keep], exp["F1"], exp["F2"], config.beta,
                            collision_floor=floor)
     # per solved point, the mode's modulus on each line, then its passive response to Omega2

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_ON_CIRCLE_TOL = 1e-12  # classify_points' distance to a circle, relative to max(r, 1)
+
 
 @dataclass(frozen=True)
 class ResonatorArray:
@@ -26,7 +28,8 @@ class ResonatorArray:
       center_x[i + 1] - radius[i + 1]. On one line this is the same as
       ordered by increasing x1 and pairwise disjoint, and it is checked in
       floating point as written, so it also holds for every pair i < j;
-    - the source lies outside every circle, |source_x - center_x[i]| > radius[i].
+    - the source lies outside every circle and off every circle by the rule
+      of classify_points.
     """
 
     center_x: tuple[float, ...]
@@ -94,9 +97,13 @@ def _violations(x: np.ndarray, r: np.ndarray, source_x: float) -> list[str]:
         violations.append(f"center {i} must be finite, got {x[i]}{more}")
     if violations:
         return violations
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         ends, starts = x + r, x - r
-        inside = ~(np.abs(source_x - x) > r)
+        try:
+            held = classify_points(np.stack([x, np.zeros_like(x)], axis=1), r,
+                                   np.array([[source_x, 0.0]]))[0]
+        except ValueError:  # on a circle: name the one it is closest to, relative to the rule
+            held = np.argmin(np.abs(np.abs(source_x - x) - r) / np.maximum(r, 1.0))
     overlap = ~(ends[:-1] < starts[1:])
     if overlap.any():
         i, more = _first(overlap)
@@ -104,10 +111,25 @@ def _violations(x: np.ndarray, r: np.ndarray, source_x: float) -> list[str]:
             f"resonators {i} and {i + 1} overlap or are out of order: circle {i} ends at "
             f"x1 = {ends[i]:.6g}, circle {i + 1} begins at x1 = {starts[i + 1]:.6g}{more}"
         )
-    if inside.any():
-        i, more = _first(inside)
-        violations.append(f"source ({source_x}, 0.0) lies inside or on resonator {i}{more}")
+    if held >= 0:
+        violations.append(f"source ({source_x}, 0.0) lies inside or on resonator {held}")
     return violations
+
+
+def classify_points(centers: np.ndarray, radii: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Containing disk index or -1 per point, for disks of the given centers
+    (N, 2) and radii. A point within _ON_CIRCLE_TOL * max(r, 1) of a circle
+    of radius r, where the field has two traces, raises ValueError. This is
+    the one rule for a point on a circle."""
+    diff = points[:, None, :] - centers[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])  # (P, N)
+    scale = np.maximum(radii[None, :], 1.0)
+    on_boundary = np.abs(dist - radii[None, :]) <= _ON_CIRCLE_TOL * scale
+    if on_boundary.any():
+        bad = points[on_boundary.any(axis=1)][0]
+        raise ValueError(f"point {tuple(bad.tolist())} lies on a resonator boundary")
+    inside = dist < radii[None, :]
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
 def graded_layout(n: int, first_radius: float, s: float, gap_ratio: float):
@@ -138,18 +160,13 @@ def build_graded_array(
     separation grows in proportion to the size. The leftmost circle is
     tangent to the origin from the right.
 
-    Raises ValueError on non-positive parameters or if the source does not
-    lie strictly left of the first circle.
+    Raises ValueError if n < 1, if the source does not lie strictly left of
+    the first circle, or if ResonatorArray rejects the result: a radius that
+    is not positive (first_radius or, past the first circle, s), circles
+    that touch or overlap (gap_ratio), or a source on circle 0.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not first_radius > 0:
-        raise ValueError(f"first_radius must be positive, got {first_radius}")
-    if not s > 0:
-        raise ValueError(f"grading factor s must be positive, got {s}")
-    if not gap_ratio > 0:
-        raise ValueError(f"gap_ratio must be positive, got {gap_ratio}")
-
     centers_x, radii = graded_layout(n, first_radius, s, gap_ratio)
     leftmost = centers_x[0] - radii[0]
     if not source_x < leftmost:

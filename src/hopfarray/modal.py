@@ -79,19 +79,9 @@ def _gram_from_values(U: np.ndarray, wts: np.ndarray) -> np.ndarray:
 def source_coupling(modes: list[Eigenmode], source) -> np.ndarray:
     """Pairing of a unit point mass at the source with each mode.
 
-    The sifting property gives entry n = conj(u_n(source)). The source
-    must lie strictly outside every circle.
+    The sifting property gives entry n = conj(u_n(source)). A source on a
+    circle (geometry.classify_points) raises ValueError.
     """
-    if not modes:
-        raise ValueError("need at least one mode")
-    array = modes[0].array
-    radii = array.radii
-    d = np.hypot(source[0] - array.centers[:, 0], source[1])
-    on_boundary = np.abs(d - radii) <= 1e-12 * np.maximum(radii, 1.0)
-    if on_boundary.any():
-        raise ValueError(
-            f"source {tuple(map(float, source))} lies on the boundary of "
-            f"resonator {np.argmax(on_boundary)}")
     return _mode_values(modes, np.asarray(source, dtype=float))[:, 0].conj()
 
 

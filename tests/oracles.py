@@ -347,7 +347,8 @@ def array_violations_pairwise(center_x, radius, source_x) -> list[str]:
     and the source (source_x, 0), in Python floats: a radius that is not
     positive and finite, a center that is not finite, every pair i < j not
     in order or where circle i does not end before circle j begins, and
-    every circle that holds the source. O(n^2); empty iff the array is valid."""
+    every circle that holds the source or lies within 1e-12 * max(r, 1) of
+    it. O(n^2); empty iff the array is valid."""
     x, r, s = [float(v) for v in center_x], [float(v) for v in radius], float(source_x)
     if len(x) == 0 or len(x) != len(r):
         return [f"need as many radii as centers, at least one: got {len(x)} and {len(r)}"]
@@ -363,7 +364,7 @@ def array_violations_pairwise(center_x, radius, source_x) -> list[str]:
             if not x[i] + r[i] < x[j] - r[j]:
                 violations.append(f"resonators {i} and {j} overlap")
     violations += [f"source lies inside or on resonator {i}"
-                   for i in range(len(x)) if not abs(s - x[i]) > r[i]]
+                   for i in range(len(x)) if not abs(s - x[i]) - r[i] > 1e-12 * max(r[i], 1.0)]
     return violations
 
 

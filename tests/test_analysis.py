@@ -135,6 +135,17 @@ def test_stalled_continuation_flags_its_point(six_system, monkeypatch):
     assert sweep.metadata["continuation_points"] == 1
 
 
+@pytest.mark.parametrize("mode", [3, 4])
+def test_continuation_rescues_a_point_on_a_resonance(six_system, mode):
+    # a one-point sweep at Re omega_4 or Re omega_5 under this forcing fails
+    # its Newton starts and falls back to forcing continuation, which solves it
+    omega = six_system.omegas[mode].real
+    sweep = pure_tone_sweep(six_system, [omega], 8.382430587987718e-07, BETA)
+    assert sweep.metadata["continuation_points"] == 1
+    assert sweep.flags == [None] and sweep.solved[0]
+    assert sweep.certificates[0] <= 1e-10
+
+
 def test_single_mode_phase_swings_half_cycle(single_array, params):
     # the phase of a lone passive resonance accumulates half a cycle across
     # it, matching the driven-oscillator response 1 / (omega^2 - Omega^2)

@@ -251,16 +251,40 @@ def test_twotone_schema(tmp_path):
 
 
 def test_twotone_without_second_tone_is_a_config_error(tmp_path, capsys):
-    # every Omega2 of the grid falls inside the collision floor of Omega1
-    cfg = _config(experiment={"type": "twotone", "Omega1": 0.046, "mode_index": 1,
-                              "omega2_min": 0.045999, "omega2_max": 0.046001, "num_points": 3})
+    # every Omega2 of the grid falls inside the collision floor of Omega1;
+    # Omega1 comes from mode 1, so the grid is known only after the build
+    cfg = _config(experiment={"type": "twotone", "Omega1_mode": 1, "mode_index": 1},
+                  numerics={"collision_floor": 0.2})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["twotone", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError: experiment.omega2_min/omega2_max: ")
-    assert "numerics.collision_floor" in err
+    assert "numerics.collision_floor = 0.2" in err
     assert not (tmp_path / "out" / "run.json").exists()
+
+
+def test_twotone_grid_with_a_given_omega1_is_checked_when_read(tmp_path, capsys, monkeypatch):
+    # with Omega1 given the grid is known from the config alone, so validate
+    # rejects it and twotone stops before any build
+    import hopfarray.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("cold build")
+
+    monkeypatch.setattr(cli, "build_modal_system", no_build)
+    cfg = _config(geometry={"s": 1.05}, experiment={
+        "type": "twotone", "Omega1": 0.05, "omega2_min": 0.04999, "omega2_max": 0.05001,
+        "mode_index": 1})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    want = ("error: experiment.omega2_min/omega2_max: every Omega2 in [0.04999, 0.05001] lies "
+            "within numerics.collision_floor = 0.001 of Omega1 = 0.05\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == want
+    assert main(["twotone", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "out").exists()
 
 
 def test_phase_observation_point_on_a_circle_rejected(tmp_path, capsys):
@@ -273,7 +297,7 @@ def test_phase_observation_point_on_a_circle_rejected(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["validate", "--config", str(path)]) == 1
     assert "experiment.observation_points" in capsys.readouterr().err
-    array = parse_config(json.dumps(_config())).build_array()
+    array = parse_config(json.dumps(_config())).array
     with pytest.raises(ValueError, match=re.escape("point (2.0, 0.0) lies on a resonator boundary")):
         classify_points(array.centers, array.radii, np.array([[3.0, 0.5], [2.0, 0.0]]))
 

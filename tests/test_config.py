@@ -8,6 +8,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hopfarray.cli import (
     _FIELDS, _REQUIRED, ConfigError, _point_on_circle, main, parse_config, run_experiment,
 )
-from hopfarray.geometry import graded_layout
+from hopfarray.geometry import classify_points, graded_layout
 from hopfarray.quadrature import QuadratureSpec
 
 from test_cli import _config
@@ -123,15 +124,44 @@ def _typed(value):
 def test_valid_config_parses_to_drawn_values_and_defaults(cfg):
     try:
         parsed = parse_config(json.dumps(cfg))
-    except ConfigError as exc:  # a drawn grading can carry a radius past the float range
-        assert str(exc).startswith("geometry.n, geometry.s: ")
+    except ConfigError as exc:
+        _assert_rejection_holds(cfg, str(exc))
         return
+    source_x, r0 = float(cfg["geometry"]["source_x"]), float(cfg["geometry"]["first_radius"])
+    assert abs(abs(source_x - r0) - r0) > 1e-12 * max(r0, 1.0)  # circle 0 is centered at r0
     want = {name: {} for name in BLOCKS}
     for name, key, _, _, default in rows_of(cfg["experiment"]["type"]):
         want[name][key] = cfg.get(name, {}).get(key, default)
     got = {"geometry": parsed.geometry, "material": parsed.material,
            "numerics": parsed.numerics, "experiment": parsed.experiment}
     assert _typed(got) == _typed(want)
+
+
+def _assert_rejection_holds(cfg, message):
+    """Each way a config of values within their bounds can still be invalid,
+    checked against the drawn values: a grading that carries a radius past
+    the float range, a source within 1e-12 * max(r, 1) of a circle (such as
+    -5e-324 of circle 0), or a two-tone range around a given Omega1 that
+    is empty or that the collision floor empties."""
+    geo, exp = cfg["geometry"], cfg["experiment"]
+    if message.startswith("geometry.source_x: "):  # circle 0, or a huge one that ends near it
+        centers, radii = graded_layout(*(geo[k] for k in ("n", "first_radius", "s", "gap_ratio")))
+        assert any(abs(abs(geo["source_x"] - c) - r) <= 1e-12 * max(r, 1.0)
+                   for c, r in zip(centers.tolist(), radii.tolist()))
+    elif message.startswith("experiment.omega2_m"):  # the range around a given Omega1
+        omega1 = exp["Omega1"]
+        lo = exp.get("omega2_min") if exp.get("omega2_min") is not None else 0.9 * omega1
+        hi = exp.get("omega2_max") if exp.get("omega2_max") is not None else 1.1 * omega1
+        floor = cfg.get("numerics", {}).get("collision_floor", 1e-3)
+        if "must be below" in message:  # such as both defaults at Omega1 = 5e-324
+            assert not lo < hi
+            return
+        assert message.startswith("experiment.omega2_min/omega2_max: ")
+        with np.errstate(all="ignore"):
+            grid = np.linspace(lo, hi, exp.get("num_points", 41))
+            assert not (np.abs(grid - omega1) > floor * omega1).any()
+    else:
+        assert message.startswith("geometry.n, geometry.s: ")
 
 
 def _bad_values(kind, bound, default):
@@ -218,6 +248,23 @@ def test_parse_near_the_float_range_warns_nothing():
         warnings.simplefilter("error")
         parsed = parse_config(json.dumps(_config(geometry=geometry)))
     assert parsed.geometry == geometry
+
+
+# circle 0 of the two-disk array touches the origin, and a point within
+# 1e-12 * max(r, 1) of a circle is on it by the rule every field evaluation applies
+def test_source_within_the_on_circle_tolerance_is_rejected_when_read(tmp_path, capsys):
+    cfg = _config(geometry={"s": 1.05, "source_x": -1e-13})
+    with pytest.raises(ConfigError, match=r"^geometry\.source_x: "):
+        parse_config(json.dumps(cfg))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: geometry.source_x: ")
+
+
+def test_source_just_past_the_on_circle_tolerance_parses():
+    array = parse_config(json.dumps(_config(geometry={"s": 1.05, "source_x": -2e-12}))).array
+    assert classify_points(array.centers, array.radii, np.array([array.source])).tolist() == [-1]
 
 
 @pytest.mark.parametrize("block, key, value", [
@@ -331,7 +378,7 @@ def test_quadrature_counts_at_their_bound_build_the_spec(tmp_path, capsys):
     assert {key for key, _ in rows} == {"disk_radial", "disk_angular"}
     for key, bound in rows:
         config = parse_config(json.dumps(_config(numerics={key: bound})))
-        assert getattr(config.quadrature_spec(config.build_array()), key) == bound
+        assert getattr(config.quad, key) == bound
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(_config(numerics={key: bound - 1})))
         assert main(["validate", "--config", str(path)]) == 1

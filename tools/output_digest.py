@@ -36,6 +36,8 @@ CONFIGS = {
     "twotone": {"type": "twotone"},
     "oracle": {"type": "oracle"},
     "twotone-mode2": {"type": "twotone", "mode_index": 2, "F2": 1e-4},
+    # Omega1 given, so the grid and its collisions are known when the config is read
+    "twotone-omega1": {"type": "twotone", "Omega1": 0.046},
     "phase-pressure": {"type": "phase", "phase_reference": "pressure",
                        "observation_points": [[3.0, 0.5], [10.0, 1.0]]},
     "sweep-mode3": {"type": "sweep", "mode_ref": 3, "omega_min": 0.03, "omega_max": 0.07,
