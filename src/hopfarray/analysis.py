@@ -118,8 +118,11 @@ def _line_sweep(system: ModalSystem, vectors, tones, forcing, beta: float, block
     is given at most _BLOCK points at a time, to bound memory.
     """
     K = len(tones)
-    X = np.full((K, len(vectors), system.n), np.nan, dtype=complex)
-    iters, flags, counts = np.zeros(K, dtype=int), [None] * K, Counter()
+    sweep = SweepResult(grid=tones[:, -1],  # checked before any point is solved
+                        X=np.full((K, len(vectors), system.n), np.nan, dtype=complex),
+                        newton_iters=np.zeros(K, dtype=int), certificates=np.full(K, np.nan),
+                        flags=[None] * K)
+    X, flags, counts = sweep.X, sweep.flags, Counter()
     for j in range(min(block, K)):
         idx = np.arange(j, K, block)
         starts = [None if j == 0 or flags[i - 1] is not None else X[i - 1] for i in idx]
@@ -129,9 +132,8 @@ def _line_sweep(system: ModalSystem, vectors, tones, forcing, beta: float, block
             if isinstance(out, Exception):
                 flags[i] = f"{type(out).__name__}: {out}"
             else:
-                X[i], iters[i] = out.X, out.newton_iters
-    sweep = SweepResult(grid=tones[:, -1], X=X, newton_iters=iters, certificates=np.full(K, np.nan),
-                        flags=flags, metadata=dict(counts))
+                X[i], sweep.newton_iters[i] = out.X, out.newton_iters
+    sweep.metadata.update(counts)
     solved = np.flatnonzero(sweep.solved)
     for c in range(0, len(solved), _BLOCK):
         chunk = solved[c:c + _BLOCK]
@@ -285,21 +287,15 @@ def two_tone_sweep(
     F1: float,
     F2: float,
     beta: float,
-    collision_floor: float = 1e-3,
 ) -> SweepResult:
     """Two-tone responses of every mode while the second frequency sweeps.
 
     X holds the four lines of TWO_TONE_LINES, and metadata["passive"] (K, N)
     the passive response to Omega_2 alone at every solved point (NaN
-    elsewhere). The grid must exclude the collision floor around Omega_1.
+    elsewhere). A point whose lines collide, as at Omega_2 = Omega_1, is
+    flagged; which points near Omega_1 to keep is the caller's grid policy.
     """
     grid2 = np.asarray(grid2, dtype=float)
-    too_close = np.abs(grid2 - Omega1) <= collision_floor * abs(Omega1)
-    if too_close.any():
-        raise ValueError(
-            f"grid points {grid2[too_close]} fall inside the collision floor "
-            f"around Omega1 = {Omega1:.6g} (half-width {collision_floor * abs(Omega1):.3g})"
-        )
 
     def certify(tones, X):
         residuals = residual_two_tone(system, Omega1, tones[:, 1], F1, F2, beta, X)

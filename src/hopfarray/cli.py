@@ -74,7 +74,6 @@ _FIELDS = (
     ("numerics", "disk_radial", "integer", 2, 16),
     ("numerics", "disk_angular", "integer", 8, 48),
     ("numerics", "omega_max", "number", "positive", None),
-    ("numerics", "collision_floor", "number", "positive", 1e-3),
     ("experiment", "type", "enum", ("resonances", "sweep", "phase", "twotone", "oracle"),
      _REQUIRED),
     ("sweep", "mode_ref", "integer", 1, 2),
@@ -110,6 +109,9 @@ _RANGES = {
     "phase": ("omega_min", "omega_max"),
     "twotone": ("omega2_min", "omega2_max"),
 }
+
+# a two-tone scan drops each Omega2 within this x Omega1 of Omega1, where its lines crowd
+_COLLISION_FLOOR = 1e-3
 
 _SIGNS = {
     None: lambda x: True,
@@ -192,30 +194,38 @@ def _parse_fields(name: str, given: dict, rows: list) -> dict:
 
 
 def _frequency_range(exp: dict, lo_default=None, hi_default=None):
-    """The swept (lower, upper) frequencies, each given or else its default;
-    raises naming the given end when both are known and not increasing."""
+    """The swept (lower, upper) frequencies, each given or else its default,
+    and the num_points evenly spaced between them (a phase grid's base), or
+    None while an end is unknown. Raises unless the ends are increasing and
+    finite and the points strictly increasing, naming the given upper end,
+    else the given lower end, else Omega1, from which both two-tone defaults
+    derive."""
     lo_key, hi_key = _RANGES[exp["type"]]
     lo = exp[lo_key] if exp[lo_key] is not None else lo_default
     hi = exp[hi_key] if exp[hi_key] is not None else hi_default
-    if lo is not None and hi is not None and not lo < hi:
-        key = hi_key if exp[hi_key] is not None else lo_key
-        raise ConfigError(
-            f"experiment.{key}: {lo_key} must be below {hi_key}, got {lo!r} and {hi!r}")
-    return lo, hi
+    if lo is None or hi is None:
+        return lo, hi, None
+    key = next((k for k in (hi_key, lo_key) if exp[k] is not None), "Omega1")
+    if not lo < hi:
+        raise ConfigError(f"experiment.{key}: {lo_key} must be below {hi_key}, got {lo!r} and {hi!r}")
+    grid = np.linspace(lo, hi, exp["num_points"]) if _finite(hi) else None  # lo < hi, so lo is too
+    if grid is None or not np.all(np.diff(grid) > 0):
+        raise ConfigError(f"experiment.{key}: the {exp['num_points']} points from {lo_key} = "
+                          f"{float(lo)!r} to {hi_key} = {float(hi)!r} are not finite and "
+                          "strictly increasing")
+    return lo, hi, grid
 
 
-def _twotone_grid(exp: dict, floor: float, Omega1):
+def _twotone_grid(exp: dict, Omega1):
     """The two-tone experiment's Omega2 grid around Omega1 and the mask of
     its points outside the collision floor; raises naming the range when
     the mask keeps none."""
-    lo, hi = _frequency_range(exp, 0.9 * Omega1, 1.1 * Omega1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a given Omega1 near the float range
-        grid = np.linspace(lo, hi, exp["num_points"])
-        keep = np.abs(grid - Omega1) > floor * abs(Omega1)
+    lo, hi, grid = _frequency_range(exp, 0.9 * Omega1, 1.1 * Omega1)
+    keep = np.abs(grid - Omega1) > _COLLISION_FLOOR * abs(Omega1)
     if not keep.any():
         raise ConfigError(f"experiment.omega2_min/omega2_max: every Omega2 in [{float(lo)!r}, "
-                          f"{float(hi)!r}] lies within numerics.collision_floor = {floor!r} "
-                          f"of Omega1 = {float(Omega1)!r}")
+                          f"{float(hi)!r}] lies within {_COLLISION_FLOOR!r} x Omega1 of "
+                          f"Omega1 = {float(Omega1)!r}")
     return grid, keep
 
 
@@ -253,15 +263,15 @@ def parse_config(text: str) -> ExperimentConfig:
     etype = _parse_fields("experiment", {k: v for k, v in given.items() if k == "type"},
                           _rows("experiment"))["type"]
     exp = _parse_fields("experiment", given, _rows("experiment") + _rows(etype))
-    if etype in _RANGES:
-        _frequency_range(exp)  # checked here when both ends are given
+    if etype == "twotone" and exp["Omega1"] is not None:
+        _twotone_grid(exp, exp["Omega1"])  # every grid the config alone fixes is built here
+    elif etype in _RANGES:
+        _frequency_range(exp)
     for key in _mode_keys(exp):  # the search returns exactly geometry.n modes
         if exp[key] > geo["n"]:
             given_as = "" if key in given else "the default "
             raise ConfigError(f"experiment.{key}: {key} must be at most geometry.n = {geo['n']},"
                               f" got {given_as}{exp[key]!r}")
-    if etype == "twotone" and exp["Omega1"] is not None:
-        _twotone_grid(exp, num["collision_floor"], exp["Omega1"])  # checked here when known
     layout = graded_layout(geo["n"], geo["first_radius"], geo["s"], geo["gap_ratio"])
     try:
         array = ResonatorArray(center_x=layout[0], radius=layout[1], source_x=geo["source_x"])
@@ -414,8 +424,7 @@ def _sweep(config: ExperimentConfig, system: ModalSystem) -> _Result:
     point keeps its rows, with empty values and the cause."""
     exp = config.experiment
     center = system.omegas[exp["mode_ref"] - 1].real
-    lo, hi = _frequency_range(exp, 0.75 * center, 1.35 * center)
-    grid = np.linspace(lo, hi, exp["num_points"])
+    grid = _frequency_range(exp, 0.75 * center, 1.35 * center)[2]
     rows, flagged, sweeps = [], [], []
     for F in exp["F_values"]:
         sweep = pure_tone_sweep(system, grid, F, config.beta)
@@ -436,7 +445,7 @@ def _phase(config: ExperimentConfig, system: ModalSystem) -> _Result:
     """Response magnitude, unwrapped phase and delays at the observation
     points over the refined grid; failed frequencies are left out."""
     exp = config.experiment
-    lo, hi = _frequency_range(exp, 0.25 * system.omegas[0].real, 1.25 * system.omegas[-1].real)
+    lo, hi, _ = _frequency_range(exp, 0.25 * system.omegas[0].real, 1.25 * system.omegas[-1].real)
     grid = refined_frequency_grid(system, lo, hi, exp["num_points"])
     if exp["observation_points"] is not None:
         obs = np.asarray(exp["observation_points"], dtype=float)
@@ -464,10 +473,8 @@ def _twotone(config: ExperimentConfig, system: ModalSystem) -> _Result:
     Omega1 = exp["Omega1"]
     if Omega1 is None:
         Omega1 = abs(system.omegas[exp["Omega1_mode"] - 1])
-    floor = config.numerics["collision_floor"]
-    grid, keep = _twotone_grid(exp, floor, Omega1)
-    sweep = two_tone_sweep(system, Omega1, grid[keep], exp["F1"], exp["F2"], config.beta,
-                           collision_floor=floor)
+    grid, keep = _twotone_grid(exp, Omega1)
+    sweep = two_tone_sweep(system, Omega1, grid[keep], exp["F1"], exp["F2"], config.beta)
     # per solved point, the mode's modulus on each line, then its passive response to Omega2
     # alone; scalar abs, as np.abs on an array may round differently
     rows = [(om2, *(abs(x) for x in X[:, mode - 1]), abs(passive[mode - 1]))

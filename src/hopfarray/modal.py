@@ -123,8 +123,8 @@ class ModalSystem:
     The modes themselves are kept so response fields can be evaluated at
     arbitrary points; search is the resonance-search record of
     find_resonances, and request the cache_request the system answers.
-    omegas (the N complex resonances) and gram_inverse are derived from
-    these on construction.
+    omegas (the N complex resonances), gram_inverse and the interior rule
+    are derived from these on construction.
     """
 
     array: ResonatorArray
@@ -137,13 +137,14 @@ class ModalSystem:
     interior_values: np.ndarray = field(repr=False)
     request: dict = field(repr=False)
     search: dict = field(repr=False)
-    _interior_rule: tuple | None = field(default=None, repr=False, compare=False)
     omegas: np.ndarray = field(init=False)
     gram_inverse: np.ndarray = field(init=False, repr=False)
+    _interior_rule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.omegas = np.array([m.resonance.omega for m in self.modes])
         self.gram_inverse = np.linalg.inv(self.gram)
+        self._interior_rule = interior_rule(self.array, self.quad)
 
     @property
     def n(self) -> int:
@@ -163,8 +164,6 @@ class ModalSystem:
 
         The mode values are the stored samples; no field is evaluated.
         """
-        if self._interior_rule is None:
-            self._interior_rule = interior_rule(self.array, self.quad)
         return (*self._interior_rule, self.interior_values)
 
     # -- serialization ------------------------------------------------
@@ -308,6 +307,5 @@ def build_modal_system(
         interior_values=interior,
         request=cache_request(array, params, M, quad, omega_max),
         search=resonances.search,
-        _interior_rule=rule,
     )
 

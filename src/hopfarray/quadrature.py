@@ -10,13 +10,13 @@ meaningful accuracy certificate:
 - the box minus the squares: axis-aligned rectangles, panelized tensor
   Gauss-Legendre.
 
-Node counts scale together through a single QuadratureSpec so `refine(2)`
-doubles everything.
+One QuadratureSpec holds every node count, so a convergence check scales
+them together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,17 +51,6 @@ class QuadratureSpec:
                 raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
         if self.disk_angular < 8:
             raise ValueError("disk_angular must be >= 8")
-
-    def refine(self, factor: int = 2) -> "QuadratureSpec":
-        """Scale every node count by an integer factor (box unchanged)."""
-        return replace(
-            self,
-            ext_order=self.ext_order * factor,
-            ring_radial=self.ring_radial * factor,
-            ring_angular=self.ring_angular * factor,
-            disk_radial=self.disk_radial * factor,
-            disk_angular=self.disk_angular * factor,
-        )
 
     def validate_against(self, array: ResonatorArray) -> None:
         """Check the box strictly contains all circles and the source."""

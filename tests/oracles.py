@@ -17,6 +17,7 @@ quadrature rather than the code.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -371,13 +372,20 @@ def array_violations_pairwise(center_x, radius, source_x) -> list[str]:
 # ---------------------------------------------------------------------------
 # node-doubling refinement of the projected quantities
 # ---------------------------------------------------------------------------
+def refined(spec, factor: int = 2):
+    """The QuadratureSpec spec with every node count scaled by an integer
+    factor and the same box."""
+    counts = ("ext_order", "ring_radial", "ring_angular", "disk_radial", "disk_angular")
+    return dataclasses.replace(spec, **{name: getattr(spec, name) * factor for name in counts})
+
+
 def refinement_report(modes, quad) -> dict[str, float]:
     """Max relative change of the Gram matrix and the cubic tensor under
     node doubling. A convergence check: it samples the modes as a build does."""
     from hopfarray.modal import _gram_from_values, _mode_values, _nodes, cubic_tensor_from_values
 
     reports = []
-    for q in (quad, quad.refine(2)):
+    for q in (quad, refined(quad)):
         pts, wts, rule = _nodes(modes[0].array, q)
         U = _mode_values(modes, pts)
         reports.append((_gram_from_values(U, wts), cubic_tensor_from_values(U[:, -len(rule[1]):], rule[1])))

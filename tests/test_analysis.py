@@ -146,6 +146,29 @@ def test_continuation_rescues_a_point_on_a_resonance(six_system, mode):
     assert sweep.certificates[0] <= 1e-10
 
 
+def test_continuation_from_a_warm_start_crosses_a_fold(six_system):
+    # points 304-316 of a phase grid: the warm start of point 316 (Re omega_4
+    # = 0.0460749...) from point 315 fails, and continuation passes a fold
+    # near forcing fraction 0.39 only from the rescue start X (f_next / f)^(1/3)
+    grid = refined_frequency_grid(six_system, 0.0019838344212410306, 0.07536825888757326, 240)
+    assert len(grid) == 572
+    sweep = pure_tone_sweep(six_system, grid[304:317], 9.555420020795011e-07, BETA)
+    assert sweep.metadata["continuation_points"] == 1
+    assert sweep.flags == [None] * 13
+    assert sweep.certificates.max() <= 1e-10
+
+
+def test_sweep_checks_its_grid_before_solving(six_system, monkeypatch):
+    import hopfarray.analysis as analysis
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a point")
+
+    monkeypatch.setattr(analysis, "solve_lines", no_solve)
+    with pytest.raises(ValueError, match="grid must be strictly increasing"):
+        pure_tone_sweep(six_system, [0.03, 0.03], 1e-6, BETA)
+
+
 def test_single_mode_phase_swings_half_cycle(single_array, params):
     # the phase of a lone passive resonance accumulates half a cycle across
     # it, matching the driven-oscillator response 1 / (omega^2 - Omega^2)
@@ -319,10 +342,12 @@ def test_two_tone_scan_solves_bounded_stacks(six_system, monkeypatch):
 
 
 def test_two_tone_sweep_rejects_collision_points(six_system):
+    # the lines collide at Omega2 = Omega1 (1e-8 relative); that point alone is flagged
     om1 = abs(six_system.omegas[3])
     grid = np.array([0.99 * om1, om1 * (1 + 1e-9), 1.01 * om1])
-    with pytest.raises(ValueError, match="collision"):
-        two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA)
+    sweep = two_tone_sweep(six_system, om1, grid, 1e-5, 1e-5, BETA)
+    assert sweep.solved.tolist() == [True, False, True]
+    assert "collide" in sweep.flags[1]
 
 
 def test_refined_grid_properties(six_system):

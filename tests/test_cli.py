@@ -37,7 +37,7 @@ def test_parse_minimal_config_applies_defaults():
     parsed = parse_config(json.dumps(cfg))
     assert parsed.numerics["multipole_order"] == 5
     assert set(parsed.numerics) == {"multipole_order", "panel_size", "disk_radial",
-                                    "disk_angular", "omega_max", "collision_floor"}
+                                    "disk_angular", "omega_max"}
     assert parsed.beta == 5.0e5
 
 
@@ -56,9 +56,10 @@ def test_parse_rejects_unknown_key(tmp_path, capsys):
     cfg = _config(numerics={"newton_tolerance": 1e-10})
     with pytest.raises(ConfigError, match="newton_tolerance"):
         parse_config(json.dumps(cfg))
-    # so are the box, the exterior rule and the resonance certificate's thresholds
+    # so are the box, the exterior rule, the resonance certificate's thresholds
+    # and the two-tone collision floor
     for key in ("quad_inflate", "ext_order", "ring_radial", "ring_angular",
-                "resonance_tolerance", "drift_tolerance"):
+                "resonance_tolerance", "drift_tolerance", "collision_floor"):
         cfg = _config(numerics={key: 1})
         with pytest.raises(ConfigError, match=f"^numerics.{key}: unknown key$"):
             parse_config(json.dumps(cfg))
@@ -251,16 +252,19 @@ def test_twotone_schema(tmp_path):
 
 
 def test_twotone_without_second_tone_is_a_config_error(tmp_path, capsys):
-    # every Omega2 of the grid falls inside the collision floor of Omega1;
-    # Omega1 comes from mode 1, so the grid is known only after the build
-    cfg = _config(experiment={"type": "twotone", "Omega1_mode": 1, "mode_index": 1},
-                  numerics={"collision_floor": 0.2})
+    # every Omega2 of the grid falls within 1e-3 x Omega1 of Omega1 =
+    # |omega_1| = 0.015518198490117959; Omega1 comes from mode 1, so the
+    # collisions are known only after the build
+    cfg = _config(experiment={"type": "twotone", "Omega1_mode": 1, "mode_index": 1,
+                              "omega2_min": 0.015515, "omega2_max": 0.015521})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
     assert main(["twotone", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ConfigError: experiment.omega2_min/omega2_max: ")
-    assert "numerics.collision_floor = 0.2" in err
+    assert capsys.readouterr().err == (
+        "error: ConfigError: experiment.omega2_min/omega2_max: every Omega2 in "
+        "[0.015515, 0.015521] lies within 0.001 x Omega1 of Omega1 = 0.015518198490117959\n")
     assert not (tmp_path / "out" / "run.json").exists()
 
 
@@ -279,12 +283,49 @@ def test_twotone_grid_with_a_given_omega1_is_checked_when_read(tmp_path, capsys,
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     want = ("error: experiment.omega2_min/omega2_max: every Omega2 in [0.04999, 0.05001] lies "
-            "within numerics.collision_floor = 0.001 of Omega1 = 0.05\n")
+            "within 0.001 x Omega1 of Omega1 = 0.05\n")
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().err == want
     assert main(["twotone", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == want
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, want", [
+    # 1.1 x Omega1 overflows
+    ({"type": "twotone", "Omega1": 1.7e308, "mode_index": 1},
+     "experiment.Omega1: the 41 points from omega2_min = 1.53e+308 to omega2_max = inf are not "
+     "finite and strictly increasing"),
+    # 0.9 x Omega1 and 1.1 x Omega1 round to the same subnormal
+    ({"type": "twotone", "Omega1": 5e-324, "mode_index": 1},
+     "experiment.Omega1: omega2_min must be below omega2_max, got 5e-324 and 5e-324"),
+    # two adjacent floats hold no 120 distinct points
+    ({"type": "sweep", "omega_min": 0.03, "omega_max": 0.030000000000000002, "num_points": 120,
+      "F_values": [1e-6]},
+     "experiment.omega_max: the 120 points from omega_min = 0.03 to omega_max = "
+     "0.030000000000000002 are not finite and strictly increasing"),
+    # a phase grid refines an even base grid of num_points
+    ({"type": "phase", "omega_min": 0.03, "omega_max": 0.030000000000000002},
+     "experiment.omega_max: the 240 points from omega_min = 0.03 to omega_max = "
+     "0.030000000000000002 are not finite and strictly increasing"),
+], ids=["twotone-huge-omega1", "twotone-subnormal-omega1", "sweep-adjacent-ends",
+        "phase-adjacent-ends"])
+def test_grid_the_config_fixes_is_built_when_read(experiment, want, tmp_path, capsys,
+                                                  monkeypatch):
+    import hopfarray.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("cold build")
+
+    monkeypatch.setattr(cli, "build_modal_system", no_build)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config(geometry={"s": 1.05}, experiment=experiment)))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+    out = tmp_path / "out"
+    assert main([experiment["type"], "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not (out / "cache").exists()
 
 
 def test_phase_observation_point_on_a_circle_rejected(tmp_path, capsys):

@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfarray.cli import (
-    _FIELDS, _REQUIRED, ConfigError, _point_on_circle, main, parse_config, run_experiment,
+    _COLLISION_FLOOR, _FIELDS, _REQUIRED, ConfigError, _point_on_circle, main, parse_config,
+    run_experiment,
 )
 from hopfarray.geometry import classify_points, graded_layout
 from hopfarray.quadrature import QuadratureSpec
@@ -141,25 +142,34 @@ def _assert_rejection_holds(cfg, message):
     """Each way a config of values within their bounds can still be invalid,
     checked against the drawn values: a grading that carries a radius past
     the float range, a source within 1e-12 * max(r, 1) of a circle (such as
-    -5e-324 of circle 0), or a two-tone range around a given Omega1 that
-    is empty or that the collision floor empties."""
+    -5e-324 of circle 0), or a grid the config fixes (given ends, or ends
+    around a given Omega1) that is not finite and strictly increasing, or
+    that the collision floor empties. A grid's error names its given upper
+    end, else its given lower end, else Omega1."""
     geo, exp = cfg["geometry"], cfg["experiment"]
     if message.startswith("geometry.source_x: "):  # circle 0, or a huge one that ends near it
         centers, radii = graded_layout(*(geo[k] for k in ("n", "first_radius", "s", "gap_ratio")))
         assert any(abs(abs(geo["source_x"] - c) - r) <= 1e-12 * max(r, 1.0)
                    for c, r in zip(centers.tolist(), radii.tolist()))
-    elif message.startswith("experiment.omega2_m"):  # the range around a given Omega1
-        omega1 = exp["Omega1"]
-        lo = exp.get("omega2_min") if exp.get("omega2_min") is not None else 0.9 * omega1
-        hi = exp.get("omega2_max") if exp.get("omega2_max") is not None else 1.1 * omega1
-        floor = cfg.get("numerics", {}).get("collision_floor", 1e-3)
+    elif message.startswith("experiment."):
+        lo_key, hi_key = RANGES[exp["type"]]
+        omega1 = exp.get("Omega1")  # given whenever an end is not
+        lo = exp.get(lo_key) if exp.get(lo_key) is not None else 0.9 * omega1
+        hi = exp.get(hi_key) if exp.get(hi_key) is not None else 1.1 * omega1
+        (num_points,) = (exp.get(key, default) for _, key, _, _, default in rows_of(exp["type"])
+                         if key == "num_points")
+        with np.errstate(all="ignore"):
+            grid = np.linspace(lo, hi, num_points)
+        if message.startswith("experiment.omega2_min/omega2_max: "):  # around a given Omega1
+            assert not (np.abs(grid - omega1) > _COLLISION_FLOOR * omega1).any()
+            return
+        key = next((k for k in (hi_key, lo_key) if exp.get(k) is not None), "Omega1")
+        assert message.startswith(f"experiment.{key}: ")
         if "must be below" in message:  # such as both defaults at Omega1 = 5e-324
             assert not lo < hi
-            return
-        assert message.startswith("experiment.omega2_min/omega2_max: ")
-        with np.errstate(all="ignore"):
-            grid = np.linspace(lo, hi, exp.get("num_points", 41))
-            assert not (np.abs(grid - omega1) > floor * omega1).any()
+        else:  # such as 1.1 x Omega1 at Omega1 = 1.7e308, or 120 points between adjacent floats
+            assert message.endswith(" are not finite and strictly increasing")
+            assert not (math.isfinite(hi) and np.all(np.diff(grid) > 0))
     else:
         assert message.startswith("geometry.n, geometry.s: ")
 

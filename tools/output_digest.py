@@ -45,6 +45,9 @@ CONFIGS = {
     # takes forcing continuation at two points; every other config takes none
     "phase-continuation": {"type": "phase", "omega_min": 0.0019862027948276875,
                            "omega_max": 0.07797730208237533, "F": 8.382430587987718e-07},
+    # warm start fails at one point, and the rescue start carries the continuation past a fold
+    "phase-fold": {"type": "phase", "omega_min": 0.0019838344212410306,
+                   "omega_max": 0.07536825888757326, "F": 9.555420020795011e-07},
 }
 
 
