@@ -154,6 +154,13 @@ def pure_tone_sweep(system: ModalSystem, grid, F: float, beta: float) -> SweepRe
                        _BLOCK, certify)
 
 
+def _median(a: np.ndarray) -> np.ndarray:
+    """np.median along the first axis, the mean of the middle one or two
+    sorted values, without importing numpy.ma as np.median does."""
+    s = np.sort(a, axis=0)
+    return (s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2
+
+
 def phase_response(
     system: ModalSystem,
     grid,
@@ -199,7 +206,7 @@ def phase_response(
         # a near-pi step across an amplitude null is a genuine phase jump,
         # not an unwrap failure
         scale = np.maximum(mags[:-1], mags[1:])
-        typical = np.median(mags, axis=0)[None, :]
+        typical = _median(mags)[None, :]
         genuine_null = scale < 0.05 * typical
         bad_steps = suspicious & ~genuine_null
         if bad_steps.any():
@@ -221,7 +228,7 @@ def phase_response(
 
     # global orientation: low-frequency delay is reported negative; a flip
     # is recorded, never silently absorbed
-    flip = bool(np.median(phi[0]) > 0.1 * 2.0 * np.pi)
+    flip = bool(_median(phi[0]) > 0.1 * 2.0 * np.pi)
     if flip:
         phi = -phi
     return PhaseResponse(points=x_points, grid=grid, R=mags, phi=phi, sign_flipped=flip,
@@ -276,7 +283,8 @@ def refined_frequency_grid(
         if below + above > 0:
             a = max(lo, om.real - 30.0 * width)
             pieces.append(a + width * np.arange(np.ceil(below + above)))
-    grid = np.unique(np.concatenate(pieces))
+    grid = np.sort(np.concatenate(pieces))
+    grid = grid[np.diff(grid, prepend=-np.inf) != 0]  # np.unique without importing numpy.ma
     return grid[(grid >= lo) & (grid <= hi)]
 
 

@@ -8,6 +8,7 @@ origin so the source, on the negative x1-axis, is always outside the array.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +52,16 @@ class ResonatorArray:
     def n(self) -> int:
         return len(self.center_x)
 
-    @property
+    @functools.cached_property
     def centers(self) -> np.ndarray:
-        """Centers as an (N, 2) array."""
+        """Centers as a read-only (N, 2) array, built on first access."""
         x = np.array(self.center_x)
-        return np.stack([x, np.zeros_like(x)], axis=1)
+        return _read_only(np.stack([x, np.zeros_like(x)], axis=1))
 
-    @property
+    @functools.cached_property
     def radii(self) -> np.ndarray:
-        return np.array(self.radius)
+        """Radii as a read-only (N,) array, built on first access."""
+        return _read_only(np.array(self.radius))
 
     @property
     def source(self) -> tuple[float, float]:
@@ -68,6 +70,11 @@ class ResonatorArray:
     def largest_index(self) -> int:
         """Index of the largest circle (ties broken by lowest index)."""
         return int(np.argmax(self.radii))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _first(mask: np.ndarray) -> tuple[int, str]:

@@ -228,7 +228,7 @@ def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray, max_iter: int = 60
         for k in stopped[~(norm[stopped] <= tol[stopped])]:  # NaN fails too
             errors[k] = ConvergenceError(f"line search stalled at residual {norm[k]:.3e} "
                                          f"(tolerance {tol[k]:.1e})")
-        live = np.setdiff1d(live, stopped)
+        live = live[~np.isin(live, stopped)]  # np.setdiff1d (live is sorted) without numpy.ma
         for k in live[np.linalg.norm(Z[live], axis=1) > diverged[live]]:
             errors[k] = ConvergenceError("iterates diverged to large amplitude (possible unstable branch)")
         live = np.array([k for k in live if errors[k] is None], dtype=int)
@@ -346,7 +346,7 @@ def _phase_grid(vectors) -> tuple[tuple[int, ...], int]:
     distinct and no other product v_a + v_b - v_c lands on one of them.
     """
     V = np.asarray(vectors, dtype=int)
-    if len(np.unique(V, axis=0)) < len(V):
+    if len(set(map(tuple, V.tolist()))) < len(V):
         raise ValueError(f"response lines {vectors} repeat a frequency vector")
     products = (V[:, None, None] + V[None, :, None] - V[None, None, :]).reshape(-1, V.shape[1])
     others = products[~(products[:, None] == V[None]).all(axis=-1).any(axis=1)]

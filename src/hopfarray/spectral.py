@@ -341,19 +341,22 @@ def _null_density(array: ResonatorArray, params: WaveParams, resonance: Resonanc
 
 
 def sample_eigenmodes(
-    array: ResonatorArray, params: WaveParams, resonances: list[Resonance], rule, points, first: int
+    array: ResonatorArray, params: WaveParams, resonances: list[Resonance], rule, points, first: int,
+    panels=None,
 ) -> tuple[list[Eigenmode], np.ndarray]:
     """Normalized eigenmodes at the resonances, sampled once.
 
     The raw null densities are evaluated in one sample_fields call over
     points, whose columns first, first + 1, ... are the nodes of the
-    interior rule (points, weights, disk index). Each mode is scaled to unit
-    L2 norm over the rule and a real, positive interior mean over the
-    largest disk (over the disk of largest |mean| when that mean vanishes).
+    interior rule (points, weights, disk index); that call fills panels (see
+    sample_fields), which serve the normalized modes too. Each mode is
+    scaled to unit L2 norm over the rule and a real, positive interior mean
+    over the largest disk (over the disk of largest |mean| when that mean
+    vanishes).
     Returns the modes and their (N_modes, P) sample, scaled alike.
     """
     raws, gaps = zip(*(_null_density(array, params, r) for r in resonances))
-    values = sample_fields(array, params, [r.omega for r in resonances], raws, points)
+    values = sample_fields(array, params, [r.omega for r in resonances], raws, points, panels=panels)
     _, wts, disk = rule
     interior = values[:, first:first + len(wts)]
     norm_sq = np.abs(interior) ** 2 @ wts

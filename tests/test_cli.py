@@ -528,13 +528,13 @@ def test_sweep_counts_residual_evaluations(default_sweep):
     assert stats["residual_evaluations"] <= 2 * (stats["newton_iters"] + stats["n_points"])
 
 
-def _main_in_fresh_process(args: list[str], src: Path | None = None) -> str:
+def _main_in_fresh_process(args: list[str], src: Path | None = None,
+                           modules: tuple = ("scipy.special", "scipy.linalg")) -> str:
     """Run main(args) in a new interpreter that imports the package from src
-    (default: this one); its exit status and which of scipy.special and
-    scipy.linalg it loaded."""
+    (default: this one); its exit status and which of modules it loaded."""
     code = (
         "import sys; from hopfarray.cli import main; status = main(sys.argv[1:]); "
-        "print(status, [m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])"
+        f"print(status, [m for m in {modules!r} if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=str(src or Path(hopfarray.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
@@ -542,20 +542,31 @@ def _main_in_fresh_process(args: list[str], src: Path | None = None) -> str:
     return proc.stdout.split("\n")[-2]
 
 
-@pytest.mark.parametrize("etype", ["sweep", "twotone"])
-def test_cache_hit_skips_scipy_special_and_linalg(default_sweep, tmp_path, etype):
+@pytest.mark.parametrize("experiment", [
+    {"type": "sweep"},
+    {"type": "twotone"},
+    {"type": "phase"},  # the default points: the centers of circles 1, 3 and 5
+    # the first point is inside circle 2, the second outside every circle
+    {"type": "phase", "phase_reference": "pressure", "observation_points": [[3.0, 0.5], [10.0, 1.0]]},
+], ids=["sweep", "twotone", "phase", "phase-pressure"])
+def test_cache_hit_skips_scipy_special_and_linalg(default_sweep, tmp_path, experiment):
+    # numpy.ma too: np.unique and np.median import it, and so does scipy.special.
+    # The build's Hankel panels are in the entry, so the observation points
+    # of phase need no AMOS
     cfg_path, out, manifest = default_sweep
     cache = out / "cache"
+    etype = experiment["type"]
     if etype != "sweep":  # the same array and numerics, so the sweep's entry serves it
         cfg_path = tmp_path / f"{etype}.json"
-        cfg_path.write_text(json.dumps({**DEFAULT_SWEEP, "experiment": {"type": etype}}))
+        cfg_path.write_text(json.dumps({**DEFAULT_SWEEP, "experiment": experiment}))
         out = tmp_path / "cold"
         assert main([etype, "--config", str(cfg_path), "--out", str(out), "--no-cache"]) == 0
         manifest = json.loads((out / "run.json").read_text())
     hit = tmp_path / "hit"
     hit.mkdir()
     (hit / "cache").symlink_to(cache)
-    assert _main_in_fresh_process([etype, "--config", str(cfg_path), "--out", str(hit)]) == "0 []"
+    args = [etype, "--config", str(cfg_path), "--out", str(hit)]
+    assert _main_in_fresh_process(args, modules=("scipy.special", "scipy.linalg", "numpy.ma")) == "0 []"
     rerun = json.loads((hit / "run.json").read_text())
     assert rerun["cache"]["hit"] is True
     assert rerun["solver_stats"] == manifest["solver_stats"]  # the counts repeat exactly

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfarray
 from hopfarray.boundary import WaveParams
 from hopfarray.cylinder import (
     HankelPanels,
@@ -127,6 +133,49 @@ def test_vectorized_orders_match_scalars():
     for i, n in enumerate(orders):
         assert jv[i] == pytest.approx(bessel_j(int(n), z), rel=1e-14)
         assert hv[i] == pytest.approx(hankel1(int(n), z), rel=1e-14)
+
+
+def test_orders_at_zero():
+    orders = np.arange(-6, 7)
+    assert np.array_equal(bessel_j_orders(orders, 0.0), (orders == 0).astype(complex))
+    assert np.array_equal(bessel_j_prime_orders(orders, 0.0), 0.5 * (orders == 1) - 0.5 * (orders == -1))
+
+
+@pytest.mark.parametrize("size, nmax", [(1e-4, 30), (1e-12, 20), (1e-29, 8)])
+def test_j_orders_at_small_argument(size, nmax):
+    # J_30(1e-4) is about 3.5e-162, and no order underflows; at 1e-12 and
+    # 1e-29 the backward recurrence passes 2^300 and rescales
+    orders = np.arange(-nmax, nmax + 1)
+    zs = size * np.exp(1j * np.array([0.0, 0.03, -0.05, 1.0]))
+    got = bessel_j_orders(orders[:, None], zs[None, :])
+    want = np.array([[bessel_j(int(n), z) for z in zs] for n in orders])
+    assert np.abs(want).min() < 1e-160
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_j_table_entries_depend_on_their_own_argument():
+    # one start order and one rescaling per point: a large array gets the
+    # same bits as each of its points alone
+    rng = np.random.default_rng(7)
+    zs = np.concatenate([
+        10.0 ** rng.uniform(-4, np.log10(5), 150) * np.exp(0.05j * rng.uniform(-1, 1, 150)),
+        rng.uniform(-50, 50, 150) + 1j * rng.uniform(-5, 5, 150),
+        [0.0, 1e-40, 1e-12, 1e-4, 3.0 - 0.4j, 49.0],
+    ])
+    orders = np.arange(-31, 32)
+    whole = bessel_j_orders(orders[:, None], zs[None, :])
+    alone = np.stack([bessel_j_orders(orders, z) for z in zs], axis=1)
+    assert np.array_equal(whole, alone)
+
+
+def test_j_orders_leave_scipy_special_unloaded():
+    code = ("import sys; from hopfarray.cylinder import bessel_j_orders, bessel_j_prime_orders; "
+            "bessel_j_orders([[0], [3], [-5]], [0.5, 2.0 - 0.1j]); bessel_j_prime_orders([1], 0.3); "
+            "print('scipy.special' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(hopfarray.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 _ORDERS = np.arange(-30, 31)

@@ -206,6 +206,22 @@ def test_modal_system_serialization_roundtrip(six_system):
     assert restored.to_json() == text
 
 
+def test_cache_entry_keeps_the_build_panels(six_system):
+    # the default build fills 5 panels on each circle, one set because v = v_b;
+    # the entry restores every coefficient bit for bit
+    loaded = ModalSystem.from_json(six_system.to_json(), request=six_system.request)
+    assert len(loaded.panels) == len(six_system.panels) == six_system.n
+    for got, built in zip(loaded.panels, six_system.panels):
+        assert got.coefficients.keys() == built.coefficients.keys()
+        for start, table in built.coefficients.items():
+            assert np.array_equal(got.coefficients[start], table)
+    # a point far outside the box needs a panel no build made: built alike on both
+    far = [[60.0, 0.0]]
+    before = len(loaded.panels[0].coefficients)
+    assert np.array_equal(loaded.mode_fields_at(far), six_system.mode_fields_at(far))
+    assert len(loaded.panels[0].coefficients) > before
+
+
 def test_modal_cache_key_sensitivity(six_system, monkeypatch):
     import hopfarray.modal as modal
 
@@ -237,9 +253,9 @@ def test_modes_sampled_once(pair_array, pair_resonances, pair_system, params, mo
     sample = boundary.sample_fields
     calls = []
 
-    def counting(array, params, omegas, densities, points):
+    def counting(array, params, omegas, densities, points, **kwargs):
         calls.append((len(densities), len(np.atleast_2d(points))))
-        return sample(array, params, omegas, densities, points)
+        return sample(array, params, omegas, densities, points, **kwargs)
 
     for module in (boundary, spectral, modal):
         monkeypatch.setattr(module, "sample_fields", counting)
