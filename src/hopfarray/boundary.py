@@ -27,14 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import (
-    HankelPanels,
-    bessel_j_orders,
-    bessel_j_prime_orders,
-    hankel1_orders,
-    hankel1_prime_orders,
-)
-from .cylinder import hankel1  # noqa: F401  kept for perfbench/tracing.py, which patches it here
+from .cylinder import HankelPanels, bessel_hankel_orders, bessel_j_orders, hankel1_orders
+from .cylinder import bessel_j_prime_orders, hankel1, hankel1_prime_orders  # noqa: F401  kept for perfbench/tracing.py, which patches them here
 from .geometry import ResonatorArray, classify_points
 
 
@@ -121,10 +115,7 @@ def _layer_blocks(array: ResonatorArray, k: np.ndarray, M: int):
     radii = array.radii
     k = k[:, None, None]
     z = k * radii[:, None]
-    J = bessel_j_orders(orders, z)  # (W, N, 2M+1)
-    Jp = bessel_j_prime_orders(orders, z)
-    H = hankel1_orders(orders, z)
-    Hp = hankel1_prime_orders(orders, z)
+    J, Jp, H, Hp = bessel_hankel_orders(orders, z)  # each (W, N, 2M+1)
     # radiating strength of each circle's unit Fourier density
     strength = -0.5j * np.pi * radii[:, None] * J
 
@@ -210,60 +201,42 @@ def evaluate_field(array: ResonatorArray, params: WaveParams, omega: complex, de
 _CHUNK = 1 << 13
 
 
-def field_panels(array: ResonatorArray, params: WaveParams, omegas) -> list[HankelPanels]:
-    """The cylinder.HankelPanels from which sample_fields takes every Hankel
-    value for fields at omegas, none built yet: one per circle at omega/v,
-    then, unless v = v_b, one per circle at omega/v_b."""
-    k, kb = params.wavenumbers(np.asarray(omegas, dtype=complex)[:, None])  # (F, 1)
-    panels = [HankelPanels(k, radius) for radius in array.radius]
-    if not np.array_equal(k, kb):
-        panels += [HankelPanels(kb, radius) for radius in array.radius]
-    return panels
-
-
 def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: list[MultipoleDensity],
-                  points, panels: list[HankelPanels] | None = None) -> np.ndarray:
+                  points) -> np.ndarray:
     """(F, P) values of F represented fields, each at its own frequency.
 
     Outside every circle the exterior density radiates at omega/v; inside a
     circle the interior densities of all circles radiate at omega/v_b (the
     host circle through its regular expansion, the others through their
     outgoing expansions). Per circle, distances, angles and e^{im theta}
-    serve all fields, and the nodes of each region are chunked. Every Hankel
-    value comes from panels, the field_panels(array, params, omegas) that the
-    call fills (a fresh set by default): the outgoing tables at the nodes'
-    distances, and the host circle's coefficients at r = a. They are within
-    1e-12 relative of AMOS, about 3e-14 in the subwavelength band, and AMOS
-    runs only where a panel is first built. Every J is numpy's, the host
-    circle's J table included. Each chunk's table is contracted with the
-    densities order by order. Every point sums the circles in order, so its
-    value does not depend on the other points. A point on a circle
-    (geometry.classify_points) raises ValueError.
+    serve all fields, and the nodes of each region are chunked. The outgoing
+    tables at the nodes' distances come from the call's own
+    cylinder.HankelPanels, one per circle and wavenumber set (one set when
+    v = v_b), within 1e-12 relative of AMOS and about 3e-14 in the
+    subwavelength band; the rest are the cylinder tables. Each chunk's table
+    is contracted with the densities order by order. Every point sums the
+    circles in order, so its value does not depend on the other points. A
+    point on a circle (geometry.classify_points) raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
         raise ValueError(f"points must be 2-vectors, got shape {pts.shape}")
     if any(d.n_resonators != array.n for d in densities):
         raise ValueError("density resonator count does not match array")
-    if panels is None:
-        panels = field_panels(array, params, omegas)
     psi = np.stack([d.psi for d in densities])  # (F, N, 2M+1)
     phi = np.stack([d.phi for d in densities])
     M = densities[0].truncation
     k, kb = params.wavenumbers(np.asarray(omegas, dtype=complex)[:, None])  # (F, 1)
     orders = np.arange(-M, M + 1)
-    interior = panels[-array.n:]  # the panels at omega/v_b: the exterior ones when v = v_b
-
-    def host_hankel(p):  # H_{-M..M}(kb a) of one circle (F, 2M+1), from its panel at r = a
-        h = p.orders(M, np.array([p.radius]))[..., 0]
-        return np.concatenate([(-1.0) ** np.arange(M, 0, -1)[:, None] * h[:0:-1], h]).T
+    exterior = [HankelPanels(k, radius) for radius in array.radius]
+    interior = exterior if np.array_equal(k, kb) else [HankelPanels(kb, radius) for radius in array.radius]
 
     # coefficients of the outgoing (J strength) and regular (H strength) waves
     radii = array.radii[None, :, None]
     strength = -0.5j * np.pi * radii
     ext_out = psi * (strength * bessel_j_orders(orders, k[:, :, None] * radii))
     int_out = phi * (strength * bessel_j_orders(orders, kb[:, :, None] * radii))
-    int_reg = phi * (strength * np.stack([host_hankel(p) for p in interior], axis=1))
+    int_reg = phi * (strength * hankel1_orders(orders, kb[:, :, None] * radii))
 
     def regular(nmax, r):  # the host circle's J table
         return bessel_j_orders(np.arange(nmax + 1)[:, None, None], kb * r)
@@ -278,7 +251,7 @@ def sample_fields(array: ResonatorArray, params: WaveParams, omegas, densities: 
         rho = np.hypot(diff[:, 0], diff[:, 1])
         turn = (diff[:, 0] + 1j * diff[:, 1]) / np.where(rho > 0, rho, 1.0)
         for mask, coeff, table in (
-            (region < 0, ext_out[:, i], panels[i].orders),
+            (region < 0, ext_out[:, i], exterior[i].orders),
             ((region >= 0) & (region != i), int_out[:, i], interior[i].orders),
             (region == i, int_reg[:, i], regular),
         ):

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import (
@@ -282,7 +281,7 @@ def parse_config(text: str) -> ExperimentConfig:
                           f" graded by s = {geo['s']!r} with gap ratio {geo['gap_ratio']!r} do "
                           f"not form a valid array: {reason}") from None
     if etype == "phase" and exp["observation_points"] is not None:
-        point = _point_on_circle(layout, exp["observation_points"])
+        point = _point_on_circle(array.centers, array.radii, exp["observation_points"])
         if point is not None:
             raise ConfigError(f"experiment.observation_points: {point} lies on a resonator "
                               "boundary, where the field has two traces")
@@ -292,11 +291,8 @@ def parse_config(text: str) -> ExperimentConfig:
                             quad=default_spec(array, **rule), raw=data)
 
 
-def _point_on_circle(layout, points):
-    """The first of the points that lies on a circle of the layout (x1 of
-    the centers, radii), or None."""
-    centers_x, radii = layout
-    centers = np.stack([centers_x, np.zeros_like(centers_x)], axis=1)
+def _point_on_circle(centers, radii, points):
+    """The first of the points that lies on one of the circles, or None."""
     for point in points:
         try:
             with np.errstate(all="ignore"):  # points near the float range
@@ -531,7 +527,6 @@ def run_experiment(
             "hopfarray": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "experiment_type": etype,
         "outputs": {},

@@ -11,12 +11,10 @@ stored symmetrized in (i, j). A build samples every mode once, in one call,
 over the composite rule's nodes and the source; the normalization (on a cold
 build), the Gram matrix, the cubic tensor and the source vector all come from
 that sample. A ModalSystem bundles these with the modes and their interior
-samples and the Hankel panels the build's sample filled, and is
-JSON-serializable so parameter sweeps can skip the spectral and quadrature
-work; a loaded system evaluates the modes at the box's points with numpy
-alone. A serialized system carries the request it answers (see
-cache_request), and its cache key is the hash of that request, so an edited
-module or a changed input never reuses an old entry.
+samples, and is JSON-serializable so parameter sweeps can skip the spectral
+and quadrature work. A serialized system carries the request it answers
+(see cache_request), and its cache key is the hash of that request, so an
+edited module or a changed input never reuses an old entry.
 """
 
 from __future__ import annotations
@@ -30,20 +28,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import MultipoleDensity, WaveParams, field_panels, sample_fields
+from .boundary import MultipoleDensity, WaveParams, sample_fields
 from .geometry import ResonatorArray
 from .quadrature import QuadratureSpec, default_spec, exterior_rule, interior_rule
 from .spectral import Eigenmode, Resonance, find_resonances, sample_eigenmodes
 from .spectral import extract_eigenmode  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 
 
-def _mode_values(modes: list[Eigenmode], points, panels=None) -> np.ndarray:
-    """(N_modes, P) matrix of mode values at the given points, in one call
-    that reads and fills panels (see sample_fields)."""
+def _mode_values(modes: list[Eigenmode], points) -> np.ndarray:
+    """(N_modes, P) matrix of mode values at the given points, in one call."""
     if not modes:
         raise ValueError("need at least one mode")
     return sample_fields(modes[0].array, modes[0].params, [m.resonance.omega for m in modes],
-                         [m.density for m in modes], points, panels=panels)
+                         [m.density for m in modes], points)
 
 
 def _nodes(array: ResonatorArray, quad: QuadratureSpec):
@@ -124,8 +121,7 @@ class ModalSystem:
     pairings, cubic_tensor the interior cubic products and interior_values
     the (N, P) C-contiguous mode values at the interior quadrature nodes.
     The modes themselves are kept so response fields can be evaluated at
-    arbitrary points, with panels, the boundary.field_panels of the modes
-    that the build's sample filled; search is the resonance-search record of
+    arbitrary points; search is the resonance-search record of
     find_resonances, and request the cache_request the system answers.
     omegas (the N complex resonances), gram_inverse and the interior rule
     are derived from these on construction.
@@ -141,7 +137,6 @@ class ModalSystem:
     interior_values: np.ndarray = field(repr=False)
     request: dict = field(repr=False)
     search: dict = field(repr=False)
-    panels: list = field(repr=False, compare=False)
     omegas: np.ndarray = field(init=False)
     gram_inverse: np.ndarray = field(init=False, repr=False)
     _interior_rule: tuple = field(init=False, repr=False, compare=False)
@@ -161,9 +156,8 @@ class ModalSystem:
         return self.gram_inverse.T @ self.source_vec
 
     def mode_fields_at(self, points) -> np.ndarray:
-        """(N, P) matrix of mode values at the given points. A Hankel panel
-        that no earlier sample built is built here, and kept."""
-        return _mode_values(self.modes, np.atleast_2d(np.asarray(points, dtype=float)), self.panels)
+        """(N, P) matrix of mode values at the given points."""
+        return _mode_values(self.modes, np.atleast_2d(np.asarray(points, dtype=float)))
 
     def interior_quadrature(self):
         """(points, weights, disk index, mode values) over the disk interiors.
@@ -190,7 +184,6 @@ class ModalSystem:
             "psi": _encode([m.density.psi for m in modes]),
             "phi": _encode([m.density.phi for m in modes]),
             **{name: _encode(getattr(self, name)) for name in _ARRAYS},
-            "panels": _panels_entry(self.panels),
             "search": self.search,
         }
 
@@ -227,15 +220,9 @@ class ModalSystem:
             )
             for omega, residual, truncation, drift, gap, psi, phi in columns
         ]
-        panels = field_panels(array, params, [m.resonance.omega for m in modes])
-        built = [(p, float(start)) for p, starts in zip(panels, data["panels"]["starts"], strict=True)
-                 for start in starts]
-        for (p, start), table in zip(built, _decode(data["panels"]["coefficients"]).view(float),
-                                     strict=True):
-            p.coefficients[start] = table
         return cls(array=array, params=params, quad=quad, modes=modes,
                    **{name: _decode(data[name]) for name in _ARRAYS},
-                   request=data["request"], search=data["search"], panels=panels)
+                   request=data["request"], search=data["search"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -263,15 +250,6 @@ def _encode(a) -> dict:
     """A complex array, exactly: its shape and its little-endian complex128 bytes in base64."""
     a = np.asarray(a, dtype="<c16")
     return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _panels_entry(panels) -> dict:
-    """The built panels of each HankelPanels: their starts, in order, and
-    every coefficient table in that order as one exact array, each pair of
-    reals read as one complex."""
-    starts = [sorted(p.coefficients) for p in panels]
-    tables = [p.coefficients[start] for p, ps in zip(panels, starts) for start in ps]
-    return {"starts": starts, "coefficients": _encode(np.array(tables).view(complex))}
 
 
 def _decode(d) -> np.ndarray:
@@ -314,9 +292,7 @@ def build_modal_system(
     nodes, wts, rule = _nodes(array, quad)
     points = np.vstack([nodes, np.asarray(array.source, dtype=float)[None, :]])
     resonances = find_resonances(array, params, M=M, omega_max=omega_max)
-    panels = field_panels(array, params, [r.omega for r in resonances])
-    modes, U = sample_eigenmodes(array, params, resonances, rule, points, len(wts) - len(rule[1]),
-                                 panels)
+    modes, U = sample_eigenmodes(array, params, resonances, rule, points, len(wts) - len(rule[1]))
     gram, source_vec = _gram_from_values(U[:, :-1], wts), U[:, -1].conj()
     interior = np.ascontiguousarray(U[:, -1 - len(rule[1]):-1])
     del U  # freed before the cubic tensor
@@ -331,6 +307,5 @@ def build_modal_system(
         interior_values=interior,
         request=cache_request(array, params, M, quad, omega_max),
         search=resonances.search,
-        panels=panels,
     )
 

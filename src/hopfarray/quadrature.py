@@ -16,6 +16,7 @@ them together.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +80,23 @@ def default_spec(array: ResonatorArray, **kwargs) -> QuadratureSpec:
     return QuadratureSpec(box=(x0 - pad, x1 + pad, y0 - pad, y1 + pad), **kwargs)
 
 
-def _gauss(n: int | tuple, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [a, b] of n points, or of leggauss's (x, w) pair."""
-    x, w = n if isinstance(n, tuple) else np.polynomial.legendre.leggauss(n)
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes (ascending) and weights of the n-point Gauss-Legendre
+    rule on [-1, 1], by Golub-Welsch: the eigenvalues of the Jacobi matrix
+    of the Legendre recurrence, and twice the squared first components of
+    its eigenvectors (G. H. Golub and J. H. Welsch, Math. Comp. 23, 1969)."""
+    k = np.arange(1, n)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    w = 2.0 * v[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gauss(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [a, b]."""
+    x, w = gauss_legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -112,8 +127,8 @@ def ring_rule(center, r_inner: float, half_width: float, n_radial: int, n_angula
         raise ValueError("ring requires half_width > r_inner")
     pts_all = []
     wts_all = []
-    t, w_t = np.polynomial.legendre.leggauss(n_angular)
-    u, w_u = np.polynomial.legendre.leggauss(n_radial)
+    t, w_t = gauss_legendre(n_angular)
+    u, w_u = gauss_legendre(n_radial)
     for face in range(4):
         phi0 = face * np.pi / 2.0
         theta = phi0 + (np.pi / 4.0) * t
@@ -135,12 +150,11 @@ def rectangle_rule(x0: float, x1: float, y0: float, y1: float, order: int, panel
     ny = max(1, int(np.ceil((y1 - y0) / panel_size)))
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
-    base = np.polynomial.legendre.leggauss(order)
-    rows = [_gauss(base, ys[j], ys[j + 1]) for j in range(ny)]
+    rows = [_gauss(order, ys[j], ys[j + 1]) for j in range(ny)]
     pts_all = []
     wts_all = []
     for i in range(nx):
-        gx, wx = _gauss(base, xs[i], xs[i + 1])
+        gx, wx = _gauss(order, xs[i], xs[i + 1])
         for gy, wy in rows:
             X, Y = np.meshgrid(gx, gy, indexing="ij")
             pts_all.append(np.column_stack([X.ravel(), Y.ravel()]))

@@ -18,9 +18,10 @@ import numpy as np
 from .boundary import MultipoleDensity, WaveParams, assemble_boundary_matrices, sample_fields
 from .boundary import assemble_boundary_system  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 from .boundary import evaluate_field  # noqa: F401  kept for perfbench/tracing.py, which patches it here
-from .cylinder import bessel_j, hankel1
+from .cylinder import bessel_j, hankel1  # noqa: F401  kept for perfbench/tracing.py, which patches them here
+from .cylinder import bessel_j_orders, hankel1_orders
 from .geometry import ResonatorArray
-from .quadrature import default_spec, interior_rule
+from .quadrature import default_spec, gauss_legendre, interior_rule
 from .quadrature import disk_rule  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 
 
@@ -123,9 +124,9 @@ def single_disk_resonance(radius: float, params: WaveParams) -> complex:
 
     def det(omega: complex) -> complex:
         k, kbv = params.wavenumbers(omega)
-        return kbv * bessel_j(1, kbv * R) * hankel1(0, k * R) - delta * k * bessel_j(
-            0, kbv * R
-        ) * hankel1(1, k * R)
+        j0, j1 = bessel_j_orders([0, 1], kbv * R)
+        h0, h1 = hankel1_orders([0, 1], k * R)
+        return complex(kbv * j1 * h0 - delta * k * j0 * h1)
 
     return _muller(det, params.v_b * kb)
 
@@ -211,7 +212,7 @@ def _beyn(matrices, box, n: int, V: np.ndarray):
     is reached."""
     corners = np.array([complex(box[i], box[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))])
     sides = np.roll(corners, -1) - corners
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     nodes = (corners[:, None] + np.outer(sides, 0.5 * (x + 1))).ravel()
     weights = np.outer(sides, 0.5 * w).ravel() / (2j * np.pi)
     moments = np.zeros((2, *V.shape), dtype=complex)  # of omega^p A^{-1} V, p = 0, 1
@@ -342,21 +343,18 @@ def _null_density(array: ResonatorArray, params: WaveParams, resonance: Resonanc
 
 def sample_eigenmodes(
     array: ResonatorArray, params: WaveParams, resonances: list[Resonance], rule, points, first: int,
-    panels=None,
 ) -> tuple[list[Eigenmode], np.ndarray]:
     """Normalized eigenmodes at the resonances, sampled once.
 
     The raw null densities are evaluated in one sample_fields call over
     points, whose columns first, first + 1, ... are the nodes of the
-    interior rule (points, weights, disk index); that call fills panels (see
-    sample_fields), which serve the normalized modes too. Each mode is
-    scaled to unit L2 norm over the rule and a real, positive interior mean
-    over the largest disk (over the disk of largest |mean| when that mean
-    vanishes).
+    interior rule (points, weights, disk index). Each mode is scaled to unit
+    L2 norm over the rule and a real, positive interior mean over the
+    largest disk (over the disk of largest |mean| when that mean vanishes).
     Returns the modes and their (N_modes, P) sample, scaled alike.
     """
     raws, gaps = zip(*(_null_density(array, params, r) for r in resonances))
-    values = sample_fields(array, params, [r.omega for r in resonances], raws, points, panels=panels)
+    values = sample_fields(array, params, [r.omega for r in resonances], raws, points)
     _, wts, disk = rule
     interior = values[:, first:first + len(wts)]
     norm_sq = np.abs(interior) ** 2 @ wts

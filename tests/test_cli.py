@@ -253,7 +253,7 @@ def test_twotone_schema(tmp_path):
 
 def test_twotone_without_second_tone_is_a_config_error(tmp_path, capsys):
     # every Omega2 of the grid falls within 1e-3 x Omega1 of Omega1 =
-    # |omega_1| = 0.015518198490117959; Omega1 comes from mode 1, so the
+    # |omega_1| = 0.01551819849011796; Omega1 comes from mode 1, so the
     # collisions are known only after the build
     cfg = _config(experiment={"type": "twotone", "Omega1_mode": 1, "mode_index": 1,
                               "omega2_min": 0.015515, "omega2_max": 0.015521})
@@ -264,7 +264,7 @@ def test_twotone_without_second_tone_is_a_config_error(tmp_path, capsys):
     assert main(["twotone", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "error: ConfigError: experiment.omega2_min/omega2_max: every Omega2 in "
-        "[0.015515, 0.015521] lies within 0.001 x Omega1 of Omega1 = 0.015518198490117959\n")
+        "[0.015515, 0.015521] lies within 0.001 x Omega1 of Omega1 = 0.01551819849011796\n")
     assert not (tmp_path / "out" / "run.json").exists()
 
 
@@ -529,7 +529,8 @@ def test_sweep_counts_residual_evaluations(default_sweep):
 
 
 def _main_in_fresh_process(args: list[str], src: Path | None = None,
-                           modules: tuple = ("scipy.special", "scipy.linalg")) -> str:
+                           modules: tuple = ("scipy", "scipy.special", "scipy.linalg",
+                                             "numpy.polynomial")) -> str:
     """Run main(args) in a new interpreter that imports the package from src
     (default: this one); its exit status and which of modules it loaded."""
     code = (
@@ -550,9 +551,9 @@ def _main_in_fresh_process(args: list[str], src: Path | None = None,
     {"type": "phase", "phase_reference": "pressure", "observation_points": [[3.0, 0.5], [10.0, 1.0]]},
 ], ids=["sweep", "twotone", "phase", "phase-pressure"])
 def test_cache_hit_skips_scipy_special_and_linalg(default_sweep, tmp_path, experiment):
-    # numpy.ma too: np.unique and np.median import it, and so does scipy.special.
-    # The build's Hankel panels are in the entry, so the observation points
-    # of phase need no AMOS
+    # numpy.ma too, which np.unique and np.median import, and numpy.polynomial,
+    # which holds leggauss. The observation points of phase are sampled with
+    # numpy alone
     cfg_path, out, manifest = default_sweep
     cache = out / "cache"
     etype = experiment["type"]
@@ -566,7 +567,8 @@ def test_cache_hit_skips_scipy_special_and_linalg(default_sweep, tmp_path, exper
     hit.mkdir()
     (hit / "cache").symlink_to(cache)
     args = [etype, "--config", str(cfg_path), "--out", str(hit)]
-    assert _main_in_fresh_process(args, modules=("scipy.special", "scipy.linalg", "numpy.ma")) == "0 []"
+    modules = ("scipy", "scipy.special", "scipy.linalg", "numpy.ma", "numpy.polynomial")
+    assert _main_in_fresh_process(args, modules=modules) == "0 []"
     rerun = json.loads((hit / "run.json").read_text())
     assert rerun["cache"]["hit"] is True
     assert rerun["solver_stats"] == manifest["solver_stats"]  # the counts repeat exactly
@@ -608,11 +610,12 @@ def test_edited_module_misses_the_cache(tmp_path):
 
 def test_cold_build_skips_scipy_linalg(tmp_path):
     # numpy and scipy ship separate OpenBLAS builds whose thread pools stall
-    # each other; the search and the modes use numpy.linalg alone
+    # each other; the search and the modes use numpy alone, and the
+    # Gauss-Legendre rules come from numpy.linalg, not numpy.polynomial
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(_config()))
     args = ["resonances", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--no-cache"]
-    assert _main_in_fresh_process(args) == "0 ['scipy.special']"
+    assert _main_in_fresh_process(args) == "0 []"
 
 
 def test_main_validate_and_mismatch(tmp_path, capsys):

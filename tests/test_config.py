@@ -104,8 +104,9 @@ def configs(draw, etype=None):
         lo, hi = (cfg["experiment"].get(k) for k in RANGES[etype])
         assume(lo is None or hi is None or lo < hi)
     if cfg["experiment"].get("observation_points"):  # a point on a circle is invalid
-        layout = graded_layout(*(cfg["geometry"][k] for k in ("n", "first_radius", "s", "gap_ratio")))
-        assume(_point_on_circle(layout, cfg["experiment"]["observation_points"]) is None)
+        x, radii = graded_layout(*(cfg["geometry"][k] for k in ("n", "first_radius", "s", "gap_ratio")))
+        centers = np.stack([x, np.zeros_like(x)], axis=1)
+        assume(_point_on_circle(centers, radii, cfg["experiment"]["observation_points"]) is None)
     if not cfg["numerics"] and draw(st.booleans()):
         del cfg["numerics"]  # the numerics object may be left out
     return cfg

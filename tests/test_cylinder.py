@@ -127,12 +127,12 @@ def test_non_integer_order_rejected():
 
 def test_vectorized_orders_match_scalars():
     orders = np.arange(-6, 7)
-    z = 1.3 - 0.4j
-    jv = bessel_j_orders(orders, z)
-    hv = hankel1_orders(orders, z)
-    for i, n in enumerate(orders):
-        assert jv[i] == pytest.approx(bessel_j(int(n), z), rel=1e-14)
-        assert hv[i] == pytest.approx(hankel1(int(n), z), rel=1e-14)
+    for z in (1.3 - 0.4j, 25.0 + 1.0j):  # a scalar on each side of |z| = 20
+        jv = bessel_j_orders(orders, z)
+        hv = hankel1_orders(orders, z)
+        for i, n in enumerate(orders):
+            assert jv[i] == pytest.approx(bessel_j(int(n), z), rel=1e-14)
+            assert hv[i] == pytest.approx(hankel1(int(n), z), rel=1e-14)
 
 
 def test_orders_at_zero():
@@ -169,13 +169,32 @@ def test_j_table_entries_depend_on_their_own_argument():
 
 
 def test_j_orders_leave_scipy_special_unloaded():
-    code = ("import sys; from hopfarray.cylinder import bessel_j_orders, bessel_j_prime_orders; "
+    code = ("import sys; from hopfarray.cylinder import HankelPanels, bessel_j_orders, bessel_j_prime_orders,"
+            " hankel1_orders, hankel1_prime_orders; from hopfarray.boundary import WaveParams; "
+            "from hopfarray.spectral import single_disk_resonance; "
             "bessel_j_orders([[0], [3], [-5]], [0.5, 2.0 - 0.1j]); bessel_j_prime_orders([1], 0.3); "
-            "print('scipy.special' in sys.modules)")
+            "hankel1_orders([[0], [3], [-5]], [0.5, 2.0 - 0.1j, 30.0]); hankel1_prime_orders([1], 0.3); "
+            "HankelPanels([0.05, 0.1 - 0.01j], 1.0).orders(5, [1.0, 7.0, 3e4]); "
+            "single_disk_resonance(1.0, WaveParams(v=1.0, v_b=1.0, delta=1e-3)); "
+            "print([m for m in ('scipy', 'scipy.special') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(hopfarray.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["[]"]
+
+
+@pytest.mark.parametrize("direction", [0.0, 0.2, -0.2, np.pi - 0.2, np.pi],
+                         ids=["real", "above", "below", "left-above", "left"])
+def test_hankel_continuous_across_asymptotic_threshold(direction):
+    # Neumann's expansion below |z| = 20 and Hankel's from 20 up, at the two
+    # floats on either side of 20 along rays of the supported range
+    # (|Im z| <= 5): the jump is the Neumann side's error, that of the J
+    # table (about 6e-14 on the real axis), which Im z > 0 amplifies
+    zs = np.array([np.nextafter(20.0, 0.0), 20.0]) * np.exp(1j * direction)
+    h = hankel1_orders(np.array([[0], [1]]), zs[None, :])
+    assert np.max(np.abs(h[:, 0] - h[:, 1]) / np.abs(h[:, 1])) <= 1e-11
+    want = np.array([[hankel1(n, z) for z in zs] for n in (0, 1)])
+    assert np.max(np.abs(h - want) / np.abs(want)) <= 1e-11
 
 
 _ORDERS = np.arange(-30, 31)
@@ -251,3 +270,17 @@ def test_hankel_panels_match_amos(n):
         for order in (0, 1):
             want = special.hankel1(order, k[:, None] * r)
             assert np.max(np.abs(table[order] - want) / np.abs(want)) <= 1e-12
+
+
+def test_hankel_panels_match_amos_far_away():
+    # |k| r from 1e5 to 1e6 (a point some 1e7 radii out): Hankel's expansion
+    # at the Chebyshev points, on panels of 2 rad, against AMOS point by point.
+    # The rounding of log2(r) alone moves |k| r by about 1e-9 rad here
+    from scipy import special
+
+    k = np.array([0.05, 0.05 - 1e-9j, 0.1 + 1e-9j])
+    r = np.concatenate([[2e6, 1e7], np.exp(np.random.default_rng(3).uniform(np.log(2e6), np.log(1e7), 50))])
+    table = HankelPanels(k, 1.0).orders(1, r)
+    for order in (0, 1):
+        want = special.hankel1(order, k[:, None] * r)
+        assert np.max(np.abs(table[order] - want) / np.abs(want)) <= 1e-8

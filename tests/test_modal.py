@@ -13,7 +13,15 @@ from hopfarray.modal import (
     modal_cache_key,
     source_coupling,
 )
-from hopfarray.quadrature import QuadratureSpec, default_spec, disk_rule, exterior_rule, interior_rule
+from hopfarray.analysis import default_observation_points
+from hopfarray.quadrature import (
+    QuadratureSpec,
+    default_spec,
+    disk_rule,
+    exterior_rule,
+    gauss_legendre,
+    interior_rule,
+)
 from hopfarray.spectral import Eigenmode
 from oracles import refined, refinement_report
 
@@ -206,20 +214,24 @@ def test_modal_system_serialization_roundtrip(six_system):
     assert restored.to_json() == text
 
 
-def test_cache_entry_keeps_the_build_panels(six_system):
-    # the default build fills 5 panels on each circle, one set because v = v_b;
-    # the entry restores every coefficient bit for bit
+def test_loaded_system_samples_modes_like_the_built_one(six_system):
+    # the entry keeps no Hankel panels: a loaded system builds its own, on the
+    # same panels and so to the same bits, inside the box and far outside it
     loaded = ModalSystem.from_json(six_system.to_json(), request=six_system.request)
-    assert len(loaded.panels) == len(six_system.panels) == six_system.n
-    for got, built in zip(loaded.panels, six_system.panels):
-        assert got.coefficients.keys() == built.coefficients.keys()
-        for start, table in built.coefficients.items():
-            assert np.array_equal(got.coefficients[start], table)
-    # a point far outside the box needs a panel no build made: built alike on both
-    far = [[60.0, 0.0]]
-    before = len(loaded.panels[0].coefficients)
-    assert np.array_equal(loaded.mode_fields_at(far), six_system.mode_fields_at(far))
-    assert len(loaded.panels[0].coefficients) > before
+    assert "panels" not in six_system.to_dict()
+    for points in (default_observation_points(six_system), [[60.0, 0.0]]):
+        assert np.array_equal(loaded.mode_fields_at(points), six_system.mode_fields_at(points))
+
+
+def test_gauss_legendre_matches_leggauss():
+    # Golub-Welsch against numpy's Newton-polished rule
+    for n in range(2, 129):
+        x, w = gauss_legendre(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15
+        assert np.max(np.abs(w - w_ref) / w_ref) <= (1e-13 if n <= 16 else 1e-10)
+    assert gauss_legendre(8) is gauss_legendre(8)
+    assert not gauss_legendre(8)[0].flags.writeable
 
 
 def test_modal_cache_key_sensitivity(six_system, monkeypatch):
