@@ -19,6 +19,9 @@ center through the addition theorem
 valid for |x - c_j| < b_ij = |c_j - c_i| (guaranteed by disjointness). The
 assembled square system enforces continuity of the field and the
 density-contrast-weighted jump of its normal derivative on every circle.
+Every circle lies on the line x2 = 0, so the system commutes with the order
+reversal m -> -m and is assembled directly on its even and odd mirror
+blocks (mirror_basis).
 """
 
 from __future__ import annotations
@@ -100,22 +103,28 @@ class MultipoleDensity:
 
 def _layer_blocks(array: ResonatorArray, k: np.ndarray, M: int):
     """Trace and one-sided normal-derivative matrices of the k-layer at each
-    of W wavenumbers k.
+    of W wavenumbers k, folded onto the two mirror blocks.
 
-    Returns (trace, dtr_out, dtr_in), each W x K x K with K = N(2M+1): the
-    boundary values and exterior/interior-side radial derivatives on every
-    circle of the single layer carried by every circle, in (circle, order)
-    block layout. Only the self blocks differ between the two sides. Every
-    entry is an elementwise function of its own k, so a stack holds the same
-    bits as its one-k slices.
+    Every circle lies on the line x2 = 0, so the mirror x2 -> -x2 maps the
+    order-m coefficient of every density onto its order -m coefficient, and
+    the layer commutes with that reversal. In the orthonormal basis e_0,
+    (e_m + e_-m)/sqrt 2 (m = 1..M) of the even block and (e_m - e_-m)/sqrt 2
+    of the odd block the layer is block diagonal: the even block keeps the
+    rows n >= 0 and sums the columns m and -m, the odd block keeps the rows
+    n >= 1 and subtracts them, and e_0's row and column carry 1/sqrt 2.
+
+    Returns [even, odd], each a triple (trace, dtr_out, dtr_in) of W x K x K
+    stacks with K = N(M+1) and N M: the boundary values and exterior/interior
+    -side radial derivatives on every circle of the single layer carried by
+    every circle, in (circle, folded order) block layout. Only the self
+    blocks differ between the two sides. Every entry is an elementwise
+    function of its own k, so a stack holds the same bits as its one-k
+    slices.
     """
     n_res = array.n
-    width = 2 * M + 1
-    orders = np.arange(-M, M + 1)
     radii = array.radii
     k = k[:, None, None]
-    z = k * radii[:, None]
-    J, Jp, H, Hp = bessel_hankel_orders(orders, z)  # each (W, N, 2M+1)
+    J, Jp, H, Hp = bessel_hankel_orders(np.arange(M + 1), k * radii[:, None])  # each (W, N, M+1)
     # radiating strength of each circle's unit Fourier density
     strength = -0.5j * np.pi * radii[:, None] * J
 
@@ -137,25 +146,50 @@ def _layer_blocks(array: ResonatorArray, k: np.ndarray, M: int):
     h_wide[:, upper[0], upper[1]] = h_pair
     h_wide[:, upper[1], upper[0]] = h_pair
     h_wide *= np.exp(1j * wide * np.arctan2(delta[..., 1], delta[..., 0])[..., None])
-    diff = orders[None, :] - orders[:, None]  # m - n
-    G = np.moveaxis(h_wide[..., diff + 2 * M], 2, 3)  # (W, j, n, i, m)
-    block = G * strength[:, None, None, :, :]
-
-    trace = J[..., None, None] * block
-    dtr_out = k[..., None, None] * Jp[..., None, None] * block
-    dtr_in = dtr_out.copy()
-    own, order = np.arange(n_res)[:, None], np.arange(width)[None, :]
+    # rows n and folded columns m, both 0..M: the column -m enters through
+    # H_{-m-n} and its strength (-1)^m J_m
+    n = np.arange(M + 1)
+    plus = h_wide[..., n[None, :] - n[:, None] + 2 * M]  # (W, j, i, n, m)
+    minus = (-1.0) ** n * h_wide[..., -n[None, :] - n[:, None] + 2 * M]
+    weight = np.where(n == 0, np.sqrt(0.5), 1.0)  # e_0 against the pair sums
     self_layer = -0.5j * np.pi * radii[:, None]
-    trace[:, own, order, own, order] = self_layer * J * H
-    dtr_out[:, own, order, own, order] = self_layer * k * J * Hp
-    dtr_in[:, own, order, own, order] = self_layer * k * H * Jp
-    K = n_res * width
-    shape = (len(k), K, K)
-    return trace.reshape(shape), dtr_out.reshape(shape), dtr_in.reshape(shape)
+
+    blocks = []
+    for fold, w, lo in ((plus + minus, weight, 0), (plus - minus, 1.0, 1)):
+        width = M + 1 - lo
+        G = np.moveaxis(fold[..., lo:, lo:], 2, 3)  # (W, j, n, i, m)
+        block = G * (w * strength)[:, None, None, :, lo:]
+        trace = (w * J)[..., lo:, None, None] * block
+        dtr_out = k[..., None, None] * (w * Jp)[..., lo:, None, None] * block
+        dtr_in = dtr_out.copy()
+        own, order = np.arange(n_res)[:, None], np.arange(width)[None, :]
+        trace[:, own, order, own, order] = (self_layer * J * H)[..., lo:]
+        dtr_out[:, own, order, own, order] = (self_layer * k * J * Hp)[..., lo:]
+        dtr_in[:, own, order, own, order] = (self_layer * k * H * Jp)[..., lo:]
+        shape = (len(k), n_res * width, n_res * width)
+        blocks.append((trace.reshape(shape), dtr_out.reshape(shape), dtr_in.reshape(shape)))
+    return blocks
 
 
-def assemble_boundary_matrices(array: ResonatorArray, params: WaveParams, omegas, M: int) -> np.ndarray:
-    """(W, 2K, 2K) transmission matrices at W frequencies, K = N(2M+1).
+def mirror_basis(n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real orthonormal bases (Q_even, Q_odd) of the even and odd mirror
+    blocks in the 2N(2M+1) density space: on each circle and density, the
+    columns e_0, (e_m + e_-m)/sqrt 2 and (e_m - e_-m)/sqrt 2, m = 1..M. A
+    boundary matrix is Q_even A_even Q_even^T + Q_odd A_odd Q_odd^T."""
+    q = np.sqrt(0.5)
+    even, odd = np.zeros((2 * M + 1, M + 1)), np.zeros((2 * M + 1, M))
+    even[M, 0] = 1.0
+    for m in range(1, M + 1):
+        even[M + m, m] = even[M - m, m] = q
+        odd[M + m, m - 1], odd[M - m, m - 1] = q, -q
+    units = np.eye(2 * n)  # (density, circle) pairs
+    return np.kron(units, even), np.kron(units, odd)
+
+
+def assemble_boundary_matrices(array: ResonatorArray, params: WaveParams, omegas, M: int):
+    """The transmission matrices at W frequencies on their two mirror
+    blocks: (even, odd) stacks of shape (W, 2N(M+1), 2N(M+1)) and
+    (W, 2NM, 2NM), in the bases of mirror_basis.
 
     Row blocks enforce continuity of the field and the delta-weighted
     normal-derivative jump on each circle; column blocks are the exterior
@@ -168,25 +202,30 @@ def assemble_boundary_matrices(array: ResonatorArray, params: WaveParams, omegas
     if M < 1:
         raise ValueError(f"truncation order M must be >= 1, got {M}")
     k, kb = params.wavenumbers(omegas)
-    ext_tr, ext_dtr, int_dtr = _layer_blocks(array, k, M)
-    int_tr = ext_tr
+    exterior = _layer_blocks(array, k, M)
+    interior = exterior
     if not np.array_equal(kb, k):  # v = v_b makes the two layers one
-        int_tr, _, int_dtr = _layer_blocks(array, kb, M)
-    K = ext_tr.shape[-1]
-    matrix = np.empty((len(omegas), 2 * K, 2 * K), dtype=complex)
-    np.copyto(matrix[:, :K, :K], ext_tr)
-    np.negative(int_tr, out=matrix[:, :K, K:])
-    np.multiply(params.delta, ext_dtr, out=matrix[:, K:, :K])
-    np.negative(int_dtr, out=matrix[:, K:, K:])
-    return matrix
+        interior = _layer_blocks(array, kb, M)
+    stacks = []
+    for (ext_tr, ext_dtr, _), (int_tr, _, int_dtr) in zip(exterior, interior):
+        K = ext_tr.shape[-1]
+        matrix = np.empty((len(omegas), 2 * K, 2 * K), dtype=complex)
+        np.copyto(matrix[:, :K, :K], ext_tr)
+        np.negative(int_tr, out=matrix[:, :K, K:])
+        np.multiply(params.delta, ext_dtr, out=matrix[:, K:, :K])
+        np.negative(int_dtr, out=matrix[:, K:, K:])
+        stacks.append(matrix)
+    return tuple(stacks)
 
 
 def assemble_boundary_system(
     array: ResonatorArray, params: WaveParams, omega: complex, M: int
 ) -> np.ndarray:
-    """The transmission matrix at one frequency: the one-omega case of
-    assemble_boundary_matrices."""
-    return assemble_boundary_matrices(array, params, [omega], M)[0]
+    """The full 2N(2M+1) transmission matrix at one frequency, rebuilt from
+    the one-omega blocks of assemble_boundary_matrices."""
+    even, odd = (stack[0] for stack in assemble_boundary_matrices(array, params, [omega], M))
+    q_even, q_odd = mirror_basis(array.n, M)
+    return (q_even @ even) @ q_even.T + (q_odd @ odd) @ q_odd.T
 
 
 def evaluate_field(array: ResonatorArray, params: WaveParams, omega: complex, density: MultipoleDensity,

@@ -1,10 +1,14 @@
 """Complex resonances and eigenmodes of the coupled resonator array.
 
 The N subwavelength resonances are the complex frequencies where the
-boundary system A(omega) is singular. find_resonances locates them with
-Beyn's contour-integral method (W.-J. Beyn, Linear Algebra Appl. 436, 2012)
-on rectangles right of omega = 0 (the branch point of H_0), and counts them
-independently by the winding number of det A. All dense linear algebra here
+boundary system A(omega) is singular. Every array lies on one line, so A
+splits into an even and an odd mirror block (boundary.mirror_basis), and
+every subwavelength mode lives in the even block A_+. find_resonances
+locates them with Beyn's contour-integral method (W.-J. Beyn, Linear
+Algebra Appl. 436, 2012) on A_+, over rectangles right of omega = 0 (the
+branch point of H_0). It counts them independently by the winding number of
+det A = det A_+ det A_-, and certifies that the odd block holds none by the
+winding number of det A_-, which must be 0. All dense linear algebra here
 is numpy.linalg: numpy and scipy ship separate OpenBLAS builds whose thread
 pools stall each other when their calls alternate.
 """
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import MultipoleDensity, WaveParams, assemble_boundary_matrices, sample_fields
+from .boundary import MultipoleDensity, WaveParams, assemble_boundary_matrices, mirror_basis, sample_fields
 from .boundary import assemble_boundary_system  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 from .boundary import evaluate_field  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 from .cylinder import bessel_j, hankel1  # noqa: F401  kept for perfbench/tracing.py, which patches them here
@@ -37,15 +41,16 @@ class DegenerateModeError(RuntimeError):
 class Resonance:
     """A located resonance: frequency, boundary-system residual, truncation,
     and the relative drift of the frequency under M -> M+2 refinement.
-    svd holds the singular values and the last right singular vector of the
-    boundary system as the search decomposed it, which the eigenmode reuses;
-    it is None on a resonance read back from a cache entry."""
+    svd holds the root decomposition of _root_svd: the even block's singular
+    values, the odd block's smallest one and the null vector, which the
+    eigenmode reuses; it is None on a resonance read back from a cache
+    entry."""
 
     omega: complex
     residual: float
     truncation: int
     drift: float
-    svd: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    svd: tuple[np.ndarray, float, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -132,9 +137,10 @@ def single_disk_resonance(radius: float, params: WaveParams) -> complex:
 
 
 class _ResolventProbe:
-    """1 / (w^H A(omega)^{-1} q) with fixed random probe vectors.
+    """1 / (w^H A_+(omega)^{-1} q) on the even mirror block, with fixed
+    random probe vectors.
 
-    Vanishes (simply, generically) exactly where A is singular and is
+    Vanishes (simply, generically) exactly where A_+ is singular and is
     analytic nearby, so it is a good Muller target.
     """
 
@@ -143,21 +149,22 @@ class _ResolventProbe:
         self.params = params
         self.M = M
         self.calls = 0  # boundary systems assembled
-        dim = 2 * array.n * (2 * M + 1)
+        dim = 2 * array.n * (M + 1)
+        self.entries = dim**2 + (dim - 2 * array.n) ** 2  # of the two blocks at one frequency
         rng = np.random.default_rng(7)
         q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         self.q = q / np.linalg.norm(q)
         self.w = w / np.linalg.norm(w)
 
-    def matrices(self, omegas) -> np.ndarray:
-        """Boundary matrices at the given frequencies, as one stack."""
+    def matrices(self, omegas) -> tuple[np.ndarray, np.ndarray]:
+        """Even and odd boundary blocks at the given frequencies, as two stacks."""
         self.calls += len(omegas)
         return assemble_boundary_matrices(self.array, self.params, omegas, self.M)
 
     def __call__(self, omega: complex) -> complex:
         try:
-            x = np.linalg.solve(self.matrices([omega])[0], self.q)
+            x = np.linalg.solve(self.matrices([omega])[0][0], self.q)
         except np.linalg.LinAlgError:  # exactly singular: omega is a resonance
             return 0.0
         return 1.0 / np.vdot(self.w, x)
@@ -182,8 +189,8 @@ def subwavelength_cutoff(array: ResonatorArray, params: WaveParams, ratio: float
 
 class Resonances(list):
     """Located resonances; search lists each certified sub-contour (box, nodes,
-    winding number of det A, resonances accepted, Beyn rank) and the total
-    search_assemblies."""
+    winding number of det A and of the odd block's det A_-, resonances
+    accepted, Beyn rank) and the total search_assemblies."""
     search: dict
 
 
@@ -191,7 +198,7 @@ _NODES = (16, 128)  # Gauss-Legendre nodes per edge: fewest and most
 _MAX_CONTOURS = 16  # sub-contours per search, so a search ends in bounded time
 _RANK_TOL = 1e-10  # singular-value cut of moment 0, relative to its bound
 _BEYN_RESIDUAL = 1e-6  # largest |A(z) v| / (|A(z)|_F |v|) of a Beyn pair
-_STACK_ENTRIES = 2**17  # contour nodes x matrix entries assembled at a time: about 2 MB
+_STACK_ENTRIES = 2**17  # contour nodes x block entries assembled at a time: about 2 MB
 _RESONANCE_TOL = 1e-10  # largest smallest singular value of A at an accepted resonance
 _DRIFT_TOL = 1e-4  # largest relative move of a resonance under M -> M+2
 
@@ -204,41 +211,58 @@ def _describe(box) -> str:
     return "sub-contour Re [{:.6g}, {:.6g}] x Im [{:.6g}, {:.6g}]".format(*box)
 
 
-def _beyn(matrices, box, n: int, V: np.ndarray):
-    """Winding number of det A around box (n Gauss-Legendre nodes per edge),
-    its largest step, the Beyn rank, and the eigenvalues inside box and of
-    those the ones whose eigenpairs pass the residual test. The node matrices
-    are assembled _STACK_ENTRIES at a time, each stack when its first node
-    is reached."""
+def _winding(phase: np.ndarray) -> tuple[int, float]:
+    """Winding number of a closed loop of unit phases and its largest step."""
+    steps = np.angle(np.roll(phase, -1) / phase)
+    return round(steps.sum() / (2 * np.pi)), np.abs(steps).max()
+
+
+def _beyn(probe: _ResolventProbe, box, n: int, V: np.ndarray):
+    """Winding numbers of det A and of det A_- around box (n Gauss-Legendre
+    nodes per edge), the largest step of arg det A, the Beyn rank, and the
+    eigenvalues of A_+ inside box and of those the ones whose eigenpairs
+    pass the residual test. The moments come from the even block A_+; the
+    odd block A_- gives only the sign of its slogdet, and det A's phase at a
+    node is the product of the two signs. The node blocks are assembled
+    _STACK_ENTRIES at a time, and each stack is solved and factored as one."""
     corners = np.array([complex(box[i], box[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))])
     sides = np.roll(corners, -1) - corners
     x, w = gauss_legendre(n)
     nodes = (corners[:, None] + np.outer(sides, 0.5 * (x + 1))).ravel()
     weights = np.outer(sides, 0.5 * w).ravel() / (2j * np.pi)
-    moments = np.zeros((2, *V.shape), dtype=complex)  # of omega^p A^{-1} V, p = 0, 1
-    bound, phase = 0.0, np.empty(len(nodes), dtype=complex)
-    size = max(1, _STACK_ENTRIES // len(V) ** 2)
-    for j, (z, wz) in enumerate(zip(nodes, weights)):
-        if j % size == 0:
-            stack = matrices(nodes[j:j + size])
-        A = stack[j % size]
-        try:
-            X = np.linalg.solve(A, V)
-        except np.linalg.LinAlgError:
+    moments = np.zeros((2, *V.shape), dtype=complex)  # of omega^p A_+^{-1} V, p = 0, 1
+    bound, signs = 0.0, np.empty((2, len(nodes)), dtype=complex)
+    size = max(1, _STACK_ENTRIES // probe.entries)
+    for start in range(0, len(nodes), size):
+        at = slice(start, start + size)
+        even, odd = probe.matrices(nodes[at])
+        signs[:, at] = np.linalg.slogdet(even)[0], np.linalg.slogdet(odd)[0]  # det / |det|
+        singular = ~signs[:, at].all(axis=0)
+        if singular.any():
             raise ResonanceSearchError(
-                f"{_describe(box)}: boundary system singular at node {z:.6g}") from None
-        moments += np.multiply.outer([wz, wz * z], X)
-        bound += abs(wz) * np.sqrt(np.vdot(X, X).real)  # |moment 0| without cancellation
-        phase[j] = np.linalg.slogdet(A)[0]  # det A / |det A|
-    steps = np.angle(np.roll(phase, -1) / phase)
+                f"{_describe(box)}: boundary system singular at node {nodes[at][singular][0]:.6g}")
+        X = np.linalg.solve(even, np.broadcast_to(V, (len(even), *V.shape)))
+        moments += np.tensordot([weights[at], weights[at] * nodes[at]], X, axes=1)
+        bound += np.abs(weights[at]) @ np.linalg.norm(X, axis=(1, 2))  # |moment 0| without cancellation
+    winding, step = _winding(signs[0] * signs[1])
     U, s, Wh = np.linalg.svd(moments[0], full_matrices=False)
     r = int(np.count_nonzero(s > _RANK_TOL * bound))
     eigs, Y = np.linalg.eig(U[:, :r].conj().T @ moments[1] @ Wh[:r].conj().T / s[:r])
     inner = [(z, v) for z, v in zip(eigs, (U[:, :r] @ Y).T) if _inside(box, z)]
-    stack = matrices([z for z, _ in inner]) if inner else []
+    stack = probe.matrices([z for z, _ in inner])[0] if inner else []
     norm = np.linalg.norm
     passed = [z for (z, v), A in zip(inner, stack) if norm(A @ v) <= _BEYN_RESIDUAL * norm(A) * norm(v)]
-    return round(steps.sum() / (2 * np.pi)), np.abs(steps).max(), r, [z for z, _ in inner], passed
+    return winding, _winding(signs[1])[0], step, r, [z for z, _ in inner], passed
+
+
+def _root_svd(probe: _ResolventProbe, z: complex) -> tuple[np.ndarray, float, np.ndarray]:
+    """The decomposition at a root: the singular values of A_+, the smallest
+    one of A_-, and the last right singular vector of A_+ unfolded into the
+    full density space (mirror_basis), conjugated as a row of V^H."""
+    even, odd = (stack[0] for stack in probe.matrices([z]))
+    _, s, vh = np.linalg.svd(even)
+    null = mirror_basis(probe.array.n, probe.M)[0] @ vh[-1]
+    return s, float(np.linalg.svd(odd, compute_uv=False)[-1]), null
 
 
 def _split(box, points):
@@ -282,15 +306,18 @@ def find_resonances(
     pending, contours, found = [(window["re"] + window["im"], n)], [], Resonances()
     while pending:
         box, n = pending.pop()
-        winding, step, rank, inner, passed = _beyn(probe.matrices, box, n, V)
+        winding, odd_winding, step, rank, inner, passed = _beyn(probe, box, n, V)
         resolved = step <= 0.5 * np.pi
-        roots: dict[complex, tuple] = {}  # polished, inside, distinct -> (s, last row of V^H)
+        if resolved and odd_winding:
+            raise ResonanceSearchError(
+                f"{_describe(box)} ({4 * n} nodes): winding number {winding} of det A, of which"
+                f" {odd_winding} in the odd mirror block, where the search finds no resonance")
+        roots: dict[complex, tuple] = {}  # polished, inside, distinct -> _root_svd
         for z in passed if resolved and len(passed) == winding else []:
             z = _muller(probe, z)
             if _inside(box, z) and all(abs(z - r) > 1e-8 * abs(r) for r in roots):
-                _, s, vh = np.linalg.svd(probe.matrices([z])[0])
-                roots[z] = s, vh[-1].copy()  # not a view that keeps all of V^H
-        certified = all(s[-1] <= _RESONANCE_TOL for s, _ in roots.values())
+                roots[z] = _root_svd(probe, z)
+        certified = all(s[-1] <= _RESONANCE_TOL for s, _, _ in roots.values())
         if resolved and winding == len(roots) and certified:
             for z, svd in roots.items():  # stability under truncation refinement
                 z_hi = _muller(probe_hi, z)
@@ -298,10 +325,10 @@ def find_resonances(
                 if drift > _DRIFT_TOL:
                     raise ResonanceSearchError(f"resonance {z:.6g} drifts by {drift:.3g} "
                                                f"relative under M={M} -> {M + 2} refinement")
-                found.append(Resonance(omega=z, residual=float(svd[0][-1]), truncation=M, drift=drift,
-                                       svd=svd))
+                found.append(Resonance(omega=z, residual=min(float(svd[0][-1]), svd[1]), truncation=M,
+                                       drift=drift, svd=svd))
             contours.append({"box": [float(v) for v in box], "nodes": 4 * n, "winding": winding,
-                             "accepted": winding, "rank": rank})
+                             "odd_winding": odd_winding, "accepted": winding, "rank": rank})
         elif n < _NODES[1]:
             pending.append((box, 2 * n))
         elif len(contours) + len(pending) + 2 <= _MAX_CONTOURS:
@@ -323,22 +350,25 @@ def find_resonances(
 
 
 def _null_density(array: ResonatorArray, params: WaveParams, resonance: Resonance):
-    """Raw unit null density at a resonance (the right singular vector of the
-    boundary system's smallest singular value) and the gap s[-2]/s[-1], both
-    from the search's decomposition. Raises ValueError for a resonance that
-    carries none, and DegenerateModeError when the two are not clearly
-    separated."""
+    """Raw unit null density at a resonance (the even block's right singular
+    vector of its smallest singular value, unfolded) and the gap s[-2]/s[-1]
+    of the full boundary system, whose singular values are the union of the
+    two blocks', all from the search's decomposition. Raises ValueError for
+    a resonance that carries none, and DegenerateModeError when the two are
+    not clearly separated."""
     if resonance.svd is None:
         raise ValueError(f"resonance {resonance.omega:.6g} carries no decomposition of the "
                          "boundary system; take it from find_resonances")
-    s, null = resonance.svd
-    if s[-2] <= 1e4 * s[-1]:
+    s_even, s_odd, null = resonance.svd
+    small, second = np.sort(np.append(s_even[-2:], s_odd))[:2]
+    if second <= 1e4 * small:
+        block = "odd" if second == s_odd else "even"
         raise DegenerateModeError(
-            f"smallest singular values {s[-1]:.3g}, {s[-2]:.3g} are not separated; "
-            "resolve the degeneracy with a symmetry-restricted subsystem"
+            f"smallest singular values {small:.3g}, {second:.3g} are not separated; "
+            f"the second lies in the {block} mirror block"
         )
     raw = MultipoleDensity.from_vector(null.conj(), array.n, resonance.truncation)
-    return raw, float(s[-2] / s[-1])
+    return raw, float(second / small)
 
 
 def sample_eigenmodes(

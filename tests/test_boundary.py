@@ -12,6 +12,7 @@ from hopfarray.boundary import (
     assemble_boundary_system,
     classify_points,
     evaluate_field,
+    mirror_basis,
     sample_fields,
 )
 from hopfarray.cylinder import bessel_j_orders, hankel1, hankel1_orders
@@ -89,14 +90,43 @@ def test_assembly_bit_reproducible(params, six_array):
 @pytest.mark.parametrize("v_b", [1.0, 1.3])  # one shared layer, then two
 @pytest.mark.parametrize("array_name", ["single_array", "pair_array", "six_array"])
 def test_stacked_assembly_equals_one_frequency_assembly(array_name, v_b, request):
-    # a stack of frequencies holds each one-frequency system bit for bit
+    # a stack of frequencies holds each one-frequency block pair bit for bit
     array = request.getfixturevalue(array_name)
     params = WaveParams(v=1.0, v_b=v_b, delta=1e-3)
     rng = np.random.default_rng(30 + array.n)
     omegas = rng.uniform(0.005, 0.2, 9) + 1j * rng.uniform(-0.01, 0.01, 9)
-    stack = assemble_boundary_matrices(array, params, omegas, 5)
-    for omega, matrix in zip(omegas, stack, strict=True):
-        assert np.array_equal(matrix, assemble_boundary_system(array, params, omega, 5))
+    even, odd = assemble_boundary_matrices(array, params, omegas, 5)
+    for omega, blocks in zip(omegas, zip(even, odd), strict=True):
+        alone = assemble_boundary_matrices(array, params, [omega], 5)
+        assert all(np.array_equal(b, a[0]) for b, a in zip(blocks, alone, strict=True))
+
+
+@pytest.mark.parametrize("array_name, v_b", [("single_array", 1.0), ("pair_array", 1.0),
+                                             ("six_array", 1.0), ("six_array", 1.3)])
+def test_mirror_blocks_fold_the_loop_oracle(array_name, v_b, request):
+    # the blocks assembled folded are the loop-built full matrix in the
+    # mirror basis: Q_even^T A Q_even and Q_odd^T A Q_odd, with vanishing
+    # cross blocks, so their singular values together are A's
+    array = request.getfixturevalue(array_name)
+    params = WaveParams(v=1.0, v_b=v_b, delta=1e-3)
+    M = 5
+    q_even, q_odd = mirror_basis(array.n, M)
+    basis = np.hstack([q_even, q_odd])
+    assert np.abs(basis.T @ basis - np.eye(len(basis))).max() <= 1e-15
+    rng = np.random.default_rng(40 + array.n)
+    seeds = [single_disk_resonance(r, params) for r in array.radii]
+    window = _default_search(seeds, subwavelength_cutoff(array, params))
+    for _ in range(3):
+        omega = complex(rng.uniform(*window["re"]), rng.uniform(*window["im"]))
+        full = boundary_matrix_loop(array, params, omega, M)
+        bound = 1e-13 * np.linalg.norm(full, 2)
+        even, odd = (stack[0] for stack in assemble_boundary_matrices(array, params, [omega], M))
+        assert np.abs(even - q_even.T @ full @ q_even).max() <= bound
+        assert np.abs(odd - q_odd.T @ full @ q_odd).max() <= bound
+        assert np.abs(q_even.T @ full @ q_odd).max() <= bound
+        assert np.abs(q_odd.T @ full @ q_even).max() <= bound
+        union = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in (even, odd)]))
+        assert np.abs(union - np.sort(np.linalg.svd(full, compute_uv=False))).max() <= bound
 
 
 @pytest.mark.parametrize("v_b", [1.0, 1.3])  # one shared layer, then two

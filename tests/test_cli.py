@@ -125,12 +125,14 @@ def test_resonances_experiment(tmp_path):
 
 def _check_search_record(search, n):
     """Each certified sub-contour's winding number equals its accepted
-    count, they add up to n, and the assembly total covers the nodes."""
+    count, its odd mirror block winds zero times, the counts add up to n,
+    and the assembly total covers the nodes."""
     contours = search["contours"]
     assert contours
     for c in contours:
         assert len(c["box"]) == 4 and c["box"][0] < c["box"][1] and c["box"][2] < c["box"][3]
         assert c["winding"] == c["accepted"] <= c["rank"]
+        assert c["odd_winding"] == 0
     assert sum(c["accepted"] for c in contours) == n
     assert search["search_assemblies"] >= sum(c["nodes"] for c in contours)
 
@@ -253,18 +255,24 @@ def test_twotone_schema(tmp_path):
 
 def test_twotone_without_second_tone_is_a_config_error(tmp_path, capsys):
     # every Omega2 of the grid falls within 1e-3 x Omega1 of Omega1 =
-    # |omega_1| = 0.01551819849011796; Omega1 comes from mode 1, so the
-    # collisions are known only after the build
+    # |omega_1| (about 0.0155182); Omega1 comes from mode 1, so the collisions
+    # are known only after the build. The message carries |omega_1| as a
+    # resonances run wrote it, whose cache the twotone run then reads
     cfg = _config(experiment={"type": "twotone", "Omega1_mode": 1, "mode_index": 1,
                               "omega2_min": 0.015515, "omega2_max": 0.015521})
-    path = tmp_path / "cfg.json"
+    path, resonances = tmp_path / "cfg.json", tmp_path / "res.json"
     path.write_text(json.dumps(cfg))
+    resonances.write_text(json.dumps(_config()))
     assert main(["validate", "--config", str(path)]) == 0
+    assert main(["resonances", "--config", str(resonances), "--out", str(tmp_path / "res")]) == 0
+    _, re_omega, im_omega, _ = (tmp_path / "res" / "resonances.csv").read_text().splitlines()[1].split(",")
+    Omega1 = abs(complex(float(re_omega), float(im_omega)))
+    shutil.copytree(tmp_path / "res" / "cache", tmp_path / "out" / "cache")
     capsys.readouterr()
     assert main(["twotone", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "error: ConfigError: experiment.omega2_min/omega2_max: every Omega2 in "
-        "[0.015515, 0.015521] lies within 0.001 x Omega1 of Omega1 = 0.01551819849011796\n")
+        f"[0.015515, 0.015521] lies within 0.001 x Omega1 of Omega1 = {Omega1!r}\n")
     assert not (tmp_path / "out" / "run.json").exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import mode_field
 from hopfarray import spectral
-from hopfarray.boundary import WaveParams, assemble_boundary_system
+from hopfarray.boundary import WaveParams, assemble_boundary_matrices, assemble_boundary_system
 from hopfarray.geometry import build_graded_array
 from hopfarray.quadrature import disk_rule
 from hopfarray.spectral import (
@@ -17,7 +17,7 @@ from hopfarray.spectral import (
     single_disk_resonance,
     subwavelength_cutoff,
 )
-from oracles import argument_principle_count, field_loop, parity_resonance
+from oracles import argument_principle_count, boundary_matrix_loop, field_loop, parity_resonance
 
 # resonances.csv of the default array as the sigma_min-scan search wrote it
 # (re_omega, im_omega); the contour search must reproduce it to 1e-10
@@ -198,16 +198,15 @@ def test_mode_continuity_pointwise(six_system):
 def test_mode_flux_defect_shrinks_with_truncation(pair_array, params, pair_resonances):
     """The pointwise flux defect is limited by the inter-circle expansion
     tail ~ (r/b)^M, so refining M must shrink it markedly."""
-    from hopfarray.spectral import Resonance, _ResolventProbe, _muller
+    from hopfarray.spectral import Resonance, _ResolventProbe, _muller, _root_svd
 
     base = pair_resonances[0]
     defects = {}
     for M in (5, 8):
         probe = _ResolventProbe(pair_array, params, M)
         omega = _muller(probe, base.omega)
-        _, s, vh = np.linalg.svd(assemble_boundary_system(pair_array, params, omega, M))
         res = Resonance(omega=omega, residual=0.0, truncation=M, drift=0.0,
-                        svd=(s, vh[-1]))
+                        svd=_root_svd(probe, omega))
         mode = extract_eigenmode(pair_array, params, res)
         _, flux, scale = _pointwise_condition_defects(mode, n_samples=32)
         defects[M] = flux / scale
@@ -220,6 +219,18 @@ def test_eigenmode_needs_the_search_decomposition(pair_array, params, pair_reson
     bare = replace(pair_resonances[0], svd=None)
     with pytest.raises(ValueError, match=re.escape(f"resonance {bare.omega:.6g} carries no")):
         extract_eigenmode(pair_array, params, bare)
+
+
+def test_sv_gap_is_the_full_matrix_gap(six_system):
+    # the gap kept from the two blocks is s[-2]/s[-1] of the loop-built full
+    # matrix at every default root: s[-2] to rounding, and s[-1], which is at
+    # rounding level (about 1e-14), to the rounding of |A|
+    for mode in six_system.modes:
+        res = mode.resonance
+        full = boundary_matrix_loop(six_system.array, six_system.params, res.omega, res.truncation)
+        s = np.linalg.svd(full, compute_uv=False)
+        assert mode.sv_gap * res.residual == pytest.approx(s[-2], rel=1e-10)
+        assert abs(res.residual - s[-1]) <= 1e-14 * s[0]
 
 
 def test_mode_residual_in_coefficient_space(six_system):
@@ -247,12 +258,34 @@ def test_search_window_misconfiguration_raises(single_array, params):
         find_resonances(single_array, params, M=3, omega_max=1e-4)
 
 
+def _block_windings(array, params, M: int, box, n: int = 64, max_n: int = 4096) -> list[int]:
+    """Winding numbers of det A_+ and det A_- around box, from the slogdet
+    signs of the assembled blocks at n points equally spaced on each edge;
+    n is doubled until no phase step of either block exceeds pi/4."""
+    a, b, lo, hi = box
+    corners = np.array([complex(a, lo), complex(b, lo), complex(b, hi), complex(a, hi)])
+    while n <= max_n:
+        nodes = (corners[:, None] + np.outer(np.roll(corners, -1) - corners, np.arange(n) / n)).ravel()
+        stacks = assemble_boundary_matrices(array, params, nodes, M)
+        phases = [np.linalg.slogdet(stack)[0] for stack in stacks]
+        steps = [np.angle(np.roll(ph, -1) / ph) for ph in phases]
+        if max(np.abs(st).max() for st in steps) <= 0.25 * np.pi:
+            return [round(st.sum() / (2 * np.pi)) for st in steps]
+        n *= 2
+    raise RuntimeError(f"block windings did not settle by {max_n} points per edge")
+
+
 @pytest.mark.parametrize("name, M", [("single", 4), ("pair", 5), ("six", 5)])
 def test_count_matches_argument_principle_oracle(name, M, params, request):
+    # det A = det A_+ det A_-: the even block winds once per resonance, the
+    # odd block not at all, and together they wind as the loop-built det A
     array = request.getfixturevalue(f"{name}_array")
     res = request.getfixturevalue(f"{name}_resonances")
     _assert_certified(res, array.n)
-    assert argument_principle_count(array, params, M, _window_box(array, params)) == len(res)
+    box = _window_box(array, params)
+    count = argument_principle_count(array, params, M, box)
+    assert count == len(res)
+    assert _block_windings(array, params, M, box) == [count, 0]
 
 
 def test_six_resonances_match_pinned_values(six_resonances):
@@ -319,12 +352,31 @@ def test_uncertified_subcontour_names_both_counts(single_array, params, monkeypa
 def test_exactly_singular_system(single_array, params, monkeypatch):
     # numpy's solve raises on an exactly singular matrix: the probe reads it
     # as a zero (a resonance), and a contour node on one fails the search
-    # with the box named; the probe and the contour's stacks share one seam
-    singular = assemble_boundary_system(single_array, params, 0.1, 3)
+    # with the box named; the probe and the contour's stacks share one seam,
+    # which returns the even and the odd block
+    even, odd = (stack[0] for stack in assemble_boundary_matrices(single_array, params, [0.1], 3))
+    singular = even.copy()
     singular[:, 0] = 0.0
     monkeypatch.setattr(spectral, "assemble_boundary_matrices",
-                        lambda array, params, omegas, M: np.stack([singular] * len(omegas)))
+                        lambda array, params, omegas, M: (np.stack([singular] * len(omegas)),
+                                                          np.stack([odd] * len(omegas))))
     assert spectral._ResolventProbe(single_array, params, 3)(0.1) == 0.0
     box = spectral._describe(_window_box(single_array, params))
     with pytest.raises(ResonanceSearchError, match=re.escape(f"{box}: boundary system singular")):
+        find_resonances(single_array, params, M=3)
+
+
+def test_odd_winding_fails_the_search(single_array, params, monkeypatch):
+    # a resonance of the odd mirror block is one the even-block search cannot
+    # find: a resolved sub-contour where det A_- winds fails by name
+    beyn = spectral._beyn
+
+    def odd_one(*args):
+        winding, _, *rest = beyn(*args)
+        return winding, 1, *rest
+
+    monkeypatch.setattr(spectral, "_beyn", odd_one)
+    box = spectral._describe(_window_box(single_array, params))
+    with pytest.raises(ResonanceSearchError, match=re.escape(box) + r" \(\d+ nodes\): winding number 1 "
+                       r"of det A, of which 1 in the odd mirror block"):
         find_resonances(single_array, params, M=3)
