@@ -15,6 +15,7 @@ with no run.json.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -305,20 +306,30 @@ def _point_on_circle(centers, radii, points):
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x.replace(",", ";").replace("\n", " ")  # keep the CSV well formed
-    return repr(float(x))  # shortest round-trip decimal
+@functools.cache
+def _formatter(kind: type):
+    """The CSV text of the values of one type."""
+    if issubclass(kind, (int, np.integer)) and not issubclass(kind, bool):
+        return lambda x: str(int(x))
+    if kind is type(None):
+        return lambda x: ""
+    if issubclass(kind, str):
+        return lambda x: x.replace(",", ";").replace("\n", " ")  # keep the CSV well formed
+    if issubclass(kind, float):  # numpy.float64 too: repr(float(x)) without the copy
+        return float.__repr__
+    return lambda x: repr(float(x))  # shortest round-trip decimal
+
+
+def _cells(column) -> list[str]:
+    """A column's CSV cells, each value formatted by its type's _formatter."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        return list(map(_formatter(kinds.pop()), column))
+    return [_formatter(type(x))(x) for x in column]
 
 
 def _write_csv(path: Path, header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header), *map(",".join, zip(*map(_cells, zip(*rows))))]
     data = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()

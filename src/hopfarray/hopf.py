@@ -381,10 +381,12 @@ def _residual_lines(system: ModalSystem, vectors, tones, forcing, beta: float, X
     """Residual of the L line systems at amplitudes X (..., L, N), line l
     ringing at vectors[l] . tones (tones (..., T)) with forcing[l].
 
-    The time derivative is sampled at the interior quadrature nodes, its
-    cubic is formed there by _cubic_lines and integrated against the
-    conjugated modes. Neither the cubic tensor nor the solver's line table
-    is used, so this is an independent certificate on returned solutions.
+    The time derivative is sampled at the interior quadrature nodes (on
+    x2 >= 0 with mirrored weights: every mode, and so the derivative, is
+    even in x2), its cubic is formed there by _cubic_lines and integrated
+    against the conjugated modes. Neither the cubic tensor nor the solver's
+    line table is used, so this is an independent certificate on returned
+    solutions.
     """
     freqs = np.asarray(tones, dtype=float) @ np.asarray(vectors).T
     _, wts, _, U = system.interior_quadrature()

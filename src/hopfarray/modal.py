@@ -7,12 +7,15 @@ rank-4 tensor of cubic interior products
 
     T[n, i, j, k] = integral_D  u_i u_j conj(u_k) conj(u_n) dx,
 
-stored symmetrized in (i, j). A build samples every mode once, in one call,
-over the composite rule's nodes and the source; the normalization (on a cold
+stored symmetrized in (i, j). Every mode is even in x2, so each of these
+integrands is too, and the composite rule keeps only its nodes with x2 >= 0,
+with mirrored weights (see quadrature). A build samples every mode once, in
+one call, over those nodes and the source; the normalization (on a cold
 build), the Gram matrix, the cubic tensor and the source vector all come from
 that sample. A ModalSystem bundles these with the modes and their interior
-samples, and is JSON-serializable so parameter sweeps can skip the spectral
-and quadrature work. A serialized system carries the request it answers
+samples (half-plane samples, at the interior nodes with x2 >= 0), and is
+JSON-serializable so parameter sweeps can skip the spectral and quadrature
+work. A serialized system carries the request it answers
 (see cache_request), and its cache key is the hash of that request, so an
 edited module or a changed input never reuses an old entry.
 """
@@ -119,7 +122,8 @@ class ModalSystem:
 
     gram is the mode overlap matrix over Q, source_vec the point-mass
     pairings, cubic_tensor the interior cubic products and interior_values
-    the (N, P) C-contiguous mode values at the interior quadrature nodes.
+    the (N, P) C-contiguous mode values at the interior quadrature nodes,
+    all on the upper half-plane x2 >= 0.
     The modes themselves are kept so response fields can be evaluated at
     arbitrary points; search is the resonance-search record of
     find_resonances, and request the cache_request the system answers.

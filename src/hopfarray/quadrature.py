@@ -1,12 +1,19 @@
-"""Composite quadrature over a box containing the resonator array.
+"""Composite quadrature over the upper half of a box containing the resonator array.
+
+Every circle is centred on x2 = 0 and every resonant mode is even in x2 (it
+lives in the even mirror block of the boundary system), so every integrand
+the modal projection forms is even in x2. The rules therefore keep only the
+nodes with x2 >= 0: a node above the axis carries twice its weight, a node
+on the axis (x2 = 0 exactly, by construction) carries its weight once. The
+box must be symmetric about x2 = 0.
 
 The integration region is split into pieces on which the integrands are
 smooth, so every rule converges fast and a node-count doubling check is a
 meaningful accuracy certificate:
 
 - each disk interior: Gauss-Legendre in radius x uniform (trapezoid) in angle,
-- a square collar around each disk: four polar face-panels from the circle
-  out to the square boundary,
+- a square collar around each disk: polar face-panels from the circle out to
+  the square boundary,
 - the box minus the squares: axis-aligned rectangles, panelized tensor
   Gauss-Legendre.
 
@@ -29,10 +36,10 @@ class QuadratureSpec:
     """Box and node-count configuration for the composite rule.
 
     box: (x_min, x_max, y_min, y_max), must strictly contain every circle
-    and the source. ext_order is the Gauss-Legendre order per exterior panel
-    (panels are at most panel_size long per side); disk_radial/disk_angular
-    are the per-disk interior counts; ring_radial/ring_angular the collar
-    counts per face.
+    and the source, with y_min = -y_max. ext_order is the Gauss-Legendre
+    order per exterior panel (panels are at most panel_size long per side);
+    disk_radial/disk_angular are the per-disk interior counts;
+    ring_radial/ring_angular the collar counts per face.
     """
 
     box: tuple[float, float, float, float]
@@ -54,8 +61,11 @@ class QuadratureSpec:
             raise ValueError("disk_angular must be >= 8")
 
     def validate_against(self, array: ResonatorArray) -> None:
-        """Check the box strictly contains all circles and the source."""
+        """Check the box strictly contains all circles and the source, and is
+        symmetric about x2 = 0, as the half-plane rules need."""
         x0, x1, y0, y1 = self.box
+        if y0 != -y1:
+            raise ValueError(f"box {self.box} is not symmetric about x2 = 0 (y_min != -y_max)")
         x, r = array.centers[:, 0], array.radii
         outside = ~((x0 < x - r) & (x + r < x1) & (y0 < -r) & (r < y1))
         if outside.any():
@@ -94,72 +104,102 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [a, b]."""
+def _half_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes t >= 0 of the n-point Gauss-Legendre rule on [-1, 1] with
+    mirrored weights: twice the weight off t = 0; the middle node of an odd
+    n at t = 0 exactly, with its weight once."""
     x, w = gauss_legendre(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    t, wt = x[n // 2:].copy(), 2.0 * w[n // 2:]
+    if n % 2:
+        t[0], wt[0] = 0.0, w[n // 2]
+    return t, wt
 
 
-def disk_rule(center, radius: float, n_radial: int, n_angular: int):
-    """Polar rule over a disk: Gauss-Legendre radius, uniform angle.
+def _panels(a: float, b: float, count: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre of the given order on each of count equal panels of [a, b]."""
+    edges = np.linspace(a, b, count + 1)
+    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[:-1] + edges[1:])
+    x, w = gauss_legendre(order)
+    return (half[:, None] * x + mid[:, None]).ravel(), (half[:, None] * w).ravel()
 
-    Returns (points (P,2), weights (P,)). Exact for angular content below
-    n_angular/2 and radially-smooth integrands.
+
+def _count(length: float, panel_size: float) -> int:
+    """Panels at most panel_size long over a length."""
+    return max(1, int(np.ceil(length / panel_size)))
+
+
+def _half_panels(h: float, order: int, panel_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes y >= 0 of the panelized Gauss-Legendre rule on [-h, h],
+    with mirrored weights. An odd panel count leaves a middle panel across
+    y = 0, which keeps its upper half by _half_gauss."""
+    n = _count(2.0 * h, panel_size)
+    y, w = _panels(h / n if n % 2 else 0.0, h, n // 2, order)
+    if n % 2 == 0:
+        return y, 2.0 * w
+    t, wt = _half_gauss(order)
+    return np.concatenate([(h / n) * t, y]), np.concatenate([(h / n) * wt, 2.0 * w])
+
+
+def _polar(center_x: float, rho: np.ndarray, theta: np.ndarray, on_axis: np.ndarray) -> np.ndarray:
+    """Points (center_x, 0) + rho (cos theta, sin theta) over rho's grid,
+    with x2 = 0 exactly where on_axis (theta = 0 or pi)."""
+    sin = np.where(on_axis, 0.0, np.sin(theta))
+    return np.column_stack([(center_x + rho * np.cos(theta)).ravel(), (rho * sin).ravel()])
+
+
+def disk_rule(center_x: float, radius: float, n_radial: int, n_angular: int):
+    """Polar rule over the upper half of the disk about (center_x, 0), for
+    integrands even in x2: Gauss-Legendre radius, uniform angle.
+
+    Keeps the angles 2 pi k / n_angular for k = 0..n_angular/2; the angles on
+    the axis (0, and pi for even n_angular) carry their weight once, the rest
+    twice. Returns (points (P,2), weights (P,)). Exact for angular content
+    below n_angular/2 and radially-smooth integrands.
     """
-    rho, w_rho = _gauss(n_radial, 0.0, radius)
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    w_theta = np.full(n_angular, 2.0 * np.pi / n_angular)
-    R, T = np.meshgrid(rho, theta, indexing="ij")
-    pts = np.column_stack(
-        [center[0] + (R * np.cos(T)).ravel(), center[1] + (R * np.sin(T)).ravel()]
-    )
-    wts = ((w_rho * rho)[:, None] * w_theta[None, :]).ravel()
-    return pts, wts
+    rho, w_rho = _panels(0.0, radius, 1, n_radial)
+    k = np.arange(n_angular // 2 + 1)
+    on_axis = 2 * k % n_angular == 0
+    theta = 2.0 * np.pi * k / n_angular
+    w_theta = np.where(on_axis, 1.0, 2.0) * (2.0 * np.pi / n_angular)
+    pts = _polar(center_x, rho[:, None], theta[None, :], on_axis[None, :])
+    return pts, ((w_rho * rho)[:, None] * w_theta[None, :]).ravel()
 
 
-def ring_rule(center, r_inner: float, half_width: float, n_radial: int, n_angular: int):
-    """Polar rule over square-of-half-width minus inscribed disk of r_inner.
+def ring_rule(center_x: float, r_inner: float, half_width: float, n_radial: int, n_angular: int):
+    """Polar rule over the upper half of the square of half_width about
+    (center_x, 0) minus its inscribed disk of r_inner, for integrands even
+    in x2.
 
-    Four face panels; on each, rays run from the circle to the square edge
-    R(theta) = half_width / cos(theta - face_angle).
+    Face panels; on each, rays run from the circle to the square edge
+    R(theta) = half_width / cos(theta - face_angle). The right and left
+    faces (angles 0 and pi) keep their upper angles by _half_gauss; the top
+    face doubles its weights, and stands for the bottom face.
     """
     if not (half_width > r_inner):
         raise ValueError("ring requires half_width > r_inner")
     pts_all = []
     wts_all = []
     t, w_t = gauss_legendre(n_angular)
+    h, w_h = _half_gauss(n_angular)
     u, w_u = gauss_legendre(n_radial)
-    for face in range(4):
-        phi0 = face * np.pi / 2.0
-        theta = phi0 + (np.pi / 4.0) * t
-        w_theta = (np.pi / 4.0) * w_t
+    for phi0, s, w_s in ((0.0, h, w_h), (np.pi / 2.0, t, 2.0 * w_t), (np.pi, -h, w_h)):
+        theta = phi0 + (np.pi / 4.0) * s
+        w_theta = (np.pi / 4.0) * w_s
         r_out = half_width / np.cos(theta - phi0)
         # map u in [-1,1] to [r_inner, r_out(theta)] per ray
         rho = r_inner + 0.5 * (u[:, None] + 1.0) * (r_out[None, :] - r_inner)
         w_rho = 0.5 * (r_out[None, :] - r_inner) * w_u[:, None]
-        x = center[0] + rho * np.cos(theta)[None, :]
-        y = center[1] + rho * np.sin(theta)[None, :]
-        pts_all.append(np.column_stack([x.ravel(), y.ravel()]))
+        on_axis = (s == 0.0) & (phi0 != np.pi / 2.0)  # the middle ray of the right or left face
+        pts_all.append(_polar(center_x, rho, theta[None, :], on_axis[None, :]))
         wts_all.append((w_rho * rho * w_theta[None, :]).ravel())
     return np.vstack(pts_all), np.concatenate(wts_all)
 
 
-def rectangle_rule(x0: float, x1: float, y0: float, y1: float, order: int, panel_size: float):
-    """Panelized tensor Gauss-Legendre over an axis-aligned rectangle."""
-    nx = max(1, int(np.ceil((x1 - x0) / panel_size)))
-    ny = max(1, int(np.ceil((y1 - y0) / panel_size)))
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    rows = [_gauss(order, ys[j], ys[j + 1]) for j in range(ny)]
-    pts_all = []
-    wts_all = []
-    for i in range(nx):
-        gx, wx = _gauss(order, xs[i], xs[i + 1])
-        for gy, wy in rows:
-            X, Y = np.meshgrid(gx, gy, indexing="ij")
-            pts_all.append(np.column_stack([X.ravel(), Y.ravel()]))
-            wts_all.append(np.outer(wx, wy).ravel())
-    return np.vstack(pts_all), np.concatenate(wts_all)
+def _tensor(x_rule, y_rule):
+    """Tensor product of two one-dimensional rules (nodes, weights)."""
+    (gx, wx), (gy, wy) = x_rule, y_rule
+    X, Y = np.meshgrid(gx, gy, indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel()]), np.outer(wx, wy).ravel()
 
 
 def collar_half_widths(array: ResonatorArray, spec: QuadratureSpec) -> np.ndarray:
@@ -190,52 +230,42 @@ def collar_half_widths(array: ResonatorArray, spec: QuadratureSpec) -> np.ndarra
 
 
 def exterior_rule(array: ResonatorArray, spec: QuadratureSpec):
-    """Quadrature over box minus all disks: collar rings + rectangles.
+    """Quadrature over the upper half (x2 >= 0) of the box minus all disks,
+    for integrands even in x2: collar rings + rectangles.
 
     Returns (points (P,2), weights (P,)). All points lie strictly outside
-    every circle.
+    every circle; a point on the axis carries its weight once, any other
+    twice.
     """
     spec.validate_against(array)
-    x0, x1, y0, y1 = spec.box
+    x0, x1, _, y1 = spec.box
     widths = collar_half_widths(array, spec)
     cxs = array.centers[:, 0]
-    radii = array.radii
-
-    pts_all = []
-    wts_all = []
-    for i in range(array.n):
-        p, w = ring_rule(
-            (cxs[i], 0.0), radii[i], widths[i], spec.ring_radial, spec.ring_angular
-        )
-        pts_all.append(p)
-        wts_all.append(w)
+    rules = [ring_rule(cx, r, w, spec.ring_radial, spec.ring_angular)
+             for cx, r, w in zip(cxs, array.radii, widths)]
 
     # vertical strips between/around the collars
-    edges = [x0]
-    for i in range(array.n):
-        edges.extend([cxs[i] - widths[i], cxs[i] + widths[i]])
-    edges.append(x1)
+    edges = [x0, *np.column_stack([cxs - widths, cxs + widths]).ravel(), x1]
+    order, size = spec.ext_order, spec.panel_size
     for k in range(len(edges) - 1):
         a, b = edges[k], edges[k + 1]
         if b - a <= 1e-12:
             continue
+        x_rule = _panels(a, b, _count(b - a, size), order)
         if k % 2 == 1:
-            # strip containing collar (k-1)//2: rectangles above and below
+            # strip containing collar (k-1)//2: the rectangle above it
             w_i = widths[(k - 1) // 2]
-            for lo, hi in ((y0, -w_i), (w_i, y1)):
-                if hi - lo > 1e-12:
-                    p, w = rectangle_rule(a, b, lo, hi, spec.ext_order, spec.panel_size)
-                    pts_all.append(p)
-                    wts_all.append(w)
+            if y1 - w_i > 1e-12:
+                y, w = _panels(w_i, y1, _count(y1 - w_i, size), order)
+                rules.append(_tensor(x_rule, (y, 2.0 * w)))
         else:
-            p, w = rectangle_rule(a, b, y0, y1, spec.ext_order, spec.panel_size)
-            pts_all.append(p)
-            wts_all.append(w)
-    return np.vstack(pts_all), np.concatenate(wts_all)
+            rules.append(_tensor(x_rule, _half_panels(y1, order, size)))
+    return np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def interior_rule(array: ResonatorArray, spec: QuadratureSpec):
-    """Quadrature over the union of disk interiors.
+    """Quadrature over the upper half (x2 >= 0) of the disk interiors, for
+    integrands even in x2 (see disk_rule).
 
     Returns (points (P,2), weights (P,), disk_index (P,) int).
     """
@@ -243,7 +273,7 @@ def interior_rule(array: ResonatorArray, spec: QuadratureSpec):
     wts_all = []
     idx_all = []
     for i, (x, r) in enumerate(zip(array.center_x, array.radius)):
-        p, w = disk_rule((x, 0.0), r, spec.disk_radial, spec.disk_angular)
+        p, w = disk_rule(x, r, spec.disk_radial, spec.disk_angular)
         pts_all.append(p)
         wts_all.append(w)
         idx_all.append(np.full(len(w), i, dtype=int))

@@ -73,6 +73,17 @@ def twelve_resonances(twelve_array, params):
 
 
 @pytest.fixture(scope="session")
+def twelve_system(twelve_array, twelve_resonances, params):
+    import hopfarray.modal as modal
+
+    # the shared search result stands in for the search; everything after it
+    # runs as in a cold build
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modal, "find_resonances", lambda *args, **kwargs: twelve_resonances)
+        return build_modal_system(twelve_array, params, M=5)
+
+
+@pytest.fixture(scope="session")
 def six_system(six_array, params):
     # the system `hopfarray resonances` builds for the README default config
     return build_modal_system(six_array, params, M=5)

@@ -9,7 +9,9 @@ layer potentials that represent a field (all three take their cylinder
 functions from scipy.special, not from hopfarray.cylinder), an
 argument-principle count of the resonances in a rectangle from the
 loop-built determinant, a time integration of the single forced Hopf
-oscillator, and a pair-by-pair validity check of a line of circles. The
+oscillator, a pair-by-pair validity check of a line of circles, and the
+composite rule over the full box, both halves, against which the
+half-plane rules are checked. The
 node-doubling refinement report at the end is the
 exception: it reuses the modal sampling, as it checks convergence of the
 quadrature rather than the code.
@@ -367,6 +369,89 @@ def array_violations_pairwise(center_x, radius, source_x) -> list[str]:
     violations += [f"source lies inside or on resonator {i}"
                    for i in range(len(x)) if not abs(s - x[i]) - r[i] > 1e-12 * max(r[i], 1.0)]
     return violations
+
+
+# ---------------------------------------------------------------------------
+# the composite rule over the whole box (x2 of either sign, every weight once)
+# ---------------------------------------------------------------------------
+def _gauss_on(n: int, a: float, b: float):
+    from hopfarray.quadrature import gauss_legendre
+
+    x, w = gauss_legendre(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+def full_disk_rule(center, radius: float, n_radial: int, n_angular: int):
+    """Polar rule over a whole disk: Gauss-Legendre radius, n_angular uniform angles."""
+    rho, w_rho = _gauss_on(n_radial, 0.0, radius)
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    R, T = np.meshgrid(rho, theta, indexing="ij")
+    pts = np.column_stack([center[0] + (R * np.cos(T)).ravel(),
+                           center[1] + (R * np.sin(T)).ravel()])
+    return pts, ((w_rho * rho)[:, None] * np.full(n_angular, 2.0 * np.pi / n_angular)).ravel()
+
+
+def full_ring_rule(center, r_inner: float, half_width: float, n_radial: int, n_angular: int):
+    """Polar rule over a whole square collar minus its disk: four face panels."""
+    from hopfarray.quadrature import gauss_legendre
+
+    t, w_t = gauss_legendre(n_angular)
+    u, w_u = gauss_legendre(n_radial)
+    pts, wts = [], []
+    for face in range(4):
+        phi0 = face * np.pi / 2.0
+        theta = phi0 + (np.pi / 4.0) * t
+        r_out = half_width / np.cos(theta - phi0)
+        rho = r_inner + 0.5 * (u[:, None] + 1.0) * (r_out[None, :] - r_inner)
+        w_rho = 0.5 * (r_out[None, :] - r_inner) * w_u[:, None]
+        pts.append(np.column_stack([(center[0] + rho * np.cos(theta)).ravel(),
+                                    (center[1] + rho * np.sin(theta)).ravel()]))
+        wts.append((w_rho * rho * (np.pi / 4.0) * w_t[None, :]).ravel())
+    return np.vstack(pts), np.concatenate(wts)
+
+
+def full_rectangle_rule(x0: float, x1: float, y0: float, y1: float, order: int, panel_size: float):
+    """Panelized tensor Gauss-Legendre over a whole rectangle."""
+    xs = np.linspace(x0, x1, max(1, int(np.ceil((x1 - x0) / panel_size))) + 1)
+    ys = np.linspace(y0, y1, max(1, int(np.ceil((y1 - y0) / panel_size))) + 1)
+    pts, wts = [], []
+    for i in range(len(xs) - 1):
+        gx, wx = _gauss_on(order, xs[i], xs[i + 1])
+        for j in range(len(ys) - 1):
+            gy, wy = _gauss_on(order, ys[j], ys[j + 1])
+            X, Y = np.meshgrid(gx, gy, indexing="ij")
+            pts.append(np.column_stack([X.ravel(), Y.ravel()]))
+            wts.append(np.outer(wx, wy).ravel())
+    return np.vstack(pts), np.concatenate(wts)
+
+
+def full_exterior_rule(array, spec):
+    """Quadrature over the whole box minus all disks: collar rings + rectangles."""
+    from hopfarray.quadrature import collar_half_widths
+
+    x0, x1, y0, y1 = spec.box
+    widths = collar_half_widths(array, spec)
+    cxs, radii = array.centers[:, 0], array.radii
+    rules = [full_ring_rule((cx, 0.0), r, w, spec.ring_radial, spec.ring_angular)
+             for cx, r, w in zip(cxs, radii, widths)]
+    edges = [x0, *np.column_stack([cxs - widths, cxs + widths]).ravel(), x1]
+    for k in range(len(edges) - 1):
+        a, b = edges[k], edges[k + 1]
+        if b - a <= 1e-12:
+            continue
+        w_i = widths[(k - 1) // 2]
+        spans = ((y0, -w_i), (w_i, y1)) if k % 2 else ((y0, y1),)
+        rules += [full_rectangle_rule(a, b, lo, hi, spec.ext_order, spec.panel_size)
+                  for lo, hi in spans if hi - lo > 1e-12]
+    return np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules])
+
+
+def full_interior_rule(array, spec):
+    """Quadrature over the whole disk interiors: (points, weights, disk index)."""
+    rules = [full_disk_rule((x, 0.0), r, spec.disk_radial, spec.disk_angular)
+             for x, r in zip(array.center_x, array.radius)]
+    return (np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules]),
+            np.concatenate([np.full(len(w), i) for i, (_, w) in enumerate(rules)]))
 
 
 # ---------------------------------------------------------------------------

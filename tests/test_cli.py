@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -653,3 +654,25 @@ def test_csv_floats_round_trip(tmp_path):
     for line in lines:
         for field in line.split(",")[1:]:
             assert repr(float(field)) == field
+
+
+def test_csv_cells_by_type(tmp_path):
+    from hopfarray.cli import _write_csv
+
+    rows = [
+        (3, np.int64(-4), None, "a,b\nc", np.float64(0.1), 0.1, np.float32(0.1), True),
+        (np.int32(7), 0, "", "plain", np.float64(-0.0), float("nan"), np.float32(2.5), 1e300),
+        # a column of mixed types, as where a failed point leaves its values empty
+        (None, 5, 2.5, None, np.float64("inf"), np.float64(1e-320), None, "x"),
+    ]
+    digest = _write_csv(tmp_path / "t.csv", list("abcdefgh"), rows)
+    text = (tmp_path / "t.csv").read_text()
+    assert text == (
+        "a,b,c,d,e,f,g,h\n"
+        "3,-4,,a;b c,0.1,0.1,0.10000000149011612,1.0\n"
+        "7,0,,plain,-0.0,nan,2.5,1e+300\n"
+        ",5,2.5,,inf,1e-320,,x\n"
+    )
+    assert digest == hashlib.sha256(text.encode()).hexdigest()
+    _write_csv(tmp_path / "empty.csv", ["a", "b"], [])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +18,13 @@ from hopfarray.analysis import default_observation_points
 from hopfarray.quadrature import (
     QuadratureSpec,
     default_spec,
-    disk_rule,
     exterior_rule,
     gauss_legendre,
     interior_rule,
 )
 from hopfarray.spectral import Eigenmode
-from oracles import refined, refinement_report
+from oracles import (full_disk_rule, full_exterior_rule, full_interior_rule, refined,
+                     refinement_report)
 
 BETA = 5.0e5
 
@@ -61,6 +62,57 @@ def test_quadrature_box_contains_everything(six_array):
     quad.validate_against(six_array)
     with pytest.raises(ValueError, match="contain"):
         QuadratureSpec(box=(0.0, 10.0, -3.0, 3.0)).validate_against(six_array)
+
+
+def test_quadrature_box_must_be_symmetric(six_array):
+    # the half-plane rules stand for the whole box only if it is its own mirror image
+    x0, x1, y0, y1 = default_spec(six_array).box
+    assert y0 == -y1
+    for box in ((x0, x1, y0 - 0.5, y1), (x0, x1, y0, np.nextafter(y1, np.inf))):
+        quad = QuadratureSpec(box=box)
+        for check in (quad.validate_against, lambda array: exterior_rule(array, quad)):
+            with pytest.raises(ValueError, match=re.escape(f"box {box} is not symmetric")):
+                check(six_array)
+
+
+# node counts off the defaults: odd angular and Gauss orders put nodes on the
+# axis, and panel_size 2.0 gives the full-height strips an odd panel count
+_HALF_RULE_COUNTS = (
+    {},
+    {"ext_order": 7, "ring_angular": 11, "disk_angular": 47, "panel_size": 2.0},
+    {"ext_order": 9, "ring_angular": 13, "disk_angular": 50, "disk_radial": 5},
+)
+
+
+@pytest.mark.parametrize("counts", _HALF_RULE_COUNTS)
+def test_half_rules_fold_the_full_rules(six_array, counts):
+    quad = default_spec(six_array, **counts)
+    ip, iw, idx = interior_rule(six_array, quad)
+    fp, fw, fidx = full_interior_rule(six_array, quad)
+    # each disk keeps the nodes of its upper half
+    assert np.array_equal(np.bincount(idx), np.bincount(fidx[fp[:, 1] > -1e-12]))
+    even = (
+        lambda p: np.ones(len(p)),
+        lambda p: p[:, 1] ** 2,
+        lambda p: p[:, 0] ** 3 * p[:, 1] ** 4 - 2.0 * p[:, 0] * p[:, 1] ** 2,
+        lambda p: np.cos(0.7 * p[:, 0]) * np.cos(0.4 * p[:, 1]),
+    )
+    scale = abs(quad.box[3])
+    pairs = (((ip, iw), (fp, fw)),
+             (exterior_rule(six_array, quad), full_exterior_rule(six_array, quad)))
+    for (hp, hw), (fp, fw) in pairs:
+        assert np.all(hp[:, 1] >= 0)
+        # a node on the axis lies there exactly and keeps the full rule's weight
+        axis, full_axis = hp[:, 1] == 0, np.abs(fp[:, 1]) <= 1e-12 * scale
+        assert axis.sum() == full_axis.sum()
+        assert len(hw) == (len(fw) + axis.sum()) // 2
+        mine, theirs = np.argsort(hp[axis, 0]), np.argsort(fp[full_axis, 0])
+        assert np.allclose(hp[axis, 0][mine], fp[full_axis, 0][theirs], rtol=0, atol=1e-12 * scale)
+        assert np.allclose(hw[axis][mine], fw[full_axis][theirs], rtol=1e-12, atol=0)
+        # every off-axis node stands for its mirror image too
+        for f in even:
+            full = fw @ f(fp)
+            assert abs(hw @ f(hp) - full) <= 1e-14 * np.abs(fw) @ np.abs(f(fp))
 
 
 def test_gram_hermitian_positive_definite(six_system):
@@ -161,7 +213,7 @@ def test_cubic_tensor_diagonal_real_positive(single_mode):
     assert val.imag == pytest.approx(0.0, abs=1e-14 * abs(val))
     assert val.real > 0
     # matches the direct interior integral of |u|^4
-    pts, wts = disk_rule(single_mode.array.centers[0], 1.0, 24, 48)
+    pts, wts = full_disk_rule(single_mode.array.centers[0], 1.0, 24, 48)
     direct = np.sum(wts * np.abs(mode_field(single_mode, pts)) ** 4)
     assert val.real == pytest.approx(direct, rel=1e-10)
 
@@ -307,13 +359,8 @@ def test_modes_normalized_under_own_rule(six_system, pair_system):
         _assert_normalized_under_own_rule(system, 1e-13)
 
 
-def test_paper_scale_cold_build(twelve_array, twelve_resonances, params, monkeypatch):
-    import hopfarray.modal as modal
-
-    # the shared search result stands in for the search; everything after it
-    # runs as in a cold build
-    monkeypatch.setattr(modal, "find_resonances", lambda *args, **kwargs: twelve_resonances)
-    system = build_modal_system(twelve_array, params, M=5)
+def test_paper_scale_cold_build(twelve_array, twelve_system):
+    system = twelve_system
     assert system.n == 12
     g = system.gram
     assert np.array_equal(g, g.conj().T) and np.linalg.eigvalsh(g).min() > 0
@@ -321,3 +368,56 @@ def test_paper_scale_cold_build(twelve_array, twelve_resonances, params, monkeyp
     pts, wts, _ = interior_rule(twelve_array, replace(system.quad, disk_radial=30, disk_angular=72))
     norms = np.abs(system.mode_fields_at(pts)) ** 2 @ wts
     assert np.max(np.abs(norms - 1.0)) <= 1e-8
+
+
+def _relative(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _full_box_build(system, resonances):
+    """The build of system, sampled over the full box's rule (tests/oracles.py)."""
+    import hopfarray.modal as modal
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modal, "exterior_rule", full_exterior_rule)
+        patch.setattr(modal, "interior_rule", full_interior_rule)
+        patch.setattr(modal, "find_resonances", lambda *args, **kwargs: resonances)
+        return build_modal_system(system.array, system.params, M=5)
+
+
+@pytest.mark.parametrize("name", ["six", "twelve"])
+def test_half_rule_build_matches_full_box_rule(name, request):
+    from hopfarray.hopf import TWO_TONE_LINES, _residual_lines
+
+    half = request.getfixturevalue(f"{name}_system")
+    full = _full_box_build(half, request.getfixturevalue(f"{name}_resonances"))
+    for attr in ("gram", "source_vec", "cubic_tensor"):
+        assert _relative(getattr(half, attr), getattr(full, attr)) <= 1e-12, attr
+    # the normalization: each density is scaled from the interior sample
+    for a, b in zip(half.modes, full.modes):
+        assert a.resonance == b.resonance
+        assert _relative(a.density.psi, b.density.psi) <= 1e-12
+        assert _relative(a.density.phi, b.density.phi) <= 1e-12
+    # the AFT certificate integrates the cubic over the interior rule
+    rng = np.random.default_rng(3)
+    X = 1e-3 * (rng.standard_normal((4, half.n)) + 1j * rng.standard_normal((4, half.n)))
+    tones = [1.02 * half.omegas[1].real, 0.97 * half.omegas[1].real]
+
+    def aft(system, beta):
+        return _residual_lines(system, TWO_TONE_LINES, tones, [1e-5, 1e-5, 0.0, 0.0], beta, X)
+
+    assert _relative(aft(half, BETA), aft(full, BETA)) <= 1e-12
+    # and its cubic part alone
+    assert _relative(aft(half, BETA) - aft(half, 0.0), aft(full, BETA) - aft(full, 0.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["six", "twelve"])
+def test_modes_are_even_in_x2(name, request):
+    # the premise of the half-plane rules: u(x1, x2) = u(x1, -x2) for every mode
+    system = request.getfixturevalue(f"{name}_system")
+    pts = np.vstack([full_exterior_rule(system.array, system.quad)[0],
+                     full_interior_rule(system.array, system.quad)[0]])
+    pts = pts[pts[:, 1] > 1e-9]
+    upper = system.mode_fields_at(pts)
+    lower = system.mode_fields_at(pts * [1.0, -1.0])
+    assert np.all(np.max(np.abs(upper - lower), axis=1) <= 1e-12 * np.max(np.abs(upper), axis=1))

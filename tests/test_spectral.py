@@ -8,7 +8,6 @@ from conftest import mode_field
 from hopfarray import spectral
 from hopfarray.boundary import WaveParams, assemble_boundary_matrices, assemble_boundary_system
 from hopfarray.geometry import build_graded_array
-from hopfarray.quadrature import disk_rule
 from hopfarray.spectral import (
     ResonanceSearchError,
     _default_search,
@@ -17,7 +16,8 @@ from hopfarray.spectral import (
     single_disk_resonance,
     subwavelength_cutoff,
 )
-from oracles import argument_principle_count, boundary_matrix_loop, field_loop, parity_resonance
+from oracles import (argument_principle_count, boundary_matrix_loop, field_loop, full_disk_rule,
+                     parity_resonance)
 
 # resonances.csv of the default array as the sigma_min-scan search wrote it
 # (re_omega, im_omega); the contour search must reproduce it to 1e-10
@@ -128,7 +128,7 @@ def test_pair_modes_have_definite_parity(pair_modes):
 def test_mode_normalization_unit_interior_norm(single_array, params, single_mode):
     total = 0.0
     for center, radius in zip(single_array.centers, single_array.radii):
-        pts, wts = disk_rule(center, radius, 30, 72)
+        pts, wts = full_disk_rule(center, radius, 30, 72)
         vals = mode_field(single_mode, pts)
         total += np.sum(wts * np.abs(vals) ** 2)
     assert total == pytest.approx(1.0, rel=1e-8)
@@ -138,7 +138,7 @@ def test_mode_phase_anchor_real_positive(six_system):
     # interior mean over the largest resonator is real and positive
     arr = six_system.array
     largest = arr.largest_index()
-    pts, wts = disk_rule(arr.centers[largest], arr.radii[largest], 20, 48)
+    pts, wts = full_disk_rule(arr.centers[largest], arr.radii[largest], 20, 48)
     for mode in six_system.modes:
         mean = np.sum(wts * mode_field(mode, pts)) / np.sum(wts)
         assert abs(mean.imag) <= 1e-10 * abs(mean)
