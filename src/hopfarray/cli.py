@@ -71,8 +71,6 @@ _FIELDS = (
     ("material", "beta", "number", None, _REQUIRED),
     ("numerics", "multipole_order", "integer", 1, 5),
     ("numerics", "panel_size", "number", "positive", 2.5),
-    ("numerics", "disk_radial", "integer", 2, 16),
-    ("numerics", "disk_angular", "integer", 8, 48),
     ("numerics", "omega_max", "number", "positive", None),
     ("experiment", "type", "enum", ("resonances", "sweep", "phase", "twotone", "oracle"),
      _REQUIRED),
@@ -123,21 +121,18 @@ _SIGNS = {
 
 @dataclass
 class ExperimentConfig:
-    """Validated configuration: its blocks, and the array, material and
-    composite rule's spec (box around the array) they describe."""
+    """Validated configuration: the array, material and composite rule's
+    spec (box around the array) it describes, the truncation M, the search's
+    omega_max, beta, the experiment block and the config as read."""
 
-    geometry: dict
-    material: dict
-    numerics: dict
-    experiment: dict
     array: ResonatorArray
     params: WaveParams
     quad: QuadratureSpec
+    M: int
+    omega_max: float | None
+    beta: float
+    experiment: dict
     raw: dict = field(repr=False, default_factory=dict)
-
-    @property
-    def beta(self) -> float:
-        return self.material["beta"]
 
 
 def _finite(x) -> bool:
@@ -286,10 +281,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if point is not None:
             raise ConfigError(f"experiment.observation_points: {point} lies on a resonator "
                               "boundary, where the field has two traces")
-    rule = {key: num[key] for key in ("panel_size", "disk_radial", "disk_angular")}
-    return ExperimentConfig(geometry=geo, material=mat, numerics=num, experiment=exp, array=array,
-                            params=WaveParams(v=mat["v"], v_b=mat["v_b"], delta=mat["delta"]),
-                            quad=default_spec(array, **rule), raw=data)
+    return ExperimentConfig(
+        array=array, params=WaveParams(v=mat["v"], v_b=mat["v_b"], delta=mat["delta"]),
+        quad=default_spec(array, panel_size=num["panel_size"]), M=num["multipole_order"],
+        omega_max=num["omega_max"], beta=mat["beta"], experiment=exp, raw=data)
 
 
 def _point_on_circle(centers, radii, points):
@@ -336,10 +331,8 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 
 
 def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: bool):
-    array, params, quad = config.array, config.params, config.quad
-    num = config.numerics
-    M = num["multipole_order"]
-    request = cache_request(array, params, M, quad, num["omega_max"])
+    array, params, quad, M = config.array, config.params, config.quad, config.M
+    request = cache_request(array, params, M, quad, config.omega_max)
     key = modal_cache_key(request)
     cache_path = out_dir / "cache" / f"modal-{key[:16]}.json"
     cache_info = {"key": key, "hit": False, "path": None, "recovered": None}
@@ -352,7 +345,7 @@ def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: boo
         else:
             cache_info.update(hit=True, path=str(cache_path))
             return system, cache_info
-    system = build_modal_system(array, params, M=M, quad=quad, omega_max=num["omega_max"])
+    system = build_modal_system(array, params, M=M, quad=quad, omega_max=config.omega_max)
     if use_cache:
         _write_atomic(cache_path, system.to_json())
         cache_info["path"] = str(cache_path)
@@ -387,8 +380,8 @@ def _sweep_stats(sweeps) -> dict:
 
 def _diagnostics(system: ModalSystem) -> dict:
     """Per mode: relative resonance drift under M -> M+2 and the gap
-    s[-2]/s[-1] between the two smallest singular values at the resonance;
-    and the resonance-search record (sub-contours, assemblies)."""
+    s[-2]/s[0], the second-smallest singular value at the resonance over the
+    largest; and the resonance-search record (sub-contours, assemblies)."""
     return {
         "modes": [
             {"mode": n + 1, "drift": m.resonance.drift, "sv_gap": m.sv_gap}

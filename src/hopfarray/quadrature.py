@@ -59,6 +59,8 @@ class QuadratureSpec:
                 raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
         if self.disk_angular < 8:
             raise ValueError("disk_angular must be >= 8")
+        if not 0 < self.panel_size < np.inf:  # NaN too
+            raise ValueError(f"panel_size must be positive and finite, got {self.panel_size}")
 
     def validate_against(self, array: ResonatorArray) -> None:
         """Check the box strictly contains all circles and the source, and is

@@ -41,8 +41,8 @@ class DegenerateModeError(RuntimeError):
 class Resonance:
     """A located resonance: frequency, boundary-system residual, truncation,
     and the relative drift of the frequency under M -> M+2 refinement.
-    svd holds the root decomposition of _root_svd: the even block's singular
-    values, the odd block's smallest one and the null vector, which the
+    svd holds the root decomposition of _root_svd: the singular values of
+    the even block and of the odd block, and the null vector, which the
     eigenmode reuses; it is None on a resonance read back from a cache
     entry."""
 
@@ -50,7 +50,8 @@ class Resonance:
     residual: float
     truncation: int
     drift: float
-    svd: tuple[np.ndarray, float, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,9 @@ class Eigenmode:
     density already carries the normalization: the represented field has
     unit L2 norm over the union of disk interiors and the interior mean
     over the largest disk is real and positive. sv_gap is the ratio
-    s[-2]/s[-1] of the two smallest singular values of the boundary system
-    at the resonance: how clearly the mode is simple.
+    s[-2]/s[0] of the second-smallest singular value of the boundary system
+    at the resonance to its largest: how far the system is from a second
+    null vector, so how clearly the mode is simple.
     """
 
     resonance: Resonance
@@ -255,14 +257,14 @@ def _beyn(probe: _ResolventProbe, box, n: int, V: np.ndarray):
     return winding, _winding(signs[1])[0], step, r, [z for z, _ in inner], passed
 
 
-def _root_svd(probe: _ResolventProbe, z: complex) -> tuple[np.ndarray, float, np.ndarray]:
-    """The decomposition at a root: the singular values of A_+, the smallest
-    one of A_-, and the last right singular vector of A_+ unfolded into the
-    full density space (mirror_basis), conjugated as a row of V^H."""
+def _root_svd(probe: _ResolventProbe, z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decomposition at a root: the singular values of A_+ and of A_-,
+    and the last right singular vector of A_+ unfolded into the full
+    density space (mirror_basis), conjugated as a row of V^H."""
     even, odd = (stack[0] for stack in probe.matrices([z]))
     _, s, vh = np.linalg.svd(even)
     null = mirror_basis(probe.array.n, probe.M)[0] @ vh[-1]
-    return s, float(np.linalg.svd(odd, compute_uv=False)[-1]), null
+    return s, np.linalg.svd(odd, compute_uv=False), null
 
 
 def _split(box, points):
@@ -325,8 +327,8 @@ def find_resonances(
                 if drift > _DRIFT_TOL:
                     raise ResonanceSearchError(f"resonance {z:.6g} drifts by {drift:.3g} "
                                                f"relative under M={M} -> {M + 2} refinement")
-                found.append(Resonance(omega=z, residual=min(float(svd[0][-1]), svd[1]), truncation=M,
-                                       drift=drift, svd=svd))
+                found.append(Resonance(omega=z, residual=float(min(svd[0][-1], svd[1][-1])),
+                                       truncation=M, drift=drift, svd=svd))
             contours.append({"box": [float(v) for v in box], "nodes": 4 * n, "winding": winding,
                              "odd_winding": odd_winding, "accepted": winding, "rank": rank})
         elif n < _NODES[1]:
@@ -351,24 +353,24 @@ def find_resonances(
 
 def _null_density(array: ResonatorArray, params: WaveParams, resonance: Resonance):
     """Raw unit null density at a resonance (the even block's right singular
-    vector of its smallest singular value, unfolded) and the gap s[-2]/s[-1]
+    vector of its smallest singular value, unfolded) and the gap s[-2]/s[0]
     of the full boundary system, whose singular values are the union of the
     two blocks', all from the search's decomposition. Raises ValueError for
-    a resonance that carries none, and DegenerateModeError when the two are
-    not clearly separated."""
+    a resonance that carries none, and DegenerateModeError when the two
+    smallest are not clearly separated."""
     if resonance.svd is None:
         raise ValueError(f"resonance {resonance.omega:.6g} carries no decomposition of the "
                          "boundary system; take it from find_resonances")
     s_even, s_odd, null = resonance.svd
-    small, second = np.sort(np.append(s_even[-2:], s_odd))[:2]
+    small, second = np.sort(np.append(s_even[-2:], s_odd[-1]))[:2]
     if second <= 1e4 * small:
-        block = "odd" if second == s_odd else "even"
+        block = "odd" if second == s_odd[-1] else "even"
         raise DegenerateModeError(
             f"smallest singular values {small:.3g}, {second:.3g} are not separated; "
             f"the second lies in the {block} mirror block"
         )
     raw = MultipoleDensity.from_vector(null.conj(), array.n, resonance.truncation)
-    return raw, float(second / small)
+    return raw, float(second / max(s_even[0], s_odd[0]))
 
 
 def sample_eigenmodes(

@@ -352,7 +352,6 @@ def test_criterion_10_numerical_hygiene(six_system, tmp_path):
             "geometry": {"n": 2, "first_radius": 1.0, "s": 1.0, "gap_ratio": 0.5,
                          "source_x": -5.0},
             "material": {"v": 1.0, "v_b": 1.0, "delta": 1e-3, "beta": BETA},
-            "numerics": {"disk_radial": 10, "disk_angular": 24},
             "experiment": {"type": "sweep", "mode_ref": 2, "num_points": 24,
                            "F_values": [1e-6, 1e-4]},
         }))

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import hopfarray
-from hopfarray.boundary import classify_points
+from hopfarray.boundary import assemble_boundary_system, classify_points
 from hopfarray.cli import ConfigError, _obtain_modal_system, main, parse_config, run_experiment
+from hopfarray.quadrature import default_spec
 
 BASE = {
     "geometry": {"n": 2, "first_radius": 1.0, "s": 1.0, "gap_ratio": 0.5, "source_x": -5.0},
     "material": {"v": 1.0, "v_b": 1.0, "delta": 1e-3, "beta": 5.0e5},
-    "numerics": {"disk_radial": 10, "disk_angular": 24},
     "experiment": {"type": "resonances"},
 }
 
@@ -33,12 +33,9 @@ def _config(**overrides):
 
 
 def test_parse_minimal_config_applies_defaults():
-    cfg = _config()
-    del cfg["numerics"]
-    parsed = parse_config(json.dumps(cfg))
-    assert parsed.numerics["multipole_order"] == 5
-    assert set(parsed.numerics) == {"multipole_order", "panel_size", "disk_radial",
-                                    "disk_angular", "omega_max"}
+    parsed = parse_config(json.dumps(_config()))  # no numerics object
+    assert parsed.M == 5 and parsed.omega_max is None
+    assert parsed.quad == default_spec(parsed.array)
     assert parsed.beta == 5.0e5
 
 
@@ -57,10 +54,10 @@ def test_parse_rejects_unknown_key(tmp_path, capsys):
     cfg = _config(numerics={"newton_tolerance": 1e-10})
     with pytest.raises(ConfigError, match="newton_tolerance"):
         parse_config(json.dumps(cfg))
-    # so are the box, the exterior rule, the resonance certificate's thresholds
-    # and the two-tone collision floor
-    for key in ("quad_inflate", "ext_order", "ring_radial", "ring_angular",
-                "resonance_tolerance", "drift_tolerance", "collision_floor"):
+    # so are the box, the exterior and interior rules' counts, the resonance
+    # certificate's thresholds and the two-tone collision floor
+    for key in ("quad_inflate", "ext_order", "ring_radial", "ring_angular", "disk_radial",
+                "disk_angular", "resonance_tolerance", "drift_tolerance", "collision_floor"):
         cfg = _config(numerics={key: 1})
         with pytest.raises(ConfigError, match=f"^numerics.{key}: unknown key$"):
             parse_config(json.dumps(cfg))
@@ -118,9 +115,16 @@ def test_resonances_experiment(tmp_path):
     assert manifest["cache"]["hit"] is False
     modes = manifest["diagnostics"]["modes"]
     assert [d["mode"] for d in modes] == [1, 2]
-    for d in modes:
+    for d, row in zip(modes, lines[1:]):
         assert 0 <= d["drift"] <= 1e-4  # the default drift tolerance
-        assert d["sv_gap"] > 1e4  # extract_eigenmode's separation check
+        # sv_gap is s[-2]/s[0] of the boundary system at the written resonance,
+        # whose s[-2] extract_eigenmode's separation check keeps above 1e4 s[-1]
+        _, re_omega, im_omega, _ = map(float, row.split(","))
+        omega = complex(re_omega, im_omega)
+        s = np.linalg.svd(assemble_boundary_system(parsed.array, parsed.params, omega, parsed.M),
+                          compute_uv=False)
+        assert d["sv_gap"] == pytest.approx(s[-2] / s[0], rel=1e-10)
+        assert d["sv_gap"] * s[0] > 1e4 * s[-1]
     _check_search_record(manifest["diagnostics"]["search"], 2)
 
 

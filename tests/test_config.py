@@ -1,7 +1,6 @@
 """The config schema: every field's kind, bound and default come from one
 table in `hopfarray.cli`, and every rejection names its field."""
 
-import dataclasses
 import json
 import math
 import re
@@ -17,8 +16,8 @@ from hopfarray.cli import (
     _COLLISION_FLOOR, _FIELDS, _REQUIRED, ConfigError, _point_on_circle, main, parse_config,
     run_experiment,
 )
-from hopfarray.geometry import classify_points, graded_layout
-from hopfarray.quadrature import QuadratureSpec
+from hopfarray.geometry import ResonatorArray, classify_points, graded_layout
+from hopfarray.quadrature import default_spec
 
 from test_cli import _config
 
@@ -134,9 +133,17 @@ def test_valid_config_parses_to_drawn_values_and_defaults(cfg):
     want = {name: {} for name in BLOCKS}
     for name, key, _, _, default in rows_of(cfg["experiment"]["type"]):
         want[name][key] = cfg.get(name, {}).get(key, default)
-    got = {"geometry": parsed.geometry, "material": parsed.material,
-           "numerics": parsed.numerics, "experiment": parsed.experiment}
-    assert _typed(got) == _typed(want)
+    geo, array = want.pop("geometry"), parsed.array
+    x, radii = graded_layout(*(geo[k] for k in ("n", "first_radius", "s", "gap_ratio")))
+    assert np.array_equal(array.centers[:, 0], x) and np.array_equal(array.radii, radii)
+    assert array.source_x == geo["source_x"]
+    assert parsed.quad == default_spec(array, panel_size=want["numerics"]["panel_size"])
+    p = parsed.params
+    got = {"material": {"v": p.v, "v_b": p.v_b, "delta": p.delta, "beta": parsed.beta},
+           "numerics": {"multipole_order": parsed.M, "panel_size": parsed.quad.panel_size,
+                        "omega_max": parsed.omega_max},
+           "experiment": parsed.experiment}
+    assert _typed(got) == _typed(want)  # an int stays an int, as the cache request reads it
 
 
 def _assert_rejection_holds(cfg, message):
@@ -258,7 +265,7 @@ def test_parse_near_the_float_range_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parsed = parse_config(json.dumps(_config(geometry=geometry)))
-    assert parsed.geometry == geometry
+    assert parsed.array == ResonatorArray(center_x=(5e307,), radius=(5e307,), source_x=-1.7e308)
 
 
 # circle 0 of the two-disk array touches the origin, and a point within
@@ -287,7 +294,7 @@ def test_source_just_past_the_on_circle_tolerance_parses():
 ])
 def test_parse_rejects_bools_for_numbers(block, key, value):
     cfg = _config(experiment={"type": "sweep"})
-    cfg[block][key] = value
+    cfg.setdefault(block, {})[key] = value
     with pytest.raises(ConfigError, match=rf"^{block}\.{key}: "):
         parse_config(json.dumps(cfg))
 
@@ -376,22 +383,3 @@ def test_readme_lists_every_config_field_with_its_default():
     bounds = {(block, key): cell for block, key, cell, _ in rows}
     assert all(bounds[block, key] == f"≥ {bound}"
                for block, key, kind, bound, _ in _FIELDS if kind == "integer")
-
-
-def test_quadrature_counts_at_their_bound_build_the_spec(tmp_path, capsys):
-    # each integer numerics row that QuadratureSpec checks: at the table's
-    # bound the config validates and its spec builds (the spec only: the
-    # rules at a tiny panel_size would allocate without limit). The config
-    # sets the interior counts; the exterior rule's are fixed
-    fields = {f.name for f in dataclasses.fields(QuadratureSpec)}
-    rows = [(key, bound) for block, key, kind, bound, _ in _FIELDS
-            if block == "numerics" and kind == "integer" and key in fields]
-    assert {key for key, _ in rows} == {"disk_radial", "disk_angular"}
-    for key, bound in rows:
-        config = parse_config(json.dumps(_config(numerics={key: bound})))
-        assert getattr(config.quad, key) == bound
-        path = tmp_path / f"{key}.json"
-        path.write_text(json.dumps(_config(numerics={key: bound - 1})))
-        assert main(["validate", "--config", str(path)]) == 1
-        want = f"error: numerics.{key}: {key} must be an integer >= {bound}"
-        assert capsys.readouterr().err.startswith(want)

@@ -75,6 +75,25 @@ def test_quadrature_box_must_be_symmetric(six_array):
                 check(six_array)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"box": (1.0, 1.0, -1.0, 1.0)}, "degenerate box"),
+    ({"box": (-1.0, 1.0, 1.0, -1.0)}, "degenerate box"),
+    ({"ext_order": 1}, "ext_order must be >= 2"),
+    ({"ring_radial": 1}, "ring_radial must be >= 2"),
+    ({"ring_angular": 0}, "ring_angular must be >= 2"),
+    ({"disk_radial": 1}, "disk_radial must be >= 2"),
+    ({"disk_angular": 7}, "disk_angular must be >= 8"),
+    ({"panel_size": -1.0}, "panel_size must be positive and finite, got -1.0"),
+    ({"panel_size": 0.0}, "panel_size must be positive and finite, got 0.0"),
+    ({"panel_size": np.nan}, "panel_size must be positive and finite, got nan"),
+    ({"panel_size": np.inf}, "panel_size must be positive and finite, got inf"),
+])
+def test_quadrature_spec_names_a_bad_field(fields, message):
+    # every check of the spec itself, before any rule is built from it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        QuadratureSpec(**{"box": (-1.0, 1.0, -1.0, 1.0), **fields})
+
+
 # node counts off the defaults: odd angular and Gauss orders put nodes on the
 # axis, and panel_size 2.0 gives the full-height strips an odd panel count
 _HALF_RULE_COUNTS = (

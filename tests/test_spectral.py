@@ -222,14 +222,14 @@ def test_eigenmode_needs_the_search_decomposition(pair_array, params, pair_reson
 
 
 def test_sv_gap_is_the_full_matrix_gap(six_system):
-    # the gap kept from the two blocks is s[-2]/s[-1] of the loop-built full
-    # matrix at every default root: s[-2] to rounding, and s[-1], which is at
-    # rounding level (about 1e-14), to the rounding of |A|
+    # the gap kept from the two blocks is s[-2]/s[0] of the loop-built full
+    # matrix at every default root, to rounding; the residual s[-1], which is
+    # at rounding level (about 1e-14), agrees to the rounding of |A|
     for mode in six_system.modes:
         res = mode.resonance
         full = boundary_matrix_loop(six_system.array, six_system.params, res.omega, res.truncation)
         s = np.linalg.svd(full, compute_uv=False)
-        assert mode.sv_gap * res.residual == pytest.approx(s[-2], rel=1e-10)
+        assert mode.sv_gap == pytest.approx(s[-2] / s[0], rel=1e-10)
         assert abs(res.residual - s[-1]) <= 1e-14 * s[0]
 
 

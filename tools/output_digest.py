@@ -28,7 +28,7 @@ BASE = {
     "numerics": {"multipole_order": 5},
 }
 
-# name: experiment block; every other block is BASE's
+# name: experiment block; every other block is BASE's, apart from NUMERICS
 CONFIGS = {
     "resonances": {"type": "resonances"},
     "sweep": {"type": "sweep"},
@@ -48,6 +48,12 @@ CONFIGS = {
     # warm start fails at one point, and the rescue start carries the continuation past a fold
     "phase-fold": {"type": "phase", "omega_min": 0.0019838344212410306,
                    "omega_max": 0.07536825888757326, "F": 9.555420020795011e-07},
+    "sweep-numerics": {"type": "sweep", "num_points": 24, "F_values": [1e-6, 1e-2]},
+}
+
+# name: keys that replace BASE's numerics for that config, so every numerics key is covered
+NUMERICS = {
+    "sweep-numerics": {"multipole_order": 7, "panel_size": 2.0, "omega_max": 0.1},
 }
 
 
@@ -58,6 +64,7 @@ def _sha256(data: bytes) -> str:
 def digest(name: str, experiment: dict, work: Path) -> list[str]:
     """The listing lines of one config, run in its own directory under work."""
     config = copy.deepcopy(BASE)
+    config["numerics"].update(NUMERICS.get(name, {}))
     config["experiment"] = experiment
     path, out = work / f"{name}.json", work / name
     path.write_text(json.dumps(config))
