@@ -14,7 +14,6 @@ from .spectral import (
     extract_eigenmode,
     find_resonances,
     single_disk_resonance,
-    subwavelength_cutoff,
 )
 from .modal import (
     ModalSystem,
@@ -90,7 +89,6 @@ __all__ = [
     "DegenerateModeError",
     "ResonanceSearchError",
     "single_disk_resonance",
-    "subwavelength_cutoff",
     "cache_request",
     "modal_cache_key",
     "__version__",

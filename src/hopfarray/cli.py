@@ -71,7 +71,6 @@ _FIELDS = (
     ("material", "beta", "number", None, _REQUIRED),
     ("numerics", "multipole_order", "integer", 1, 5),
     ("numerics", "panel_size", "number", "positive", 2.5),
-    ("numerics", "omega_max", "number", "positive", None),
     ("experiment", "type", "enum", ("resonances", "sweep", "phase", "twotone", "oracle"),
      _REQUIRED),
     ("sweep", "mode_ref", "integer", 1, 2),
@@ -122,14 +121,13 @@ _SIGNS = {
 @dataclass
 class ExperimentConfig:
     """Validated configuration: the array, material and composite rule's
-    spec (box around the array) it describes, the truncation M, the search's
-    omega_max, beta, the experiment block and the config as read."""
+    spec (box around the array) it describes, the truncation M, beta, the
+    experiment block and the config as read."""
 
     array: ResonatorArray
     params: WaveParams
     quad: QuadratureSpec
     M: int
-    omega_max: float | None
     beta: float
     experiment: dict
     raw: dict = field(repr=False, default_factory=dict)
@@ -203,7 +201,8 @@ def _frequency_range(exp: dict, lo_default=None, hi_default=None):
     key = next((k for k in (hi_key, lo_key) if exp[k] is not None), "Omega1")
     if not lo < hi:
         raise ConfigError(f"experiment.{key}: {lo_key} must be below {hi_key}, got {lo!r} and {hi!r}")
-    grid = np.linspace(lo, hi, exp["num_points"]) if _finite(hi) else None  # lo < hi, so lo is too
+    with np.errstate(over="ignore"):  # the last step to hi near the float range may overflow
+        grid = np.linspace(lo, hi, exp["num_points"]) if _finite(hi) else None  # lo < hi, so lo is too
     if grid is None or not np.all(np.diff(grid) > 0):
         raise ConfigError(f"experiment.{key}: the {exp['num_points']} points from {lo_key} = "
                           f"{float(lo)!r} to {hi_key} = {float(hi)!r} are not finite and "
@@ -281,10 +280,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if point is not None:
             raise ConfigError(f"experiment.observation_points: {point} lies on a resonator "
                               "boundary, where the field has two traces")
+    try:
+        quad = default_spec(array, panel_size=num["panel_size"])
+    except ValueError as exc:  # panel_size is checked, so the box is past the float range
+        raise ConfigError(f"geometry.first_radius, geometry.source_x: the quadrature box around the"
+                          f" circles and the source is past the float range: {exc}") from None
     return ExperimentConfig(
         array=array, params=WaveParams(v=mat["v"], v_b=mat["v_b"], delta=mat["delta"]),
-        quad=default_spec(array, panel_size=num["panel_size"]), M=num["multipole_order"],
-        omega_max=num["omega_max"], beta=mat["beta"], experiment=exp, raw=data)
+        quad=quad, M=num["multipole_order"], beta=mat["beta"], experiment=exp, raw=data)
 
 
 def _point_on_circle(centers, radii, points):
@@ -332,7 +335,7 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 
 def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: bool):
     array, params, quad, M = config.array, config.params, config.quad, config.M
-    request = cache_request(array, params, M, quad, config.omega_max)
+    request = cache_request(array, params, M, quad)
     key = modal_cache_key(request)
     cache_path = out_dir / "cache" / f"modal-{key[:16]}.json"
     cache_info = {"key": key, "hit": False, "path": None, "recovered": None}
@@ -345,7 +348,7 @@ def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: boo
         else:
             cache_info.update(hit=True, path=str(cache_path))
             return system, cache_info
-    system = build_modal_system(array, params, M=M, quad=quad, omega_max=config.omega_max)
+    system = build_modal_system(array, params, M=M, quad=quad)
     if use_cache:
         _write_atomic(cache_path, system.to_json())
         cache_info["path"] = str(cache_path)

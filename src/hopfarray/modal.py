@@ -267,13 +267,12 @@ def cache_request(
     params: WaveParams,
     M: int,
     quad: QuadratureSpec,
-    omega_max: float | None = None,
 ) -> dict:
     """What a build computes from, as JSON values: the inputs (geometry,
-    material, quadrature), the truncation M, the search's omega_max and the
-    digest of the package source, which stands for the code."""
+    material, quadrature), the truncation M and the digest of the package
+    source, which stands for the code."""
     inputs = {"array": asdict(array), "params": asdict(params), "quad": asdict(quad)}
-    request = {"inputs": inputs, "M": M, "omega_max": omega_max, "source": _source_digest()}
+    request = {"inputs": inputs, "M": M, "source": _source_digest()}
     return json.loads(json.dumps(request))  # tuples become lists, as in a loaded entry
 
 
@@ -288,14 +287,13 @@ def build_modal_system(
     params: WaveParams,
     M: int = 5,
     quad: QuadratureSpec | None = None,
-    omega_max: float | None = None,
 ) -> ModalSystem:
     """Full pipeline: resonances -> eigenmodes -> projection quantities."""
     if quad is None:
         quad = default_spec(array)
     nodes, wts, rule = _nodes(array, quad)
     points = np.vstack([nodes, np.asarray(array.source, dtype=float)[None, :]])
-    resonances = find_resonances(array, params, M=M, omega_max=omega_max)
+    resonances = find_resonances(array, params, M=M)
     modes, U = sample_eigenmodes(array, params, resonances, rule, points, len(wts) - len(rule[1]))
     gram, source_vec = _gram_from_values(U[:, :-1], wts), U[:, -1].conj()
     interior = np.ascontiguousarray(U[:, -1 - len(rule[1]):-1])
@@ -309,7 +307,7 @@ def build_modal_system(
         source_vec=source_vec,
         cubic_tensor=cubic_tensor_from_values(interior, rule[1]),
         interior_values=interior,
-        request=cache_request(array, params, M, quad, omega_max),
+        request=cache_request(array, params, M, quad),
         search=resonances.search,
     )
 

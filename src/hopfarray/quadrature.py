@@ -35,8 +35,8 @@ from .geometry import ResonatorArray
 class QuadratureSpec:
     """Box and node-count configuration for the composite rule.
 
-    box: (x_min, x_max, y_min, y_max), must strictly contain every circle
-    and the source, with y_min = -y_max. ext_order is the Gauss-Legendre
+    box: (x_min, x_max, y_min, y_max), finite, must strictly contain every
+    circle and the source, with y_min = -y_max. ext_order is the Gauss-Legendre
     order per exterior panel (panels are at most panel_size long per side);
     disk_radial/disk_angular are the per-disk interior counts;
     ring_radial/ring_angular the collar counts per face.
@@ -52,6 +52,8 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         x0, x1, y0, y1 = self.box
+        if not np.isfinite(self.box).all():
+            raise ValueError(f"box {self.box} is not finite")
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"degenerate box {self.box}")
         for name in ("ext_order", "ring_radial", "ring_angular", "disk_radial", "disk_angular"):
@@ -83,11 +85,12 @@ def default_spec(array: ResonatorArray, **kwargs) -> QuadratureSpec:
     of the diagonal of the tight box; kwargs set the other fields."""
     cxs = array.centers[:, 0]
     radii = array.radii
-    xs = np.concatenate([cxs - radii, cxs + radii, [array.source[0]]])
-    ys = np.concatenate([-radii, radii, [array.source[1]]])
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    diag = float(np.hypot(x1 - x0, y1 - y0))
+    with np.errstate(over="ignore"):  # past the float range the box is infinite, and rejected
+        xs = np.concatenate([cxs - radii, cxs + radii, [array.source[0]]])
+        ys = np.concatenate([-radii, radii, [array.source[1]]])
+        x0, x1 = float(xs.min()), float(xs.max())
+        y0, y1 = float(ys.min()), float(ys.max())
+        diag = float(np.hypot(x1 - x0, y1 - y0))
     pad = 0.25 * diag
     return QuadratureSpec(box=(x0 - pad, x1 + pad, y0 - pad, y1 + pad), **kwargs)
 

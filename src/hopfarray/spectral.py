@@ -172,21 +172,15 @@ class _ResolventProbe:
         return 1.0 / np.vdot(self.w, x)
 
 
-def _default_search(seeds: list[complex], omega_max: float) -> dict:
+def _default_search(seeds: list[complex]) -> dict:
     # collective modes hybridize far beyond the isolated-disk values
     # (log-range coupling in 2D), so the window is generous on both sides
     re_vals = np.array([s.real for s in seeds])
     im_vals = np.array([s.imag for s in seeds])
     re_lo = max(0.2 * re_vals.min(), 1e-6 * re_vals.max())
-    re_hi = min(max(6.0 * re_vals.max(), 2.0 * re_vals.min()), omega_max)
+    re_hi = max(6.0 * re_vals.max(), 2.0 * re_vals.min())
     im_extent = 4.0 * max(np.abs(im_vals).max(), 0.02 * re_vals.max())
     return {"re": (re_lo, re_hi), "im": (-im_extent, im_extent)}
-
-
-def subwavelength_cutoff(array: ResonatorArray, params: WaveParams, ratio: float = 10.0) -> float:
-    """Largest omega whose wavelength is >= ratio times the largest diameter."""
-    d_max = 2.0 * float(array.radii.max())
-    return 2.0 * np.pi * params.v / (ratio * d_max)
 
 
 class Resonances(list):
@@ -282,25 +276,21 @@ def find_resonances(
     array: ResonatorArray,
     params: WaveParams,
     M: int = 5,
-    omega_max: float | None = None,
 ) -> Resonances:
-    """Locate the N subwavelength resonances of the coupled array, below
-    omega_max (default: subwavelength_cutoff).
+    """Locate the N subwavelength resonances of the coupled array, in the
+    window that _default_search sets around the isolated-disk resonances.
 
     Returns exactly N resonances sorted by ascending real part, each with
     smallest singular value <= _RESONANCE_TOL and frequency drift
     <= _DRIFT_TOL relative under M -> M+2 refinement. Raises
     ResonanceSearchError when a sub-contour cannot be certified (naming it
     and both counts) or has a node where the system is exactly singular,
-    the window holds another count, or refinement does not settle.
+    the odd block winds, the window holds another count, or refinement
+    does not settle.
     """
-    omega_max = omega_max or subwavelength_cutoff(array, params)
     n_res = array.n
-    disk_seeds = [single_disk_resonance(r, params) for r in array.radii]
-    if any(abs(s) > omega_max for s in disk_seeds):
-        raise ResonanceSearchError("isolated-disk seeds exceed the subwavelength window; "
-                                   "lower delta or raise omega_max")
-    window = _default_search(disk_seeds, omega_max)
+    window = _default_search([single_disk_resonance(r, params) for r in array.radii])
+    beyond = f"at delta = {params.delta:.4g} the window may hold resonances that are not subwavelength"
     probe, probe_hi = _ResolventProbe(array, params, M), _ResolventProbe(array, params, M + 2)
     V = np.random.default_rng(0).standard_normal((probe.q.size, n_res + 4, 2)) @ np.array([1, 1j])
     # nodes per edge: a power of two, about five per resonance on the long edges
@@ -313,7 +303,7 @@ def find_resonances(
         if resolved and odd_winding:
             raise ResonanceSearchError(
                 f"{_describe(box)} ({4 * n} nodes): winding number {winding} of det A, of which"
-                f" {odd_winding} in the odd mirror block, where the search finds no resonance")
+                f" {odd_winding} in the odd mirror block, where the search finds no resonance; {beyond}")
         roots: dict[complex, tuple] = {}  # polished, inside, distinct -> _root_svd
         for z in passed if resolved and len(passed) == winding else []:
             z = _muller(probe, z)
@@ -341,10 +331,7 @@ def find_resonances(
                 f" {len(passed)} pass the residual test): winding number {winding}, but"
                 f" {len(roots)} accepted")
     if len(found) != n_res:
-        raise ResonanceSearchError(
-            f"found {len(found)} resonances, expected {n_res}; the search "
-            f"window (omega_max={omega_max:.4g}) is likely misconfigured"
-        )
+        raise ResonanceSearchError(f"found {len(found)} resonances, expected {n_res}; {beyond}")
     found.sort(key=lambda res: res.omega.real)
     found.search = {"contours": sorted(contours, key=lambda c: c["box"]),
                     "search_assemblies": probe.calls + probe_hi.calls}

@@ -17,7 +17,7 @@ from hopfarray.boundary import (
 )
 from hopfarray.cylinder import bessel_j_orders, hankel1, hankel1_orders
 from hopfarray.geometry import build_graded_array
-from hopfarray.spectral import _default_search, single_disk_resonance, subwavelength_cutoff
+from hopfarray.spectral import _default_search, single_disk_resonance
 from oracles import boundary_matrix_loop, field_loop
 
 
@@ -115,7 +115,7 @@ def test_mirror_blocks_fold_the_loop_oracle(array_name, v_b, request):
     assert np.abs(basis.T @ basis - np.eye(len(basis))).max() <= 1e-15
     rng = np.random.default_rng(40 + array.n)
     seeds = [single_disk_resonance(r, params) for r in array.radii]
-    window = _default_search(seeds, subwavelength_cutoff(array, params))
+    window = _default_search(seeds)
     for _ in range(3):
         omega = complex(rng.uniform(*window["re"]), rng.uniform(*window["im"]))
         full = boundary_matrix_loop(array, params, omega, M)
@@ -136,7 +136,7 @@ def test_assembly_matches_loop_oracle(array_name, v_b, request):
     array = request.getfixturevalue(array_name)
     params = WaveParams(v=1.0, v_b=v_b, delta=1e-3)
     seeds = [single_disk_resonance(r, params) for r in array.radii]
-    window = _default_search(seeds, subwavelength_cutoff(array, params))
+    window = _default_search(seeds)
     rng = np.random.default_rng(array.n)
     M = 5
     for _ in range(5):
@@ -272,7 +272,7 @@ def test_sample_fields_matches_field_oracle(array_name, v_b, request):
     array = request.getfixturevalue(array_name)
     params = WaveParams(v=1.0, v_b=v_b, delta=1e-3)
     seeds = [single_disk_resonance(r, params) for r in array.radii]
-    window = _default_search(seeds, subwavelength_cutoff(array, params))
+    window = _default_search(seeds)
     rng = np.random.default_rng(20 + array.n)
     M = 4
     omegas = [complex(rng.uniform(*window["re"]), rng.uniform(*window["im"])) for _ in range(3)]

@@ -34,7 +34,7 @@ def _config(**overrides):
 
 def test_parse_minimal_config_applies_defaults():
     parsed = parse_config(json.dumps(_config()))  # no numerics object
-    assert parsed.M == 5 and parsed.omega_max is None
+    assert parsed.M == 5
     assert parsed.quad == default_spec(parsed.array)
     assert parsed.beta == 5.0e5
 

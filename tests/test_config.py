@@ -4,6 +4,7 @@ table in `hopfarray.cli`, and every rejection names its field."""
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hopfarray.cli import (
     _COLLISION_FLOOR, _FIELDS, _REQUIRED, ConfigError, _point_on_circle, main, parse_config,
     run_experiment,
 )
-from hopfarray.geometry import ResonatorArray, classify_points, graded_layout
+from hopfarray.geometry import classify_points, graded_layout
 from hopfarray.quadrature import default_spec
 
 from test_cli import _config
@@ -140,8 +141,7 @@ def test_valid_config_parses_to_drawn_values_and_defaults(cfg):
     assert parsed.quad == default_spec(array, panel_size=want["numerics"]["panel_size"])
     p = parsed.params
     got = {"material": {"v": p.v, "v_b": p.v_b, "delta": p.delta, "beta": parsed.beta},
-           "numerics": {"multipole_order": parsed.M, "panel_size": parsed.quad.panel_size,
-                        "omega_max": parsed.omega_max},
+           "numerics": {"multipole_order": parsed.M, "panel_size": parsed.quad.panel_size},
            "experiment": parsed.experiment}
     assert _typed(got) == _typed(want)  # an int stays an int, as the cache request reads it
 
@@ -150,15 +150,25 @@ def _assert_rejection_holds(cfg, message):
     """Each way a config of values within their bounds can still be invalid,
     checked against the drawn values: a grading that carries a radius past
     the float range, a source within 1e-12 * max(r, 1) of a circle (such as
-    -5e-324 of circle 0), or a grid the config fixes (given ends, or ends
-    around a given Omega1) that is not finite and strictly increasing, or
-    that the collision floor empties. A grid's error names its given upper
-    end, else its given lower end, else Omega1."""
+    -5e-324 of circle 0), circles and a source whose quadrature box (their
+    tight box padded by a quarter of its diagonal) is past the float range,
+    or a grid the config fixes (given ends, or ends around a given Omega1)
+    that is not finite and strictly increasing, or that the collision floor
+    empties. A grid's error names its given upper end, else its given lower
+    end, else Omega1."""
     geo, exp = cfg["geometry"], cfg["experiment"]
     if message.startswith("geometry.source_x: "):  # circle 0, or a huge one that ends near it
         centers, radii = graded_layout(*(geo[k] for k in ("n", "first_radius", "s", "gap_ratio")))
         assert any(abs(abs(geo["source_x"] - c) - r) <= 1e-12 * max(r, 1.0)
                    for c, r in zip(centers.tolist(), radii.tolist()))
+    elif message.startswith("geometry.first_radius, geometry.source_x: "):
+        centers, radii = graded_layout(*(geo[k] for k in ("n", "first_radius", "s", "gap_ratio")))
+        pairs = list(zip(centers.tolist(), radii.tolist()))  # Python floats overflow to inf
+        xs = [c - r for c, r in pairs] + [c + r for c, r in pairs] + [geo["source_x"]]
+        r_max = float(radii.max())
+        pad = 0.25 * math.hypot(max(xs) - min(xs), 2.0 * r_max)
+        assert not all(map(math.isfinite, (min(xs) - pad, max(xs) + pad, r_max + pad)))
+        assert message.endswith(" is not finite")
     elif message.startswith("experiment."):
         lo_key, hi_key = RANGES[exp["type"]]
         omega1 = exp.get("Omega1")  # given whenever an end is not
@@ -260,12 +270,33 @@ def test_validate_names_a_grading_past_the_float_range(tmp_path, capsys, s, viol
 
 
 def test_parse_near_the_float_range_warns_nothing():
-    # the source's distance to the circle overflows; only the verdict may show
-    geometry = {"n": 1, "first_radius": 5e307, "s": 1.0, "gap_ratio": 0.5, "source_x": -1.7e308}
+    # the quadrature box's diagonal overflows (at -1.7e308 the source's
+    # distance to the circle too), or at 1e308 the circle's right edge;
+    # only the verdict may show
+    for r0, source_x in ((5e307, -5e307), (5e307, -1.2e308), (5e307, -1.7e308), (1e308, -1e300)):
+        geometry = {"n": 1, "first_radius": r0, "s": 1.0, "gap_ratio": 0.5, "source_x": source_x}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^geometry\.first_radius, geometry\.source_x: "
+                                                  r".* box \(-inf, inf, -inf, inf\) is not finite$"):
+                parse_config(json.dumps(_config(geometry=geometry)))
+    # 7 x the step to omega_max overflows, but linspace ends the grid at omega_max itself
+    experiment = {"type": "phase", "omega_min": 1.0, "omega_max": sys.float_info.max, "num_points": 8}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        parsed = parse_config(json.dumps(_config(geometry=geometry)))
-    assert parsed.array == ResonatorArray(center_x=(5e307,), radius=(5e307,), source_x=-1.7e308)
+        assert parse_config(json.dumps(_config(experiment=experiment))).experiment == experiment | {
+            "F": 1e-6, "observation_points": None, "phase_reference": "velocity"}
+
+
+@pytest.mark.parametrize("source_x", [-5e307, -1.2e308])
+def test_validate_rejects_a_quadrature_box_past_the_float_range(tmp_path, capsys, source_x):
+    geometry = {"n": 1, "first_radius": 5e307, "s": 1.0, "gap_ratio": 0.5, "source_x": source_x}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_config(geometry=geometry)))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: geometry.first_radius, geometry.source_x: the quadrature box around the circles and"
+        " the source is past the float range: box (-inf, inf, -inf, inf) is not finite\n")
 
 
 # circle 0 of the two-disk array touches the origin, and a point within

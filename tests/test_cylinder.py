@@ -21,7 +21,7 @@ from hopfarray.cylinder import (
 )
 from hopfarray.geometry import build_graded_array
 from hopfarray.quadrature import default_spec
-from hopfarray.spectral import _default_search, single_disk_resonance, subwavelength_cutoff
+from hopfarray.spectral import _default_search, single_disk_resonance
 from oracles import bessel_j_series, bessel_y0_series, hankel1_0_series
 
 # values frozen from the series oracles (verified below)
@@ -248,15 +248,14 @@ def test_orders_match_scalars_on_supported_range(points):
 
 @pytest.mark.parametrize("n", [1, 6, 22])
 def test_hankel_panels_match_amos(n):
-    # k over the search window up to the subwavelength cutoff, r from just
-    # inside each circle to the far corners of the quadrature box and the
-    # source, against AMOS point by point
+    # k over the search window, r from just inside each circle to the far
+    # corners of the quadrature box and the source, against AMOS point by point
     from scipy import special
 
     array = build_graded_array(n, 1.0, 1.05, 0.5, -5.0)
     params = WaveParams(v=1.0, v_b=1.0, delta=1e-3)
     seeds = [single_disk_resonance(r, params) for r in array.radii]
-    window = _default_search(seeds, subwavelength_cutoff(array, params))
+    window = _default_search(seeds)
     re, im = np.meshgrid(np.linspace(*window["re"], 4), np.linspace(*window["im"], 3))
     k = (re + 1j * im).ravel() / params.v
     x0, x1, y0, y1 = default_spec(array).box

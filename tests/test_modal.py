@@ -308,9 +308,8 @@ def test_gauss_legendre_matches_leggauss():
 def test_modal_cache_key_sensitivity(six_system, monkeypatch):
     import hopfarray.modal as modal
 
-    def key_of(M=5, quad=six_system.quad, array=six_system.array, params=six_system.params,
-               omega_max=None):
-        return modal_cache_key(cache_request(array, params, M, quad, omega_max))
+    def key_of(M=5, quad=six_system.quad, array=six_system.array, params=six_system.params):
+        return modal_cache_key(cache_request(array, params, M, quad))
 
     key = key_of()
     assert key == key_of()
@@ -318,7 +317,6 @@ def test_modal_cache_key_sensitivity(six_system, monkeypatch):
     assert key != key_of(quad=refined(six_system.quad))
     assert key != key_of(params=replace(six_system.params, delta=2e-3))
     assert key != key_of(array=replace(six_system.array, source_x=-6.0))
-    assert key != key_of(omega_max=0.1)
     # a build records the request it answers; an edited module keys a new one
     assert six_system.request == cache_request(six_system.array, six_system.params, 5,
                                                six_system.quad)

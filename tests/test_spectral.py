@@ -14,7 +14,6 @@ from hopfarray.spectral import (
     extract_eigenmode,
     find_resonances,
     single_disk_resonance,
-    subwavelength_cutoff,
 )
 from oracles import (argument_principle_count, boundary_matrix_loop, field_loop, full_disk_rule,
                      parity_resonance)
@@ -33,7 +32,7 @@ _PINNED_SIX = [
 
 def _window_box(array, params):
     seeds = [single_disk_resonance(r, params) for r in array.radii]
-    window = _default_search(seeds, subwavelength_cutoff(array, params))
+    window = _default_search(seeds)
     return window["re"] + window["im"]
 
 
@@ -79,18 +78,21 @@ def test_six_array_ordering_and_residuals(six_resonances):
 
 
 def test_resonances_inside_subwavelength_window(six_array, params, six_resonances):
-    cutoff = subwavelength_cutoff(six_array, params)
+    # every wavelength is at least ten times the largest diameter
+    cutoff = 2.0 * np.pi * params.v / (10.0 * 2.0 * six_array.radii.max())
     assert all(abs(r.omega) <= cutoff for r in six_resonances)
 
 
 def test_delta_scaling(six_array):
-    # resonance magnitudes shrink with the contrast, pairwise on a delta grid
+    # resonance magnitudes shrink with the contrast, pairwise on a delta grid;
+    # at 3e-2 the top root (about 0.327) lies past 2 pi v / (10 d_max)
     omegas = {}
-    for delta in (1e-2, 1e-3, 1e-4):
+    for delta in (3e-2, 1e-2, 1e-3, 1e-4):
         p = WaveParams(v=1.0, v_b=1.0, delta=delta)
         res = find_resonances(six_array, p, M=5)
         assert len(res) == 6
         omegas[delta] = np.array([abs(r.omega) for r in res])
+    assert np.all(omegas[1e-2] < omegas[3e-2])
     assert np.all(omegas[1e-3] < omegas[1e-2])
     assert np.all(omegas[1e-4] < omegas[1e-3])
 
@@ -253,9 +255,13 @@ def test_refinement_stability(six_resonances, six_array, params):
     assert abs(z_hi - res.omega) <= 1e-4 * abs(res.omega)
 
 
-def test_search_window_misconfiguration_raises(single_array, params):
-    with pytest.raises(ResonanceSearchError, match="window|seeds"):
-        find_resonances(single_array, params, M=3, omega_max=1e-4)
+def test_search_past_the_subwavelength_regime_names_delta(six_array):
+    # at delta = 0.1 roots that are not subwavelength enter the window, and
+    # the odd block winds around them
+    p = WaveParams(v=1.0, v_b=1.0, delta=0.1)
+    with pytest.raises(ResonanceSearchError, match="odd mirror block.*at delta = 0.1 the window "
+                                                   "may hold resonances that are not subwavelength"):
+        find_resonances(six_array, p, M=5)
 
 
 def _block_windings(array, params, M: int, box, n: int = 64, max_n: int = 4096) -> list[int]:
@@ -301,6 +307,13 @@ def test_paper_scale_twelve_resonators(params, twelve_array, twelve_resonances):
     assert argument_principle_count(array, params, 5, _window_box(array, params)) == 12
 
 
+def test_twelve_resonators_at_large_contrast(twelve_array):
+    # the top root (about 0.192) lies past 2 pi v / (10 d_max) = 0.184
+    res = find_resonances(twelve_array, WaveParams(v=1.0, v_b=1.0, delta=1e-2), M=5)
+    _assert_certified(res, 12)
+    assert all(r.residual <= 1e-9 and r.drift < 1e-4 for r in res)
+
+
 @pytest.mark.parametrize("rank_tol", [1e-14, 1e-16])
 def test_single_disk_spurious_eigenvalues_not_counted(
     single_array, params, single_resonances, monkeypatch, rank_tol
@@ -315,12 +328,15 @@ def test_single_disk_spurious_eigenvalues_not_counted(
     assert res[0].omega == pytest.approx(single_resonances[0].omega, rel=1e-10)
 
 
-def test_resonance_near_subcontour_edge_counted_once(six_array, params, six_resonances):
-    # omega_max puts the window's right edge 0.3% above the narrowest mode
+def test_resonance_near_subcontour_edge_counted_once(six_array, params, six_resonances, monkeypatch):
+    # the window's right edge is moved to 0.3% above the narrowest mode
     # (Im omega ~ -2.7e-5), so the sub-contour that holds it must resolve it
     # next to its edge: it is split and still counts the mode exactly once
     top = six_resonances[-1].omega
-    res = find_resonances(six_array, params, M=5, omega_max=1.003 * abs(top))
+    window = _default_search([single_disk_resonance(r, params) for r in six_array.radii])
+    window["re"] = (window["re"][0], 1.003 * abs(top))
+    monkeypatch.setattr(spectral, "_default_search", lambda seeds: window)
+    res = find_resonances(six_array, params, M=5)
     assert 0 < max(c["box"][1] for c in res.search["contours"]) - top.real < 4e-3 * top.real
     assert len(res.search["contours"]) > 1
     _assert_certified(res, 6)

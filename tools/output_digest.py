@@ -28,7 +28,7 @@ BASE = {
     "numerics": {"multipole_order": 5},
 }
 
-# name: experiment block; every other block is BASE's, apart from NUMERICS
+# name: experiment block; every other block is BASE's, apart from OVERRIDES
 CONFIGS = {
     "resonances": {"type": "resonances"},
     "sweep": {"type": "sweep"},
@@ -49,11 +49,15 @@ CONFIGS = {
     "phase-fold": {"type": "phase", "omega_min": 0.0019838344212410306,
                    "omega_max": 0.07536825888757326, "F": 9.555420020795011e-07},
     "sweep-numerics": {"type": "sweep", "num_points": 24, "F_values": [1e-6, 1e-2]},
+    # the top root (about 0.327) lies past 2 pi v / (10 d_max)
+    "resonances-delta": {"type": "resonances"},
 }
 
-# name: keys that replace BASE's numerics for that config, so every numerics key is covered
-NUMERICS = {
-    "sweep-numerics": {"multipole_order": 7, "panel_size": 2.0, "omega_max": 0.1},
+# name: block: keys that replace that block's keys of BASE for that config;
+# sweep-numerics covers every numerics key
+OVERRIDES = {
+    "sweep-numerics": {"numerics": {"multipole_order": 7, "panel_size": 2.0}},
+    "resonances-delta": {"material": {"delta": 0.03}},
 }
 
 
@@ -64,7 +68,8 @@ def _sha256(data: bytes) -> str:
 def digest(name: str, experiment: dict, work: Path) -> list[str]:
     """The listing lines of one config, run in its own directory under work."""
     config = copy.deepcopy(BASE)
-    config["numerics"].update(NUMERICS.get(name, {}))
+    for block, keys in OVERRIDES.get(name, {}).items():
+        config[block].update(keys)
     config["experiment"] = experiment
     path, out = work / f"{name}.json", work / name
     path.write_text(json.dumps(config))
