@@ -1,5 +1,10 @@
 """Subwavelength resonances and coupled Hopf dynamics of circular resonator arrays."""
 
+import os
+
+# before numpy loads, or OpenBLAS takes its thread count (and so its rounding) from the machine
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"  # recorded in each run.json; cache keys hash the source instead
 
 from .geometry import ResonatorArray, build_graded_array

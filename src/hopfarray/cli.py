@@ -5,7 +5,9 @@ oracle, plus validate (config check only). Every run writes the experiment
 CSV (and every modal-pipeline run resonances.csv) and a run.json manifest
 with config echo, content hashes, versions, wall times and solver
 statistics, so each number in the CSVs is reproducible from the config and
-code version alone.
+code version alone at the OPENBLAS_NUM_THREADS it records: numpy's BLAS
+runs on one thread unless the environment sets another count, which may
+move outputs at rounding level.
 
 Exit codes: 0 clean; 2 completed with flagged points, each named with its
 cause in run.json; 1 fatal (a config error, or a failure of the whole run),
@@ -38,7 +40,7 @@ from .boundary import WaveParams
 from .geometry import ResonatorArray, classify_points, graded_layout
 from .hopf import ConvergenceError, single_hopf_steady_state
 from .modal import ModalSystem, build_modal_system, cache_request, modal_cache_key
-from .quadrature import QuadratureSpec, default_spec
+from .quadrature import QuadratureSpec, collar_half_widths, default_spec, exterior_node_count
 
 
 class ConfigError(ValueError):
@@ -285,6 +287,14 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:  # panel_size is checked, so the box is past the float range
         raise ConfigError(f"geometry.first_radius, geometry.source_x: the quadrature box around the"
                           f" circles and the source is past the float range: {exc}") from None
+    try:
+        collar_half_widths(array, quad)
+    except ValueError as exc:  # a radius or a gap so small that the collar's share rounds to 0
+        raise ConfigError(f"geometry.first_radius, geometry.s, geometry.gap_ratio: {exc}") from None
+    try:
+        exterior_node_count(array, quad)
+    except ValueError as exc:  # a finite box, too large for its panel_size
+        raise ConfigError(f"numerics.panel_size: {exc}") from None
     return ExperimentConfig(
         array=array, params=WaveParams(v=mat["v"], v_b=mat["v_b"], delta=mat["delta"]),
         quad=quad, M=num["multipole_order"], beta=mat["beta"], experiment=exp, raw=data)
@@ -534,6 +544,7 @@ def run_experiment(
             "hopfarray": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),  # outputs round by it
         },
         "experiment_type": etype,
         "outputs": {},

@@ -309,9 +309,10 @@ def solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, start
 
     outcomes: list = [None] * K
     X0 = np.zeros((K, L, n), dtype=complex)
+    pairs = list(zip(*np.triu_indices(L, 1)))  # lines must stay distinct
     for k in range(K):
         try:
-            for a, b in zip(*np.triu_indices(L, 1)):  # lines must stay distinct
+            for a, b in pairs:
                 if abs(freqs[k, a] - freqs[k, b]) <= _FREQUENCY_FLOOR * np.max(np.abs(freqs[k])):
                     raise ValueError(f"lines {tuple(V[a].tolist())} and {tuple(V[b].tolist())} collide "
                                      f"at frequencies {freqs[k, a]:.6g} and {freqs[k, b]:.6g}")

@@ -31,6 +31,9 @@ import numpy as np
 from .geometry import ResonatorArray
 
 
+MAX_EXTERIOR_NODES = 2**22  # about 50 times all 80,160 nodes of the 22-disk default rule
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Box and node-count configuration for the composite rule.
@@ -128,16 +131,18 @@ def _panels(a: float, b: float, count: int, order: int) -> tuple[np.ndarray, np.
     return (half[:, None] * x + mid[:, None]).ravel(), (half[:, None] * w).ravel()
 
 
-def _count(length: float, panel_size: float) -> int:
-    """Panels at most panel_size long over a length."""
-    return max(1, int(np.ceil(length / panel_size)))
+def _count(length, panel_size: float):
+    """Panels at most panel_size long over a length, or over each of an array
+    of lengths, as a float: inf where the ratio is past the float range."""
+    with np.errstate(over="ignore"):
+        return np.maximum(np.ceil(np.divide(length, panel_size)), 1.0)
 
 
 def _half_panels(h: float, order: int, panel_size: float) -> tuple[np.ndarray, np.ndarray]:
     """The nodes y >= 0 of the panelized Gauss-Legendre rule on [-h, h],
     with mirrored weights. An odd panel count leaves a middle panel across
     y = 0, which keeps its upper half by _half_gauss."""
-    n = _count(2.0 * h, panel_size)
+    n = int(_count(2.0 * h, panel_size))
     y, w = _panels(h / n if n % 2 else 0.0, h, n // 2, order)
     if n % 2 == 0:
         return y, 2.0 * w
@@ -234,37 +239,63 @@ def collar_half_widths(array: ResonatorArray, spec: QuadratureSpec) -> np.ndarra
     return radii + slack
 
 
+def _strips(array: ResonatorArray, spec: QuadratureSpec, widths: np.ndarray):
+    """The exterior rule's rectangles off the collars, as arrays over the
+    strips it keeps: x in [a, b], and y in [-y1, y1] where across (a strip
+    between collars), else y in [c, y1] (above a collar of half-width c)."""
+    x0, x1, _, y1 = spec.box
+    cxs = array.centers[:, 0]
+    edges = np.concatenate([[x0], np.column_stack([cxs - widths, cxs + widths]).ravel(), [x1]])
+    a, b = edges[:-1], edges[1:]
+    across = np.arange(len(a)) % 2 == 0
+    c = np.zeros(len(a))
+    c[1::2] = widths
+    keep = (b - a > 1e-12) & (across | (y1 - c > 1e-12))
+    return a[keep], b[keep], c[keep], across[keep]
+
+
+def exterior_node_count(array: ResonatorArray, spec: QuadratureSpec) -> float:
+    """The number of nodes exterior_rule(array, spec) returns, counted from
+    the box and the node counts without building the rule: a float, exact
+    below 2**53. A count past MAX_EXTERIOR_NODES raises ValueError naming it."""
+    spec.validate_against(array)
+    widths = collar_half_widths(array, spec)
+    a, b, c, across = _strips(array, spec, widths)
+    order, size, y1 = spec.ext_order, spec.panel_size, spec.box[3]
+    ring = spec.ring_radial * (spec.ring_angular + 2 * (spec.ring_angular - spec.ring_angular // 2))
+    with np.errstate(over="ignore"):
+        # _half_panels keeps the upper half of the nodes across the axis, a middle one once
+        y_across = np.ceil(_count(2.0 * y1, size) * order / 2)
+        y_nodes = np.where(across, y_across, _count(y1 - c, size) * order)
+        count = len(widths) * ring + float(np.sum(_count(b - a, size) * order * y_nodes))
+    if count > MAX_EXTERIOR_NODES:
+        held = f"{count:.3g}" if count < np.inf else f"more than {np.finfo(float).max:.2g}"
+        raise ValueError(f"the exterior rule over the box {spec.box} at panel_size {spec.panel_size!r}"
+                         f" would hold {held} nodes, past the bound of {MAX_EXTERIOR_NODES}")
+    return count
+
+
 def exterior_rule(array: ResonatorArray, spec: QuadratureSpec):
     """Quadrature over the upper half (x2 >= 0) of the box minus all disks,
     for integrands even in x2: collar rings + rectangles.
 
     Returns (points (P,2), weights (P,)). All points lie strictly outside
     every circle; a point on the axis carries its weight once, any other
-    twice.
+    twice. A rule past MAX_EXTERIOR_NODES raises ValueError before any node
+    is built (see exterior_node_count).
     """
-    spec.validate_against(array)
-    x0, x1, _, y1 = spec.box
+    exterior_node_count(array, spec)
     widths = collar_half_widths(array, spec)
-    cxs = array.centers[:, 0]
     rules = [ring_rule(cx, r, w, spec.ring_radial, spec.ring_angular)
-             for cx, r, w in zip(cxs, array.radii, widths)]
-
-    # vertical strips between/around the collars
-    edges = [x0, *np.column_stack([cxs - widths, cxs + widths]).ravel(), x1]
-    order, size = spec.ext_order, spec.panel_size
-    for k in range(len(edges) - 1):
-        a, b = edges[k], edges[k + 1]
-        if b - a <= 1e-12:
-            continue
-        x_rule = _panels(a, b, _count(b - a, size), order)
-        if k % 2 == 1:
-            # strip containing collar (k-1)//2: the rectangle above it
-            w_i = widths[(k - 1) // 2]
-            if y1 - w_i > 1e-12:
-                y, w = _panels(w_i, y1, _count(y1 - w_i, size), order)
-                rules.append(_tensor(x_rule, (y, 2.0 * w)))
-        else:
+             for cx, r, w in zip(array.centers[:, 0], array.radii, widths)]
+    order, size, y1 = spec.ext_order, spec.panel_size, spec.box[3]
+    for a, b, c, across in zip(*_strips(array, spec, widths)):
+        x_rule = _panels(a, b, int(_count(b - a, size)), order)
+        if across:
             rules.append(_tensor(x_rule, _half_panels(y1, order, size)))
+        else:
+            y, w = _panels(c, y1, int(_count(y1 - c, size)), order)
+            rules.append(_tensor(x_rule, (y, 2.0 * w)))
     return np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules])
 
 

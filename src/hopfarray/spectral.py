@@ -9,8 +9,7 @@ Algebra Appl. 436, 2012) on A_+, over rectangles right of omega = 0 (the
 branch point of H_0). It counts them independently by the winding number of
 det A = det A_+ det A_-, and certifies that the odd block holds none by the
 winding number of det A_-, which must be 0. All dense linear algebra here
-is numpy.linalg: numpy and scipy ship separate OpenBLAS builds whose thread
-pools stall each other when their calls alternate.
+is numpy.linalg.
 """
 
 from __future__ import annotations

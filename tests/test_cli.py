@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -111,6 +112,8 @@ def test_resonances_experiment(tmp_path):
     assert len(lines) == 3  # header + one row per resonator
     manifest = json.loads((tmp_path / "run.json").read_text())
     assert manifest["versions"]["hopfarray"]
+    # outputs round by the BLAS thread count, so the run records the setting it ran at
+    assert manifest["versions"]["OPENBLAS_NUM_THREADS"] == os.environ["OPENBLAS_NUM_THREADS"]
     assert "resonances.csv" in manifest["outputs"]
     assert manifest["cache"]["hit"] is False
     modes = manifest["diagnostics"]["modes"]
@@ -541,6 +544,18 @@ def test_sweep_counts_residual_evaluations(default_sweep):
     assert stats["residual_evaluations"] <= 2 * (stats["newton_iters"] + stats["n_points"])
 
 
+def _in_fresh_process(code: str, args=(), src: Path | None = None,
+                      env: dict | None = None) -> str:
+    """The last line that code prints, run with args in a new interpreter that
+    imports the package from src (default: this one) under env (default:
+    this one's)."""
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=str(src or Path(hopfarray.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return proc.stdout.split("\n")[-2]
+
+
 def _main_in_fresh_process(args: list[str], src: Path | None = None,
                            modules: tuple = ("scipy", "scipy.special", "scipy.linalg",
                                              "numpy.polynomial")) -> str:
@@ -550,10 +565,49 @@ def _main_in_fresh_process(args: list[str], src: Path | None = None,
         "import sys; from hopfarray.cli import main; status = main(sys.argv[1:]); "
         f"print(status, [m for m in {modules!r} if m in sys.modules])"
     )
-    env = dict(os.environ, PYTHONPATH=str(src or Path(hopfarray.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    return proc.stdout.split("\n")[-2]
+    return _in_fresh_process(code, args, src)
+
+
+def _openblas_threads():
+    """The thread count of numpy's bundled OpenBLAS, read as perfbench/run.py's
+    blas_threads() reads it; None where no library exports the symbol."""
+    import ctypes
+    import glob
+
+    import numpy as np
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(glob.glob(str(libdir / "*openblas*"))):
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            if hasattr(handle, sym):
+                fn = getattr(handle, sym)
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
+@pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")])
+def test_openblas_runs_one_thread_unless_the_environment_says(given, want):
+    # the console script and python -m hopfarray.cli both import the package
+    # first, so the pin comes before numpy loads; a count the user sets stays
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = ("import os; from pathlib import Path; import hopfarray.cli\n"
+            f"{inspect.getsource(_openblas_threads)}\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), _openblas_threads())")
+    setting, threads = _in_fresh_process(code, env=env).split()
+    assert setting == want
+    if threads != "None":  # OpenBLAS caps the count at the machine's cores
+        assert int(threads) == min(int(want), os.cpu_count())
+
+
+def test_the_tests_run_openblas_as_a_fresh_cli_does():
+    # conftest imports the package before numpy, so in-process results share
+    # bits with the fresh-process runs
+    threads = _openblas_threads()
+    assert threads in (None, min(int(os.environ["OPENBLAS_NUM_THREADS"]), os.cpu_count()))
 
 
 @pytest.mark.parametrize("experiment", [
@@ -622,9 +676,8 @@ def test_edited_module_misses_the_cache(tmp_path):
 
 
 def test_cold_build_skips_scipy_linalg(tmp_path):
-    # numpy and scipy ship separate OpenBLAS builds whose thread pools stall
-    # each other; the search and the modes use numpy alone, and the
-    # Gauss-Legendre rules come from numpy.linalg, not numpy.polynomial
+    # the search and the modes use numpy alone, and the Gauss-Legendre rules
+    # come from numpy.linalg, not numpy.polynomial
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(_config()))
     args = ["resonances", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--no-cache"]

@@ -7,6 +7,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hopfarray.cli import (
     run_experiment,
 )
 from hopfarray.geometry import classify_points, graded_layout
-from hopfarray.quadrature import default_spec
+from hopfarray.quadrature import MAX_EXTERIOR_NODES, collar_half_widths, default_spec
 
 from test_cli import _config
 
@@ -169,6 +170,18 @@ def _assert_rejection_holds(cfg, message):
         pad = 0.25 * math.hypot(max(xs) - min(xs), 2.0 * r_max)
         assert not all(map(math.isfinite, (min(xs) - pad, max(xs) + pad, r_max + pad)))
         assert message.endswith(" is not finite")
+    elif message.startswith("geometry.first_radius, geometry.s, geometry.gap_ratio: "):
+        # a circle or a gap so small that a fraction of it, the collar's slack, rounds to 0
+        centers, radii = graded_layout(*(geo[k] for k in ("n", "first_radius", "s", "gap_ratio")))
+        step = np.diff(centers)  # each gap in both orders of subtraction, as the collars take it
+        gaps = np.r_[step - radii[1:] - radii[:-1], step - radii[:-1] - radii[1:]]
+        assert (0.5 * radii == 0).any() or (0.45 * gaps <= 0).any()
+        assert re.search(r" leaves no room for a collar around resonator \d+$", message)
+    elif message.startswith("numerics.panel_size: "):
+        count = _exterior_nodes(cfg)
+        assert count > MAX_EXTERIOR_NODES
+        held = f"{count:.3g}" if count < INF else "more than 1.8e+308"
+        assert f" would hold {held} nodes, past the bound of {MAX_EXTERIOR_NODES}" in message
     elif message.startswith("experiment."):
         lo_key, hi_key = RANGES[exp["type"]]
         omega1 = exp.get("Omega1")  # given whenever an end is not
@@ -190,6 +203,32 @@ def _assert_rejection_holds(cfg, message):
             assert not (math.isfinite(hi) and np.all(np.diff(grid) > 0))
     else:
         assert message.startswith("geometry.n, geometry.s: ")
+
+
+def _exterior_nodes(cfg):
+    """The exterior rule's nodes at the config's box and panel_size, counted
+    as the nodes with x2 >= 0 of the rule over the whole box: per collar, 10
+    radial x 12 angular nodes on each of 4 faces; per strip between collars,
+    order-8 panels at most panel_size long on each side; per strip above or
+    below a collar, the same from the collar to the box. A strip no wider
+    than 1e-12 holds none."""
+    geo = cfg["geometry"]
+    centers, radii = graded_layout(*(geo[k] for k in ("n", "first_radius", "s", "gap_ratio")))
+    # the arrays default_spec and collar_half_widths read, without a second validation
+    array = SimpleNamespace(centers=np.stack([centers, np.zeros_like(centers)], axis=1),
+                            radii=radii, source=(geo["source_x"], 0.0))
+    spec = default_spec(array, panel_size=cfg.get("numerics", {}).get("panel_size", 2.5))
+    assert (spec.ext_order, spec.ring_radial, spec.ring_angular) == (8, 10, 12)
+    x0, x1, _, y1 = spec.box
+    widths = collar_half_widths(array, spec)
+    edges = np.concatenate([[x0], np.ravel([centers - widths, centers + widths], order="F"), [x1]])
+    kept = np.diff(edges) > 1e-12
+    kept[1::2] &= y1 - widths > 1e-12
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_panels = np.full(len(kept), np.ceil(2.0 * y1 / spec.panel_size))
+        y_panels[1::2] = 2.0 * np.ceil((y1 - widths) / spec.panel_size)
+        nodes = np.where(kept, 8 * np.ceil(np.diff(edges) / spec.panel_size) * 8 * y_panels, 0.0)
+        return (4 * 10 * 12 * len(radii) + float(nodes.sum())) / 2
 
 
 def _bad_values(kind, bound, default):
@@ -297,6 +336,37 @@ def test_validate_rejects_a_quadrature_box_past_the_float_range(tmp_path, capsys
     assert capsys.readouterr().err == (
         "error: geometry.first_radius, geometry.source_x: the quadrature box around the circles and"
         " the source is past the float range: box (-inf, inf, -inf, inf) is not finite\n")
+
+
+@pytest.mark.parametrize("geometry, numerics, held", [
+    ({"n": 1, "source_x": -1.2e308}, {}, "more than 1.8e+308"),
+    ({"n": 1, "source_x": -1e12}, {}, "3.84e+24"),
+    ({"n": 6, "s": 1.05}, {"panel_size": 1e-300}, "more than 1.8e+308"),  # the README's array
+])
+def test_validate_rejects_an_exterior_rule_past_its_node_bound(tmp_path, capsys, geometry, numerics,
+                                                               held):
+    # the box is finite, but a run would fail to allocate the rule's nodes
+    cfg = _config(geometry=geometry, numerics=numerics)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerics.panel_size: the exterior rule over the box (")
+    assert err.endswith(f" would hold {held} nodes, past the bound of {MAX_EXTERIOR_NODES}\n")
+    _assert_rejection_holds(cfg, err.removeprefix("error: ").removesuffix("\n"))
+
+
+def test_validate_rejects_a_circle_too_small_for_a_collar(tmp_path, capsys):
+    # radius 1 is 5e-324, so half of it, the collar's room, rounds to 0
+    cfg = _config(geometry={"s": 5e-324, "gap_ratio": 1.0, "source_x": -1.0})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: geometry.first_radius, geometry.s, geometry.gap_ratio: box (-2.118033988749895,"
+                   " 4.118033988749895, -2.118033988749895, 2.118033988749895) leaves no room for a"
+                   " collar around resonator 1\n")
+    _assert_rejection_holds(cfg, err.removeprefix("error: ").removesuffix("\n"))
 
 
 # circle 0 of the two-disk array touches the origin, and a point within

@@ -16,8 +16,10 @@ from hopfarray.modal import (
 )
 from hopfarray.analysis import default_observation_points
 from hopfarray.quadrature import (
+    MAX_EXTERIOR_NODES,
     QuadratureSpec,
     default_spec,
+    exterior_node_count,
     exterior_rule,
     gauss_legendre,
     interior_rule,
@@ -101,6 +103,29 @@ _HALF_RULE_COUNTS = (
     {"ext_order": 7, "ring_angular": 11, "disk_angular": 47, "panel_size": 2.0},
     {"ext_order": 9, "ring_angular": 13, "disk_angular": 50, "disk_radial": 5},
 )
+
+
+@pytest.mark.parametrize("counts", _HALF_RULE_COUNTS + ({"panel_size": 0.3},))
+def test_exterior_node_count_is_the_rule_length(single_array, pair_array, six_array, counts):
+    for array in (single_array, pair_array, six_array):
+        quad = default_spec(array, **counts)
+        assert exterior_node_count(array, quad) == len(exterior_rule(array, quad)[1])
+
+
+def test_build_past_the_exterior_node_bound_raises_before_any_rule(six_array, params, monkeypatch):
+    import hopfarray.modal as modal
+    import hopfarray.quadrature as quadrature
+
+    def built(*args, **kwargs):
+        raise AssertionError("a rule was built or a search run")
+
+    for module, name in ((quadrature, "ring_rule"), (quadrature, "_panels"),
+                         (modal, "interior_rule"), (modal, "find_resonances")):
+        monkeypatch.setattr(module, name, built)
+    quad = default_spec(six_array, panel_size=0.02)
+    with pytest.raises(ValueError, match=r" at panel_size 0\.02 would hold 3\.\d\de\+07 nodes, "
+                                         rf"past the bound of {MAX_EXTERIOR_NODES}$"):
+        build_modal_system(six_array, params, M=5, quad=quad)
 
 
 @pytest.mark.parametrize("counts", _HALF_RULE_COUNTS)
