@@ -6,10 +6,11 @@ splits into an even and an odd mirror block (boundary.mirror_basis), and
 every subwavelength mode lives in the even block A_+. find_resonances
 locates them with Beyn's contour-integral method (W.-J. Beyn, Linear
 Algebra Appl. 436, 2012) on A_+, over rectangles right of omega = 0 (the
-branch point of H_0). It counts them independently by the winding number of
-det A = det A_+ det A_-, and certifies that the odd block holds none by the
-winding number of det A_-, which must be 0. All dense linear algebra here
-is numpy.linalg.
+branch point of H_0), and polishes every eigenvalue inside a rectangle by
+Muller's method, all in lockstep. Each root is certified by its own SVD,
+the count independently by the winding number of det A = det A_+ det A_-,
+and the odd block must hold none: the winding number of det A_- must be 0.
+All dense linear algebra here is numpy.linalg.
 """
 
 from __future__ import annotations
@@ -72,41 +73,39 @@ class Eigenmode:
     sv_gap: float
 
 
-def _muller(
-    f,
-    z0: complex,
-    tol: float = 1e-13,
-    max_iter: int = 60,
-) -> complex:
-    """Muller iteration for a simple zero of an analytic function."""
-    h = 1e-3 * max(abs(z0), 1e-12)
-    xs = [z0 + h, z0 - 0.5j * h, z0]
-    fs = [f(x) for x in xs]
-    x = xs[-1]
+def _muller(f, starts, tol: float = 1e-13, max_iter: int = 60) -> list[complex]:
+    """Muller iteration for simple zeros of an analytic function, from every
+    start in lockstep: f maps a list of points to their values, and each
+    round evaluates it once, at the new point of every start still running.
+    Each start's arithmetic is on scalars, as if it ran alone."""
+    xs = [[z0 + h, z0 - 0.5j * h, z0] for z0, h in ((z, 1e-3 * max(abs(z), 1e-12)) for z in starts)]
+    fs = [list(v) for v in zip(*(f([x[j] for x in xs]) for j in range(3)))]  # one column at a time
+    running = range(len(xs))
     for _ in range(max_iter):
-        x0, x1, x2 = xs
-        f0, f1, f2 = fs
-        if x1 == x2 or x0 == x1:
+        stepped = []
+        for i in running:
+            (x0, x1, x2), (f0, f1, f2) = xs[i], fs[i]
+            if x1 == x2 or x0 == x1:
+                continue
+            q = (x2 - x1) / (x1 - x0)
+            a = q * f2 - q * (1 + q) * f1 + q**2 * f0
+            b = (2 * q + 1) * f2 - (1 + q) ** 2 * f1 + q**2 * f0
+            c = (1 + q) * f2
+            disc = np.sqrt(complex(b * b - 4 * a * c))
+            den1, den2 = b + disc, b - disc
+            den = den1 if abs(den1) >= abs(den2) else den2
+            if den == 0:
+                continue
+            step = -(x2 - x1) * (2 * c / den)
+            xs[i] = [x1, x2, x2 + step]
+            stepped.append(i)
+        if not stepped:
             break
-        q = (x2 - x1) / (x1 - x0)
-        a = q * f2 - q * (1 + q) * f1 + q**2 * f0
-        b = (2 * q + 1) * f2 - (1 + q) ** 2 * f1 + q**2 * f0
-        c = (1 + q) * f2
-        disc = np.sqrt(complex(b * b - 4 * a * c))
-        den1, den2 = b + disc, b - disc
-        den = den1 if abs(den1) >= abs(den2) else den2
-        if den == 0:
-            break
-        step = -(x2 - x1) * (2 * c / den)
-        x = x2 + step
-        fx = f(x)
-        xs = [x1, x2, x]
-        fs = [f1, f2, fx]
-        if abs(x - x2) <= tol * max(abs(x), 1e-30):
-            return x
-        if abs(fx) == 0.0:
-            return x
-    return x
+        for i, fx in zip(stepped, f([xs[i][2] for i in stepped])):
+            fs[i] = [fs[i][1], fs[i][2], fx]
+        running = [i for i in stepped if not (abs(xs[i][2] - xs[i][1]) <= tol * max(abs(xs[i][2]), 1e-30)
+                                              or abs(fs[i][2]) == 0.0)]
+    return [x[2] for x in xs]
 
 
 def single_disk_resonance(radius: float, params: WaveParams) -> complex:
@@ -134,15 +133,15 @@ def single_disk_resonance(radius: float, params: WaveParams) -> complex:
         h0, h1 = hankel1_orders([0, 1], k * R)
         return complex(kbv * j1 * h0 - delta * k * j0 * h1)
 
-    return _muller(det, params.v_b * kb)
+    return _muller(lambda zs: [det(z) for z in zs], [params.v_b * kb])[0]
 
 
 class _ResolventProbe:
     """1 / (w^H A_+(omega)^{-1} q) on the even mirror block, with fixed
-    random probe vectors.
+    random probe vectors, at each of a list of frequencies (_muller's f).
 
     Vanishes (simply, generically) exactly where A_+ is singular and is
-    analytic nearby, so it is a good Muller target.
+    analytic nearby, so it is a good Muller target. Each block is solved alone.
     """
 
     def __init__(self, array: ResonatorArray, params: WaveParams, M: int):
@@ -158,17 +157,24 @@ class _ResolventProbe:
         self.q = q / np.linalg.norm(q)
         self.w = w / np.linalg.norm(w)
 
-    def matrices(self, omegas) -> tuple[np.ndarray, np.ndarray]:
-        """Even and odd boundary blocks at the given frequencies, as two stacks."""
-        self.calls += len(omegas)
-        return assemble_boundary_matrices(self.array, self.params, omegas, self.M)
+    def stacks(self, omegas):
+        """(index of the first frequency, even blocks, odd blocks) per stack of
+        the given frequencies, _STACK_ENTRIES block entries at most."""
+        size = max(1, _STACK_ENTRIES // self.entries)
+        for start in range(0, len(omegas), size):
+            chunk = omegas[start:start + size]
+            self.calls += len(chunk)
+            yield start, *assemble_boundary_matrices(self.array, self.params, chunk, self.M)
 
-    def __call__(self, omega: complex) -> complex:
-        try:
-            x = np.linalg.solve(self.matrices([omega])[0][0], self.q)
-        except np.linalg.LinAlgError:  # exactly singular: omega is a resonance
-            return 0.0
-        return 1.0 / np.vdot(self.w, x)
+    def __call__(self, omegas) -> list:
+        values = []
+        for _, even, _ in self.stacks(omegas):
+            for A in even:
+                try:
+                    values.append(1.0 / np.vdot(self.w, np.linalg.solve(A, self.q)))
+                except np.linalg.LinAlgError:  # exactly singular: omega is a resonance
+                    values.append(0.0)
+        return values
 
 
 def _default_search(seeds: list[complex]) -> dict:
@@ -192,7 +198,6 @@ class Resonances(list):
 _NODES = (16, 128)  # Gauss-Legendre nodes per edge: fewest and most
 _MAX_CONTOURS = 16  # sub-contours per search, so a search ends in bounded time
 _RANK_TOL = 1e-10  # singular-value cut of moment 0, relative to its bound
-_BEYN_RESIDUAL = 1e-6  # largest |A(z) v| / (|A(z)|_F |v|) of a Beyn pair
 _STACK_ENTRIES = 2**17  # contour nodes x block entries assembled at a time: about 2 MB
 _RESONANCE_TOL = 1e-10  # largest smallest singular value of A at an accepted resonance
 _DRIFT_TOL = 1e-4  # largest relative move of a resonance under M -> M+2
@@ -215,11 +220,10 @@ def _winding(phase: np.ndarray) -> tuple[int, float]:
 def _beyn(probe: _ResolventProbe, box, n: int, V: np.ndarray):
     """Winding numbers of det A and of det A_- around box (n Gauss-Legendre
     nodes per edge), the largest step of arg det A, the Beyn rank, and the
-    eigenvalues of A_+ inside box and of those the ones whose eigenpairs
-    pass the residual test. The moments come from the even block A_+; the
-    odd block A_- gives only the sign of its slogdet, and det A's phase at a
-    node is the product of the two signs. The node blocks are assembled
-    _STACK_ENTRIES at a time, and each stack is solved and factored as one."""
+    eigenvalues of A_+ inside box, unchecked. The moments come from the even
+    block A_+; the odd block A_- gives only the sign of its slogdet, and det
+    A's phase at a node is the product of the two signs. Each stack of node
+    blocks (_ResolventProbe.stacks) is solved and factored as one."""
     corners = np.array([complex(box[i], box[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))])
     sides = np.roll(corners, -1) - corners
     x, w = gauss_legendre(n)
@@ -227,10 +231,8 @@ def _beyn(probe: _ResolventProbe, box, n: int, V: np.ndarray):
     weights = np.outer(sides, 0.5 * w).ravel() / (2j * np.pi)
     moments = np.zeros((2, *V.shape), dtype=complex)  # of omega^p A_+^{-1} V, p = 0, 1
     bound, signs = 0.0, np.empty((2, len(nodes)), dtype=complex)
-    size = max(1, _STACK_ENTRIES // probe.entries)
-    for start in range(0, len(nodes), size):
-        at = slice(start, start + size)
-        even, odd = probe.matrices(nodes[at])
+    for start, even, odd in probe.stacks(nodes):
+        at = slice(start, start + len(even))
         signs[:, at] = np.linalg.slogdet(even)[0], np.linalg.slogdet(odd)[0]  # det / |det|
         singular = ~signs[:, at].all(axis=0)
         if singular.any():
@@ -242,22 +244,20 @@ def _beyn(probe: _ResolventProbe, box, n: int, V: np.ndarray):
     winding, step = _winding(signs[0] * signs[1])
     U, s, Wh = np.linalg.svd(moments[0], full_matrices=False)
     r = int(np.count_nonzero(s > _RANK_TOL * bound))
-    eigs, Y = np.linalg.eig(U[:, :r].conj().T @ moments[1] @ Wh[:r].conj().T / s[:r])
-    inner = [(z, v) for z, v in zip(eigs, (U[:, :r] @ Y).T) if _inside(box, z)]
-    stack = probe.matrices([z for z, _ in inner])[0] if inner else []
-    norm = np.linalg.norm
-    passed = [z for (z, v), A in zip(inner, stack) if norm(A @ v) <= _BEYN_RESIDUAL * norm(A) * norm(v)]
-    return winding, _winding(signs[1])[0], step, r, [z for z, _ in inner], passed
+    eigs = np.linalg.eig(U[:, :r].conj().T @ moments[1] @ Wh[:r].conj().T / s[:r])[0]
+    return winding, _winding(signs[1])[0], step, r, [z for z in eigs if _inside(box, z)]
 
 
-def _root_svd(probe: _ResolventProbe, z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The decomposition at a root: the singular values of A_+ and of A_-,
-    and the last right singular vector of A_+ unfolded into the full
-    density space (mirror_basis), conjugated as a row of V^H."""
-    even, odd = (stack[0] for stack in probe.matrices([z]))
-    _, s, vh = np.linalg.svd(even)
-    null = mirror_basis(probe.array.n, probe.M)[0] @ vh[-1]
-    return s, np.linalg.svd(odd, compute_uv=False), null
+def _root_svd(probe: _ResolventProbe, zs) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The decomposition at each root: the singular values of A_+ and of
+    A_-, and the last right singular vector of A_+ unfolded into the full
+    density space (mirror_basis), conjugated as a row of V^H. Each stack of
+    blocks (_ResolventProbe.stacks) is decomposed as one."""
+    unfold, out = mirror_basis(probe.array.n, probe.M)[0], []
+    for _, even, odd in probe.stacks(zs):
+        _, s, vh = np.linalg.svd(even)
+        out += zip(s, np.linalg.svd(odd, compute_uv=False), [unfold @ v for v in vh[:, -1]])
+    return out
 
 
 def _split(box, points):
@@ -297,21 +297,20 @@ def find_resonances(
     pending, contours, found = [(window["re"] + window["im"], n)], [], Resonances()
     while pending:
         box, n = pending.pop()
-        winding, odd_winding, step, rank, inner, passed = _beyn(probe, box, n, V)
+        winding, odd_winding, step, rank, inner = _beyn(probe, box, n, V)
         resolved = step <= 0.5 * np.pi
         if resolved and odd_winding:
             raise ResonanceSearchError(
                 f"{_describe(box)} ({4 * n} nodes): winding number {winding} of det A, of which"
                 f" {odd_winding} in the odd mirror block, where the search finds no resonance; {beyond}")
-        roots: dict[complex, tuple] = {}  # polished, inside, distinct -> _root_svd
-        for z in passed if resolved and len(passed) == winding else []:
-            z = _muller(probe, z)
-            if _inside(box, z) and all(abs(z - r) > 1e-8 * abs(r) for r in roots):
-                roots[z] = _root_svd(probe, z)
-        certified = all(s[-1] <= _RESONANCE_TOL for s, _, _ in roots.values())
-        if resolved and winding == len(roots) and certified:
-            for z, svd in roots.items():  # stability under truncation refinement
-                z_hi = _muller(probe_hi, z)
+        polished = []  # inside and distinct
+        for z in _muller(probe, inner) if resolved else []:
+            if _inside(box, z) and all(abs(z - r) > 1e-8 * abs(r) for r in polished):
+                polished.append(z)
+        roots = {z: svd for z, svd in zip(polished, _root_svd(probe, polished))
+                 if svd[0][-1] <= _RESONANCE_TOL}  # certified
+        if resolved and winding == len(roots):
+            for (z, svd), z_hi in zip(roots.items(), _muller(probe_hi, list(roots))):  # under M -> M+2
                 drift = abs(z_hi - z) / abs(z)
                 if drift > _DRIFT_TOL:
                     raise ResonanceSearchError(f"resonance {z:.6g} drifts by {drift:.3g} "
@@ -327,7 +326,7 @@ def find_resonances(
         else:
             raise ResonanceSearchError(
                 f"{_describe(box)} ({4 * n} nodes, largest arg step {step:.2f}, Beyn rank {rank},"
-                f" {len(passed)} pass the residual test): winding number {winding}, but"
+                f" {len(inner)} eigenvalues inside): winding number {winding}, but"
                 f" {len(roots)} accepted")
     if len(found) != n_res:
         raise ResonanceSearchError(f"found {len(found)} resonances, expected {n_res}; {beyond}")

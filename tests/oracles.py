@@ -297,7 +297,7 @@ def parity_resonance(radius, half_distance, params, M, parity, seed: complex) ->
 
     from hopfarray.spectral import _muller
 
-    return _muller(probe, seed)
+    return _muller(lambda zs: [probe(z) for z in zs], [seed])[0]
 
 
 # ---------------------------------------------------------------------------

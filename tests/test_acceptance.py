@@ -47,7 +47,7 @@ def test_criterion_1_resonance_count_and_stability(
             assert all(r.residual <= 1e-8 for r in res), f"{label}: residual too large"
             for r in res:
                 probe = _ResolventProbe(arr, params, M + 2)
-                z_hi = _muller(probe, r.omega)
+                (z_hi,) = _muller(probe, [r.omega])
                 assert abs(z_hi - r.omega) < 1e-4 * abs(r.omega), f"{label}: drift too large"
         detail = (
             f"residual<=1e-8, drift<1e-4; "

@@ -247,6 +247,25 @@ def test_foreign_cache_entry_is_rebuilt(tmp_path):
     assert len(rebuilt.splitlines()) == 3  # header + two resonators
 
 
+def test_failed_cache_write_leaves_the_old_entry_and_no_temporary(tmp_path, monkeypatch):
+    # a rename that fails removes the temporary file and propagates: readers
+    # still see the old entry, whole
+    import hopfarray.cli as cli
+
+    path = tmp_path / "cache" / "entry.json"
+    path.parent.mkdir()
+    path.write_text("old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._write_atomic(path, "new")
+    assert path.read_text() == "old"
+    assert list(path.parent.iterdir()) == [path]
+
+
 def test_twotone_schema(tmp_path):
     cfg = _config(experiment={"type": "twotone", "Omega1_mode": 2, "num_points": 7,
                               "F1": 1e-5, "F2": 1e-5})

@@ -64,16 +64,30 @@ def _valid(kind, bound, default):
     return st.none() | values if default is None else values
 
 
-# The table's draws of n (up to 10**6) and of any positive s, radius, gap
-# ratio and source distance mostly give layouts past the float range. Most
-# configs take these instead: with s within 1e-5 of 1, s**n stays in range
-# for every drawn n, so the layout is valid and the parsed values are checked.
+# The table's draws of n (up to 10**6), of a mode key (n is raised to it),
+# of panel_size (any positive float) and of any positive s, radius, gap
+# ratio and source distance mostly give layouts past the float range or
+# exterior rules past MAX_EXTERIOR_NODES. Four configs in five take these
+# instead: with n and every mode key at most 24 and s within 1e-5 of 1, the
+# layout is valid, a given panel_size (_buildable_panel) keeps the rule
+# within the bound, and the parsed values are checked.
 _IN_RANGE_GEOMETRY = st.fixed_dictionaries({
+    "n": st.integers(1, 24),
     "first_radius": st.floats(0.01, 100.0) | st.integers(1, 100),
     "s": st.floats(1.0 - 1e-5, 1.0 + 1e-5) | st.just(1),
     "gap_ratio": st.floats(0.01, 10.0) | st.integers(1, 10),
     "source_x": st.floats(-100.0, -0.01) | st.integers(-100, -1),
 })
+_MODE_KEYS = ("mode_ref", "Omega1_mode", "mode_index")
+
+
+def _buildable_panel(geo):
+    """panel_size draws from 1/100 of the extent of the circles and the
+    source along x2 = 0 up to all of it."""
+    x, radii = graded_layout(*(geo[k] for k in ("n", "first_radius", "s", "gap_ratio")))
+    extent = float(max((x + radii).max(), 0.0) - min((x - radii).min(), geo["source_x"]))
+    return (st.floats(0.01, 1.0).map(lambda f: f * extent)
+            | st.integers(max(1, math.ceil(extent / 100)), max(1, math.ceil(extent))))
 
 
 def _object(rows):
@@ -87,7 +101,7 @@ def _enough_modes(cfg):
     given or by default, since the search finds exactly n modes."""
     exp = cfg["experiment"]
     for _, key, _, _, default in rows_of(exp["type"]):
-        if key in ("mode_ref", "Omega1_mode", "mode_index") and exp.get(key, default) is not None:
+        if key in _MODE_KEYS and exp.get(key, default) is not None:
             cfg["geometry"]["n"] = max(cfg["geometry"]["n"], exp.get(key, default))
     return cfg
 
@@ -97,10 +111,16 @@ def configs(draw, etype=None):
     etype = etype or draw(st.sampled_from(TYPES))
     rows = rows_of(etype)
     cfg = {name: draw(_object([r for r in rows if r[0] == name])) for name in BLOCKS}
-    if draw(st.sampled_from((True, True, False))):  # about one config in five keeps the wide draws
+    in_range = draw(st.sampled_from((True, True, True, True, False)))  # one in five keeps the wide draws
+    if in_range:
         cfg["geometry"].update(draw(_IN_RANGE_GEOMETRY))
+        for key in _MODE_KEYS:
+            if cfg["experiment"].get(key) is not None:
+                cfg["experiment"][key] = draw(st.integers(1, 24))
     cfg["experiment"]["type"] = etype
     _enough_modes(cfg)
+    if in_range and "panel_size" in cfg["numerics"]:
+        cfg["numerics"]["panel_size"] = draw(_buildable_panel(cfg["geometry"]))
     if etype in RANGES:
         lo, hi = (cfg["experiment"].get(k) for k in RANGES[etype])
         assume(lo is None or hi is None or lo < hi)

@@ -7,6 +7,7 @@ import pytest
 from conftest import mode_field
 from hopfarray.modal import (
     ModalSystem,
+    _gram_from_values,
     build_modal_system,
     cache_request,
     cubic_tensor,
@@ -172,6 +173,17 @@ def test_gram_single_mode_real_positive(single_mode):
     assert g.shape == (1, 1)
     assert g[0, 0].imag == pytest.approx(0.0, abs=1e-12 * abs(g[0, 0]))
     assert g[0, 0].real > 0
+
+
+@pytest.mark.parametrize("U, wts, least", [
+    ([[1.0, 2.0], [0.0, 0.0]], [1.0, 1.0], "0"),  # a mode that vanishes at every node
+    ([[1.0, 1.0]], [1.0, -2.0], "-1"),  # a rule with a negative weight
+])
+def test_gram_not_positive_definite_is_refused(U, wts, least):
+    with pytest.raises(ValueError, match=re.escape(
+            f"mode Gram matrix is not positive definite (min eigenvalue {least}); "
+            "refine the quadrature or check the modes")):
+        _gram_from_values(np.array(U, dtype=complex), np.array(wts))
 
 
 def test_gram_refinement_under_doubling(pair_modes):

@@ -9,6 +9,7 @@ from hopfarray import spectral
 from hopfarray.boundary import WaveParams, assemble_boundary_matrices, assemble_boundary_system
 from hopfarray.geometry import build_graded_array
 from hopfarray.spectral import (
+    DegenerateModeError,
     ResonanceSearchError,
     _default_search,
     extract_eigenmode,
@@ -206,9 +207,9 @@ def test_mode_flux_defect_shrinks_with_truncation(pair_array, params, pair_reson
     defects = {}
     for M in (5, 8):
         probe = _ResolventProbe(pair_array, params, M)
-        omega = _muller(probe, base.omega)
+        (omega,) = _muller(probe, [base.omega])
         res = Resonance(omega=omega, residual=0.0, truncation=M, drift=0.0,
-                        svd=_root_svd(probe, omega))
+                        svd=_root_svd(probe, [omega])[0])
         mode = extract_eigenmode(pair_array, params, res)
         _, flux, scale = _pointwise_condition_defects(mode, n_samples=32)
         defects[M] = flux / scale
@@ -251,7 +252,7 @@ def test_refinement_stability(six_resonances, six_array, params):
 
     res = six_resonances[1]
     probe = _ResolventProbe(six_array, params, res.truncation + 2)
-    z_hi = _muller(probe, res.omega)
+    (z_hi,) = _muller(probe, [res.omega])
     assert abs(z_hi - res.omega) <= 1e-4 * abs(res.omega)
 
 
@@ -319,8 +320,8 @@ def test_single_disk_spurious_eigenvalues_not_counted(
     single_array, params, single_resonances, monkeypatch, rank_tol
 ):
     # a lower rank cut lets spurious eigenvalues through (at 1e-16 they fill
-    # the probe block and force splits); the residual test, polish and
-    # de-duplication still leave exactly the one root
+    # the probe block and force splits); polish, de-duplication and each
+    # root's own SVD certificate still leave exactly the one root
     monkeypatch.setattr(spectral, "_RANK_TOL", rank_tol)
     res = find_resonances(single_array, params, M=4)
     assert max(c["rank"] for c in res.search["contours"]) > 1
@@ -345,24 +346,61 @@ def test_resonance_near_subcontour_edge_counted_once(six_array, params, six_reso
 
 
 def test_polish_landing_twice_on_one_root_is_not_certified(pair_array, params, monkeypatch):
-    # both Beyn eigenvalues pass, but every polish lands next to the lower
+    # both Beyn eigenvalues lie inside, but every polish lands next to the lower
     # root: counted once, the sub-contour falls one short of its winding
     # number instead of reporting the lower root twice
     lower = min((r.omega for r in find_resonances(pair_array, params, M=5)), key=lambda z: z.real)
     polished = iter(lower * (1 + 1e-12 * k) for k in range(100))
-    monkeypatch.setattr(spectral, "_muller", lambda f, z0: next(polished))
+    monkeypatch.setattr(spectral, "_muller", lambda f, starts: [next(polished) for _ in starts])
     monkeypatch.setattr(spectral, "_NODES", (32, 32))
     monkeypatch.setattr(spectral, "_MAX_CONTOURS", 1)
-    with pytest.raises(ResonanceSearchError, match="2 pass the residual test.*number 2, but 1 "):
+    with pytest.raises(ResonanceSearchError, match="2 eigenvalues inside.*number 2, but 1 "):
         find_resonances(pair_array, params, M=5)
 
 
 def test_uncertified_subcontour_names_both_counts(single_array, params, monkeypatch):
-    monkeypatch.setattr(spectral, "_BEYN_RESIDUAL", 0.0)  # no eigenpair passes
+    monkeypatch.setattr(spectral, "_RESONANCE_TOL", 0.0)  # no root is certified
     monkeypatch.setattr(spectral, "_NODES", (16, 16))
     monkeypatch.setattr(spectral, "_MAX_CONTOURS", 1)
     with pytest.raises(ResonanceSearchError, match=r"sub-contour Re \[.*winding number 1, but 0 "):
         find_resonances(single_array, params, M=3)
+
+
+def test_drift_past_its_bound_fails_the_search(single_array, params, single_resonances, monkeypatch):
+    # with no drift allowed, the certified root fails the M -> M+2 check by name
+    monkeypatch.setattr(spectral, "_DRIFT_TOL", 0.0)
+    res = single_resonances[0]
+    assert res.drift > 0
+    with pytest.raises(ResonanceSearchError, match=re.escape(
+            f"resonance {res.omega:.6g} drifts by {res.drift:.3g} relative under M=4 -> 6 refinement")):
+        find_resonances(single_array, params, M=4)
+
+
+def test_window_holding_fewer_than_n_fails_the_search(six_array, params, six_resonances, monkeypatch):
+    # a window whose right edge lies between the fifth and the sixth root is
+    # certified sub-contour by sub-contour, and then fails on the total count
+    window = _default_search([single_disk_resonance(r, params) for r in six_array.radii])
+    fifth, sixth = (r.omega.real for r in six_resonances[4:])
+    window["re"] = (window["re"][0], 0.5 * (fifth + sixth))
+    monkeypatch.setattr(spectral, "_default_search", lambda seeds: window)
+    with pytest.raises(ResonanceSearchError, match=re.escape(
+            "found 5 resonances, expected 6; at delta = 0.001 the window may hold resonances "
+            "that are not subwavelength")):
+        find_resonances(six_array, params, M=5)
+
+
+@pytest.mark.parametrize("s_even, s_odd, want", [
+    ([1.0, 2e-13, 1e-13], [1.0, 0.5], "smallest singular values 1e-13, 2e-13 are not separated; "
+                                       "the second lies in the even mirror block"),
+    ([1.0, 0.5, 1e-13], [1.0, 3e-13], "smallest singular values 1e-13, 3e-13 are not separated; "
+                                       "the second lies in the odd mirror block"),
+])
+def test_two_close_smallest_singular_values_are_degenerate(pair_array, params, pair_resonances,
+                                                           s_even, s_odd, want):
+    null = pair_resonances[0].svd[2]
+    res = replace(pair_resonances[0], svd=(np.array(s_even), np.array(s_odd), null))
+    with pytest.raises(DegenerateModeError, match=re.escape(want)):
+        extract_eigenmode(pair_array, params, res)
 
 
 def test_exactly_singular_system(single_array, params, monkeypatch):
@@ -376,7 +414,7 @@ def test_exactly_singular_system(single_array, params, monkeypatch):
     monkeypatch.setattr(spectral, "assemble_boundary_matrices",
                         lambda array, params, omegas, M: (np.stack([singular] * len(omegas)),
                                                           np.stack([odd] * len(omegas))))
-    assert spectral._ResolventProbe(single_array, params, 3)(0.1) == 0.0
+    assert spectral._ResolventProbe(single_array, params, 3)([0.1]) == [0.0]
     box = spectral._describe(_window_box(single_array, params))
     with pytest.raises(ResonanceSearchError, match=re.escape(f"{box}: boundary system singular")):
         find_resonances(single_array, params, M=3)

@@ -51,6 +51,8 @@ CONFIGS = {
     "sweep-numerics": {"type": "sweep", "num_points": 24, "F_values": [1e-6, 1e-2]},
     # the top root (about 0.327) lies past 2 pi v / (10 d_max)
     "resonances-delta": {"type": "resonances"},
+    # a search beyond N = 6: one sub-contour of 256 nodes, winding number 12
+    "resonances-n12": {"type": "resonances"},
 }
 
 # name: block: keys that replace that block's keys of BASE for that config;
@@ -58,6 +60,7 @@ CONFIGS = {
 OVERRIDES = {
     "sweep-numerics": {"numerics": {"multipole_order": 7, "panel_size": 2.0}},
     "resonances-delta": {"material": {"delta": 0.03}},
+    "resonances-n12": {"geometry": {"n": 12}},
 }
 
 
