@@ -261,7 +261,7 @@ def default_observation_points(system: ModalSystem) -> np.ndarray:
 
 
 def refined_frequency_grid(
-    system: ModalSystem, lo: float, hi: float, base_points: int = 200
+    system: ModalSystem, lo: float, hi: float, base_points: int
 ) -> np.ndarray:
     """Strictly increasing grid refined around every resonance.
 

@@ -40,7 +40,7 @@ from .boundary import WaveParams
 from .geometry import ResonatorArray, classify_points, graded_layout
 from .hopf import ConvergenceError, single_hopf_steady_state
 from .modal import ModalSystem, build_modal_system, cache_request, modal_cache_key
-from .quadrature import QuadratureSpec, collar_half_widths, default_spec, exterior_node_count
+from .quadrature import PANEL_SIZE, QuadratureSpec, collar_half_widths, default_spec, exterior_node_count
 
 
 class ConfigError(ValueError):
@@ -72,7 +72,7 @@ _FIELDS = (
     ("material", "delta", "number", "positive", _REQUIRED),
     ("material", "beta", "number", None, _REQUIRED),
     ("numerics", "multipole_order", "integer", 1, 5),
-    ("numerics", "panel_size", "number", "positive", 2.5),
+    ("numerics", "panel_size", "number", "positive", PANEL_SIZE),
     ("experiment", "type", "enum", ("resonances", "sweep", "phase", "twotone", "oracle"),
      _REQUIRED),
     ("sweep", "mode_ref", "integer", 1, 2),

@@ -49,7 +49,7 @@ def _mode_values(modes: list[Eigenmode], points) -> np.ndarray:
 def _nodes(array: ResonatorArray, quad: QuadratureSpec):
     """Composite-rule nodes and weights (exterior first) and the interior rule that ends them."""
     ext_pts, ext_wts = exterior_rule(array, quad)
-    rule = interior_rule(array, quad)
+    rule = interior_rule(array)
     return np.vstack([ext_pts, rule[0]]), np.concatenate([ext_wts, rule[1]]), rule
 
 
@@ -88,11 +88,11 @@ def source_coupling(modes: list[Eigenmode], source) -> np.ndarray:
     return _mode_values(modes, np.asarray(source, dtype=float))[:, 0].conj()
 
 
-def cubic_tensor(modes: list[Eigenmode], quad: QuadratureSpec) -> np.ndarray:
+def cubic_tensor(modes: list[Eigenmode]) -> np.ndarray:
     """Rank-4 tensor of interior cubic products, symmetrized in (i, j)."""
     if not modes:
         raise ValueError("need at least one mode")
-    pts, wts, _ = interior_rule(modes[0].array, quad)
+    pts, wts, _ = interior_rule(modes[0].array)
     return cubic_tensor_from_values(_mode_values(modes, pts), wts)
 
 
@@ -128,7 +128,8 @@ class ModalSystem:
     arbitrary points; search is the resonance-search record of
     find_resonances, and request the cache_request the system answers.
     omegas (the N complex resonances), gram_inverse and the interior rule
-    are derived from these on construction.
+    (which depends on the array alone) are derived from these on
+    construction.
     """
 
     array: ResonatorArray
@@ -148,7 +149,7 @@ class ModalSystem:
     def __post_init__(self) -> None:
         self.omegas = np.array([m.resonance.omega for m in self.modes])
         self.gram_inverse = np.linalg.inv(self.gram)
-        self._interior_rule = interior_rule(self.array, self.quad)
+        self._interior_rule = interior_rule(self.array)
 
     @property
     def n(self) -> int:
@@ -285,7 +286,7 @@ def modal_cache_key(request: dict) -> str:
 def build_modal_system(
     array: ResonatorArray,
     params: WaveParams,
-    M: int = 5,
+    M: int,
     quad: QuadratureSpec | None = None,
 ) -> ModalSystem:
     """Full pipeline: resonances -> eigenmodes -> projection quantities."""

@@ -17,8 +17,10 @@ meaningful accuracy certificate:
 - the box minus the squares: axis-aligned rectangles, panelized tensor
   Gauss-Legendre.
 
-One QuadratureSpec holds every node count, so a convergence check scales
-them together.
+The node counts are module constants: EXT_ORDER per side of an exterior
+panel, RING_COUNTS per collar face and DISK_COUNTS per disk. A
+QuadratureSpec holds only the box and the exterior panel size, so the
+interior rule depends on the array alone.
 """
 
 from __future__ import annotations
@@ -33,25 +35,23 @@ from .geometry import ResonatorArray
 
 MAX_EXTERIOR_NODES = 2**22  # about 50 times all 80,160 nodes of the 22-disk default rule
 
+EXT_ORDER = 8  # Gauss-Legendre nodes per side of an exterior panel
+RING_COUNTS = (10, 12)  # (radial, angular) Gauss-Legendre nodes per collar face
+DISK_COUNTS = (16, 48)  # (radial Gauss-Legendre, uniform angular) nodes per disk
+PANEL_SIZE = 2.5  # the default longest side of an exterior panel
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Box and node-count configuration for the composite rule.
+    """The box and exterior panel size of the composite rule.
 
     box: (x_min, x_max, y_min, y_max), finite, must strictly contain every
-    circle and the source, with y_min = -y_max. ext_order is the Gauss-Legendre
-    order per exterior panel (panels are at most panel_size long per side);
-    disk_radial/disk_angular are the per-disk interior counts;
-    ring_radial/ring_angular the collar counts per face.
+    circle and the source, with y_min = -y_max. Exterior panels are at most
+    panel_size long per side. The node counts are the module constants.
     """
 
     box: tuple[float, float, float, float]
-    ext_order: int = 8
-    panel_size: float = 2.5
-    ring_radial: int = 10
-    ring_angular: int = 12
-    disk_radial: int = 16
-    disk_angular: int = 48
+    panel_size: float = PANEL_SIZE
 
     def __post_init__(self) -> None:
         x0, x1, y0, y1 = self.box
@@ -59,11 +59,6 @@ class QuadratureSpec:
             raise ValueError(f"box {self.box} is not finite")
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"degenerate box {self.box}")
-        for name in ("ext_order", "ring_radial", "ring_angular", "disk_radial", "disk_angular"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
-        if self.disk_angular < 8:
-            raise ValueError("disk_angular must be >= 8")
         if not 0 < self.panel_size < np.inf:  # NaN too
             raise ValueError(f"panel_size must be positive and finite, got {self.panel_size}")
 
@@ -83,9 +78,9 @@ class QuadratureSpec:
             raise ValueError(f"box {self.box} does not contain the source {array.source}")
 
 
-def default_spec(array: ResonatorArray, **kwargs) -> QuadratureSpec:
+def default_spec(array: ResonatorArray, panel_size: float = PANEL_SIZE) -> QuadratureSpec:
     """Bounding box of circles + source, expanded on each side by a quarter
-    of the diagonal of the tight box; kwargs set the other fields."""
+    of the diagonal of the tight box, with the given panel size."""
     cxs = array.centers[:, 0]
     radii = array.radii
     with np.errstate(over="ignore"):  # past the float range the box is infinite, and rejected
@@ -95,7 +90,7 @@ def default_spec(array: ResonatorArray, **kwargs) -> QuadratureSpec:
         y0, y1 = float(ys.min()), float(ys.max())
         diag = float(np.hypot(x1 - x0, y1 - y0))
     pad = 0.25 * diag
-    return QuadratureSpec(box=(x0 - pad, x1 + pad, y0 - pad, y1 + pad), **kwargs)
+    return QuadratureSpec(box=(x0 - pad, x1 + pad, y0 - pad, y1 + pad), panel_size=panel_size)
 
 
 @functools.cache
@@ -113,14 +108,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _half_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes t >= 0 of the n-point Gauss-Legendre rule on [-1, 1] with
-    mirrored weights: twice the weight off t = 0; the middle node of an odd
-    n at t = 0 exactly, with its weight once."""
+    """The nodes t > 0 of the n-point Gauss-Legendre rule on [-1, 1], n
+    even, with twice their weights."""
     x, w = gauss_legendre(n)
-    t, wt = x[n // 2:].copy(), 2.0 * w[n // 2:]
-    if n % 2:
-        t[0], wt[0] = 0.0, w[n // 2]
-    return t, wt
+    return x[n // 2:], 2.0 * w[n // 2:]
 
 
 def _panels(a: float, b: float, count: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,15 +129,15 @@ def _count(length, panel_size: float):
         return np.maximum(np.ceil(np.divide(length, panel_size)), 1.0)
 
 
-def _half_panels(h: float, order: int, panel_size: float) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes y >= 0 of the panelized Gauss-Legendre rule on [-h, h],
-    with mirrored weights. An odd panel count leaves a middle panel across
-    y = 0, which keeps its upper half by _half_gauss."""
+def _half_panels(h: float, panel_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes y > 0 of the panelized Gauss-Legendre rule of EXT_ORDER on
+    [-h, h], with mirrored weights. An odd panel count leaves a middle panel
+    across y = 0, which keeps its upper half by _half_gauss."""
     n = int(_count(2.0 * h, panel_size))
-    y, w = _panels(h / n if n % 2 else 0.0, h, n // 2, order)
+    y, w = _panels(h / n if n % 2 else 0.0, h, n // 2, EXT_ORDER)
     if n % 2 == 0:
         return y, 2.0 * w
-    t, wt = _half_gauss(order)
+    t, wt = _half_gauss(EXT_ORDER)
     return np.concatenate([(h / n) * t, y]), np.concatenate([(h / n) * wt, 2.0 * w])
 
 
@@ -157,15 +148,17 @@ def _polar(center_x: float, rho: np.ndarray, theta: np.ndarray, on_axis: np.ndar
     return np.column_stack([(center_x + rho * np.cos(theta)).ravel(), (rho * sin).ravel()])
 
 
-def disk_rule(center_x: float, radius: float, n_radial: int, n_angular: int):
+def disk_rule(center_x: float, radius: float):
     """Polar rule over the upper half of the disk about (center_x, 0), for
-    integrands even in x2: Gauss-Legendre radius, uniform angle.
+    integrands even in x2: DISK_COUNTS = (n_radial, n_angular) nodes,
+    Gauss-Legendre in radius, uniform in angle.
 
     Keeps the angles 2 pi k / n_angular for k = 0..n_angular/2; the angles on
-    the axis (0, and pi for even n_angular) carry their weight once, the rest
-    twice. Returns (points (P,2), weights (P,)). Exact for angular content
-    below n_angular/2 and radially-smooth integrands.
+    the axis (0 and pi) carry their weight once, the rest twice. Returns
+    (points (P,2), weights (P,)). Exact for angular content below
+    n_angular/2 and radially-smooth integrands.
     """
+    n_radial, n_angular = DISK_COUNTS
     rho, w_rho = _panels(0.0, radius, 1, n_radial)
     k = np.arange(n_angular // 2 + 1)
     on_axis = 2 * k % n_angular == 0
@@ -175,18 +168,20 @@ def disk_rule(center_x: float, radius: float, n_radial: int, n_angular: int):
     return pts, ((w_rho * rho)[:, None] * w_theta[None, :]).ravel()
 
 
-def ring_rule(center_x: float, r_inner: float, half_width: float, n_radial: int, n_angular: int):
+def ring_rule(center_x: float, r_inner: float, half_width: float):
     """Polar rule over the upper half of the square of half_width about
     (center_x, 0) minus its inscribed disk of r_inner, for integrands even
-    in x2.
+    in x2, with RING_COUNTS = (n_radial, n_angular) nodes per face.
 
     Face panels; on each, rays run from the circle to the square edge
     R(theta) = half_width / cos(theta - face_angle). The right and left
     faces (angles 0 and pi) keep their upper angles by _half_gauss; the top
-    face doubles its weights, and stands for the bottom face.
+    face doubles its weights, and stands for the bottom face. No ray lies
+    on the axis.
     """
     if not (half_width > r_inner):
         raise ValueError("ring requires half_width > r_inner")
+    n_radial, n_angular = RING_COUNTS
     pts_all = []
     wts_all = []
     t, w_t = gauss_legendre(n_angular)
@@ -199,8 +194,7 @@ def ring_rule(center_x: float, r_inner: float, half_width: float, n_radial: int,
         # map u in [-1,1] to [r_inner, r_out(theta)] per ray
         rho = r_inner + 0.5 * (u[:, None] + 1.0) * (r_out[None, :] - r_inner)
         w_rho = 0.5 * (r_out[None, :] - r_inner) * w_u[:, None]
-        on_axis = (s == 0.0) & (phi0 != np.pi / 2.0)  # the middle ray of the right or left face
-        pts_all.append(_polar(center_x, rho, theta[None, :], on_axis[None, :]))
+        pts_all.append(_polar(center_x, rho, theta[None, :], False))
         wts_all.append((w_rho * rho * w_theta[None, :]).ravel())
     return np.vstack(pts_all), np.concatenate(wts_all)
 
@@ -256,18 +250,18 @@ def _strips(array: ResonatorArray, spec: QuadratureSpec, widths: np.ndarray):
 
 def exterior_node_count(array: ResonatorArray, spec: QuadratureSpec) -> float:
     """The number of nodes exterior_rule(array, spec) returns, counted from
-    the box and the node counts without building the rule: a float, exact
+    the box and the panel size without building the rule: a float, exact
     below 2**53. A count past MAX_EXTERIOR_NODES raises ValueError naming it."""
     spec.validate_against(array)
     widths = collar_half_widths(array, spec)
     a, b, c, across = _strips(array, spec, widths)
-    order, size, y1 = spec.ext_order, spec.panel_size, spec.box[3]
-    ring = spec.ring_radial * (spec.ring_angular + 2 * (spec.ring_angular - spec.ring_angular // 2))
+    size, y1 = spec.panel_size, spec.box[3]
     with np.errstate(over="ignore"):
-        # _half_panels keeps the upper half of the nodes across the axis, a middle one once
-        y_across = np.ceil(_count(2.0 * y1, size) * order / 2)
-        y_nodes = np.where(across, y_across, _count(y1 - c, size) * order)
-        count = len(widths) * ring + float(np.sum(_count(b - a, size) * order * y_nodes))
+        # a ring holds its top face and the upper halves of its left and right faces;
+        # a strip across the axis holds the upper half of its nodes
+        y_nodes = np.where(across, _count(2.0 * y1, size) / 2, _count(y1 - c, size)) * EXT_ORDER
+        count = (len(widths) * 2 * RING_COUNTS[0] * RING_COUNTS[1]
+                 + float(np.sum(_count(b - a, size) * EXT_ORDER * y_nodes)))
     if count > MAX_EXTERIOR_NODES:
         held = f"{count:.3g}" if count < np.inf else f"more than {np.finfo(float).max:.2g}"
         raise ValueError(f"the exterior rule over the box {spec.box} at panel_size {spec.panel_size!r}"
@@ -286,20 +280,19 @@ def exterior_rule(array: ResonatorArray, spec: QuadratureSpec):
     """
     exterior_node_count(array, spec)
     widths = collar_half_widths(array, spec)
-    rules = [ring_rule(cx, r, w, spec.ring_radial, spec.ring_angular)
-             for cx, r, w in zip(array.centers[:, 0], array.radii, widths)]
-    order, size, y1 = spec.ext_order, spec.panel_size, spec.box[3]
+    rules = [ring_rule(cx, r, w) for cx, r, w in zip(array.centers[:, 0], array.radii, widths)]
+    size, y1 = spec.panel_size, spec.box[3]
     for a, b, c, across in zip(*_strips(array, spec, widths)):
-        x_rule = _panels(a, b, int(_count(b - a, size)), order)
+        x_rule = _panels(a, b, int(_count(b - a, size)), EXT_ORDER)
         if across:
-            rules.append(_tensor(x_rule, _half_panels(y1, order, size)))
+            rules.append(_tensor(x_rule, _half_panels(y1, size)))
         else:
-            y, w = _panels(c, y1, int(_count(y1 - c, size)), order)
+            y, w = _panels(c, y1, int(_count(y1 - c, size)), EXT_ORDER)
             rules.append(_tensor(x_rule, (y, 2.0 * w)))
     return np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules])
 
 
-def interior_rule(array: ResonatorArray, spec: QuadratureSpec):
+def interior_rule(array: ResonatorArray):
     """Quadrature over the upper half (x2 >= 0) of the disk interiors, for
     integrands even in x2 (see disk_rule).
 
@@ -309,7 +302,7 @@ def interior_rule(array: ResonatorArray, spec: QuadratureSpec):
     wts_all = []
     idx_all = []
     for i, (x, r) in enumerate(zip(array.center_x, array.radius)):
-        p, w = disk_rule(x, r, spec.disk_radial, spec.disk_angular)
+        p, w = disk_rule(x, r)
         pts_all.append(p)
         wts_all.append(w)
         idx_all.append(np.full(len(w), i, dtype=int))

@@ -25,7 +25,7 @@ from .boundary import evaluate_field  # noqa: F401  kept for perfbench/tracing.p
 from .cylinder import bessel_j, hankel1  # noqa: F401  kept for perfbench/tracing.py, which patches them here
 from .cylinder import bessel_j_orders, hankel1_orders
 from .geometry import ResonatorArray
-from .quadrature import default_spec, gauss_legendre, interior_rule
+from .quadrature import gauss_legendre, interior_rule
 from .quadrature import disk_rule  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 
 
@@ -274,7 +274,7 @@ def _split(box, points):
 def find_resonances(
     array: ResonatorArray,
     params: WaveParams,
-    M: int = 5,
+    M: int,
 ) -> Resonances:
     """Locate the N subwavelength resonances of the coupled array, in the
     window that _default_search sets around the isolated-disk resonances.
@@ -392,7 +392,6 @@ def sample_eigenmodes(
 
 def extract_eigenmode(array: ResonatorArray, params: WaveParams, resonance: Resonance) -> Eigenmode:
     """Nullspace density at a resonance, normalized over the disk interiors:
-    the one-resonance case of sample_eigenmodes over the interior rule of
-    the default quadrature."""
-    rule = interior_rule(array, default_spec(array))
+    the one-resonance case of sample_eigenmodes over the interior rule."""
+    rule = interior_rule(array)
     return sample_eigenmodes(array, params, [resonance], rule, rule[0], 0)[0][0]

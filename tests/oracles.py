@@ -11,15 +11,14 @@ argument-principle count of the resonances in a rectangle from the
 loop-built determinant, a time integration of the single forced Hopf
 oscillator, a pair-by-pair validity check of a line of circles, and the
 composite rule over the full box, both halves, against which the
-half-plane rules are checked. The
-node-doubling refinement report at the end is the
-exception: it reuses the modal sampling, as it checks convergence of the
-quadrature rather than the code.
+half-plane rules are checked. The node-doubling refinement report at the
+end takes its finer rule from that full-box rule, but reuses the modal
+sampling and projections, as it checks convergence of the quadrature
+rather than the code.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -425,15 +424,17 @@ def full_rectangle_rule(x0: float, x1: float, y0: float, y1: float, order: int, 
     return np.vstack(pts), np.concatenate(wts)
 
 
-def full_exterior_rule(array, spec):
-    """Quadrature over the whole box minus all disks: collar rings + rectangles."""
+def full_exterior_rule(array, spec, order: int = 8, ring: tuple[int, int] = (10, 12)):
+    """Quadrature over the whole box of spec minus all disks: collar rings
+    of ring = (radial, angular) nodes per face, and rectangles in panels at
+    most spec.panel_size long of order x order nodes. The default counts are
+    those of hopfarray.quadrature."""
     from hopfarray.quadrature import collar_half_widths
 
     x0, x1, y0, y1 = spec.box
     widths = collar_half_widths(array, spec)
     cxs, radii = array.centers[:, 0], array.radii
-    rules = [full_ring_rule((cx, 0.0), r, w, spec.ring_radial, spec.ring_angular)
-             for cx, r, w in zip(cxs, radii, widths)]
+    rules = [full_ring_rule((cx, 0.0), r, w, *ring) for cx, r, w in zip(cxs, radii, widths)]
     edges = [x0, *np.column_stack([cxs - widths, cxs + widths]).ravel(), x1]
     for k in range(len(edges) - 1):
         a, b = edges[k], edges[k + 1]
@@ -441,15 +442,16 @@ def full_exterior_rule(array, spec):
             continue
         w_i = widths[(k - 1) // 2]
         spans = ((y0, -w_i), (w_i, y1)) if k % 2 else ((y0, y1),)
-        rules += [full_rectangle_rule(a, b, lo, hi, spec.ext_order, spec.panel_size)
+        rules += [full_rectangle_rule(a, b, lo, hi, order, spec.panel_size)
                   for lo, hi in spans if hi - lo > 1e-12]
     return np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules])
 
 
-def full_interior_rule(array, spec):
-    """Quadrature over the whole disk interiors: (points, weights, disk index)."""
-    rules = [full_disk_rule((x, 0.0), r, spec.disk_radial, spec.disk_angular)
-             for x, r in zip(array.center_x, array.radius)]
+def full_interior_rule(array, disk: tuple[int, int] = (16, 48)):
+    """Quadrature over the whole disk interiors, disk = (radial, angular)
+    nodes per disk, by default those of hopfarray.quadrature: (points,
+    weights, disk index)."""
+    rules = [full_disk_rule((x, 0.0), r, *disk) for x, r in zip(array.center_x, array.radius)]
     return (np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules]),
             np.concatenate([np.full(len(w), i) for i, (_, w) in enumerate(rules)]))
 
@@ -457,23 +459,28 @@ def full_interior_rule(array, spec):
 # ---------------------------------------------------------------------------
 # node-doubling refinement of the projected quantities
 # ---------------------------------------------------------------------------
-def refined(spec, factor: int = 2):
-    """The QuadratureSpec spec with every node count scaled by an integer
-    factor and the same box."""
-    counts = ("ext_order", "ring_radial", "ring_angular", "disk_radial", "disk_angular")
-    return dataclasses.replace(spec, **{name: getattr(spec, name) * factor for name in counts})
-
-
 def refinement_report(modes, quad) -> dict[str, float]:
-    """Max relative change of the Gram matrix and the cubic tensor under
-    node doubling. A convergence check: it samples the modes as a build does."""
+    """Max relative change of the Gram matrix and the cubic tensor from the
+    build's composite rule over quad to the full-box rule above over the
+    same box and panels with every node count doubled: order 16 per panel
+    side, 20 x 24 per collar face and 32 x 96 per disk. A convergence check:
+    it samples the modes and forms the projections as a build does, but
+    builds its finer rule here, taking from hopfarray.quadrature only the
+    collar widths and the one-dimensional Gauss-Legendre nodes."""
     from hopfarray.modal import _gram_from_values, _mode_values, _nodes, cubic_tensor_from_values
 
+    array = modes[0].array
+    pts, wts, (_, built_interior, _) = _nodes(array, quad)
+    ext_pts, ext_wts = full_exterior_rule(array, quad, order=16, ring=(20, 24))
+    int_pts, int_wts, _ = full_interior_rule(array, disk=(32, 96))
+    # (nodes, weights, interior nodes): each rule ends with its interior nodes
+    rules = ((pts, wts, len(built_interior)),
+             (np.vstack([ext_pts, int_pts]), np.concatenate([ext_wts, int_wts]), len(int_wts)))
     reports = []
-    for q in (quad, refined(quad)):
-        pts, wts, rule = _nodes(modes[0].array, q)
+    for pts, wts, n_interior in rules:
         U = _mode_values(modes, pts)
-        reports.append((_gram_from_values(U, wts), cubic_tensor_from_values(U[:, -len(rule[1]):], rule[1])))
+        reports.append((_gram_from_values(U, wts),
+                        cubic_tensor_from_values(U[:, -n_interior:], wts[-n_interior:])))
     (g0, t0), (g1, t1) = reports
     return {
         "gram": float(np.max(np.abs(g1 - g0)) / np.max(np.abs(g1))),

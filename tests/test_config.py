@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopfarray.cli import (
@@ -19,7 +19,9 @@ from hopfarray.cli import (
     run_experiment,
 )
 from hopfarray.geometry import classify_points, graded_layout
-from hopfarray.quadrature import MAX_EXTERIOR_NODES, collar_half_widths, default_spec
+from hopfarray.quadrature import (
+    EXT_ORDER, MAX_EXTERIOR_NODES, RING_COUNTS, collar_half_widths, default_spec,
+)
 
 from test_cli import _config
 
@@ -144,6 +146,10 @@ def _typed(value):
 
 @settings(max_examples=150, deadline=None)
 @given(configs())
+# circles and a source whose quadrature box is past the float range, which the draws miss
+@example({"geometry": {"n": 1, "first_radius": 5e307, "s": 1.0, "gap_ratio": 0.5, "source_x": -5e307},
+          "material": {"v": 1.0, "v_b": 1.0, "delta": 1e-3, "beta": 5e5}, "numerics": {},
+          "experiment": {"type": "resonances"}})
 def test_valid_config_parses_to_drawn_values_and_defaults(cfg):
     try:
         parsed = parse_config(json.dumps(cfg))
@@ -238,7 +244,7 @@ def _exterior_nodes(cfg):
     array = SimpleNamespace(centers=np.stack([centers, np.zeros_like(centers)], axis=1),
                             radii=radii, source=(geo["source_x"], 0.0))
     spec = default_spec(array, panel_size=cfg.get("numerics", {}).get("panel_size", 2.5))
-    assert (spec.ext_order, spec.ring_radial, spec.ring_angular) == (8, 10, 12)
+    assert (EXT_ORDER, RING_COUNTS) == (8, (10, 12))
     x0, x1, _, y1 = spec.box
     widths = collar_half_widths(array, spec)
     edges = np.concatenate([[x0], np.ravel([centers - widths, centers + widths], order="F"), [x1]])

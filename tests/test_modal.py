@@ -26,8 +26,7 @@ from hopfarray.quadrature import (
     interior_rule,
 )
 from hopfarray.spectral import Eigenmode
-from oracles import (full_disk_rule, full_exterior_rule, full_interior_rule, refined,
-                     refinement_report)
+from oracles import full_disk_rule, full_exterior_rule, full_interior_rule, refinement_report
 
 BETA = 5.0e5
 
@@ -45,7 +44,7 @@ def _scaled_mode(mode, factor):
 def test_quadrature_weights_recover_areas(six_array):
     quad = default_spec(six_array)
     ep, ew = exterior_rule(six_array, quad)
-    ip, iw, idx = interior_rule(six_array, quad)
+    ip, iw, idx = interior_rule(six_array)
     x0, x1, y0, y1 = quad.box
     disk_area = np.pi * np.sum(six_array.radii**2)
     assert ew.sum() == pytest.approx((x1 - x0) * (y1 - y0) - disk_area, rel=1e-12)
@@ -81,11 +80,11 @@ def test_quadrature_box_must_be_symmetric(six_array):
 @pytest.mark.parametrize("fields, message", [
     ({"box": (1.0, 1.0, -1.0, 1.0)}, "degenerate box"),
     ({"box": (-1.0, 1.0, 1.0, -1.0)}, "degenerate box"),
-    ({"ext_order": 1}, "ext_order must be >= 2"),
-    ({"ring_radial": 1}, "ring_radial must be >= 2"),
-    ({"ring_angular": 0}, "ring_angular must be >= 2"),
-    ({"disk_radial": 1}, "disk_radial must be >= 2"),
-    ({"disk_angular": 7}, "disk_angular must be >= 8"),
+    ({"box": (np.nan, 1.0, -1.0, 1.0)}, "box (nan, 1.0, -1.0, 1.0) is not finite"),
+    ({"box": (-1.0, np.inf, -1.0, 1.0)}, "box (-1.0, inf, -1.0, 1.0) is not finite"),
+    ({"box": (-1.0, 1.0, -np.inf, 1.0)}, "box (-1.0, 1.0, -inf, 1.0) is not finite"),
+    ({"box": (-1.0, 1.0, -1.0, np.nan)}, "box (-1.0, 1.0, -1.0, nan) is not finite"),
+    ({"box": (1.0, -1.0, -1.0, 1.0)}, "degenerate box"),
     ({"panel_size": -1.0}, "panel_size must be positive and finite, got -1.0"),
     ({"panel_size": 0.0}, "panel_size must be positive and finite, got 0.0"),
     ({"panel_size": np.nan}, "panel_size must be positive and finite, got nan"),
@@ -97,16 +96,12 @@ def test_quadrature_spec_names_a_bad_field(fields, message):
         QuadratureSpec(**{"box": (-1.0, 1.0, -1.0, 1.0), **fields})
 
 
-# node counts off the defaults: odd angular and Gauss orders put nodes on the
-# axis, and panel_size 2.0 gives the full-height strips an odd panel count
-_HALF_RULE_COUNTS = (
-    {},
-    {"ext_order": 7, "ring_angular": 11, "disk_angular": 47, "panel_size": 2.0},
-    {"ext_order": 9, "ring_angular": 13, "disk_angular": 50, "disk_radial": 5},
-)
+# panel sizes: 2.0 gives the six-disk array's full-height strips an odd panel
+# count, whose middle panel straddles the axis
+_HALF_RULE_PANELS = ({}, {"panel_size": 2.0}, {"panel_size": 0.7})
 
 
-@pytest.mark.parametrize("counts", _HALF_RULE_COUNTS + ({"panel_size": 0.3},))
+@pytest.mark.parametrize("counts", _HALF_RULE_PANELS + ({"panel_size": 0.3},))
 def test_exterior_node_count_is_the_rule_length(single_array, pair_array, six_array, counts):
     for array in (single_array, pair_array, six_array):
         quad = default_spec(array, **counts)
@@ -129,11 +124,11 @@ def test_build_past_the_exterior_node_bound_raises_before_any_rule(six_array, pa
         build_modal_system(six_array, params, M=5, quad=quad)
 
 
-@pytest.mark.parametrize("counts", _HALF_RULE_COUNTS)
+@pytest.mark.parametrize("counts", _HALF_RULE_PANELS)
 def test_half_rules_fold_the_full_rules(six_array, counts):
     quad = default_spec(six_array, **counts)
-    ip, iw, idx = interior_rule(six_array, quad)
-    fp, fw, fidx = full_interior_rule(six_array, quad)
+    ip, iw, idx = interior_rule(six_array)
+    fp, fw, fidx = full_interior_rule(six_array)
     # each disk keeps the nodes of its upper half
     assert np.array_equal(np.bincount(idx), np.bincount(fidx[fp[:, 1] > -1e-12]))
     even = (
@@ -197,17 +192,7 @@ def test_gram_parity_orthogonality(pair_modes):
     # symmetric box for the symmetric pair: parity sectors are orthogonal
     arr = pair_modes[0].array
     span = 4.0 * (arr.center_x[1] + arr.radius[1])
-    quad = default_spec(arr)
-    quad = QuadratureSpec(
-        box=(-span, span, -span, span),
-        ext_order=quad.ext_order,
-        panel_size=quad.panel_size,
-        ring_radial=quad.ring_radial,
-        ring_angular=quad.ring_angular,
-        disk_radial=quad.disk_radial,
-        disk_angular=quad.disk_angular,
-    )
-    g = gram_matrix(pair_modes, quad)
+    g = gram_matrix(pair_modes, QuadratureSpec(box=(-span, span, -span, span)))
     assert abs(g[0, 1]) <= 1e-6 * max(abs(g[0, 0]), abs(g[1, 1]))
 
 
@@ -263,8 +248,7 @@ def test_source_on_boundary_rejected(single_mode):
 
 
 def test_cubic_tensor_diagonal_real_positive(single_mode):
-    quad = default_spec(single_mode.array)
-    T = cubic_tensor([single_mode], quad)
+    T = cubic_tensor([single_mode])
     val = T[0, 0, 0, 0]
     assert val.imag == pytest.approx(0.0, abs=1e-14 * abs(val))
     assert val.real > 0
@@ -288,10 +272,9 @@ def test_cubic_tensor_conjugation_pairing(six_system):
 
 
 def test_pairing_linearity_under_scaling(pair_modes):
-    quad = default_spec(pair_modes[0].array)
     c = 1.3 + 0.4j
-    T = cubic_tensor(pair_modes, quad)
-    scaled = cubic_tensor([_scaled_mode(pair_modes[0], c), pair_modes[1]], quad)
+    T = cubic_tensor(pair_modes)
+    scaled = cubic_tensor([_scaled_mode(pair_modes[0], c), pair_modes[1]])
     # first slot enters linearly: T[n, 0, 1, k] gains a factor c when mode 0
     # is scaled in slot i, conj(c) in slot k, etc.
     assert scaled[1, 0, 1, 1] == pytest.approx(c * T[1, 0, 1, 1], rel=1e-10)
@@ -351,7 +334,7 @@ def test_modal_cache_key_sensitivity(six_system, monkeypatch):
     key = key_of()
     assert key == key_of()
     assert key != key_of(M=7)
-    assert key != key_of(quad=refined(six_system.quad))
+    assert key != key_of(quad=replace(six_system.quad, panel_size=2.0))
     assert key != key_of(params=replace(six_system.params, delta=2e-3))
     assert key != key_of(array=replace(six_system.array, source_x=-6.0))
     # a build records the request it answers; an edited module keys a new one
@@ -378,7 +361,7 @@ def test_modes_sampled_once(pair_array, pair_resonances, pair_system, params, mo
     for module in (boundary, spectral, modal):
         monkeypatch.setattr(module, "sample_fields", counting)
     quad = default_spec(pair_array)
-    n_interior = len(interior_rule(pair_array, quad)[1])
+    n_interior = len(interior_rule(pair_array)[1])
     n_nodes = len(exterior_rule(pair_array, quad)[1]) + n_interior
     # a cold build samples every mode once, over all nodes plus the source:
     # the normalization, the projections and the source vector share it,
@@ -419,7 +402,7 @@ def test_paper_scale_cold_build(twelve_array, twelve_system):
     g = system.gram
     assert np.array_equal(g, g.conj().T) and np.linalg.eigvalsh(g).min() > 0
     _assert_normalized_under_own_rule(system, 1e-13)
-    pts, wts, _ = interior_rule(twelve_array, replace(system.quad, disk_radial=30, disk_angular=72))
+    pts, wts, _ = full_interior_rule(twelve_array, disk=(30, 72))
     norms = np.abs(system.mode_fields_at(pts)) ** 2 @ wts
     assert np.max(np.abs(norms - 1.0)) <= 1e-8
 
@@ -470,7 +453,7 @@ def test_modes_are_even_in_x2(name, request):
     # the premise of the half-plane rules: u(x1, x2) = u(x1, -x2) for every mode
     system = request.getfixturevalue(f"{name}_system")
     pts = np.vstack([full_exterior_rule(system.array, system.quad)[0],
-                     full_interior_rule(system.array, system.quad)[0]])
+                     full_interior_rule(system.array)[0]])
     pts = pts[pts[:, 1] > 1e-9]
     upper = system.mode_fields_at(pts)
     lower = system.mode_fields_at(pts * [1.0, -1.0])
