@@ -10,7 +10,7 @@ __version__ = "0.1.0"  # recorded in each run.json; cache keys hash the source i
 from .geometry import ResonatorArray, build_graded_array
 from .cylinder import bessel_j, hankel1
 from .boundary import MultipoleDensity, WaveParams, assemble_boundary_system, evaluate_field
-from .quadrature import QuadratureSpec, default_spec
+from .quadrature import default_spec
 from .spectral import (
     DegenerateModeError,
     Eigenmode,
@@ -62,7 +62,6 @@ __all__ = [
     "WaveParams",
     "assemble_boundary_system",
     "evaluate_field",
-    "QuadratureSpec",
     "default_spec",
     "Eigenmode",
     "Resonance",

@@ -37,10 +37,10 @@ from .analysis import (
     two_tone_sweep,
 )
 from .boundary import WaveParams
-from .geometry import ResonatorArray, classify_points, graded_layout
+from .geometry import ResonatorArray, build_graded_array, classify_points
 from .hopf import ConvergenceError, single_hopf_steady_state
 from .modal import ModalSystem, build_modal_system, cache_request, modal_cache_key
-from .quadrature import PANEL_SIZE, QuadratureSpec, collar_half_widths, default_spec, exterior_node_count
+from .quadrature import PANEL_SIZE, collar_half_widths, default_spec, exterior_node_count
 
 
 class ConfigError(ValueError):
@@ -122,13 +122,13 @@ _SIGNS = {
 
 @dataclass
 class ExperimentConfig:
-    """Validated configuration: the array, material and composite rule's
-    spec (box around the array) it describes, the truncation M, beta, the
+    """Validated configuration: the array and material it describes, the
+    composite rule's exterior panel size, the truncation M, beta, the
     experiment block and the config as read."""
 
     array: ResonatorArray
     params: WaveParams
-    quad: QuadratureSpec
+    panel_size: float
     M: int
     beta: float
     experiment: dict
@@ -268,9 +268,9 @@ def parse_config(text: str) -> ExperimentConfig:
             given_as = "" if key in given else "the default "
             raise ConfigError(f"experiment.{key}: {key} must be at most geometry.n = {geo['n']},"
                               f" got {given_as}{exp[key]!r}")
-    layout = graded_layout(geo["n"], geo["first_radius"], geo["s"], geo["gap_ratio"])
     try:
-        array = ResonatorArray(center_x=layout[0], radius=layout[1], source_x=geo["source_x"])
+        array = build_graded_array(geo["n"], geo["first_radius"], geo["s"], geo["gap_ratio"],
+                                   geo["source_x"])
     except ValueError as exc:  # the source is named last, so first only when alone at fault
         reason = str(exc).removeprefix("invalid resonator array: ")
         keys = "geometry.source_x" if reason.startswith("source") else "geometry.n, geometry.s"
@@ -283,21 +283,22 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"experiment.observation_points: {point} lies on a resonator "
                               "boundary, where the field has two traces")
     try:
-        quad = default_spec(array, panel_size=num["panel_size"])
-    except ValueError as exc:  # panel_size is checked, so the box is past the float range
+        box = default_spec(array)
+    except ValueError as exc:  # the box is past the float range
         raise ConfigError(f"geometry.first_radius, geometry.source_x: the quadrature box around the"
                           f" circles and the source is past the float range: {exc}") from None
     try:
-        collar_half_widths(array, quad)
+        collar_half_widths(array, box)
     except ValueError as exc:  # a radius or a gap so small that the collar's share rounds to 0
         raise ConfigError(f"geometry.first_radius, geometry.s, geometry.gap_ratio: {exc}") from None
     try:
-        exterior_node_count(array, quad)
+        exterior_node_count(array, num["panel_size"])
     except ValueError as exc:  # a finite box, too large for its panel_size
         raise ConfigError(f"numerics.panel_size: {exc}") from None
     return ExperimentConfig(
         array=array, params=WaveParams(v=mat["v"], v_b=mat["v_b"], delta=mat["delta"]),
-        quad=quad, M=num["multipole_order"], beta=mat["beta"], experiment=exp, raw=data)
+        panel_size=num["panel_size"], M=num["multipole_order"], beta=mat["beta"],
+        experiment=exp, raw=data)
 
 
 def _point_on_circle(centers, radii, points):
@@ -344,8 +345,8 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 
 
 def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: bool):
-    array, params, quad, M = config.array, config.params, config.quad, config.M
-    request = cache_request(array, params, M, quad)
+    array, params, panel_size, M = config.array, config.params, config.panel_size, config.M
+    request = cache_request(array, params, M, panel_size)
     key = modal_cache_key(request)
     cache_path = out_dir / "cache" / f"modal-{key[:16]}.json"
     cache_info = {"key": key, "hit": False, "path": None, "recovered": None}
@@ -358,7 +359,7 @@ def _obtain_modal_system(config: ExperimentConfig, out_dir: Path, use_cache: boo
         else:
             cache_info.update(hit=True, path=str(cache_path))
             return system, cache_info
-    system = build_modal_system(array, params, M=M, quad=quad)
+    system = build_modal_system(array, params, M=M, panel_size=panel_size)
     if use_cache:
         _write_atomic(cache_path, system.to_json())
         cache_info["path"] = str(cache_path)

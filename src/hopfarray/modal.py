@@ -33,7 +33,8 @@ import numpy as np
 
 from .boundary import MultipoleDensity, WaveParams, sample_fields
 from .geometry import ResonatorArray
-from .quadrature import QuadratureSpec, default_spec, exterior_rule, interior_rule
+from .quadrature import PANEL_SIZE, exterior_rule, interior_rule
+from .quadrature import default_spec  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 from .spectral import Eigenmode, Resonance, find_resonances, sample_eigenmodes
 from .spectral import extract_eigenmode  # noqa: F401  kept for perfbench/tracing.py, which patches it here
 
@@ -46,24 +47,25 @@ def _mode_values(modes: list[Eigenmode], points) -> np.ndarray:
                          [m.density for m in modes], points)
 
 
-def _nodes(array: ResonatorArray, quad: QuadratureSpec):
+def _nodes(array: ResonatorArray, panel_size: float):
     """Composite-rule nodes and weights (exterior first) and the interior rule that ends them."""
-    ext_pts, ext_wts = exterior_rule(array, quad)
+    ext_pts, ext_wts = exterior_rule(array, panel_size)
     rule = interior_rule(array)
     return np.vstack([ext_pts, rule[0]]), np.concatenate([ext_wts, rule[1]]), rule
 
 
-def gram_matrix(modes: list[Eigenmode], quad: QuadratureSpec) -> np.ndarray:
+def gram_matrix(modes: list[Eigenmode], panel_size: float) -> np.ndarray:
     """Hermitian positive-definite matrix of mode overlaps over the box.
 
     Entry (i, j) approximates the integral of u_i conj(u_j) over Q by the
-    composite exterior + interior rule. The result is Hermitized exactly;
-    a non-positive-definite outcome (quadrature too coarse, or dependent
+    composite exterior + interior rule, with exterior panels at most
+    panel_size long. The result is Hermitized exactly; a
+    non-positive-definite outcome (quadrature too coarse, or dependent
     modes) raises ValueError.
     """
     if not modes:
         raise ValueError("need at least one mode")
-    pts, wts, _ = _nodes(modes[0].array, quad)
+    pts, wts, _ = _nodes(modes[0].array, panel_size)
     return _gram_from_values(_mode_values(modes, pts), wts)
 
 
@@ -126,15 +128,15 @@ class ModalSystem:
     all on the upper half-plane x2 >= 0.
     The modes themselves are kept so response fields can be evaluated at
     arbitrary points; search is the resonance-search record of
-    find_resonances, and request the cache_request the system answers.
-    omegas (the N complex resonances), gram_inverse and the interior rule
-    (which depends on the array alone) are derived from these on
-    construction.
+    find_resonances, and request the cache_request the system answers,
+    which alone holds the exterior panel size (the box follows from the
+    array). omegas (the N complex resonances), gram_inverse and the
+    interior rule (which depends on the array alone) are derived from these
+    on construction.
     """
 
     array: ResonatorArray
     params: WaveParams
-    quad: QuadratureSpec
     modes: list[Eigenmode]
     gram: np.ndarray
     source_vec: np.ndarray
@@ -174,8 +176,8 @@ class ModalSystem:
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The cache entry: the request once (array, params and quad are read
-        back from its inputs), then the results."""
+        """The cache entry: the request once (array and params are read back
+        from its inputs), then the results."""
         modes = self.modes
         return {
             "request": self.request,
@@ -208,7 +210,6 @@ class ModalSystem:
         inputs = data["request"]["inputs"]
         array = ResonatorArray(**inputs["array"])
         params = WaveParams(**inputs["params"])
-        quad = QuadratureSpec(**{**inputs["quad"], "box": tuple(inputs["quad"]["box"])})
         res = data["resonances"]
         columns = zip(
             _decode(res["omega"]), res["residual"], res["truncation"], res["drift"],
@@ -225,7 +226,7 @@ class ModalSystem:
             )
             for omega, residual, truncation, drift, gap, psi, phi in columns
         ]
-        return cls(array=array, params=params, quad=quad, modes=modes,
+        return cls(array=array, params=params, modes=modes,
                    **{name: _decode(data[name]) for name in _ARRAYS},
                    request=data["request"], search=data["search"])
 
@@ -267,12 +268,12 @@ def cache_request(
     array: ResonatorArray,
     params: WaveParams,
     M: int,
-    quad: QuadratureSpec,
+    panel_size: float,
 ) -> dict:
     """What a build computes from, as JSON values: the inputs (geometry,
-    material, quadrature), the truncation M and the digest of the package
-    source, which stands for the code."""
-    inputs = {"array": asdict(array), "params": asdict(params), "quad": asdict(quad)}
+    material, exterior panel size), the truncation M and the digest of the
+    package source, which stands for the code."""
+    inputs = {"array": asdict(array), "params": asdict(params), "panel_size": panel_size}
     request = {"inputs": inputs, "M": M, "source": _source_digest()}
     return json.loads(json.dumps(request))  # tuples become lists, as in a loaded entry
 
@@ -287,12 +288,10 @@ def build_modal_system(
     array: ResonatorArray,
     params: WaveParams,
     M: int,
-    quad: QuadratureSpec | None = None,
+    panel_size: float = PANEL_SIZE,
 ) -> ModalSystem:
     """Full pipeline: resonances -> eigenmodes -> projection quantities."""
-    if quad is None:
-        quad = default_spec(array)
-    nodes, wts, rule = _nodes(array, quad)
+    nodes, wts, rule = _nodes(array, panel_size)
     points = np.vstack([nodes, np.asarray(array.source, dtype=float)[None, :]])
     resonances = find_resonances(array, params, M=M)
     modes, U = sample_eigenmodes(array, params, resonances, rule, points, len(wts) - len(rule[1]))
@@ -302,13 +301,12 @@ def build_modal_system(
     return ModalSystem(
         array=array,
         params=params,
-        quad=quad,
         modes=modes,
         gram=gram,
         source_vec=source_vec,
         cubic_tensor=cubic_tensor_from_values(interior, rule[1]),
         interior_values=interior,
-        request=cache_request(array, params, M, quad),
+        request=cache_request(array, params, M, panel_size),
         search=resonances.search,
     )
 

@@ -17,16 +17,15 @@ meaningful accuracy certificate:
 - the box minus the squares: axis-aligned rectangles, panelized tensor
   Gauss-Legendre.
 
-The node counts are module constants: EXT_ORDER per side of an exterior
-panel, RING_COUNTS per collar face and DISK_COUNTS per disk. A
-QuadratureSpec holds only the box and the exterior panel size, so the
-interior rule depends on the array alone.
+The box is worked out from the array by default_spec, and the node counts
+are module constants: EXT_ORDER per side of an exterior panel, RING_COUNTS
+per collar face and DISK_COUNTS per disk. So the exterior panel size is the
+rules' one input besides the array, and the interior rule takes none.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,46 +40,13 @@ DISK_COUNTS = (16, 48)  # (radial Gauss-Legendre, uniform angular) nodes per dis
 PANEL_SIZE = 2.5  # the default longest side of an exterior panel
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """The box and exterior panel size of the composite rule.
-
-    box: (x_min, x_max, y_min, y_max), finite, must strictly contain every
-    circle and the source, with y_min = -y_max. Exterior panels are at most
-    panel_size long per side. The node counts are the module constants.
-    """
-
-    box: tuple[float, float, float, float]
-    panel_size: float = PANEL_SIZE
-
-    def __post_init__(self) -> None:
-        x0, x1, y0, y1 = self.box
-        if not np.isfinite(self.box).all():
-            raise ValueError(f"box {self.box} is not finite")
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError(f"degenerate box {self.box}")
-        if not 0 < self.panel_size < np.inf:  # NaN too
-            raise ValueError(f"panel_size must be positive and finite, got {self.panel_size}")
-
-    def validate_against(self, array: ResonatorArray) -> None:
-        """Check the box strictly contains all circles and the source, and is
-        symmetric about x2 = 0, as the half-plane rules need."""
-        x0, x1, y0, y1 = self.box
-        if y0 != -y1:
-            raise ValueError(f"box {self.box} is not symmetric about x2 = 0 (y_min != -y_max)")
-        x, r = array.centers[:, 0], array.radii
-        outside = ~((x0 < x - r) & (x + r < x1) & (y0 < -r) & (r < y1))
-        if outside.any():
-            raise ValueError(
-                f"box {self.box} does not strictly contain resonator {np.argmax(outside)}")
-        sx, sy = array.source
-        if not (x0 < sx < x1 and y0 < sy < y1):
-            raise ValueError(f"box {self.box} does not contain the source {array.source}")
-
-
-def default_spec(array: ResonatorArray, panel_size: float = PANEL_SIZE) -> QuadratureSpec:
-    """Bounding box of circles + source, expanded on each side by a quarter
-    of the diagonal of the tight box, with the given panel size."""
+def default_spec(array: ResonatorArray) -> tuple[float, float, float, float]:
+    """The box (x_min, x_max, y_min, y_max) of the rules: the tight box
+    around the circles and the source, padded on each side by a quarter of
+    its diagonal. It is symmetric about x2 = 0, as the half-plane rules
+    need, and the pad (at least half the largest radius) makes it strictly
+    contain every circle and the source. A box past the float range raises
+    ValueError."""
     cxs = array.centers[:, 0]
     radii = array.radii
     with np.errstate(over="ignore"):  # past the float range the box is infinite, and rejected
@@ -90,7 +56,10 @@ def default_spec(array: ResonatorArray, panel_size: float = PANEL_SIZE) -> Quadr
         y0, y1 = float(ys.min()), float(ys.max())
         diag = float(np.hypot(x1 - x0, y1 - y0))
     pad = 0.25 * diag
-    return QuadratureSpec(box=(x0 - pad, x1 + pad, y0 - pad, y1 + pad), panel_size=panel_size)
+    box = (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
+    if not np.isfinite(box).all():
+        raise ValueError(f"box {box} is not finite")
+    return box
 
 
 @functools.cache
@@ -206,15 +175,15 @@ def _tensor(x_rule, y_rule):
     return np.column_stack([X.ravel(), Y.ravel()]), np.outer(wx, wy).ravel()
 
 
-def collar_half_widths(array: ResonatorArray, spec: QuadratureSpec) -> np.ndarray:
-    """Half-width of the square collar around each disk.
+def collar_half_widths(array: ResonatorArray, box) -> np.ndarray:
+    """Half-width of the square collar around each disk in the box.
 
     Standoff fills 45% of the gap to each neighbour (capped at half the
     radius) so collars never touch each other or the box.
     """
     radii = array.radii
     cxs = array.centers[:, 0]
-    x0, x1, y0, y1 = spec.box
+    x0, x1, y0, y1 = box
     step = cxs[1:] - cxs[:-1]
     slack = np.minimum.reduce([
         0.5 * radii,
@@ -228,16 +197,24 @@ def collar_half_widths(array: ResonatorArray, spec: QuadratureSpec) -> np.ndarra
     ])
     if (slack <= 0).any():
         raise ValueError(
-            f"box {spec.box} leaves no room for a collar around resonator {np.argmax(slack <= 0)}"
+            f"box {box} leaves no room for a collar around resonator {np.argmax(slack <= 0)}"
         )
     return radii + slack
 
 
-def _strips(array: ResonatorArray, spec: QuadratureSpec, widths: np.ndarray):
-    """The exterior rule's rectangles off the collars, as arrays over the
-    strips it keeps: x in [a, b], and y in [-y1, y1] where across (a strip
-    between collars), else y in [c, y1] (above a collar of half-width c)."""
-    x0, x1, _, y1 = spec.box
+def _exterior_layout(array: ResonatorArray, panel_size: float):
+    """What exterior_rule(array, panel_size) is built from: the box, the
+    collar half-widths, and the rectangles off the collars as arrays over
+    the strips it keeps (x in [a, b], and y in [-y1, y1] where across, a
+    strip between collars, else y in [c, y1], above a collar of half-width
+    c); then its node count, a float, exact below 2**53. A panel_size that
+    is not positive and finite, or a count past MAX_EXTERIOR_NODES, raises
+    ValueError naming it."""
+    if not 0 < panel_size < np.inf:  # NaN too
+        raise ValueError(f"panel_size must be positive and finite, got {panel_size}")
+    box = default_spec(array)
+    widths = collar_half_widths(array, box)
+    x0, x1, _, y1 = box
     cxs = array.centers[:, 0]
     edges = np.concatenate([[x0], np.column_stack([cxs - widths, cxs + widths]).ravel(), [x1]])
     a, b = edges[:-1], edges[1:]
@@ -245,49 +222,45 @@ def _strips(array: ResonatorArray, spec: QuadratureSpec, widths: np.ndarray):
     c = np.zeros(len(a))
     c[1::2] = widths
     keep = (b - a > 1e-12) & (across | (y1 - c > 1e-12))
-    return a[keep], b[keep], c[keep], across[keep]
-
-
-def exterior_node_count(array: ResonatorArray, spec: QuadratureSpec) -> float:
-    """The number of nodes exterior_rule(array, spec) returns, counted from
-    the box and the panel size without building the rule: a float, exact
-    below 2**53. A count past MAX_EXTERIOR_NODES raises ValueError naming it."""
-    spec.validate_against(array)
-    widths = collar_half_widths(array, spec)
-    a, b, c, across = _strips(array, spec, widths)
-    size, y1 = spec.panel_size, spec.box[3]
+    a, b, c, across = a[keep], b[keep], c[keep], across[keep]
     with np.errstate(over="ignore"):
         # a ring holds its top face and the upper halves of its left and right faces;
         # a strip across the axis holds the upper half of its nodes
-        y_nodes = np.where(across, _count(2.0 * y1, size) / 2, _count(y1 - c, size)) * EXT_ORDER
+        y_nodes = np.where(across, _count(2.0 * y1, panel_size) / 2,
+                           _count(y1 - c, panel_size)) * EXT_ORDER
         count = (len(widths) * 2 * RING_COUNTS[0] * RING_COUNTS[1]
-                 + float(np.sum(_count(b - a, size) * EXT_ORDER * y_nodes)))
+                 + float(np.sum(_count(b - a, panel_size) * EXT_ORDER * y_nodes)))
     if count > MAX_EXTERIOR_NODES:
         held = f"{count:.3g}" if count < np.inf else f"more than {np.finfo(float).max:.2g}"
-        raise ValueError(f"the exterior rule over the box {spec.box} at panel_size {spec.panel_size!r}"
+        raise ValueError(f"the exterior rule over the box {box} at panel_size {panel_size!r}"
                          f" would hold {held} nodes, past the bound of {MAX_EXTERIOR_NODES}")
-    return count
+    return box, widths, (a, b, c, across), count
 
 
-def exterior_rule(array: ResonatorArray, spec: QuadratureSpec):
+def exterior_node_count(array: ResonatorArray, panel_size: float) -> float:
+    """The number of nodes exterior_rule(array, panel_size) returns, counted
+    without building the rule (see _exterior_layout)."""
+    return _exterior_layout(array, panel_size)[3]
+
+
+def exterior_rule(array: ResonatorArray, panel_size: float):
     """Quadrature over the upper half (x2 >= 0) of the box minus all disks,
-    for integrands even in x2: collar rings + rectangles.
+    for integrands even in x2: collar rings + rectangles in panels at most
+    panel_size long per side.
 
     Returns (points (P,2), weights (P,)). All points lie strictly outside
     every circle; a point on the axis carries its weight once, any other
     twice. A rule past MAX_EXTERIOR_NODES raises ValueError before any node
-    is built (see exterior_node_count).
+    is built (see _exterior_layout).
     """
-    exterior_node_count(array, spec)
-    widths = collar_half_widths(array, spec)
+    (_, _, _, y1), widths, strips, _ = _exterior_layout(array, panel_size)
     rules = [ring_rule(cx, r, w) for cx, r, w in zip(array.centers[:, 0], array.radii, widths)]
-    size, y1 = spec.panel_size, spec.box[3]
-    for a, b, c, across in zip(*_strips(array, spec, widths)):
-        x_rule = _panels(a, b, int(_count(b - a, size)), EXT_ORDER)
+    for a, b, c, across in zip(*strips):
+        x_rule = _panels(a, b, int(_count(b - a, panel_size)), EXT_ORDER)
         if across:
-            rules.append(_tensor(x_rule, _half_panels(y1, size)))
+            rules.append(_tensor(x_rule, _half_panels(y1, panel_size)))
         else:
-            y, w = _panels(c, y1, int(_count(y1 - c, size)), EXT_ORDER)
+            y, w = _panels(c, y1, int(_count(y1 - c, panel_size)), EXT_ORDER)
             rules.append(_tensor(x_rule, (y, 2.0 * w)))
     return np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules])
 

@@ -424,15 +424,16 @@ def full_rectangle_rule(x0: float, x1: float, y0: float, y1: float, order: int, 
     return np.vstack(pts), np.concatenate(wts)
 
 
-def full_exterior_rule(array, spec, order: int = 8, ring: tuple[int, int] = (10, 12)):
-    """Quadrature over the whole box of spec minus all disks: collar rings
-    of ring = (radial, angular) nodes per face, and rectangles in panels at
-    most spec.panel_size long of order x order nodes. The default counts are
-    those of hopfarray.quadrature."""
+def full_exterior_rule(array, box, panel_size: float, order: int = 8,
+                       ring: tuple[int, int] = (10, 12)):
+    """Quadrature over the whole box = (x0, x1, y0, y1) minus all disks:
+    collar rings of ring = (radial, angular) nodes per face, and rectangles
+    in panels at most panel_size long of order x order nodes. The default
+    counts are those of hopfarray.quadrature."""
     from hopfarray.quadrature import collar_half_widths
 
-    x0, x1, y0, y1 = spec.box
-    widths = collar_half_widths(array, spec)
+    x0, x1, y0, y1 = box
+    widths = collar_half_widths(array, box)
     cxs, radii = array.centers[:, 0], array.radii
     rules = [full_ring_rule((cx, 0.0), r, w, *ring) for cx, r, w in zip(cxs, radii, widths)]
     edges = [x0, *np.column_stack([cxs - widths, cxs + widths]).ravel(), x1]
@@ -442,7 +443,7 @@ def full_exterior_rule(array, spec, order: int = 8, ring: tuple[int, int] = (10,
             continue
         w_i = widths[(k - 1) // 2]
         spans = ((y0, -w_i), (w_i, y1)) if k % 2 else ((y0, y1),)
-        rules += [full_rectangle_rule(a, b, lo, hi, order, spec.panel_size)
+        rules += [full_rectangle_rule(a, b, lo, hi, order, panel_size)
                   for lo, hi in spans if hi - lo > 1e-12]
     return np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules])
 
@@ -459,19 +460,21 @@ def full_interior_rule(array, disk: tuple[int, int] = (16, 48)):
 # ---------------------------------------------------------------------------
 # node-doubling refinement of the projected quantities
 # ---------------------------------------------------------------------------
-def refinement_report(modes, quad) -> dict[str, float]:
+def refinement_report(modes, panel_size: float) -> dict[str, float]:
     """Max relative change of the Gram matrix and the cubic tensor from the
-    build's composite rule over quad to the full-box rule above over the
+    build's composite rule at panel_size to the full-box rule above over the
     same box and panels with every node count doubled: order 16 per panel
     side, 20 x 24 per collar face and 32 x 96 per disk. A convergence check:
     it samples the modes and forms the projections as a build does, but
     builds its finer rule here, taking from hopfarray.quadrature only the
-    collar widths and the one-dimensional Gauss-Legendre nodes."""
+    box, the collar widths and the one-dimensional Gauss-Legendre nodes."""
     from hopfarray.modal import _gram_from_values, _mode_values, _nodes, cubic_tensor_from_values
+    from hopfarray.quadrature import default_spec
 
     array = modes[0].array
-    pts, wts, (_, built_interior, _) = _nodes(array, quad)
-    ext_pts, ext_wts = full_exterior_rule(array, quad, order=16, ring=(20, 24))
+    pts, wts, (_, built_interior, _) = _nodes(array, panel_size)
+    ext_pts, ext_wts = full_exterior_rule(array, default_spec(array), panel_size, order=16,
+                                          ring=(20, 24))
     int_pts, int_wts, _ = full_interior_rule(array, disk=(32, 96))
     # (nodes, weights, interior nodes): each rule ends with its interior nodes
     rules = ((pts, wts, len(built_interior)),

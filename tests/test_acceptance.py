@@ -341,7 +341,7 @@ def test_criterion_10_numerical_hygiene(six_system, tmp_path):
         inv_err = np.max(np.abs(g @ six_system.gram_inverse - np.eye(six_system.n)))
         assert inv_err <= 1e-8, f"inverse defect {inv_err:.2e}"
 
-        rep = refinement_report(six_system.modes, six_system.quad)
+        rep = refinement_report(six_system.modes, six_system.request["inputs"]["panel_size"])
         assert rep["gram"] < 1e-6 and rep["cubic_tensor"] < 1e-6, f"refinement {rep}"
 
         import json

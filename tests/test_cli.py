@@ -14,7 +14,7 @@ import pytest
 import hopfarray
 from hopfarray.boundary import assemble_boundary_system, classify_points
 from hopfarray.cli import ConfigError, _obtain_modal_system, main, parse_config, run_experiment
-from hopfarray.quadrature import default_spec
+from hopfarray.quadrature import PANEL_SIZE
 
 BASE = {
     "geometry": {"n": 2, "first_radius": 1.0, "s": 1.0, "gap_ratio": 0.5, "source_x": -5.0},
@@ -36,7 +36,7 @@ def _config(**overrides):
 def test_parse_minimal_config_applies_defaults():
     parsed = parse_config(json.dumps(_config()))  # no numerics object
     assert parsed.M == 5
-    assert parsed.quad == default_spec(parsed.array)
+    assert parsed.panel_size == PANEL_SIZE
     assert parsed.beta == 5.0e5
 
 

@@ -165,10 +165,13 @@ def test_valid_config_parses_to_drawn_values_and_defaults(cfg):
     x, radii = graded_layout(*(geo[k] for k in ("n", "first_radius", "s", "gap_ratio")))
     assert np.array_equal(array.centers[:, 0], x) and np.array_equal(array.radii, radii)
     assert array.source_x == geo["source_x"]
-    assert parsed.quad == default_spec(array, panel_size=want["numerics"]["panel_size"])
+    # the rules' box is symmetric about x2 = 0 and strictly holds every circle and the source
+    x0, x1, y0, y1 = default_spec(array)
+    assert y0 == -y1 and x0 < array.source_x < x1
+    assert np.all((x0 < x - radii) & (x + radii < x1) & (radii < y1))
     p = parsed.params
     got = {"material": {"v": p.v, "v_b": p.v_b, "delta": p.delta, "beta": parsed.beta},
-           "numerics": {"multipole_order": parsed.M, "panel_size": parsed.quad.panel_size},
+           "numerics": {"multipole_order": parsed.M, "panel_size": parsed.panel_size},
            "experiment": parsed.experiment}
     assert _typed(got) == _typed(want)  # an int stays an int, as the cache request reads it
 
@@ -243,17 +246,17 @@ def _exterior_nodes(cfg):
     # the arrays default_spec and collar_half_widths read, without a second validation
     array = SimpleNamespace(centers=np.stack([centers, np.zeros_like(centers)], axis=1),
                             radii=radii, source=(geo["source_x"], 0.0))
-    spec = default_spec(array, panel_size=cfg.get("numerics", {}).get("panel_size", 2.5))
+    box, panel_size = default_spec(array), cfg.get("numerics", {}).get("panel_size", 2.5)
     assert (EXT_ORDER, RING_COUNTS) == (8, (10, 12))
-    x0, x1, _, y1 = spec.box
-    widths = collar_half_widths(array, spec)
+    x0, x1, _, y1 = box
+    widths = collar_half_widths(array, box)
     edges = np.concatenate([[x0], np.ravel([centers - widths, centers + widths], order="F"), [x1]])
     kept = np.diff(edges) > 1e-12
     kept[1::2] &= y1 - widths > 1e-12
     with np.errstate(over="ignore", invalid="ignore"):
-        y_panels = np.full(len(kept), np.ceil(2.0 * y1 / spec.panel_size))
-        y_panels[1::2] = 2.0 * np.ceil((y1 - widths) / spec.panel_size)
-        nodes = np.where(kept, 8 * np.ceil(np.diff(edges) / spec.panel_size) * 8 * y_panels, 0.0)
+        y_panels = np.full(len(kept), np.ceil(2.0 * y1 / panel_size))
+        y_panels[1::2] = 2.0 * np.ceil((y1 - widths) / panel_size)
+        nodes = np.where(kept, 8 * np.ceil(np.diff(edges) / panel_size) * 8 * y_panels, 0.0)
         return (4 * 10 * 12 * len(radii) + float(nodes.sum())) / 2
 
 

@@ -258,7 +258,7 @@ def test_hankel_panels_match_amos(n):
     window = _default_search(seeds)
     re, im = np.meshgrid(np.linspace(*window["re"], 4), np.linspace(*window["im"], 3))
     k = (re + 1j * im).ravel() / params.v
-    x0, x1, y0, y1 = default_spec(array).box
+    x0, x1, y0, y1 = default_spec(array)
     far = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1], array.source])
     rng = np.random.default_rng(n)
     for center, radius in zip(array.centers, array.radii):

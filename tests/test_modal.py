@@ -8,6 +8,7 @@ from conftest import mode_field
 from hopfarray.modal import (
     ModalSystem,
     _gram_from_values,
+    _mode_values,
     build_modal_system,
     cache_request,
     cubic_tensor,
@@ -18,7 +19,7 @@ from hopfarray.modal import (
 from hopfarray.analysis import default_observation_points
 from hopfarray.quadrature import (
     MAX_EXTERIOR_NODES,
-    QuadratureSpec,
+    PANEL_SIZE,
     default_spec,
     exterior_node_count,
     exterior_rule,
@@ -42,10 +43,9 @@ def _scaled_mode(mode, factor):
 
 
 def test_quadrature_weights_recover_areas(six_array):
-    quad = default_spec(six_array)
-    ep, ew = exterior_rule(six_array, quad)
+    ep, ew = exterior_rule(six_array, PANEL_SIZE)
     ip, iw, idx = interior_rule(six_array)
-    x0, x1, y0, y1 = quad.box
+    x0, x1, y0, y1 = default_spec(six_array)
     disk_area = np.pi * np.sum(six_array.radii**2)
     assert ew.sum() == pytest.approx((x1 - x0) * (y1 - y0) - disk_area, rel=1e-12)
     assert iw.sum() == pytest.approx(disk_area, rel=1e-12)
@@ -59,41 +59,22 @@ def test_quadrature_weights_recover_areas(six_array):
     assert np.all(d < six_array.radii[idx])
 
 
-def test_quadrature_box_contains_everything(six_array):
-    quad = default_spec(six_array)
-    quad.validate_against(six_array)
-    with pytest.raises(ValueError, match="contain"):
-        QuadratureSpec(box=(0.0, 10.0, -3.0, 3.0)).validate_against(six_array)
-
-
-def test_quadrature_box_must_be_symmetric(six_array):
-    # the half-plane rules stand for the whole box only if it is its own mirror image
-    x0, x1, y0, y1 = default_spec(six_array).box
-    assert y0 == -y1
-    for box in ((x0, x1, y0 - 0.5, y1), (x0, x1, y0, np.nextafter(y1, np.inf))):
-        quad = QuadratureSpec(box=box)
-        for check in (quad.validate_against, lambda array: exterior_rule(array, quad)):
-            with pytest.raises(ValueError, match=re.escape(f"box {box} is not symmetric")):
-                check(six_array)
-
-
-@pytest.mark.parametrize("fields, message", [
-    ({"box": (1.0, 1.0, -1.0, 1.0)}, "degenerate box"),
-    ({"box": (-1.0, 1.0, 1.0, -1.0)}, "degenerate box"),
-    ({"box": (np.nan, 1.0, -1.0, 1.0)}, "box (nan, 1.0, -1.0, 1.0) is not finite"),
-    ({"box": (-1.0, np.inf, -1.0, 1.0)}, "box (-1.0, inf, -1.0, 1.0) is not finite"),
-    ({"box": (-1.0, 1.0, -np.inf, 1.0)}, "box (-1.0, 1.0, -inf, 1.0) is not finite"),
-    ({"box": (-1.0, 1.0, -1.0, np.nan)}, "box (-1.0, 1.0, -1.0, nan) is not finite"),
-    ({"box": (1.0, -1.0, -1.0, 1.0)}, "degenerate box"),
+# numbered from 7, so each row keeps the id it has had since the box had rows of its own
+_BAD_PANEL_SIZES = [
     ({"panel_size": -1.0}, "panel_size must be positive and finite, got -1.0"),
     ({"panel_size": 0.0}, "panel_size must be positive and finite, got 0.0"),
     ({"panel_size": np.nan}, "panel_size must be positive and finite, got nan"),
     ({"panel_size": np.inf}, "panel_size must be positive and finite, got inf"),
-])
-def test_quadrature_spec_names_a_bad_field(fields, message):
-    # every check of the spec itself, before any rule is built from it
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        QuadratureSpec(**{"box": (-1.0, 1.0, -1.0, 1.0), **fields})
+]
+
+
+@pytest.mark.parametrize("fields, message", _BAD_PANEL_SIZES,
+                         ids=[f"fields{i}-{m}" for i, (_, m) in enumerate(_BAD_PANEL_SIZES, 7)])
+def test_quadrature_spec_names_a_bad_field(six_array, fields, message):
+    # the rules' one input besides the array, checked before any rule is built from it
+    for rule in (exterior_node_count, exterior_rule):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            rule(six_array, **fields)
 
 
 # panel sizes: 2.0 gives the six-disk array's full-height strips an odd panel
@@ -103,9 +84,9 @@ _HALF_RULE_PANELS = ({}, {"panel_size": 2.0}, {"panel_size": 0.7})
 
 @pytest.mark.parametrize("counts", _HALF_RULE_PANELS + ({"panel_size": 0.3},))
 def test_exterior_node_count_is_the_rule_length(single_array, pair_array, six_array, counts):
+    panel_size = counts.get("panel_size", PANEL_SIZE)
     for array in (single_array, pair_array, six_array):
-        quad = default_spec(array, **counts)
-        assert exterior_node_count(array, quad) == len(exterior_rule(array, quad)[1])
+        assert exterior_node_count(array, panel_size) == len(exterior_rule(array, panel_size)[1])
 
 
 def test_build_past_the_exterior_node_bound_raises_before_any_rule(six_array, params, monkeypatch):
@@ -118,15 +99,14 @@ def test_build_past_the_exterior_node_bound_raises_before_any_rule(six_array, pa
     for module, name in ((quadrature, "ring_rule"), (quadrature, "_panels"),
                          (modal, "interior_rule"), (modal, "find_resonances")):
         monkeypatch.setattr(module, name, built)
-    quad = default_spec(six_array, panel_size=0.02)
     with pytest.raises(ValueError, match=r" at panel_size 0\.02 would hold 3\.\d\de\+07 nodes, "
                                          rf"past the bound of {MAX_EXTERIOR_NODES}$"):
-        build_modal_system(six_array, params, M=5, quad=quad)
+        build_modal_system(six_array, params, M=5, panel_size=0.02)
 
 
 @pytest.mark.parametrize("counts", _HALF_RULE_PANELS)
 def test_half_rules_fold_the_full_rules(six_array, counts):
-    quad = default_spec(six_array, **counts)
+    box, panel_size = default_spec(six_array), counts.get("panel_size", PANEL_SIZE)
     ip, iw, idx = interior_rule(six_array)
     fp, fw, fidx = full_interior_rule(six_array)
     # each disk keeps the nodes of its upper half
@@ -137,9 +117,9 @@ def test_half_rules_fold_the_full_rules(six_array, counts):
         lambda p: p[:, 0] ** 3 * p[:, 1] ** 4 - 2.0 * p[:, 0] * p[:, 1] ** 2,
         lambda p: np.cos(0.7 * p[:, 0]) * np.cos(0.4 * p[:, 1]),
     )
-    scale = abs(quad.box[3])
+    scale = abs(box[3])
     pairs = (((ip, iw), (fp, fw)),
-             (exterior_rule(six_array, quad), full_exterior_rule(six_array, quad)))
+             (exterior_rule(six_array, panel_size), full_exterior_rule(six_array, box, panel_size)))
     for (hp, hw), (fp, fw) in pairs:
         assert np.all(hp[:, 1] >= 0)
         # a node on the axis lies there exactly and keeps the full rule's weight
@@ -163,8 +143,7 @@ def test_gram_hermitian_positive_definite(six_system):
 
 
 def test_gram_single_mode_real_positive(single_mode):
-    quad = default_spec(single_mode.array)
-    g = gram_matrix([single_mode], quad)
+    g = gram_matrix([single_mode], PANEL_SIZE)
     assert g.shape == (1, 1)
     assert g[0, 0].imag == pytest.approx(0.0, abs=1e-12 * abs(g[0, 0]))
     assert g[0, 0].real > 0
@@ -182,8 +161,7 @@ def test_gram_not_positive_definite_is_refused(U, wts, least):
 
 
 def test_gram_refinement_under_doubling(pair_modes):
-    quad = default_spec(pair_modes[0].array)
-    rep = refinement_report(pair_modes, quad)
+    rep = refinement_report(pair_modes, PANEL_SIZE)
     assert rep["gram"] < 1e-6
     assert rep["cubic_tensor"] < 1e-6
 
@@ -192,7 +170,11 @@ def test_gram_parity_orthogonality(pair_modes):
     # symmetric box for the symmetric pair: parity sectors are orthogonal
     arr = pair_modes[0].array
     span = 4.0 * (arr.center_x[1] + arr.radius[1])
-    g = gram_matrix(pair_modes, QuadratureSpec(box=(-span, span, -span, span)))
+    box = (-span, span, -span, span)
+    ext_pts, ext_wts = full_exterior_rule(arr, box, PANEL_SIZE)
+    int_pts, int_wts, _ = full_interior_rule(arr)
+    g = _gram_from_values(_mode_values(pair_modes, np.vstack([ext_pts, int_pts])),
+                          np.concatenate([ext_wts, int_wts]))
     assert abs(g[0, 1]) <= 1e-6 * max(abs(g[0, 0]), abs(g[1, 1]))
 
 
@@ -295,7 +277,6 @@ def test_modal_system_serialization_roundtrip(six_system):
     assert restored.interior_values.flags.c_contiguous
     assert restored.array == six_system.array
     assert restored.params == six_system.params
-    assert restored.quad == six_system.quad
     for a, b in zip(restored.modes, six_system.modes):
         assert a.resonance == b.resonance
         assert a.sv_gap == b.sv_gap
@@ -328,18 +309,18 @@ def test_gauss_legendre_matches_leggauss():
 def test_modal_cache_key_sensitivity(six_system, monkeypatch):
     import hopfarray.modal as modal
 
-    def key_of(M=5, quad=six_system.quad, array=six_system.array, params=six_system.params):
-        return modal_cache_key(cache_request(array, params, M, quad))
+    def key_of(M=5, panel_size=PANEL_SIZE, array=six_system.array, params=six_system.params):
+        return modal_cache_key(cache_request(array, params, M, panel_size))
 
     key = key_of()
     assert key == key_of()
     assert key != key_of(M=7)
-    assert key != key_of(quad=replace(six_system.quad, panel_size=2.0))
+    assert key != key_of(panel_size=2.0)
     assert key != key_of(params=replace(six_system.params, delta=2e-3))
     assert key != key_of(array=replace(six_system.array, source_x=-6.0))
     # a build records the request it answers; an edited module keys a new one
     assert six_system.request == cache_request(six_system.array, six_system.params, 5,
-                                               six_system.quad)
+                                               PANEL_SIZE)
     monkeypatch.setattr(modal, "_source_digest", lambda: "0" * 64)
     assert key != key_of()
 
@@ -360,9 +341,8 @@ def test_modes_sampled_once(pair_array, pair_resonances, pair_system, params, mo
 
     for module in (boundary, spectral, modal):
         monkeypatch.setattr(module, "sample_fields", counting)
-    quad = default_spec(pair_array)
     n_interior = len(interior_rule(pair_array)[1])
-    n_nodes = len(exterior_rule(pair_array, quad)[1]) + n_interior
+    n_nodes = len(exterior_rule(pair_array, PANEL_SIZE)[1]) + n_interior
     # a cold build samples every mode once, over all nodes plus the source:
     # the normalization, the projections and the source vector share it,
     # and extracting the null densities samples nothing
@@ -416,7 +396,8 @@ def _full_box_build(system, resonances):
     import hopfarray.modal as modal
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modal, "exterior_rule", full_exterior_rule)
+        patch.setattr(modal, "exterior_rule", lambda array, panel_size: full_exterior_rule(
+            array, default_spec(array), panel_size))
         patch.setattr(modal, "interior_rule", full_interior_rule)
         patch.setattr(modal, "find_resonances", lambda *args, **kwargs: resonances)
         return build_modal_system(system.array, system.params, M=5)
@@ -452,7 +433,8 @@ def test_half_rule_build_matches_full_box_rule(name, request):
 def test_modes_are_even_in_x2(name, request):
     # the premise of the half-plane rules: u(x1, x2) = u(x1, -x2) for every mode
     system = request.getfixturevalue(f"{name}_system")
-    pts = np.vstack([full_exterior_rule(system.array, system.quad)[0],
+    box, panel_size = default_spec(system.array), system.request["inputs"]["panel_size"]
+    pts = np.vstack([full_exterior_rule(system.array, box, panel_size)[0],
                      full_interior_rule(system.array)[0]])
     pts = pts[pts[:, 1] > 1e-9]
     upper = system.mode_fields_at(pts)

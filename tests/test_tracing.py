@@ -88,3 +88,20 @@ def test_tracer_patches_every_import_kept_for_it(monkeypatch):
     finally:
         undo()
     assert sorted(key for key in kept if during[key] is before[key]) == []
+
+
+def test_an_import_is_kept_for_the_tracer_iff_its_module_never_reads_it():
+    # so the names only the tracer keeps alive are exactly the ones marked KEPT;
+    # a name listed in __all__ is read, as the package exports it
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                kept = KEPT in lines[node.end_lineno - 1]
+                for name in (a.asname or a.name for a in node.names):
+                    assert kept != (name in read), (path.name, name)
