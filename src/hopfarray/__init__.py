@@ -32,7 +32,6 @@ from .modal import (
 from .hopf import (
     DEFAULT_BETA,
     ConvergenceError,
-    HopfOracleResult,
     LineSolution,
     single_hopf_steady_state,
     solve_lines,
@@ -72,7 +71,6 @@ __all__ = [
     "cubic_tensor",
     "gram_matrix",
     "source_coupling",
-    "HopfOracleResult",
     "LineSolution",
     "single_hopf_steady_state",
     "solve_lines",

@@ -173,9 +173,10 @@ def phase_response(
 
     At each grid frequency the modal amplitudes are solved, the complex
     response at every x is assembled from the mode fields, and the phase is
-    unwrapped along the solved frequencies (anchored so the first lies in
-    (-pi, pi]). A frequency whose solve fails is flagged in the sweep and
-    left out of the response; fewer than two solved frequencies raise
+    unwrapped along the solved frequencies from the first, which keeps
+    np.angle's principal value in [-pi, pi] (before the shift and the flip
+    below). A frequency whose solve fails is flagged in the sweep and left
+    out of the response; fewer than two solved frequencies raise
     ConvergenceError. phase_reference "velocity" reports the phase of the
     time derivative of the response (a global quarter-cycle shift);
     "pressure" reports the response phase itself. If the raw phase steps by
@@ -218,11 +219,7 @@ def phase_response(
                 f"{grid[g]:.6g} and {grid[g + 1]:.6g} at x = {tuple(x_points[p].tolist())}; "
                 "refine the grid near this frequency"
             )
-    phi = np.unwrap(raw, axis=0)
-    # anchor the first point to its principal value
-    first = phi[0]
-    anchor = (first + np.pi) % (2.0 * np.pi) - np.pi
-    phi = phi + (anchor - first)[None, :]
+    phi = np.unwrap(raw, axis=0)  # keeps the first row, np.angle's principal value
     if phase_reference == "velocity":
         phi = phi + 0.5 * np.pi
 

@@ -17,7 +17,6 @@ with no run.json.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -315,30 +314,19 @@ def _point_on_circle(centers, radii, points):
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
-@functools.cache
-def _formatter(kind: type):
-    """The CSV text of the values of one type."""
-    if issubclass(kind, (int, np.integer)) and not issubclass(kind, bool):
-        return lambda x: str(int(x))
-    if kind is type(None):
-        return lambda x: ""
-    if issubclass(kind, str):
-        return lambda x: x.replace(",", ";").replace("\n", " ")  # keep the CSV well formed
-    if issubclass(kind, float):  # numpy.float64 too: repr(float(x)) without the copy
-        return float.__repr__
-    return lambda x: repr(float(x))  # shortest round-trip decimal
-
-
-def _cells(column) -> list[str]:
-    """A column's CSV cells, each value formatted by its type's _formatter."""
-    kinds = set(map(type, column))
-    if len(kinds) == 1:
-        return list(map(_formatter(kinds.pop()), column))
-    return [_formatter(type(x))(x) for x in column]
+def _cell(value) -> str:
+    """The CSV text of one value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")  # keep the CSV well formed
+    return repr(float(value))  # shortest round-trip decimal
 
 
 def _write_csv(path: Path, header: list[str], rows) -> str:
-    lines = [",".join(header), *map(",".join, zip(*map(_cells, zip(*rows))))]
+    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
     data = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
@@ -508,11 +496,11 @@ def _oracle(config: ExperimentConfig, system: None) -> _Result:
     rows, flagged = [], []
     for F in exp["F_values"]:
         try:
-            res = single_hopf_steady_state(exp["mu"], exp["omega0"], exp["Omega"], F)
+            amplitude = single_hopf_steady_state(exp["mu"], exp["omega0"], exp["Omega"], F)
         except ConvergenceError as exc:
             flagged.append({"F": F, "message": f"{type(exc).__name__}: {exc}"})
         else:
-            rows.append((res.mu, res.omega0, res.Omega, res.F, res.steady_amplitude))
+            rows.append((exp["mu"], exp["omega0"], exp["Omega"], F, amplitude))
     return _Result("oracle.csv", ["mu", "omega0", "Omega", "F", "steady_amplitude"], rows,
                    len(exp["F_values"]), flagged)
 

@@ -40,7 +40,6 @@ uses neither the cubic tensor nor the generated line table.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -66,19 +65,9 @@ class LineSolution:
     rings at vectors[l] . tones. The pure tone is X[0]; the two-tone lines
     are X[0..3], at Omega1, Omega2, 2 Omega1 - Omega2 and -Omega1 + 2 Omega2."""
 
-    tones: np.ndarray
     X: np.ndarray
     newton_iters: int
     residual_norm: float
-
-
-@dataclass(frozen=True)
-class HopfOracleResult:
-    mu: float
-    omega0: float
-    Omega: float
-    F: float
-    steady_amplitude: float
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +96,7 @@ TWO_TONE_LINES = ((1, 0), (0, 1), (2, -1), (-1, 2))
 # lines closer than this, relative to the largest, collide
 _FREQUENCY_FLOOR = 1e-8
 _STACK_ENTRIES = 2**16  # lanes x (L N)^2 per Newton stack: about 300 bytes each, 20 MB
+_NEWTON_ITERS = 60  # Newton iterations per attempt
 
 
 def _line_weights(vectors) -> np.ndarray:
@@ -166,7 +156,7 @@ def _line_fun_jac(system: ModalSystem, freqs: np.ndarray, W: np.ndarray, forcing
     return fun_jac
 
 
-def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray, max_iter: int = 60):
+def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray):
     """Damped Newton on stacked (Re, Im) with Wirtinger-assembled Jacobians
     for a stack of lanes in lockstep, lane k from Z0[k] to tolerance tol[k].
 
@@ -184,9 +174,9 @@ def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray, max_iter: int = 60
     norm = np.linalg.norm(R, axis=1)
     target = np.where(norm > 0, np.minimum(tol, 1e-8 * norm), tol)
     diverged = 1e9 * np.maximum(np.linalg.norm(Z, axis=1), 1.0) + 1e9
-    polish, iters, errors, evaluations = np.full(K, 3), np.full(K, max_iter), [None] * K, K
+    polish, iters, errors, evaluations = np.full(K, 3), np.full(K, _NEWTON_ITERS), [None] * K, K
     dZ, live = np.zeros_like(Z), np.arange(K)
-    for it in range(max_iter):
+    for it in range(_NEWTON_ITERS):
         done = (norm[live] <= target[live]) & (polish[live] == 0)
         iters[live[done]] = it
         live = live[~done]
@@ -233,7 +223,7 @@ def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray, max_iter: int = 60
             errors[k] = ConvergenceError("iterates diverged to large amplitude (possible unstable branch)")
         live = np.array([k for k in live if errors[k] is None], dtype=int)
     for k in live[~(norm[live] <= tol[live])]:
-        errors[k] = ConvergenceError(f"Newton did not converge in {max_iter} iterations; "
+        errors[k] = ConvergenceError(f"Newton did not converge in {_NEWTON_ITERS} iterations; "
                                      f"last residual {norm[k]:.3e}")
     return Z, iters, norm, evaluations, errors
 
@@ -330,14 +320,12 @@ def solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, start
                 except (ConvergenceError, ValueError) as exc:
                     out = exc
             outcomes[k] = out
-    return [out if isinstance(out, Exception) else LineSolution(tones[k], *out)
-            for k, out in enumerate(outcomes)], counts
+    return [out if isinstance(out, Exception) else LineSolution(*out) for out in outcomes], counts
 
 
 # ---------------------------------------------------------------------------
 # pointwise certificate on L response lines
 # ---------------------------------------------------------------------------
-@functools.lru_cache
 def _phase_grid(vectors) -> tuple[tuple[int, ...], int]:
     """Integer harmonics h (one per line) and size Q of the least phase grid
     on which the cubic products of the lines do not alias.
@@ -453,7 +441,7 @@ def solve_two_tone(system: ModalSystem, Omega1: float, Omega2: float, F1: float,
 # ---------------------------------------------------------------------------
 def single_hopf_steady_state(
     mu: float, omega0: float, Omega: float, F: float
-) -> HopfOracleResult:
+) -> float:
     """Steady response amplitude of dz/dt = (mu + i omega0) z - |z|^2 z + F e^{i Omega t}.
 
     In the rotating frame w = z e^{-i Omega t} (|w| = |z|) the flow is
@@ -470,7 +458,7 @@ def single_hopf_steady_state(
     two are (bistable, possible only for mu > 0 and mu^2 > 3 Delta^2).
     """
     if F == 0.0:
-        return HopfOracleResult(mu, omega0, Omega, F, float(np.sqrt(max(mu, 0.0))))
+        return float(np.sqrt(max(mu, 0.0)))
     detuning = omega0 - Omega
     cubic = np.array([1.0, -2.0 * mu, mu * mu + detuning * detuning, -F * F])
     stable = []
@@ -497,4 +485,4 @@ def single_hopf_steady_state(
             f"bistable response at mu={mu}, detuning={detuning}, F={F}: stable "
             f"amplitudes {', '.join(f'{np.sqrt(s):.6g}' for s in stable)}"
         )
-    return HopfOracleResult(mu, omega0, Omega, F, float(np.sqrt(stable[0])))
+    return float(np.sqrt(stable[0]))

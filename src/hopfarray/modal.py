@@ -175,11 +175,11 @@ class ModalSystem:
 
     # -- serialization ------------------------------------------------
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> str:
         """The cache entry: the request once (array and params are read back
         from its inputs), then the results."""
         modes = self.modes
-        return {
+        return json.dumps({
             "request": self.request,
             "resonances": {
                 "omega": _encode(self.omegas),
@@ -192,13 +192,14 @@ class ModalSystem:
             "phi": _encode([m.density.phi for m in modes]),
             **{name: _encode(getattr(self, name)) for name in _ARRAYS},
             "search": self.search,
-        }
+        })
 
     @classmethod
-    def from_dict(cls, data: dict, *, request: dict) -> "ModalSystem":
-        """Inverse of to_dict for an entry written for request; an entry
+    def from_json(cls, text: str, *, request: dict) -> "ModalSystem":
+        """Inverse of to_json for an entry written for request; an entry
         written for any other request raises ValueError naming the keys
         that differ."""
+        data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"modal cache entry must be an object, got {type(data).__name__}")
         if data.get("request") != request:
@@ -229,13 +230,6 @@ class ModalSystem:
         return cls(array=array, params=params, modes=modes,
                    **{name: _decode(data[name]) for name in _ARRAYS},
                    request=data["request"], search=data["search"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str, *, request: dict) -> "ModalSystem":
-        return cls.from_dict(json.loads(text), request=request)
 
 
 # the stored arrays of a ModalSystem besides the modes

@@ -73,7 +73,7 @@ class Eigenmode:
     sv_gap: float
 
 
-def _muller(f, starts, tol: float = 1e-13, max_iter: int = 60) -> list[complex]:
+def _muller(f, starts) -> list[complex]:
     """Muller iteration for simple zeros of an analytic function, from every
     start in lockstep: f maps a list of points to their values, and each
     round evaluates it once, at the new point of every start still running.
@@ -81,7 +81,7 @@ def _muller(f, starts, tol: float = 1e-13, max_iter: int = 60) -> list[complex]:
     xs = [[z0 + h, z0 - 0.5j * h, z0] for z0, h in ((z, 1e-3 * max(abs(z), 1e-12)) for z in starts)]
     fs = [list(v) for v in zip(*(f([x[j] for x in xs]) for j in range(3)))]  # one column at a time
     running = range(len(xs))
-    for _ in range(max_iter):
+    for _ in range(_MULLER_ITERS):
         stepped = []
         for i in running:
             (x0, x1, x2), (f0, f1, f2) = xs[i], fs[i]
@@ -103,11 +103,12 @@ def _muller(f, starts, tol: float = 1e-13, max_iter: int = 60) -> list[complex]:
             break
         for i, fx in zip(stepped, f([xs[i][2] for i in stepped])):
             fs[i] = [fs[i][1], fs[i][2], fx]
-        running = [i for i in stepped if not (abs(xs[i][2] - xs[i][1]) <= tol * max(abs(xs[i][2]), 1e-30)
-                                              or abs(fs[i][2]) == 0.0)]
+        running = [i for i in stepped if not (abs(fs[i][2]) == 0.0 or
+                   abs(xs[i][2] - xs[i][1]) <= _MULLER_TOL * max(abs(xs[i][2]), 1e-30))]
     return [x[2] for x in xs]
 
 
+@np.errstate(all="ignore")  # a run off the physical sheet may end in NaN, which find_resonances names
 def single_disk_resonance(radius: float, params: WaveParams) -> complex:
     """Monopole resonance of one isolated disk.
 
@@ -201,6 +202,8 @@ _RANK_TOL = 1e-10  # singular-value cut of moment 0, relative to its bound
 _STACK_ENTRIES = 2**17  # contour nodes x block entries assembled at a time: about 2 MB
 _RESONANCE_TOL = 1e-10  # largest smallest singular value of A at an accepted resonance
 _DRIFT_TOL = 1e-4  # largest relative move of a resonance under M -> M+2
+_MULLER_TOL = 1e-13  # a Muller run stops once its last step is this small relative to its point
+_MULLER_ITERS = 60  # steps per Muller run
 
 
 def _inside(box, z: complex) -> bool:
@@ -282,13 +285,21 @@ def find_resonances(
     Returns exactly N resonances sorted by ascending real part, each with
     smallest singular value <= _RESONANCE_TOL and frequency drift
     <= _DRIFT_TOL relative under M -> M+2 refinement. Raises
-    ResonanceSearchError when a sub-contour cannot be certified (naming it
-    and both counts) or has a node where the system is exactly singular,
-    the odd block winds, the window holds another count, or refinement
-    does not settle.
+    ResonanceSearchError when an isolated-disk resonance is not finite with
+    Re omega > 0 (naming its circle and the material), a sub-contour cannot
+    be certified (naming it and both counts) or has a node where the system
+    is exactly singular, the odd block winds, the window holds another
+    count, or refinement does not settle.
     """
     n_res = array.n
-    window = _default_search([single_disk_resonance(r, params) for r in array.radii])
+    seeds = [single_disk_resonance(r, params) for r in array.radii]
+    for i, (radius, seed) in enumerate(zip(array.radii, seeds), 1):
+        if not (np.isfinite(seed) and seed.real > 0):
+            raise ResonanceSearchError(
+                f"the isolated-disk resonance of circle {i} (radius {radius:.6g}) is {seed:.6g}, off the"
+                f" physical sheet Re omega > 0, at material v = {params.v:.6g}, v_b = {params.v_b:.6g},"
+                f" delta = {params.delta:.6g}; the search window cannot be built from it")
+    window = _default_search(seeds)
     beyond = f"at delta = {params.delta:.4g} the window may hold resonances that are not subwavelength"
     probe, probe_hi = _ResolventProbe(array, params, M), _ResolventProbe(array, params, M + 2)
     V = np.random.default_rng(0).standard_normal((probe.q.size, n_res + 4, 2)) @ np.array([1, 1j])
@@ -336,7 +347,7 @@ def find_resonances(
     return found
 
 
-def _null_density(array: ResonatorArray, params: WaveParams, resonance: Resonance):
+def _null_density(array: ResonatorArray, resonance: Resonance):
     """Raw unit null density at a resonance (the even block's right singular
     vector of its smallest singular value, unfolded) and the gap s[-2]/s[0]
     of the full boundary system, whose singular values are the union of the
@@ -370,7 +381,7 @@ def sample_eigenmodes(
     largest disk (over the disk of largest |mean| when that mean vanishes).
     Returns the modes and their (N_modes, P) sample, scaled alike.
     """
-    raws, gaps = zip(*(_null_density(array, params, r) for r in resonances))
+    raws, gaps = zip(*(_null_density(array, r) for r in resonances))
     values = sample_fields(array, params, [r.omega for r in resonances], raws, points)
     _, wts, disk = rule
     interior = values[:, first:first + len(wts)]

@@ -1,4 +1,3 @@
-import functools
 import re
 from types import SimpleNamespace
 
@@ -119,14 +118,15 @@ def test_failed_lane_leaves_other_lanes_unchanged(six_system, monkeypatch, poiso
 def test_stalled_continuation_flags_its_point(six_system, monkeypatch):
     # with Newton capped at one iteration every solve fails, so the lane falls
     # back to forcing continuation, which stalls; the point is flagged, not fatal
-    capped = functools.partial(hopf._newton_complex, max_iter=1)
+    newton = hopf._newton_complex
     newton_errors = []
 
     def recording(*args, **kwargs):
-        out = capped(*args, **kwargs)
+        out = newton(*args, **kwargs)
         newton_errors.extend(str(e) for e in out[-1] if e is not None)
         return out
 
+    monkeypatch.setattr(hopf, "_NEWTON_ITERS", 1)
     monkeypatch.setattr(hopf, "_newton_complex", recording)
     sweep = pure_tone_sweep(six_system, [six_system.omegas[1].real], 1e-2, BETA)
     assert any(e.startswith("Newton did not converge in 1 iterations") for e in newton_errors)
@@ -200,6 +200,16 @@ def test_phase_reference_shift(six_system):
     assert vel.phase_reference == "velocity"
     with pytest.raises(ValueError, match="phase_reference"):
         phase_response(six_system, grid, 1e-6, BETA, obs, phase_reference="bogus")
+
+
+def test_first_phase_is_the_principal_value(six_system):
+    # the unwrap starts from np.angle of the first solved response, bit for bit
+    grid = refined_frequency_grid(six_system, 0.004, 0.03, 60)
+    obs = default_observation_points(six_system)
+    resp = phase_response(six_system, grid, 1e-6, BETA, obs, phase_reference="pressure")
+    assert not resp.sign_flipped
+    amplitudes = resp.sweep.X[resp.sweep.solved, 0] @ six_system.mode_fields_at(obs)
+    assert np.array_equal(resp.phi[0], np.angle(amplitudes[0]))
 
 
 def test_phase_unwrap_flags_coarse_grid(six_system):

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -712,6 +713,24 @@ def test_main_validate_and_mismatch(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "does not match" in err
+
+
+@pytest.mark.parametrize("material", [{"v": 1e-6}, {"v": 0.01}, {"v_b": 1000.0}, {"delta": 1000.0}],
+                         ids=lambda m: "-".join(f"{k}{v:g}" for k, v in m.items()))
+def test_resonances_off_the_physical_sheet_fail_in_one_line(tmp_path, capsys, material):
+    # the isolated-disk resonance is NaN or has Re omega < 0: the run fails
+    # before any search, naming it and the material, and warns of nothing
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(_config(material=material)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["resonances", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert status == 1 and err.count("\n") == 1
+    assert err.startswith("error: ResonanceSearchError: the isolated-disk resonance of circle 1 ")
+    (key, value), = material.items()
+    assert "off the physical sheet Re omega > 0, at material " in err and f"{key} = {value:.6g}" in err
+    assert not (tmp_path / "o" / "run.json").exists()
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

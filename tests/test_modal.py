@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -290,7 +291,7 @@ def test_loaded_system_samples_modes_like_the_built_one(six_system):
     # the entry keeps no Hankel panels: a loaded system builds its own, on the
     # same panels and so to the same bits, inside the box and far outside it
     loaded = ModalSystem.from_json(six_system.to_json(), request=six_system.request)
-    assert "panels" not in six_system.to_dict()
+    assert "panels" not in json.loads(six_system.to_json())
     for points in (default_observation_points(six_system), [[60.0, 0.0]]):
         assert np.array_equal(loaded.mode_fields_at(points), six_system.mode_fields_at(points))
 

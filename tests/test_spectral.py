@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +264,24 @@ def test_search_past_the_subwavelength_regime_names_delta(six_array):
     with pytest.raises(ResonanceSearchError, match="odd mirror block.*at delta = 0.1 the window "
                                                    "may hold resonances that are not subwavelength"):
         find_resonances(six_array, p, M=5)
+
+
+# materials far outside the subwavelength regime, where the isolated-disk
+# Muller run ends in NaN or at Re omega < 0
+_OFF_SHEET = [{"v": 1e-6}, {"v": 0.01}, {"v_b": 1000.0}, {"delta": 1000.0}]
+
+
+@pytest.mark.parametrize("material", _OFF_SHEET, ids=lambda m: "-".join(f"{k}{v:g}" for k, v in m.items()))
+def test_isolated_disk_resonance_off_the_physical_sheet_fails_the_search(pair_array, material):
+    p = WaveParams(**{"v": 1.0, "v_b": 1.0, "delta": 1e-3, **material})
+    values = ", ".join(f"{k} = {getattr(p, k):.6g}" for k in ("v", "v_b", "delta"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ResonanceSearchError) as info:
+            find_resonances(pair_array, p, M=5)
+    assert re.fullmatch(r"the isolated-disk resonance of circle 1 \(radius 1\) is \S+, off the physical"
+                        rf" sheet Re omega > 0, at material {values}; the search window cannot be"
+                        " built from it", str(info.value))
 
 
 def _block_windings(array, params, M: int, box, n: int = 64, max_n: int = 4096) -> list[int]:

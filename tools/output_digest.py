@@ -6,14 +6,18 @@ Runs each reference config through ``hopfarray.cli.main`` in a temporary
 directory, with a cold cache, and prints one line per output, ``config file
 sha256``: one for every CSV the run lists in run.json, one for its
 ``solver_stats`` (dumped as JSON with sorted keys) and one for its exit
-status. A refactor that must keep every output byte for byte runs it on the
-parent commit's ``src`` and on its own, then diffs the two listings.
+status; a run that exits 1 writes no run.json, and lists the sha256 of its
+error text (what it writes to stderr) in their place. A refactor that must
+keep every output byte for byte runs it on the parent commit's ``src`` and
+on its own, then diffs the two listings.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -53,6 +57,8 @@ CONFIGS = {
     "resonances-delta": {"type": "resonances"},
     # a search beyond N = 6: one sub-contour of 256 nodes, winding number 12
     "resonances-n12": {"type": "resonances"},
+    # the isolated-disk resonance has Re omega < 0, so the run fails before any search
+    "resonances-wrong-sheet": {"type": "resonances"},
 }
 
 # name: block: keys that replace that block's keys of BASE for that config;
@@ -61,6 +67,7 @@ OVERRIDES = {
     "sweep-numerics": {"numerics": {"multipole_order": 7, "panel_size": 2.0}},
     "resonances-delta": {"material": {"delta": 0.03}},
     "resonances-n12": {"geometry": {"n": 12}},
+    "resonances-wrong-sheet": {"material": {"v": 0.01}},
 }
 
 
@@ -76,8 +83,11 @@ def digest(name: str, experiment: dict, work: Path) -> list[str]:
     config["experiment"] = experiment
     path, out = work / f"{name}.json", work / name
     path.write_text(json.dumps(config))
-    status = main([experiment["type"], "--config", str(path), "--out", str(out)])
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        status = main([experiment["type"], "--config", str(path), "--out", str(out)])
     lines = [f"{name} exit {status}"]
+    if status == 1:
+        lines.append(f"{name} error {_sha256(err.getvalue().encode())}")
     run = out / "run.json"
     if run.exists():
         manifest = json.loads(run.read_text())
