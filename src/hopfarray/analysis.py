@@ -76,26 +76,19 @@ class SweepResult:
 
 @dataclass
 class PhaseResponse:
-    """Response magnitude R and unwrapped phase phi (G, P) at P observation
-    points over the G solved frequencies of grid.
-
-    phase_reference records whether the phase is that of the response
-    itself ("pressure") or of its time derivative ("velocity", a global
-    +0.25 cycle shift; this is what vibrometry measures and what makes the
-    low-frequency delay come out near minus a quarter cycle). When
-    sign_flipped is true the phase has additionally been negated globally so
-    the low-frequency delay is negative; both normalizations are surfaced
-    here, never absorbed. sweep is the pure-tone sweep over the whole grid,
-    with its solver statistics, certificates and the flags of the
-    frequencies left out.
+    """Response magnitude R and unwrapped phase phi (G, P) at the P
+    observation points of phase_response over the G solved frequencies of
+    grid, in the phase_reference the caller chose. When sign_flipped is true
+    the phase has been negated globally so the low-frequency delay is
+    negative; the flip is surfaced here, never absorbed. sweep is the
+    pure-tone sweep over the whole grid, with its solver statistics,
+    certificates and the flags of the frequencies left out.
     """
 
-    points: np.ndarray
     grid: np.ndarray
     R: np.ndarray
     phi: np.ndarray
     sign_flipped: bool
-    phase_reference: str
     sweep: SweepResult = field(repr=False)
 
     @property
@@ -178,11 +171,12 @@ def phase_response(
     below). A frequency whose solve fails is flagged in the sweep and left
     out of the response; fewer than two solved frequencies raise
     ConvergenceError. phase_reference "velocity" reports the phase of the
-    time derivative of the response (a global quarter-cycle shift);
-    "pressure" reports the response phase itself. If the raw phase steps by
-    nearly pi between neighbouring frequencies the unwrap is ambiguous
-    (unless the amplitude passes through a null, where a pi step is
-    genuine) and UnwrapError suggests a finer grid.
+    time derivative of the response (a global +0.25 cycle shift; this is
+    what vibrometry measures and what puts the low-frequency delay near
+    minus a quarter cycle); "pressure" reports the response phase itself.
+    If the raw phase steps by nearly pi between neighbouring frequencies the
+    unwrap is ambiguous (unless the amplitude passes through a null, where a
+    pi step is genuine) and UnwrapError suggests a finer grid.
     """
     if phase_reference not in ("velocity", "pressure"):
         raise ValueError(f"phase_reference must be 'velocity' or 'pressure', got {phase_reference!r}")
@@ -228,8 +222,7 @@ def phase_response(
     flip = bool(_median(phi[0]) > 0.1 * 2.0 * np.pi)
     if flip:
         phi = -phi
-    return PhaseResponse(points=x_points, grid=grid, R=mags, phi=phi, sign_flipped=flip,
-                         phase_reference=phase_reference, sweep=sweep)
+    return PhaseResponse(grid=grid, R=mags, phi=phi, sign_flipped=flip, sweep=sweep)
 
 
 def group_delay(phi: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -237,10 +237,23 @@ def _mode_keys(exp: dict) -> tuple:
     return ("mode_index",) if exp["Omega1"] is not None else ("mode_index", "Omega1_mode")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object of a config; a key given twice raises, as the last
+    value would otherwise win silently."""
+    out = {}
+    for key, val in pairs:
+        if key in out:
+            raise ConfigError(f"config: key {key!r} given twice in one object")
+        out[key] = val
+    return out
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config (strict keys, defaults applied)."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError:
+        raise
     except ValueError as exc:  # JSONDecodeError, or an int beyond the digit limit
         raise ConfigError(f"config: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -277,10 +290,11 @@ def parse_config(text: str) -> ExperimentConfig:
                           f" graded by s = {geo['s']!r} with gap ratio {geo['gap_ratio']!r} do "
                           f"not form a valid array: {reason}") from None
     if etype == "phase" and exp["observation_points"] is not None:
-        point = _point_on_circle(array.centers, array.radii, exp["observation_points"])
-        if point is not None:
-            raise ConfigError(f"experiment.observation_points: {point} lies on a resonator "
-                              "boundary, where the field has two traces")
+        try:
+            with np.errstate(all="ignore"):  # points near the float range
+                classify_points(array.centers, array.radii, np.array(exp["observation_points"], dtype=float))
+        except ValueError as exc:  # names the first point on a circle
+            raise ConfigError(f"experiment.observation_points: {exc}, where the field has two traces") from None
     try:
         box = default_spec(array)
     except ValueError as exc:  # the box is past the float range
@@ -298,17 +312,6 @@ def parse_config(text: str) -> ExperimentConfig:
         array=array, params=WaveParams(v=mat["v"], v_b=mat["v_b"], delta=mat["delta"]),
         panel_size=num["panel_size"], M=num["multipole_order"], beta=mat["beta"],
         experiment=exp, raw=data)
-
-
-def _point_on_circle(centers, radii, points):
-    """The first of the points that lies on one of the circles, or None."""
-    for point in points:
-        try:
-            with np.errstate(all="ignore"):  # points near the float range
-                classify_points(centers, radii, np.array([point], dtype=float))
-        except ValueError:
-            return point
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +460,13 @@ def _phase(config: ExperimentConfig, system: ModalSystem) -> _Result:
                           phase_reference=exp["phase_reference"])
     columns = (resp.R, resp.phi, resp.phase_delay_cycles, resp.group_delay_cycles)
     rows = [(*x, om, *(c[g, p] for c in columns))
-            for p, x in enumerate(resp.points) for g, om in enumerate(resp.grid)]
+            for p, x in enumerate(obs) for g, om in enumerate(resp.grid)]
     return _Result(
         "phase.csv",
         ["x1", "x2", "Omega", "R", "phi_rad", "phase_delay_cycles", "group_delay_cycles"],
         rows, len(grid), _failures(resp.sweep, "Omega"), _sweep_stats([resp.sweep]),
         sign_flags={"phase_sign_flipped": resp.sign_flipped,
-                    "phase_reference": resp.phase_reference},
+                    "phase_reference": exp["phase_reference"]},
     )
 
 
@@ -525,7 +528,7 @@ def run_experiment(
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    t_start = time.time()
+    t_start = time.perf_counter()  # a monotonic clock, so no stage time is negative
     etype = config.experiment["type"]
     manifest: dict = {
         "config": config.raw,
@@ -535,7 +538,6 @@ def run_experiment(
             "numpy": np.__version__,
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),  # outputs round by it
         },
-        "experiment_type": etype,
         "outputs": {},
         "wall_times_s": {},
     }
@@ -543,18 +545,18 @@ def run_experiment(
     if etype != "oracle":  # every other experiment starts from the modal system
         system, manifest["cache"] = _obtain_modal_system(config, out, use_cache)
         manifest["diagnostics"] = _diagnostics(system)
-        manifest["wall_times_s"]["modal_system"] = time.time() - t_start
+        manifest["wall_times_s"]["modal_system"] = time.perf_counter() - t_start
         results["resonances.csv"] = _resonances(config, system)
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = _EXPERIMENTS[etype](config, system)
-    manifest["wall_times_s"]["experiment"] = time.time() - t0
+    manifest["wall_times_s"]["experiment"] = time.perf_counter() - t0
     results[result.csv] = result
     for name, res in results.items():
         manifest["outputs"][name] = _write_csv(out / name, res.header, res.rows)
     manifest["solver_stats"] = {"n_points": result.n_points, "n_flagged": len(result.flagged),
                                 "flagged": result.flagged, **result.stats}
     manifest["sign_flags"] = result.sign_flags
-    manifest["wall_times_s"]["total"] = time.time() - t_start
+    manifest["wall_times_s"]["total"] = time.perf_counter() - t_start
     (out / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 2 if result.flagged else 0
 

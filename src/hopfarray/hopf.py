@@ -21,13 +21,14 @@ frequency vector over the tones (pure tone: (1,); two tone: (1, 0), (0, 1),
 whenever v_a + v_b - v_c = v_ch, a table generated from the vectors
 (M. Krack & J. Gross, Harmonic Balance for Nonlinear Vibration Problems,
 Springer 2019). One builder contracts every line with the cubic tensor and
-returns the residual with its Wirtinger Jacobian (the residuals depend on
-conj(X), so they are not complex-differentiable); one driver runs damped
-Newton on the stacked real/imaginary parts, plus geometric continuation in
-the forcing when Newton stalls. It solves a stack of independent lanes
-(points) in lockstep, one matrix per lane in every product and solve, so a
-lane's result does not depend on its stack; past its target residual a lane
-polishes with full Newton steps only, down to the float floor.
+returns the residual with the real Jacobian of its real and imaginary
+parts, built from the Wirtinger pair (the residuals depend on conj(X), so
+they are not complex-differentiable); one driver runs damped Newton on those
+parts, plus geometric continuation in the forcing when Newton stalls. It
+solves a stack of independent lanes (points) in lockstep, one matrix per
+lane in every product and solve, so a lane's result does not depend on its
+stack; past its target residual a lane polishes with full Newton steps only,
+down to the float floor.
 
 Solutions of any line set are certified by one alternating frequency/time
 residual (T. M. Cameron & J. H. Griffin, J. Appl. Mech. 56, 1989). At each
@@ -112,8 +113,8 @@ def _line_weights(vectors) -> np.ndarray:
 
 
 def _line_fun_jac(system: ModalSystem, freqs: np.ndarray, W: np.ndarray, forcing, beta: float):
-    """Residual and Wirtinger Jacobian of the L coupled line systems of lane
-    k, which rings line l at freqs[k, l], driven by forcing[k, l].
+    """Residual and real Jacobian of the L coupled line systems of lane k,
+    which rings line l at freqs[k, l], driven by forcing[k, l].
 
     Line l balances (omega_m^2 - f_l^2) X_l + F_l g + i beta G C_l with
     C_l = sum_{abc} W[l, a, b, c] T(Y_a, Y_b, conj Y_c), where Y_l = f_l X_l
@@ -121,8 +122,9 @@ def _line_fun_jac(system: ModalSystem, freqs: np.ndarray, W: np.ndarray, forcing
     symmetric in (i, j), dC_l/dY_a = 2 sum_{bc} W[l, a, b, c] T(., Y_b, conj Y_c)
     and dC_l/d(conj Y_c) = sum_{ab} W[l, a, b, c] T(Y_a, Y_b, .). Every line
     is contracted by the same few matrix products, one matrix per lane
-    (swapaxes, as .mT needs numpy 2).
-    fun_jac(Z, lanes) evaluates `lanes` (default all) at Z (lanes, L N).
+    (swapaxes, as .mT needs numpy 2). fun_jac(Z, lanes) evaluates `lanes`
+    (default all) at Z (lanes, L N): R and the Jacobian of (Re R, Im R) in
+    (Re Z, Im Z), from the Wirtinger pair A = dR/dZ, B = dR/d(conj Z).
     """
     (K, L), n = freqs.shape, system.n
     T = system.cubic_tensor
@@ -151,13 +153,14 @@ def _line_fun_jac(system: ModalSystem, freqs: np.ndarray, W: np.ndarray, forcing
         A = (pref * (G @ dA)).transpose(0, 1, 3, 2, 4).reshape(k, L * n, L * n)
         B = (pref * (G @ dB)).transpose(0, 1, 3, 2, 4).reshape(k, L * n, L * n)
         A[:, diag, diag] += lin[lanes].reshape(k, L * n)
-        return R.reshape(k, L * n), A, B
+        S, D = A + B, A - B
+        return R.reshape(k, L * n), np.block([[S.real, -D.imag], [S.imag, D.real]])
 
     return fun_jac
 
 
 def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray):
-    """Damped Newton on stacked (Re, Im) with Wirtinger-assembled Jacobians
+    """Damped Newton on stacked (Re, Im) with the real Jacobians of fun_jac
     for a stack of lanes in lockstep, lane k from Z0[k] to tolerance tol[k].
 
     Converges well past the contractual tolerance (to 1e-8 x the initial
@@ -170,7 +173,7 @@ def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray):
     """
     Z = np.array(Z0, dtype=complex)
     K, m = Z.shape
-    R, A, B = fun_jac(Z)
+    R, J = fun_jac(Z)
     norm = np.linalg.norm(R, axis=1)
     target = np.where(norm > 0, np.minimum(tol, 1e-8 * norm), tol)
     diverged = 1e9 * np.maximum(np.linalg.norm(Z, axis=1), 1.0) + 1e9
@@ -183,16 +186,14 @@ def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray):
         if not len(live):
             break
         polish[live[norm[live] <= target[live]]] -= 1  # keep contracting toward the float floor
-        S, D = A[live] + B[live], A[live] - B[live]
-        J = np.block([[S.real, -D.imag], [S.imag, D.real]])
         rhs = -np.concatenate([R[live].real, R[live].imag], axis=1)[..., None]
         try:
-            step = np.linalg.solve(J, rhs)[..., 0]
+            step = np.linalg.solve(J[live], rhs)[..., 0]
         except np.linalg.LinAlgError:  # raised for the whole stack: solve lane by lane
             step = np.zeros(rhs.shape[:2])
             for i, k in enumerate(live):
                 try:
-                    step[i] = np.linalg.solve(J[i], rhs[i])[:, 0]
+                    step[i] = np.linalg.solve(J[k], rhs[i])[:, 0]
                 except np.linalg.LinAlgError as exc:
                     errors[k] = ConvergenceError(f"singular Newton system: {exc}")
         dZ[live] = step[:, :m] + 1j * step[:, m:]
@@ -200,12 +201,12 @@ def _newton_complex(fun_jac, Z0: np.ndarray, tol: np.ndarray):
         t, pending, stopped = 1.0, live, []
         for _ in range(30):
             Zt = Z[pending] + t * dZ[pending]
-            Rt, At, Bt = fun_jac(Zt, pending)
+            Rt, Jt = fun_jac(Zt, pending)
             evaluations += len(pending)
             nt = np.linalg.norm(Rt, axis=1)
             ok = nt <= (1.0 - 1e-4 * t) * norm[pending]
             acc = pending[ok]
-            Z[acc], R[acc], A[acc], B[acc], norm[acc] = Zt[ok], Rt[ok], At[ok], Bt[ok], nt[ok]
+            Z[acc], R[acc], J[acc], norm[acc] = Zt[ok], Rt[ok], Jt[ok], nt[ok]
             pending = pending[~ok]
             floor = norm[pending] <= target[pending]  # a polish step tries the full step only
             stopped.append(pending[floor])

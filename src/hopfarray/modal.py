@@ -176,15 +176,14 @@ class ModalSystem:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> str:
-        """The cache entry: the request once (array and params are read back
-        from its inputs), then the results."""
+        """The cache entry: the request once (array, params and every mode's
+        truncation M are read back from it), then the results."""
         modes = self.modes
         return json.dumps({
             "request": self.request,
             "resonances": {
                 "omega": _encode(self.omegas),
                 "residual": [m.resonance.residual for m in modes],
-                "truncation": [m.resonance.truncation for m in modes],
                 "drift": [m.resonance.drift for m in modes],
             },
             "sv_gaps": [m.sv_gap for m in modes],
@@ -213,19 +212,19 @@ class ModalSystem:
         params = WaveParams(**inputs["params"])
         res = data["resonances"]
         columns = zip(
-            _decode(res["omega"]), res["residual"], res["truncation"], res["drift"],
+            _decode(res["omega"]), res["residual"], res["drift"],
             data["sv_gaps"], _decode(data["psi"]), _decode(data["phi"]), strict=True,
         )
         modes = [
             Eigenmode(
                 resonance=Resonance(omega=complex(omega), residual=residual,
-                                    truncation=truncation, drift=drift),
+                                    truncation=data["request"]["M"], drift=drift),
                 density=MultipoleDensity(psi=psi, phi=phi),
                 array=array,
                 params=params,
                 sv_gap=gap,
             )
-            for omega, residual, truncation, drift, gap, psi, phi in columns
+            for omega, residual, drift, gap, psi, phi in columns
         ]
         return cls(array=array, params=params, modes=modes,
                    **{name: _decode(data[name]) for name in _ARRAYS},

@@ -191,8 +191,8 @@ def _default_search(seeds: list[complex]) -> dict:
 
 class Resonances(list):
     """Located resonances; search lists each certified sub-contour (box, nodes,
-    winding number of det A and of the odd block's det A_-, resonances
-    accepted, Beyn rank) and the total search_assemblies."""
+    winding number of det A, which is its count of resonances, Beyn rank) and
+    the total search_assemblies."""
     search: dict
 
 
@@ -328,8 +328,7 @@ def find_resonances(
                                                f"relative under M={M} -> {M + 2} refinement")
                 found.append(Resonance(omega=z, residual=float(min(svd[0][-1], svd[1][-1])),
                                        truncation=M, drift=drift, svd=svd))
-            contours.append({"box": [float(v) for v in box], "nodes": 4 * n, "winding": winding,
-                             "odd_winding": odd_winding, "accepted": winding, "rank": rank})
+            contours.append({"box": [float(v) for v in box], "nodes": 4 * n, "winding": winding, "rank": rank})
         elif n < _NODES[1]:
             pending.append((box, 2 * n))
         elif len(contours) + len(pending) + 2 <= _MAX_CONTOURS:

@@ -94,12 +94,12 @@ def test_failed_lane_leaves_other_lanes_unchanged(six_system, monkeypatch, poiso
         hit = freqs[:, 0] == bad
 
         def wrapped(Z, lanes=slice(None)):
-            R, A, B = fun_jac(Z, lanes)
+            R, J = fun_jac(Z, lanes)
             if poison == "residual":
                 R[hit[lanes]] = np.nan
             else:
-                A[hit[lanes]] = B[hit[lanes]] = 0.0
-            return R, A, B
+                J[hit[lanes]] = 0.0
+            return R, J
 
         return wrapped
 
@@ -197,7 +197,6 @@ def test_phase_reference_shift(six_system):
     prs = phase_response(six_system, grid, 1e-6, BETA, obs, phase_reference="pressure")
     diff = vel.phase_delay_cycles - prs.phase_delay_cycles
     assert np.allclose(diff, 0.25, atol=1e-12)
-    assert vel.phase_reference == "velocity"
     with pytest.raises(ValueError, match="phase_reference"):
         phase_response(six_system, grid, 1e-6, BETA, obs, phase_reference="bogus")
 

@@ -1,11 +1,13 @@
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -13,6 +15,8 @@ import numpy as np
 import pytest
 
 import hopfarray
+import hopfarray.analysis as analysis
+import hopfarray.cli as cli
 from hopfarray.boundary import assemble_boundary_system, classify_points
 from hopfarray.cli import ConfigError, _obtain_modal_system, main, parse_config, run_experiment
 from hopfarray.quadrature import PANEL_SIZE
@@ -133,16 +137,16 @@ def test_resonances_experiment(tmp_path):
 
 
 def _check_search_record(search, n):
-    """Each certified sub-contour's winding number equals its accepted
-    count, its odd mirror block winds zero times, the counts add up to n,
-    and the assembly total covers the nodes."""
+    """Each certified sub-contour records its box, nodes, winding number and
+    Beyn rank alone, the winding numbers add up to n, and the assembly total
+    covers the nodes."""
     contours = search["contours"]
     assert contours
     for c in contours:
+        assert set(c) == {"box", "nodes", "winding", "rank"}
         assert len(c["box"]) == 4 and c["box"][0] < c["box"][1] and c["box"][2] < c["box"][3]
-        assert c["winding"] == c["accepted"] <= c["rank"]
-        assert c["odd_winding"] == 0
-    assert sum(c["accepted"] for c in contours) == n
+        assert c["winding"] <= c["rank"]
+    assert sum(c["winding"] for c in contours) == n
     assert search["search_assemblies"] >= sum(c["nodes"] for c in contours)
 
 
@@ -251,7 +255,6 @@ def test_foreign_cache_entry_is_rebuilt(tmp_path):
 def test_failed_cache_write_leaves_the_old_entry_and_no_temporary(tmp_path, monkeypatch):
     # a rename that fails removes the temporary file and propagates: readers
     # still see the old entry, whole
-    import hopfarray.cli as cli
 
     path = tmp_path / "cache" / "entry.json"
     path.parent.mkdir()
@@ -307,7 +310,6 @@ def test_twotone_without_second_tone_is_a_config_error(tmp_path, capsys):
 def test_twotone_grid_with_a_given_omega1_is_checked_when_read(tmp_path, capsys, monkeypatch):
     # with Omega1 given the grid is known from the config alone, so validate
     # rejects it and twotone stops before any build
-    import hopfarray.cli as cli
 
     def no_build(*args, **kwargs):
         raise AssertionError("cold build")
@@ -348,7 +350,6 @@ def test_twotone_grid_with_a_given_omega1_is_checked_when_read(tmp_path, capsys,
         "phase-adjacent-ends"])
 def test_grid_the_config_fixes_is_built_when_read(experiment, want, tmp_path, capsys,
                                                   monkeypatch):
-    import hopfarray.cli as cli
 
     def no_build(*args, **kwargs):
         raise AssertionError("cold build")
@@ -368,7 +369,8 @@ def test_phase_observation_point_on_a_circle_rejected(tmp_path, capsys):
     # circle 0 of the two-disk array is centered at (1, 0) with radius 1
     cfg = _config(experiment={"type": "phase", "observation_points": [[3.0, 0.5], [2.0, 0.0]]})
     with pytest.raises(ConfigError, match=re.escape(
-            "experiment.observation_points: [2.0, 0.0] lies on a resonator boundary")):
+            "experiment.observation_points: point (2.0, 0.0) lies on a resonator boundary, "
+            "where the field has two traces")):
         parse_config(json.dumps(cfg))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -390,6 +392,42 @@ def test_phase_experiment_and_sign_flags(tmp_path):
     assert manifest["sign_flags"]["phase_sign_flipped"] in (True, False)
     assert manifest["solver_stats"]["newton_iters"] >= manifest["solver_stats"]["n_points"]
     assert 0 <= manifest["solver_stats"]["certificate_max"] <= 1e-10 * (1 + 1e-6)
+
+
+def test_phase_sign_flip_is_applied_and_written(tmp_path, monkeypatch):
+    # conjugated amplitudes mirror every phase, so the low-frequency phase
+    # lies near +pi and the orientation check negates the curve
+    sweep, respond, calls = analysis.pure_tone_sweep, cli.phase_response, []
+
+    def conjugated(*args):
+        out = sweep(*args)
+        out.X = out.X.conj()
+        return out
+
+    def recording(*args, **kwargs):
+        calls.append((args, respond(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(analysis, "pure_tone_sweep", conjugated)
+    monkeypatch.setattr(cli, "phase_response", recording)
+    cfg = _config(experiment={"type": "phase", "num_points": 60, "F": 1e-6})
+    assert run_experiment(parse_config(json.dumps(cfg)), tmp_path) == 0
+    ((system, *_, obs), resp), = calls
+    assert resp.sign_flipped
+    amplitudes = resp.sweep.X[resp.sweep.solved, 0] @ system.mode_fields_at(obs)
+    assert np.array_equal(resp.phi, -(np.unwrap(np.angle(amplitudes), axis=0) + 0.5 * np.pi))
+    manifest = json.loads((tmp_path / "run.json").read_text())
+    assert manifest["sign_flags"] == {"phase_sign_flipped": True, "phase_reference": "velocity"}
+
+
+def test_wall_times_do_not_follow_a_clock_stepped_back(tmp_path, monkeypatch):
+    # every read of the wall clock is an hour before the one before it
+    real, reads = time.time, itertools.count()
+    monkeypatch.setattr("hopfarray.cli.time.time", lambda: real() - 3600.0 * next(reads))
+    assert run_experiment(parse_config(json.dumps(_config())), tmp_path) == 0
+    times = json.loads((tmp_path / "run.json").read_text())["wall_times_s"]
+    assert set(times) == {"modal_system", "experiment", "total"}
+    assert all(t >= 0 for t in times.values())
 
 
 def test_phase_at_given_observation_points(tmp_path):
@@ -418,7 +456,6 @@ def test_oracle_experiment(tmp_path):
 
 
 def test_flagged_points_exit_code(tmp_path, monkeypatch):
-    import hopfarray.analysis as analysis
     from hopfarray.hopf import ConvergenceError
 
     real_solver = analysis.solve_lines
@@ -449,7 +486,6 @@ def test_flagged_points_exit_code(tmp_path, monkeypatch):
 
 
 def test_flagged_phase_point_exit_code(tmp_path, monkeypatch):
-    import hopfarray.analysis as analysis
     from hopfarray.hopf import ConvergenceError
 
     real_solver = analysis.solve_lines
@@ -482,7 +518,6 @@ def test_flagged_phase_point_exit_code(tmp_path, monkeypatch):
 
 
 def test_flagged_twotone_point_exit_code(tmp_path, monkeypatch):
-    import hopfarray.analysis as analysis
     from hopfarray.hopf import ConvergenceError
 
     real_solver = analysis.solve_lines

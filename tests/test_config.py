@@ -11,11 +11,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from hopfarray.cli import (
-    _COLLISION_FLOOR, _FIELDS, _REQUIRED, ConfigError, _point_on_circle, main, parse_config,
+    _COLLISION_FLOOR, _FIELDS, _REQUIRED, ConfigError, main, parse_config,
     run_experiment,
 )
 from hopfarray.geometry import classify_points, graded_layout
@@ -129,7 +129,11 @@ def configs(draw, etype=None):
     if cfg["experiment"].get("observation_points"):  # a point on a circle is invalid
         x, radii = graded_layout(*(cfg["geometry"][k] for k in ("n", "first_radius", "s", "gap_ratio")))
         centers = np.stack([x, np.zeros_like(x)], axis=1)
-        assume(_point_on_circle(centers, radii, cfg["experiment"]["observation_points"]) is None)
+        try:
+            with np.errstate(all="ignore"):  # points near the float range
+                classify_points(centers, radii, np.array(cfg["experiment"]["observation_points"], dtype=float))
+        except ValueError:
+            reject()
     if not cfg["numerics"] and draw(st.booleans()):
         del cfg["numerics"]  # the numerics object may be left out
     return cfg
@@ -440,6 +444,24 @@ def test_validate_names_a_block_that_is_not_an_object(tmp_path, capsys, block, v
     err = capsys.readouterr().err
     assert err.startswith(f"error: {block}: must be a JSON object")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("geometry", "n", 6),  # read first, so the last value, n = 2, would win silently
+    (None, "experiment", {"type": "oracle"}),  # a whole block given twice
+])
+def test_validate_rejects_a_key_given_twice(tmp_path, capsys, block, key, value):
+    cfg = _config()
+    obj = json.dumps(cfg if block is None else cfg[block])
+    twice = f"{{{json.dumps(key)}: {json.dumps(value)}, {obj[1:]}"  # the key, then the object's own keys
+    text = twice if block is None else json.dumps(cfg).replace(obj, twice)
+    want = f"config: key {key!r} given twice in one object"
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        parse_config(text)
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 @pytest.mark.parametrize("text", [b"\xff{}", b'{"geometry": {"n": ' + b"1" * 5000 + b"}}"])

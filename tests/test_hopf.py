@@ -28,7 +28,7 @@ _SIX_LINES = TWO_TONE_LINES + ((3, -2), (-2, 3))  # the next combination tones
 
 def _line_system(system, vectors, tones, forcing):
     """The solver's residual/Jacobian builder for the given lines, as a
-    one-lane stack: Z (L N,) -> R (L N,), A, B (L N, L N)."""
+    one-lane stack: Z (L N,) -> R (L N,), J (2 L N, 2 L N)."""
     freqs = np.asarray(vectors) @ np.asarray(tones, dtype=float)
     fun_jac = _line_fun_jac(system, freqs[None], _line_weights(vectors), [forcing], BETA)
     return lambda Z: tuple(part[0] for part in fun_jac(np.asarray(Z)[None]))
@@ -207,19 +207,20 @@ def test_line_table_matches_closed_form():
     ],
 )
 def test_line_jacobian_matches_finite_differences(six_system, vectors, tone_factors, forcing):
-    # dR = A dZ + B conj(dZ) for every direction, checked by central
-    # differences along random real and imaginary steps
+    # (Re dR, Im dR) = J (Re dZ, Im dZ) for every direction, checked by
+    # central differences along random real and imaginary steps
     tones = [f * abs(six_system.omegas[3]) for f in tone_factors]
     fun_jac = _line_system(six_system, vectors, tones, forcing)
     rng = np.random.default_rng(23)
     size = len(vectors) * six_system.n
     Z = 1e-2 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    _, A, B = fun_jac(Z)
+    _, J = fun_jac(Z)
     for _ in range(4):
         for dZ in (rng.standard_normal(size), 1j * rng.standard_normal(size)):
             h = 1e-6 * np.linalg.norm(Z) / np.linalg.norm(dZ)
             fd = (fun_jac(Z + h * dZ)[0] - fun_jac(Z - h * dZ)[0]) / (2.0 * h)
-            lin = A @ dZ + B @ dZ.conj()
+            lin = J @ np.concatenate([dZ.real, dZ.imag])
+            lin = lin[:size] + 1j * lin[size:]
             assert np.linalg.norm(fd - lin) <= 1e-7 * np.linalg.norm(lin)
 
 

@@ -7,9 +7,13 @@ directory, with a cold cache, and prints one line per output, ``config file
 sha256``: one for every CSV the run lists in run.json, one for its
 ``solver_stats`` (dumped as JSON with sorted keys) and one for its exit
 status; a run that exits 1 writes no run.json, and lists the sha256 of its
-error text (what it writes to stderr) in their place. A refactor that must
-keep every output byte for byte runs it on the parent commit's ``src`` and
-on its own, then diffs the two listings.
+error text (what it writes to stderr) in their place. A config whose run
+wrote a modal cache entry is then run once more on that warm cache, and one
+``config cache-hit same`` line says that the rerun loaded the entry and
+reproduced every listed output; otherwise the line names the outputs that
+differ, or says the rerun missed the cache. A refactor that must keep every
+output byte for byte runs it on the parent commit's ``src`` and on its own,
+then diffs the two listings.
 """
 
 from __future__ import annotations
@@ -75,26 +79,44 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _run(experiment: dict, path: Path, out: Path) -> dict:
+    """One CLI run of the config at path into out: its exit status, then
+    the sha256 of its error text, or of every CSV and its solver_stats."""
+    run = out / "run.json"
+    run.unlink(missing_ok=True)  # a failed rerun lists no earlier outputs
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        status = main([experiment["type"], "--config", str(path), "--out", str(out)])
+    listing = {"exit": str(status)}
+    if status == 1:
+        listing["error"] = _sha256(err.getvalue().encode())
+    if run.exists():
+        manifest = json.loads(run.read_text())
+        for csv in sorted(manifest["outputs"]):
+            listing[csv] = _sha256((out / csv).read_bytes())
+        listing["solver_stats"] = _sha256(json.dumps(manifest["solver_stats"], sort_keys=True).encode())
+    return listing
+
+
 def digest(name: str, experiment: dict, work: Path) -> list[str]:
-    """The listing lines of one config, run in its own directory under work."""
+    """The listing lines of one config, run in its own directory under work:
+    the cold run's outputs, then the cache-hit line when it wrote an entry."""
     config = copy.deepcopy(BASE)
     for block, keys in OVERRIDES.get(name, {}).items():
         config[block].update(keys)
     config["experiment"] = experiment
     path, out = work / f"{name}.json", work / name
     path.write_text(json.dumps(config))
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        status = main([experiment["type"], "--config", str(path), "--out", str(out)])
-    lines = [f"{name} exit {status}"]
-    if status == 1:
-        lines.append(f"{name} error {_sha256(err.getvalue().encode())}")
-    run = out / "run.json"
-    if run.exists():
-        manifest = json.loads(run.read_text())
-        for csv in sorted(manifest["outputs"]):
-            lines.append(f"{name} {csv} {_sha256((out / csv).read_bytes())}")
-        stats = json.dumps(manifest["solver_stats"], sort_keys=True).encode()
-        lines.append(f"{name} solver_stats {_sha256(stats)}")
+    cold = _run(experiment, path, out)
+    lines = [f"{name} {key} {value}" for key, value in cold.items()]
+    if (out / "cache").exists():
+        warm = _run(experiment, path, out)
+        differ = sorted(key for key in cold.keys() | warm.keys() if cold.get(key) != warm.get(key))
+        if differ:
+            lines.append(f"{name} cache-hit differs in {', '.join(differ)}")
+        elif not json.loads((out / "run.json").read_text())["cache"]["hit"]:
+            lines.append(f"{name} cache-hit missed: the rerun rebuilt the modal system")
+        else:
+            lines.append(f"{name} cache-hit same")
     return lines
 
 
