@@ -63,12 +63,12 @@ DEFAULT_BETA = 5.0e5
 @dataclass(frozen=True)
 class LineSolution:
     """The amplitudes X (L, N) of L response lines at one point, where line l
-    rings at vectors[l] . tones. The pure tone is X[0]; the two-tone lines
-    are X[0..3], at Omega1, Omega2, 2 Omega1 - Omega2 and -Omega1 + 2 Omega2."""
+    rings at vectors[l] . tones, and the Newton iterations that found them.
+    The pure tone is X[0]; the two-tone lines are X[0..3], at Omega1, Omega2,
+    2 Omega1 - Omega2 and -Omega1 + 2 Omega2."""
 
     X: np.ndarray
     newton_iters: int
-    residual_norm: float
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def solve_lines(system: ModalSystem, vectors, tones, forcing, beta: float, start
                 except (ConvergenceError, ValueError) as exc:
                     out = exc
             outcomes[k] = out
-    return [out if isinstance(out, Exception) else LineSolution(*out) for out in outcomes], counts
+    return [out if isinstance(out, Exception) else LineSolution(*out[:2]) for out in outcomes], counts
 
 
 # ---------------------------------------------------------------------------

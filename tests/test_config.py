@@ -433,17 +433,15 @@ def test_parse_rejects_bools_for_numbers(block, key, value):
         parse_config(json.dumps(cfg))
 
 
-@pytest.mark.parametrize("block, value", [("geometry", [1]), ("numerics", None),
-                                          ("experiment", [])])
+@pytest.mark.parametrize("block, value", [("geometry", [1]), ("numerics", None), ("experiment", []),
+                                          (None, []), (None, 6), (None, None)])  # None: the whole config
 def test_validate_names_a_block_that_is_not_an_object(tmp_path, capsys, block, value):
-    cfg = _config()
-    cfg[block] = value
+    cfg = value if block is None else {**_config(), block: value}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     assert main(["validate", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {block}: must be a JSON object")
-    assert "Traceback" not in err
+    got = type(value).__name__ if block is None else repr(value)
+    assert capsys.readouterr().err == f"error: {block or 'config'}: must be a JSON object, got {got}\n"
 
 
 @pytest.mark.parametrize("block, key, value", [

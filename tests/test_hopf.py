@@ -10,6 +10,7 @@ from hopfarray.hopf import (
     _cubic_lines,
     _line_fun_jac,
     _line_weights,
+    _newton_complex,
     _phase_grid,
     _residual_lines,
     residual_pure_tone_reference,
@@ -74,7 +75,8 @@ def test_pure_tone_beta_zero_matches_passive(six_system):
         passive = solve_passive(six_system, om, 1e-4)
         sol = solve_pure_tone(six_system, om, 1e-4, 0.0, start=np.zeros(6, complex))
         assert np.allclose(sol.X[0], passive, rtol=1e-12, atol=1e-20)
-        assert sol.residual_norm <= 1e-10 * (1 + 1e-4)
+        ref = residual_pure_tone_reference(six_system, om, 1e-4, 0.0, sol.X[0])
+        assert np.linalg.norm(ref) <= 1e-10 * (1 + 1e-4)
 
 
 def test_pure_tone_residual_certificate(six_system):
@@ -331,6 +333,22 @@ def test_solve_lines_six_line_set(six_system):
         assert sol.X.shape == (6, six_system.n)
         cert = np.linalg.norm(_residual_lines(six_system, _SIX_LINES, t, forcing[0], BETA, sol.X))
         assert cert <= 1e-10 * (1 + 2e-5)
+
+
+def test_newton_flags_a_lane_that_diverges():
+    # R(z) = 1/z has no root: each accepted full step z - R/R' = 2 z doubles
+    # the iterate, until it passes the divergence bound and the lane fails
+    # in its error slot, with nothing raised
+    def fun_jac(Z, lanes=slice(None)):
+        d = -1.0 / Z[:, 0] ** 2  # dR/dz = a + ib, real Jacobian [[a, -b], [b, a]]
+        J = np.array([[d.real, -d.imag], [d.imag, d.real]]).transpose(2, 0, 1)
+        return 1.0 / Z, J
+
+    Z, _, _, _, errors = _newton_complex(fun_jac, np.array([[1 + 0.5j]]), np.array([1e-14]))
+    (error,) = errors
+    assert isinstance(error, ConvergenceError)
+    assert str(error) == "iterates diverged to large amplitude (possible unstable branch)"
+    assert abs(Z[0, 0]) > 2e9  # past 1e9 (max(|z0|, 1) + 1), where the flag is set
 
 
 # ---------------------------------------------------------------------------

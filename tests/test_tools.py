@@ -1,12 +1,15 @@
 """The reference configs of tools/output_digest.py, read without a CLI run."""
 
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
 from hopfarray.cli import _FIELDS
 
-DIGEST = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+ROOT = Path(__file__).resolve().parents[1]
+DIGEST = ROOT / "tools" / "output_digest.py"
 
 
 def _load(monkeypatch):
@@ -35,3 +38,11 @@ def test_output_digest_reruns_a_cached_config_on_its_cache(monkeypatch, tmp_path
     # the oracle builds no modal system, so it writes no entry to rerun on
     assert [line.split()[1] for line in digest.digest("oracle", digest.CONFIGS["oracle"], tmp_path)] == [
         "exit", "oracle.csv", "solver_stats"]
+
+
+def test_output_digest_base_is_the_readme_full_example(monkeypatch):
+    # as its comment says: every block of the README's full example (its one
+    # JSON block) but the experiment
+    (text,) = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    example = json.loads(text)
+    assert _load(monkeypatch).BASE == {block: example[block] for block in ("geometry", "material", "numerics")}
